@@ -39,8 +39,8 @@ def main():
     print(f"\nidentity d = c/2 + c''(0)/2 at eps={eps}: {d_fd:+.9f} "
           f"(rel err {abs(d_fd - w.d) / abs(w.d):.2e})")
 
-    save_wave(w, "wave_a0.3.json")
-    print("saved profile to wave_a0.3.json")
+    save_wave(w, "wave_a0.3.ndjson")
+    print("saved profile to wave_a0.3.ndjson")
 
 
 if __name__ == "__main__":

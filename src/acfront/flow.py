@@ -168,13 +168,11 @@ def heat_solve(h0: PhaseSequence, t: float) -> PhaseSequence:
     if h0.boundary_j == "reflect":
         ext = PhaseSequence(np.concatenate([vals, vals[::-1]]), boundary_j="periodic")
         return h0.replace(heat_solve(ext, t).values[: vals.size])
-    table = heat_kernel(t)
-    g = _periodized_kernel(table, vals.size)
-    out = np.zeros_like(vals)
-    for m in range(vals.size):
-        if g[m] != 0.0:
-            out += g[m] * np.roll(vals, m)
-    return h0.replace(out)
+    # direct circulant product out[j] = sum_m g[m] vals[(j - m) mod P]: no FFT,
+    # whose round-off would swamp the e^{-500}-scale Cole-Hopf values
+    P = vals.size
+    g = _periodized_kernel(heat_kernel(t), P)
+    return h0.replace(np.convolve(np.concatenate([vals, vals]), g)[P:2 * P])
 
 
 def _loglog_slope(ts: np.ndarray, ys: np.ndarray) -> float:

@@ -252,6 +252,17 @@ def _phase_series(snaps, w) -> list[tuple[float, phase.PhaseExtract]]:
     return [(t, phase.extract(u, w)) for t, u in snaps]
 
 
+def _first_defined_from(extracts, tau: float) -> int:
+    """Index of the first snapshot at or after ``tau`` whose phase is defined
+    on every row; :class:`PreAsymptotic` when there is none."""
+    idx = next((k for k, (t, g) in enumerate(extracts)
+                if t >= tau and g.all_defined), None)
+    if idx is None:
+        raise PreAsymptotic(f"phase undefined on some rows at every snapshot "
+                            f"from tau={tau:g}")
+    return idx
+
+
 def run_thm22(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> ExperimentReport:
     """Front convergence: sup distance to the fitted profile falls below
     tolerance by ``t_end``."""
@@ -355,10 +366,7 @@ def run_thm24(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Experime
     t_end, u_end = snaps[-1]
     i = u_end.lattice_i().astype(float)[:, None]
     final_err = float(np.max(np.abs(u_end.values - w.phi_at(i - w.c * t_end - mu_hat))))
-    first_defined = next(((t, g) for (t, g) in extracts if g.all_defined))
-    tau = max(spec.tau, first_defined[0])
-    g_tau = next(g for (t, g) in extracts if t >= tau and g.all_defined)
-    t_tau = next(t for (t, g) in extracts if t >= tau and g.all_defined)
+    t_tau, g_tau = extracts[_first_defined_from(extracts, spec.tau)]
     mu_pred = _mu_prediction(w, g_tau, t_tau)
     tols = spec.tolerances
     report = ExperimentReport(
@@ -395,10 +403,7 @@ def run_step_kappa(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Exp
     edge_err = max(abs(edge_lo - lo), abs(edge_hi - hi))
 
     # curvature-flow tracking of the transition zone from the hand-off time
-    idx0 = next((k for k, (t, g) in enumerate(extracts)
-                 if t >= spec.tau and g.all_defined), None)
-    if idx0 is None:
-        raise PreAsymptotic(f"phase undefined at tau={spec.tau:g}")
+    idx0 = _first_defined_from(extracts, spec.tau)
     t0, g0 = extracts[idx0]
     times = [t for t, _ in extracts[idx0:]]
     params = flow.FlowParams(c=w.c, d=w.d)

@@ -234,10 +234,11 @@ def _planar_residuals(w: WaveProfile, spec: SuperSubSpec, t: float,
     out = []
     for sign, q in ((+1.0, spec.q0), (-1.0, spec.q1)):
         arg = xi + sign * C * q * (1.0 - decay)
-        u = w.phi_at(arg) + sign * q * decay
-        udot = w.phi_prime_at(arg) * (sign * C * q * mu * decay - w.c) \
+        phi = w.phi_at(arg)
+        u = phi + sign * q * decay
+        udot = w.phi_at(arg, 1) * (sign * C * q * mu * decay - w.c) \
             - sign * mu * q * decay
-        lap = w.phi_at(arg + 1.0) + w.phi_at(arg - 1.0) - 2.0 * w.phi_at(arg)
+        lap = w.phi_at(arg + 1.0) + w.phi_at(arg - 1.0) - 2.0 * phi
         out.append(udot - lap - w.f(u))
     return out[0], out[1]
 
@@ -277,15 +278,17 @@ def _curved_fields(w: WaveProfile, spec: SuperSubSpec, V: PhaseSequence, t: floa
 
     def assemble(sign: float):
         arg = i - V.values[None, :] + sign * q
-        u = w.phi_at(arg) + w.r_at(arg) * av[None, :] + sign * p
+        r = w.r_at(arg)
+        base = w.phi_at(arg) + r * av[None, :]
+        u = base + sign * p
         if not with_residual:
             return u, None
-        udot = (w.phi_prime_at(arg) + w.r_prime_at(arg) * av[None, :]) \
+        udot = (w.phi_at(arg, 1) + w.r_at(arg, 1) * av[None, :]) \
             * (sign * qdot - vdot[None, :]) \
-            + w.r_at(arg) * avdot[None, :] + sign * pdot
+            + r * avdot[None, :] + sign * pdot
         lap = (w.phi_at(arg + 1.0) + w.r_at(arg + 1.0) * av[None, :]
                + w.phi_at(arg - 1.0) + w.r_at(arg - 1.0) * av[None, :]
-               - 4.0 * (w.phi_at(arg) + w.r_at(arg) * av[None, :]))
+               - 4.0 * base)
         for jshift in (+1, -1):
             argj = i - V.shifted(jshift)[None, :] + sign * q
             avj = av_seq.shifted(jshift)[None, :]

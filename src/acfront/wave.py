@@ -27,7 +27,8 @@ On top of the profile the module computes:
   smallest singular vector, normalized so ``<psi, Phi'> = 1``;
 * the drift coefficient ``d = -<Phi'', psi>`` governing the curvature
   response of the front;
-* the corrector ``r`` solving ``L r + d Phi' = -Phi''`` with ``<psi, r> = 0``;
+* the corrector ``r`` solving ``L r + d Phi' = -Phi''`` with ``<psi, r> = 0``,
+  as one bordered linear solve;
 * oblique speeds ``c_theta`` for propagation directions tilted by ``theta``
   (off-grid shifts by cubic interpolation) and the normal-speed map
   ``dispersion(theta) = c_theta / cos(theta)``.
@@ -340,66 +341,46 @@ class WaveProfile:
         w = u * v
         return float(self.h * (np.sum(w) - 0.5 * w[0] - 0.5 * w[-1]))
 
-    def phi_at(self, x):
-        """Profile value at arbitrary points.
+    def _evaluate(self, spline: CubicSpline, x, nu: int, tails):
+        """Derivative ``nu`` (0 or 1) of a grid function: ``spline`` on the grid,
+        past each edge the tail ``eq + amp * exp(-lam * distance)`` of ``tails``
+        (left then right, ``sign = -d distance/dx``); zero when ``tails`` is None."""
+        if nu not in (0, 1):
+            raise ValueError(f"derivative order nu must be 0 or 1, got {nu!r}")
+        x = np.asarray(x, dtype=float)
+        scalar = x.ndim == 0
+        x = np.atleast_1d(x).astype(float)
+        out = np.zeros_like(x)
+        left = x < self.xi[0]
+        right = x > self.xi[-1]
+        mid = ~(left | right)
+        for side, dist, tail in zip((left, right), (self.xi[0] - x, x - self.xi[-1]),
+                                    tails or ()):
+            if np.any(side):
+                eq, amp, lam, sign = tail
+                out[side] = (sign * lam) ** nu * amp * np.exp(-lam * dist[side])
+                if nu == 0:
+                    out[side] += eq
+        out[mid] = spline(x[mid], nu)
+        return float(out[0]) if scalar else out
+
+    def phi_at(self, x, nu: int = 0):
+        """Profile ``Phi`` (``nu=0``) or ``Phi'`` (``nu=1``) at arbitrary points.
 
         Inside the grid this is the cubic-spline interpolant; outside it
         follows the exponential tail model continuously into the equilibria.
         """
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x).astype(float)
-        out = np.empty_like(x)
-        left = x < self.xi[0]
-        right = x > self.xi[-1]
-        mid = ~(left | right)
-        if np.any(left):
-            lam = -math.log(self.rho[0]) / self.h if self.rho[0] > 0.0 else math.inf
-            out[left] = self.phi[0] * np.exp(-lam * (self.xi[0] - x[left]))
-        if np.any(right):
-            lam = -math.log(self.rho[1]) / self.h if self.rho[1] > 0.0 else math.inf
-            out[right] = 1.0 + (self.phi[-1] - 1.0) * np.exp(-lam * (x[right] - self.xi[-1]))
-        out[mid] = self._phi_spline(x[mid])
-        return float(out[0]) if scalar else out
+        lam_l, lam_r = (-math.log(rho) / self.h if rho > 0.0 else math.inf
+                        for rho in self.rho)
+        return self._evaluate(self._phi_spline, x, nu,
+                              ((0.0, self.phi[0], lam_l, 1.0),
+                               (1.0, self.phi[-1] - 1.0, lam_r, -1.0)))
 
-    def phi_prime_at(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x).astype(float)
-        out = np.empty_like(x)
-        left = x < self.xi[0]
-        right = x > self.xi[-1]
-        mid = ~(left | right)
-        if np.any(left):
-            lam = -math.log(self.rho[0]) / self.h if self.rho[0] > 0.0 else math.inf
-            out[left] = lam * self.phi[0] * np.exp(-lam * (self.xi[0] - x[left]))
-        if np.any(right):
-            lam = -math.log(self.rho[1]) / self.h if self.rho[1] > 0.0 else math.inf
-            out[right] = -lam * (self.phi[-1] - 1.0) * np.exp(-lam * (x[right] - self.xi[-1]))
-        out[mid] = self._phi_spline(x[mid], 1)
-        return float(out[0]) if scalar else out
-
-    def r_at(self, x):
+    def r_at(self, x, nu: int = 0):
+        """Corrector ``r`` (``nu=0``) or ``r'`` (``nu=1``); zero outside the grid."""
         if self.r is None:
             raise SolveFailed("corrector r has not been solved")
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x).astype(float)
-        out = np.zeros_like(x)
-        mid = (x >= self.xi[0]) & (x <= self.xi[-1])
-        out[mid] = self._r_spline(x[mid])
-        return float(out[0]) if scalar else out
-
-    def r_prime_at(self, x):
-        if self.r is None:
-            raise SolveFailed("corrector r has not been solved")
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x).astype(float)
-        out = np.zeros_like(x)
-        mid = (x >= self.xi[0]) & (x <= self.xi[-1])
-        out[mid] = self._r_spline(x[mid], 1)
-        return float(out[0]) if scalar else out
+        return self._evaluate(self._r_spline, x, nu, None)
 
 
 def solve_wave(f: Union[BistableNonlinearity, float], L: float = 20.0,
@@ -509,24 +490,26 @@ def compute_d(w: WaveProfile) -> float:
 def solve_r(w: WaveProfile, *, residual_tol: float = 1e-7) -> np.ndarray:
     """Corrector ``r`` with ``L r = -Phi'' - d Phi'`` and ``<psi, r> = 0``.
 
-    Minimum-norm least squares on the forward linearization (rank-revealing
-    SVD) followed by a shift along the kernel direction to meet the
-    orthogonality constraint exactly.  The right-hand side is solvable by
-    construction of ``d``, which the residual check enforces a posteriori.
+    One solve of the bordered system ``[[L, psi], [psi^T W, 0]]``, where
+    ``W`` holds the trapezoid weights of the pairing.  The border makes the
+    singular ``L`` invertible (its kernel ``Phi'`` pairs to 1 with ``psi``),
+    and the right-hand side is solvable by construction of ``d``, so the
+    border multiplier vanishes up to the residual check.
     """
     if w.d is None:
         compute_d(w)
-    A = w.linearization()
+    n = w.n
     rhs = -w.phi_second_grid() - w.d * w.phi_prime_grid()
-    U, sv, Vh = np.linalg.svd(A)
-    cutoff = w.n * np.finfo(float).eps * sv[0]
-    inv = np.where(sv > cutoff, 1.0 / np.where(sv > cutoff, sv, 1.0), 0.0)
-    r0 = Vh.T @ (inv * (U.T @ rhs))
-    kd = Vh[-1]
-    denom = w.pairing(w.psi, kd)
-    if abs(denom) < 1e-12:
-        raise SolveFailed("kernel direction is orthogonal to psi")
-    r = r0 - (w.pairing(w.psi, r0) / denom) * kd
+    A = w.linearization()
+    B = np.zeros((n + 1, n + 1))
+    B[:n, :n] = A
+    B[:n, n] = w.psi
+    B[n, :n] = w.h * w.psi
+    B[n, [0, n - 1]] *= 0.5
+    try:
+        r = np.linalg.solve(B, np.append(rhs, 0.0))[:n]
+    except np.linalg.LinAlgError:
+        raise SolveFailed("bordered corrector system is singular") from None
     res = np.max(np.abs(A @ r - rhs))
     if not res < residual_tol:
         raise SolveFailed(f"corrector residual {res:.3e} above {residual_tol:g}")
@@ -642,13 +625,7 @@ def load_wave(path: str) -> WaveProfile:
     h = float(meta["h"])
     _, n_half = _check_grid(L, h)
     xi = (np.arange(2 * n_half + 1) - n_half) * h
-    w = WaveProfile(f=f, L=L, h=h, xi=xi, phi=arrays["phi"], c=float(meta["c"]),
-                    rho=(float(meta["rho_l"]), float(meta["rho_r"])))
-    if "psi" in arrays:
-        w.psi = arrays["psi"]
-    if "d" in meta:
-        w.d = float(meta["d"])
-    if "r" in arrays:
-        w.r = arrays["r"]
-        w._r_spline = CubicSpline(w.xi, w.r, bc_type="clamped")
-    return w
+    return WaveProfile(f=f, L=L, h=h, xi=xi, phi=arrays["phi"], c=float(meta["c"]),
+                       rho=(float(meta["rho_l"]), float(meta["rho_r"])),
+                       psi=arrays.get("psi"), d=float(meta["d"]) if "d" in meta else None,
+                       r=arrays.get("r"))

@@ -164,6 +164,13 @@ def test_experiment_failed_verdict_exit_code(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_experiment_tau_after_t_end_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("name = thm24\nwidth = 64\nheight = 8\nt_end = 6\ntau = 20\n")
+    assert main(["experiment", "thm24", "--config", str(cfg)]) == 1
+    assert "tau=20" in capsys.readouterr().err
+
+
 def test_pinned_wave_is_numerical_failure(capsys):
     assert main(["wave", "--a", "0.5"]) == 3
     assert "numerical failure" in capsys.readouterr().err

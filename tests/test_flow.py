@@ -6,6 +6,9 @@ import json
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from mpmath import mp
 
 from acfront.core import PhaseSequence, d2, d_plus
@@ -113,6 +116,32 @@ def test_heat_solve_conserves_mass_and_contracts():
     h5 = heat_solve(h0, 5.0)
     assert np.sum(h5.values) == pytest.approx(np.sum(h0.values), abs=1e-12)
     assert np.max(np.abs(h5.values)) <= np.max(np.abs(h0.values))
+
+
+def heat_solve_oracle(vals: np.ndarray, t: float, boundary_j: str) -> np.ndarray:
+    """Explicit sum ``out[j] = sum_k G_k(t) vals[(j - k) mod P]`` over the
+    kernel table, on the even extension for the reflect policy."""
+    if boundary_j == "reflect":
+        ext = np.concatenate([vals, vals[::-1]])
+        return heat_solve_oracle(ext, t, "periodic")[: vals.size]
+    table = heat_kernel(t)
+    P = vals.size
+    idx = np.mod(np.arange(P)[:, None] - table.k[None, :], P)
+    return np.sum(table.values[None, :] * vals[idx], axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vals=st.integers(1, 300).flatmap(
+           lambda P: hnp.arrays(np.float64, P, elements=st.floats(-10.0, 10.0))),
+       t=st.floats(0.0, 200.0),
+       boundary_j=st.sampled_from(["periodic", "reflect"]))
+def test_heat_solve_property_against_explicit_sum(vals, t, boundary_j):
+    # periods down to 1 are shorter than the kernel, so the periodization
+    # fold carries most of the mass
+    got = heat_solve(PhaseSequence(vals, boundary_j=boundary_j), t).values
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    assert np.max(np.abs(got - heat_solve_oracle(vals, t, boundary_j))) <= 1e-12 * scale
+    assert abs(np.sum(got) - np.sum(vals)) <= 1e-11 * scale * vals.size
 
 
 def test_gradient_norm_decay_is_monotone_exactly():

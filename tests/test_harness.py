@@ -146,6 +146,13 @@ def test_thm24_fast_run_passes(wave03):
     assert report.verdicts["mu_stable"]["value"] < 0.01
 
 
+def test_thm24_tau_after_t_end_is_preasymptotic(wave03):
+    spec = default_spec("thm24")
+    spec.t_end, spec.tau, spec.width, spec.height = 6.0, 20.0, 64, 8
+    with pytest.raises(PreAsymptotic, match="tau=20"):
+        run_thm24(spec, wave03)
+
+
 def test_step_kappa_fast_run_passes(wave03):
     spec = ExperimentSpec(name="step_kappa", width=96, height=48, t_end=60.0,
                           tau=30.0, boundary_j="reflect",

@@ -187,7 +187,7 @@ def planar_residual_oracle(w, spec, t, xi, sign, q):
     decay = math.exp(-mu * t)
     arg = xi + sign * C * q * (1.0 - decay)
     u = w.phi_at(arg) + sign * q * decay
-    udot = w.phi_prime_at(arg) * (sign * C * q * mu * decay - w.c) \
+    udot = w.phi_at(arg, 1) * (sign * C * q * mu * decay - w.c) \
         - sign * mu * q * decay
     lap = w.phi_at(arg + 1.0) + w.phi_at(arg - 1.0) - 2.0 * w.phi_at(arg)
     return udot - lap - w.f(u)

@@ -165,3 +165,43 @@ def test_mfde_residual_detects_wrong_speed(wave03):
     w = wave03
     wrong = mfde_residual(w, c=w.c * 1.01)
     assert np.max(np.abs(wrong)) > 1e-5
+
+
+def test_first_derivatives_match_central_differences(wave03):
+    w = wave03
+    lo, hi = w.xi[0], w.xi[-1]
+    near_ends = np.array([lo - 1e-3, lo + 1e-3, -3.0, 0.0, 2.5, hi - 1e-3, hi + 1e-3])
+    # the right tail is read where 1 - Phi still resolves a difference
+    # quotient in binary64; the step is wider there since the tail is smooth
+    tails = np.array([-44.0, -35.0, 22.0, 25.0])
+    for value, deriv in ((w.phi_at, lambda x: w.phi_at(x, 1)),
+                         (w.r_at, lambda x: w.r_at(x, 1))):
+        eps = 1e-5
+        cd = (value(near_ends + eps) - value(near_ends - eps)) / (2.0 * eps)
+        assert np.max(np.abs(deriv(near_ends) - cd)) < 1e-8
+        eps = 1e-2
+        cd = (value(tails + eps) - value(tails - eps)) / (2.0 * eps)
+        assert np.all(np.abs(deriv(tails) - cd) <= 1e-4 * np.abs(cd))
+    for edge, value in ((lo, w.phi[0]), (hi, w.phi[-1])):
+        assert w.phi_at(edge + np.array([-1e-9, 1e-9])) == pytest.approx(value, abs=1e-9)
+    assert w.r_at(lo - 1.0, 1) == 0.0 and w.r_at(hi + 1.0) == 0.0
+    with pytest.raises(ValueError):
+        w.phi_at(0.0, 2)
+
+
+def _table_cubic(a):
+    f = BistableNonlinearity(a=a)
+    u = np.linspace(-0.5, 1.5, 513)
+    return BistableNonlinearity(a=a, kind="table", table_u=u, table_g=f(u))
+
+
+@pytest.mark.parametrize("f", [BistableNonlinearity(a=a) for a in (0.15, 0.25, 0.35, 0.45)]
+                         + [_table_cubic(0.3)], ids=["a0.15", "a0.25", "a0.35", "a0.45", "table"])
+def test_corrector_defining_properties(f):
+    w = solve_wave(f)
+    compute_d(w)
+    r = solve_r(w)
+    rhs = -w.phi_second_grid() - w.d * w.phi_prime_grid()
+    assert np.max(np.abs(w.linearization() @ r - rhs)) < 1e-7
+    assert abs(w.pairing(w.psi, r)) < 1e-10
+    assert np.max(np.abs(w.r_at(w.xi) - r)) < 1e-14
