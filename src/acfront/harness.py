@@ -297,13 +297,9 @@ def run_thm23(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Experime
     snaps = sim.run(u0, cfg)
     extracts = _phase_series(snaps, w)
     handoff_tol = spec.tolerances["flatness_handoff"]
-    idx0 = None
-    for idx, (t, g) in enumerate(extracts):
-        if t >= spec.tau:
-            idx0 = idx
-            break
+    idx0 = next((k for k, (t, _) in enumerate(extracts) if t >= spec.tau), None)
     if idx0 is None:
-        raise FlatnessViolated(f"no snapshot at or after tau={spec.tau:g}")
+        raise PreAsymptotic(f"no snapshot at or after tau={spec.tau:g}")
     t0, g0 = extracts[idx0]
     if not g0.all_defined:
         raise PreAsymptotic(f"phase undefined on some rows at tau={t0:g}")

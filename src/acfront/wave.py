@@ -344,7 +344,8 @@ class WaveProfile:
     def _evaluate(self, spline: CubicSpline, x, nu: int, tails):
         """Derivative ``nu`` (0 or 1) of a grid function: ``spline`` on the grid,
         past each edge the tail ``eq + amp * exp(-lam * distance)`` of ``tails``
-        (left then right, ``sign = -d distance/dx``); zero when ``tails`` is None."""
+        (left then right, ``sign = -d distance/dx``); zero when ``tails`` is None.
+        ``lam = inf`` is a hard clamp: the value is ``eq`` and the derivative 0."""
         if nu not in (0, 1):
             raise ValueError(f"derivative order nu must be 0 or 1, got {nu!r}")
         x = np.asarray(x, dtype=float)
@@ -358,7 +359,8 @@ class WaveProfile:
                                     tails or ()):
             if np.any(side):
                 eq, amp, lam, sign = tail
-                out[side] = (sign * lam) ** nu * amp * np.exp(-lam * dist[side])
+                if math.isfinite(lam):
+                    out[side] = (sign * lam) ** nu * amp * np.exp(-lam * dist[side])
                 if nu == 0:
                     out[side] += eq
         out[mid] = spline(x[mid], nu)
@@ -369,6 +371,7 @@ class WaveProfile:
 
         Inside the grid this is the cubic-spline interpolant; outside it
         follows the exponential tail model continuously into the equilibria.
+        A tail with ``rho = 0`` is a hard clamp to its equilibrium.
         """
         lam_l, lam_r = (-math.log(rho) / self.h if rho > 0.0 else math.inf
                         for rho in self.rho)

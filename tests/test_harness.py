@@ -138,6 +138,13 @@ def test_thm23_undefined_phase_at_handoff_rejected(wave03):
         run_thm23(spec, wave03)
 
 
+def test_thm23_tau_after_t_end_is_preasymptotic(wave03):
+    spec = default_spec("thm23")
+    spec.t_end, spec.tau, spec.width, spec.height = 6.0, 20.0, 64, 8
+    with pytest.raises(PreAsymptotic, match="tau=20"):
+        run_thm23(spec, wave03)
+
+
 def test_thm24_fast_run_passes(wave03):
     report = run_thm24(fast_spec("thm24", t_end=40.0), wave03)
     assert report.passed

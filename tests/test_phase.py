@@ -1,14 +1,17 @@
-"""Per-row phase extraction and front-convergence diagnostics."""
+"""Phase extraction and front-convergence diagnostics."""
 
 import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acfront.core import LatticeField
 from acfront.errors import NoDefinedRows, UndefinedRows
 from acfront.phase import (extract, flatness, front_error,
                            interfacial_monotonicity, phase_series_to_csv)
+from acfront.wave import phi_inverse
 
 
 def planar_field(w, gammas, width=48, i_offset=-24, boundary_j="periodic"):
@@ -75,6 +78,77 @@ def test_extract_clamps_below_resolved_range(wave03):
     assert g.all_defined
     assert g.clamped_mask[1] and not g.clamped_mask[0]
     assert g.gamma.values[1] == pytest.approx(row + w.L, abs=1e-6)
+
+
+def extract_per_row(u, w):
+    """Reference extraction, one row at a time with one scalar inverse call
+    per defined row: ``(gamma, i_star, defined, clamped)``."""
+    gamma = np.full(u.height, np.nan)
+    i_star = np.full(u.height, np.iinfo(np.int64).min, dtype=np.int64)
+    defined = np.zeros(u.height, dtype=bool)
+    clamped = np.zeros(u.height, dtype=bool)
+    lo = np.nextafter(float(w.phi[0]), 1.0)
+    hi = np.nextafter(float(w.phi[-1]), 0.0)
+    for j in range(u.height):
+        col = u.values[:, j]
+        hits = np.where((col[:-1] > 0.0) & (col[:-1] <= 0.5) & (col[1:] > 0.5))[0]
+        if hits.size != 1:
+            continue
+        k = int(hits[0])
+        value = float(col[k])
+        if value < lo or value > hi:
+            clamped[j] = True
+            value = min(max(value, lo), hi)
+        defined[j] = True
+        i_star[j] = k + u.i_offset
+        gamma[j] = i_star[j] - phi_inverse(w, value)
+    return gamma, i_star, defined, clamped
+
+
+@st.composite
+def crossing_fields(draw, phi0):
+    """Fields whose rows carry 0, 1 or several planted crossings.
+
+    The background holds 0 and 0.9, neither of which can start a crossing;
+    a planted crossing is an anchor in (0, 1/2] followed by a value above
+    1/2.  Anchors at or below ``phi0`` are clamped by the extraction.
+    """
+    width = draw(st.integers(0, 24))
+    height = draw(st.integers(1, 8))
+    vals = np.array(draw(st.lists(st.sampled_from([0.0, 0.9]), min_size=width * height,
+                                  max_size=width * height))).reshape(width, height)
+    anchors = st.one_of(st.floats(0.0, phi0, exclude_min=True), st.floats(phi0, 0.5))
+    for j in range(height):
+        slots = range(draw(st.integers(0, 1)), width - 1, 2)
+        if not slots:
+            continue
+        for k in draw(st.lists(st.sampled_from(slots), max_size=3, unique=True)):
+            vals[k, j] = draw(anchors)
+            vals[k + 1, j] = draw(st.floats(0.5, 1.0, exclude_min=True))
+    return LatticeField(vals, i_offset=draw(st.integers(-40, 40).filter(bool)),
+                        boundary_j=draw(st.sampled_from(["periodic", "reflect"])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_extract_bit_identical_to_per_row_reference(wave03, data):
+    u = data.draw(crossing_fields(float(wave03.phi[0])))
+    g = extract(u, wave03)
+    gamma, i_star, defined, clamped = extract_per_row(u, wave03)
+    assert np.array_equal(g.gamma.values, gamma, equal_nan=True)
+    assert g.gamma.boundary_j == u.boundary_j
+    assert g.i_star.dtype == np.int64 and np.array_equal(g.i_star, i_star)
+    assert np.array_equal(g.defined_mask, defined)
+    assert np.array_equal(g.clamped_mask, clamped)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+def test_phi_inverse_vector_equals_scalar_calls(wave03, fracs):
+    lo = np.nextafter(float(wave03.phi[0]), 1.0)
+    hi = np.nextafter(float(wave03.phi[-1]), 0.0)
+    v = np.clip(lo + np.asarray(fracs) * (hi - lo), lo, hi)
+    assert np.array_equal(phi_inverse(wave03, v), [phi_inverse(wave03, x) for x in v])
 
 
 def test_flatness_frozen_example(wave03):

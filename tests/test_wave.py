@@ -1,13 +1,15 @@
 """Travelling-wave solver: independent speed oracle, frozen values, structure."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from acfront.core import BistableNonlinearity
 from acfront.errors import OutOfRange, PinningDetected
-from acfront.wave import (adjoint_solve, c_theta, compute_d, dispersion,
-                          load_wave, mfde_residual, phi_inverse, save_wave,
-                          solve_r, solve_wave)
+from acfront.wave import (WaveProfile, adjoint_solve, c_theta, compute_d,
+                          dispersion, load_wave, mfde_residual, phi_inverse,
+                          save_wave, solve_r, solve_wave)
 
 
 def lde_front_speed_rk4(a, n=192, t_end=170.0, dt=0.02, fit_from=20.0):
@@ -132,6 +134,20 @@ def test_profile_tails_exponential_and_bounded(wave03):
     lam = -np.log(w.rho[0]) / w.h
     ratio = w.phi_at(-26.0) / w.phi_at(-25.0)
     assert ratio == pytest.approx(np.exp(-lam), rel=1e-12)
+
+
+def test_zero_tail_rate_is_a_hard_clamp(wave03):
+    w = wave03
+    clamped = WaveProfile(f=w.f, L=w.L, h=w.h, xi=w.xi, phi=w.phi, c=w.c,
+                          rho=(0.0, 0.0))
+    outside = np.array([-25.0, 25.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert clamped.phi_at(outside).tolist() == [0.0, 1.0]
+        assert clamped.phi_at(outside, 1).tolist() == [0.0, 0.0]
+    inside = np.linspace(-w.L, w.L, 9)
+    for nu in (0, 1):
+        assert np.array_equal(clamped.phi_at(inside, nu), w.phi_at(inside, nu))
 
 
 def test_save_load_round_trip(tmp_path, wave03):
