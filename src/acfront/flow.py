@@ -182,38 +182,47 @@ def _loglog_slope(ts: np.ndarray, ys: np.ndarray) -> float:
     return float(np.polyfit(np.log(ts[keep]), np.log(ys[keep]), 1)[0])
 
 
-def decay_report(h0: PhaseSequence, t_grid: Sequence[float]) -> dict:
-    """Gradient and second-difference decay of the heat flow from ``h0``.
-
-    For each requested time the report records ``sup|∂⁺h|`` and
-    ``sup|∂⁽²⁾h|``, the fitted constants of the bounds ``sup|∂⁺h(t)| <=
-    K min(sup|∂⁺h⁰|, t^{-1/2})`` (and the ``t^{-1}`` analogue), whether the
-    initial gradient bound holds at every time, and log-log slope estimates.
-    """
-    ts = np.asarray(list(t_grid), dtype=float)
+def _decay_stats(ts: np.ndarray, seqs, g0: float, l0: float, tol: float) -> dict:
+    """Norms ``sup|∂⁺h|`` and ``sup|∂⁽²⁾h|`` of the sequences ``seqs`` at
+    times ``ts``; whether the first stays within ``g0 + tol``; the constants
+    K of ``K min(g0, t^{-1/2})`` and ``K min(l0, t^{-1})`` fitted over
+    ``t > 0``; and log-log slopes over ``t >= 1``."""
     d1 = np.empty(ts.size)
     d2n = np.empty(ts.size)
-    for idx, t in enumerate(ts):
-        h = heat_solve(h0, float(t))
-        d1[idx] = np.max(np.abs(d_plus(h)))
-        d2n[idx] = np.max(np.abs(d2(h)))
-    g0 = float(np.max(np.abs(d_plus(h0))))
-    l0 = float(np.max(np.abs(d2(h0))))
+    for idx, s in enumerate(seqs):
+        d1[idx] = np.max(np.abs(d_plus(s)))
+        d2n[idx] = np.max(np.abs(d2(s)))
     pos = ts > 0.0
-    bound1 = np.minimum(g0, np.where(pos, ts, np.inf) ** -0.5)
-    bound2 = np.minimum(l0, np.where(pos, ts, np.inf) ** -1.0)
+    late = ts >= 1.0
+    bound1 = np.minimum(g0, ts[pos] ** -0.5)
+    bound2 = np.minimum(l0, ts[pos] ** -1.0)
     return {
         "t": ts.tolist(),
         "d_plus_norm": d1.tolist(),
         "d2_norm": d2n.tolist(),
         "initial_gradient_norm": g0,
         "initial_second_norm": l0,
-        "monotone_bound_holds": bool(np.all(d1 <= g0 + 1e-14)),
-        "K_first": float(np.max(d1 / bound1)) if ts.size else math.nan,
-        "K_second": float(np.max(d2n / bound2)) if ts.size else math.nan,
-        "slope_first": _loglog_slope(ts, d1),
-        "slope_second": _loglog_slope(ts, d2n),
+        "monotone_bound_holds": bool(np.all(d1 <= g0 + tol)),
+        "K_first": float(np.max(d1[pos] / bound1)) if pos.any() else math.nan,
+        "K_second": float(np.max(d2n[pos] / bound2)) if pos.any() else math.nan,
+        "slope_first": _loglog_slope(ts[late], d1[late]),
+        "slope_second": _loglog_slope(ts[late], d2n[late]),
     }
+
+
+def decay_report(h0: PhaseSequence, t_grid: Sequence[float]) -> dict:
+    """Gradient and second-difference decay of the heat flow from ``h0``.
+
+    For each requested time the report records ``sup|∂⁺h|`` and
+    ``sup|∂⁽²⁾h|``, the fitted constants of the bounds ``sup|∂⁺h(t)| <=
+    K min(sup|∂⁺h⁰|, t^{-1/2})`` (and the ``t^{-1}`` analogue) over ``t > 0``,
+    whether the initial gradient bound holds at every time, and log-log slope
+    estimates over ``t >= 1``.
+    """
+    ts = np.asarray(list(t_grid), dtype=float)
+    g0 = float(np.max(np.abs(d_plus(h0))))
+    l0 = float(np.max(np.abs(d2(h0))))
+    return _decay_stats(ts, (heat_solve(h0, float(t)) for t in ts), g0, l0, 1e-14)
 
 
 def bessel_bounds_report(t_grid: Sequence[float], k_max: Optional[int] = None) -> dict:
@@ -313,6 +322,34 @@ class FlowTrajectory:
         return PhaseSequence(self.values[-1].copy(), boundary_j=self.boundary_j)
 
 
+def _march(y0: PhaseSequence, rhs, ts: np.ndarray, dt: float, what: str,
+           grad=None, delta: float = math.inf) -> FlowTrajectory:
+    """Explicit Euler steps ``y += step * rhs(y)`` from ``y0``, at most
+    ``dt`` long, the last before each time in ``ts`` cut short to land on it.
+
+    With ``grad`` given, raises :class:`FlatnessViolated` once ``grad(y)``
+    exceeds ``delta``, initially or after any step.  Raises
+    :class:`NonFinite`, naming ``what``, when a recorded row is not finite.
+    """
+    if grad is not None and grad(y0) > delta:
+        raise FlatnessViolated(f"initial gradient {grad(y0):.3g} exceeds delta={delta:g}")
+    rows = np.empty((ts.size, len(y0)))
+    y = y0.replace(y0.values.copy())
+    t = 0.0
+    for idx, target in enumerate(ts):
+        while t < target - 1e-12:
+            step = min(dt, target - t)
+            y = y.replace(y.values + step * rhs(y))
+            t += step
+            if grad is not None and grad(y) > delta:
+                raise FlatnessViolated(
+                    f"gradient {grad(y):.3g} exceeded delta={delta:g} at t={t:g}")
+        if not np.all(np.isfinite(y.values)):
+            raise NonFinite(f"{what} blew up at t={t:g}")
+        rows[idx] = y.values
+    return FlowTrajectory(ts, rows, boundary_j=y0.boundary_j)
+
+
 def v_rhs(V: PhaseSequence, p: FlowParams) -> np.ndarray:
     """Right-hand side of the phase LDE for ``V`` (exact, no time stepping)."""
     if p.variant == "linear_heat":
@@ -337,7 +374,7 @@ def v_solve(V0: PhaseSequence, p: FlowParams,
         t_grid = np.linspace(0.0, p.t_end, 51)
     ts = np.asarray(list(t_grid), dtype=float)
     if method == "euler":
-        return _v_solve_euler(V0, p, ts)
+        return _march(V0, lambda v: v_rhs(v, p), ts, p.dt, "Euler integration")
     if method != "cole_hopf":
         raise ValueError(f"unknown method {method!r}")
     rows = np.empty((ts.size, len(V0)))
@@ -359,46 +396,14 @@ def v_solve(V0: PhaseSequence, p: FlowParams,
     return FlowTrajectory(ts, rows, boundary_j=V0.boundary_j)
 
 
-def _v_solve_euler(V0: PhaseSequence, p: FlowParams, ts: np.ndarray) -> FlowTrajectory:
-    rows = np.empty((ts.size, len(V0)))
-    v = V0.replace(V0.values.copy())
-    t = 0.0
-    for idx, target in enumerate(ts):
-        while t < target - 1e-12:
-            step = min(p.dt, target - t)
-            v = v.replace(v.values + step * v_rhs(v, p))
-            t += step
-        if not np.all(np.isfinite(v.values)):
-            raise NonFinite(f"Euler integration blew up at t={t:g}")
-        rows[idx] = v.values
-    return FlowTrajectory(ts, rows, boundary_j=V0.boundary_j)
-
-
 def v_gradient_report(traj: FlowTrajectory) -> dict:
     """Gradient-decay diagnostics along a ``V`` trajectory (norms, fitted
     constants for the ``min`` bounds, and log-log slopes)."""
-    ts = traj.times
-    d1 = np.empty(ts.size)
-    d2n = np.empty(ts.size)
-    for idx in range(ts.size):
-        s = PhaseSequence(traj.values[idx], boundary_j=traj.boundary_j)
-        d1[idx] = np.max(np.abs(d_plus(s)))
-        d2n[idx] = np.max(np.abs(d2(s)))
-    g0, l0 = d1[0], d2n[0]
-    pos = ts > 0.0
-    bound1 = np.minimum(g0, np.where(pos, ts, np.inf) ** -0.5)
-    bound2 = np.minimum(l0, np.where(pos, ts, np.inf) ** -1.0)
-    late = ts >= 1.0
-    return {
-        "t": ts.tolist(),
-        "d_plus_norm": d1.tolist(),
-        "d2_norm": d2n.tolist(),
-        "monotone_bound_holds": bool(np.all(d1 <= g0 + 1e-12)),
-        "K_first": float(np.max(d1[pos] / bound1[pos])) if pos.any() else math.nan,
-        "K_second": float(np.max(d2n[pos] / bound2[pos])) if pos.any() else math.nan,
-        "slope_first": _loglog_slope(ts[late], d1[late]),
-        "slope_second": _loglog_slope(ts[late], d2n[late]),
-    }
+    seqs = [PhaseSequence(row, boundary_j=traj.boundary_j) for row in traj.values]
+    rep = _decay_stats(traj.times, seqs, np.max(np.abs(d_plus(seqs[0]))),
+                       np.max(np.abs(d2(seqs[0]))), 1e-12)
+    del rep["initial_gradient_norm"], rep["initial_second_norm"]
+    return rep
 
 
 def mcf_rhs(G: PhaseSequence, p: FlowParams, *, form: str = "2d",
@@ -432,36 +437,9 @@ def mcf_solve(G0: PhaseSequence, p: FlowParams,
     """
     if t_grid is None:
         t_grid = np.linspace(0.0, p.t_end, int(p.t_end) + 1)
-    ts = np.asarray(list(t_grid), dtype=float)
-    if np.max(np.abs(d_plus(G0))) > delta:
-        raise FlatnessViolated(
-            f"initial gradient {np.max(np.abs(d_plus(G0))):.3g} exceeds delta={delta:g}")
-    rows = np.empty((ts.size, len(G0)))
-    g = G0.replace(G0.values.copy())
-    t = 0.0
-    for idx, target in enumerate(ts):
-        while t < target - 1e-12:
-            step = min(p.dt, target - t)
-            g = g.replace(g.values + step * mcf_rhs(g, p, form=form, A=A))
-            t += step
-            grad = np.max(np.abs(d_plus(g)))
-            if grad > delta:
-                raise FlatnessViolated(
-                    f"gradient {grad:.3g} exceeded delta={delta:g} at t={t:g}")
-        if not np.all(np.isfinite(g.values)):
-            raise NonFinite(f"curvature flow blew up at t={t:g}")
-        rows[idx] = g.values
-    return FlowTrajectory(ts, rows, boundary_j=G0.boundary_j)
-
-
-def _pi_factors(U: PhaseSequence) -> tuple[np.ndarray, np.ndarray]:
-    """``Pi_j = sqrt(1 + (U_{j+1}^2 + U_j^2)/2)`` and ``Pi_{j-1}``."""
-    up = U.shifted(+1)
-    um = U.shifted(-1)
-    u = U.values
-    pi = np.sqrt(1.0 + 0.5 * (up * up + u * u))
-    pi_m = np.sqrt(1.0 + 0.5 * (u * u + um * um))
-    return pi, pi_m
+    return _march(G0, lambda g: mcf_rhs(g, p, form=form, A=A),
+                  np.asarray(list(t_grid), dtype=float), p.dt, "curvature flow",
+                  grad=lambda g: np.max(np.abs(d_plus(g))), delta=delta)
 
 
 def gradient_lde_solve(U0: PhaseSequence, p: FlowParams,
@@ -471,29 +449,17 @@ def gradient_lde_solve(U0: PhaseSequence, p: FlowParams,
     ``Υ̇_j = ∂⁺Υ_j/Π_j² - ∂⁻Υ_j/Π_{j-1}² + 2d(Π_j - Π_{j-1})``."""
     if t_grid is None:
         t_grid = np.linspace(0.0, p.t_end, int(p.t_end) + 1)
-    ts = np.asarray(list(t_grid), dtype=float)
-    if np.max(np.abs(U0.values)) > delta:
-        raise FlatnessViolated(
-            f"initial gradient {np.max(np.abs(U0.values)):.3g} exceeds delta={delta:g}")
-    rows = np.empty((ts.size, len(U0)))
-    u = U0.replace(U0.values.copy())
-    t = 0.0
-    for idx, target in enumerate(ts):
-        while t < target - 1e-12:
-            step = min(p.dt, target - t)
-            pi, pi_m = _pi_factors(u)
-            rhs = (d_plus(u) / (pi * pi) - d_minus(u) / (pi_m * pi_m)
-                   + 2.0 * p.d * (pi - pi_m))
-            u = u.replace(u.values + step * rhs)
-            t += step
-            if np.max(np.abs(u.values)) > delta:
-                raise FlatnessViolated(
-                    f"gradient {np.max(np.abs(u.values)):.3g} exceeded "
-                    f"delta={delta:g} at t={t:g}")
-        if not np.all(np.isfinite(u.values)):
-            raise NonFinite(f"gradient flow blew up at t={t:g}")
-        rows[idx] = u.values
-    return FlowTrajectory(ts, rows, boundary_j=U0.boundary_j)
+
+    def rhs(u: PhaseSequence) -> np.ndarray:
+        # Pi_j = sqrt(1 + (U_{j+1}^2 + U_j^2)/2) and Pi_{j-1}
+        up, um, v = u.shifted(+1), u.shifted(-1), u.values
+        pi = np.sqrt(1.0 + 0.5 * (up * up + v * v))
+        pi_m = np.sqrt(1.0 + 0.5 * (v * v + um * um))
+        return (d_plus(u) / (pi * pi) - d_minus(u) / (pi_m * pi_m)
+                + 2.0 * p.d * (pi - pi_m))
+
+    return _march(U0, rhs, np.asarray(list(t_grid), dtype=float), p.dt, "gradient flow",
+                  grad=lambda u: np.max(np.abs(u.values)), delta=delta)
 
 
 def kernel_to_csv(table: HeatKernelTable, path: str) -> None:

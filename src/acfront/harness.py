@@ -66,7 +66,15 @@ def splitmix64(seed: int, n: int) -> list[int]:
 
 def splitmix64_uniform(seed: int, n: int) -> np.ndarray:
     """``n`` doubles in [0, 1) from the splitmix64 stream."""
-    return np.array([v / 2.0 ** 64 for v in splitmix64(seed, n)])
+    # v / 2**64 rounds up to 1.0 for v >= 2**64 - 2**10
+    return np.minimum(np.array([v / 2.0 ** 64 for v in splitmix64(seed, n)]),
+                      np.nextafter(1.0, 0.0))
+
+
+# every key some kappa or v0 generator reads, whatever the kind: spec_from_config
+# layers config keys over the default spec's kappa, which may be of another kind
+_GENERATOR_KEYS = {"kappa": {"kind", "P", "amplitude", "offset", "lo", "hi", "seed"},
+                   "v0": {"kind", "amp", "width", "center_i", "center_j", "decay", "seed"}}
 
 
 @dataclass
@@ -99,6 +107,10 @@ class ExperimentSpec:
         self.tolerances = {**defaults, **self.tolerances}
         if self.kappa.get("kind") == "periodic" and int(self.kappa.get("P", 1)) < 1:
             raise ValueError("kappa period P must be >= 1")
+        for gen, known in _GENERATOR_KEYS.items():
+            unknown = sorted(set(getattr(self, gen)) - known)
+            if unknown:
+                raise ValueError(f"unknown {gen} keys: {unknown}")
 
     def config_dict(self) -> dict:
         return {
@@ -229,10 +241,17 @@ def make_initial(spec: ExperimentSpec, w: WaveProfile) -> LatticeField:
 # pipelines
 
 
-def _prepare(spec: ExperimentSpec, w: Optional[WaveProfile], *, need_d: bool = False):
+def _provenance(spec: ExperimentSpec) -> dict:
+    return {"config_hash": spec.config_hash(), "package_version": _pkg_version,
+            "numpy_version": np.__version__}
+
+
+def _trajectory(spec: ExperimentSpec, w: Optional[WaveProfile], need_d: bool):
+    """Solve the wave (with ``need_d``, also its adjoint, ``d`` and ``r``)
+    unless given, run the lattice from :func:`make_initial` and extract the
+    phase of every snapshot: ``(w, snapshots, [(t, PhaseExtract), ...])``."""
     if w is None:
-        f = BistableNonlinearity(a=spec.a)
-        w = solve_wave(f, L=spec.L, h=spec.h)
+        w = solve_wave(BistableNonlinearity(a=spec.a), L=spec.L, h=spec.h)
     if need_d and w.d is None:
         adjoint_solve(w)
         compute_d(w)
@@ -240,16 +259,8 @@ def _prepare(spec: ExperimentSpec, w: Optional[WaveProfile], *, need_d: bool = F
     cfg = sim.SimConfig(w.f, dt=spec.dt, t_end=spec.t_end,
                         record_every=spec.record_every, width=spec.width,
                         height=spec.height, boundary_j=spec.boundary_j)
-    return w, cfg
-
-
-def _provenance(spec: ExperimentSpec) -> dict:
-    return {"config_hash": spec.config_hash(), "package_version": _pkg_version,
-            "numpy_version": np.__version__}
-
-
-def _phase_series(snaps, w) -> list[tuple[float, phase.PhaseExtract]]:
-    return [(t, phase.extract(u, w)) for t, u in snaps]
+    snaps = sim.run(make_initial(spec, w), cfg)
+    return w, snaps, [(t, phase.extract(u, w)) for t, u in snaps]
 
 
 def _first_defined_from(extracts, tau: float) -> int:
@@ -263,13 +274,23 @@ def _first_defined_from(extracts, tau: float) -> int:
     return idx
 
 
+def _track_mcf(spec: ExperimentSpec, w: WaveProfile, extracts, idx0: int, **kw):
+    """Curvature flow from the phase at ``extracts[idx0]`` over the later
+    snapshot times (``kw`` goes to :func:`flow.mcf_solve`), its parameters,
+    and its sup gap to every later phase defined on every row."""
+    t0, g0 = extracts[idx0]
+    params = flow.FlowParams(c=w.c, d=w.d)
+    gamma0 = PhaseSequence(g0.gamma.values.copy(), boundary_j=spec.boundary_j)
+    mcf = flow.mcf_solve(gamma0, params, t_grid=[t - t0 for t, _ in extracts[idx0:]], **kw)
+    gap_series = [(t, float(np.max(np.abs(g.gamma.values - mcf.values[k]))))
+                  for k, (t, g) in enumerate(extracts[idx0:]) if g.all_defined]
+    return mcf, params, gap_series
+
+
 def run_thm22(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> ExperimentReport:
     """Front convergence: sup distance to the fitted profile falls below
     tolerance by ``t_end``."""
-    w, cfg = _prepare(spec, w)
-    u0 = make_initial(spec, w)
-    snaps = sim.run(u0, cfg)
-    extracts = _phase_series(snaps, w)
+    w, snaps, extracts = _trajectory(spec, w, need_d=False)
     fe_series = []
     fl_series = []
     for (t, u), (_, g) in zip(snaps, extracts):
@@ -292,10 +313,7 @@ def run_thm22(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Experime
 def run_thm23(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> ExperimentReport:
     """Curvature-flow tracking: hand the extracted phase at ``tau`` to the
     discrete curvature flow and bound the gap up to ``t_end``."""
-    w, cfg = _prepare(spec, w, need_d=True)
-    u0 = make_initial(spec, w)
-    snaps = sim.run(u0, cfg)
-    extracts = _phase_series(snaps, w)
+    w, _, extracts = _trajectory(spec, w, need_d=True)
     handoff_tol = spec.tolerances["flatness_handoff"]
     idx0 = next((k for k, (t, _) in enumerate(extracts) if t >= spec.tau), None)
     if idx0 is None:
@@ -307,18 +325,10 @@ def run_thm23(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Experime
     if fl0 > handoff_tol:
         raise FlatnessViolated(
             f"flatness {fl0:.4f} at hand-off t={t0:g} exceeds {handoff_tol:g}")
-    times = [t for t, _ in extracts[idx0:]]
-    params = flow.FlowParams(c=w.c, d=w.d)
-    gamma0 = PhaseSequence(g0.gamma.values.copy(), boundary_j=spec.boundary_j)
-    mcf = flow.mcf_solve(gamma0, params, t_grid=[t - t0 for t in times])
-    vtr = flow.v_solve(gamma0, params, t_grid=[t - t0 for t in times])
-    gap_series = []
-    v_gap_series = []
-    for k, (t, g) in enumerate(extracts[idx0:]):
-        if not g.all_defined:
-            continue
-        gap_series.append((t, float(np.max(np.abs(g.gamma.values - mcf.values[k])))))
-        v_gap_series.append((t, float(np.max(np.abs(mcf.values[k] - vtr.values[k])))))
+    mcf, params, gap_series = _track_mcf(spec, w, extracts, idx0)
+    vtr = flow.v_solve(mcf.at(0.0), params, t_grid=mcf.times)
+    v_gap_series = [(t, float(np.max(np.abs(mcf.values[k] - vtr.values[k]))))
+                    for k, (t, g) in enumerate(extracts[idx0:]) if g.all_defined]
     sup_gap = max(v for _, v in gap_series)
     sup_v_gap = max(v for _, v in v_gap_series)
     tol = spec.tolerances["tracking"]
@@ -344,10 +354,7 @@ def run_thm24(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Experime
     """Limiting offset of a periodically modulated front: fit ``mu`` from
     late snapshots, check stability, the final profile fit, and the
     averaging prediction."""
-    w, cfg = _prepare(spec, w, need_d=True)
-    u0 = make_initial(spec, w)
-    snaps = sim.run(u0, cfg)
-    extracts = _phase_series(snaps, w)
+    w, snaps, extracts = _trajectory(spec, w, need_d=True)
     mu_series = []
     for (t, _), (_, g) in zip(snaps, extracts):
         if g.all_defined:
@@ -382,13 +389,10 @@ def run_step_kappa(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Exp
     ``sqrt(t)`` in the diffusive phase proxy."""
     if spec.boundary_j != "reflect":
         raise ValueError("step_kappa needs the reflect j-boundary")
-    w, cfg = _prepare(spec, w, need_d=True)
-    u0 = make_initial(spec, w)
+    w, _, extracts = _trajectory(spec, w, need_d=True)
     kappa = make_kappa(spec)
     lo = float(kappa.values[0])
     hi = float(kappa.values[-1])
-    snaps = sim.run(u0, cfg)
-    extracts = _phase_series(snaps, w)
     t_end, g_end = extracts[-1]
     if not g_end.all_defined:
         raise PreAsymptotic("phase undefined on some rows at t_end")
@@ -399,17 +403,11 @@ def run_step_kappa(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Exp
     edge_err = max(abs(edge_lo - lo), abs(edge_hi - hi))
 
     # curvature-flow tracking of the transition zone from the hand-off time
-    idx0 = _first_defined_from(extracts, spec.tau)
-    t0, g0 = extracts[idx0]
-    times = [t for t, _ in extracts[idx0:]]
-    params = flow.FlowParams(c=w.c, d=w.d)
-    gamma0 = PhaseSequence(g0.gamma.values.copy(), boundary_j="reflect")
     # the step transition hands off with a mild but not tiny slope, so the
     # curvature-flow flatness guard gets the wider experiment-level bound
-    mcf = flow.mcf_solve(gamma0, params, t_grid=[t - t0 for t in times],
-                         delta=spec.tolerances["mcf_delta"])
-    gap_series = [(t, float(np.max(np.abs(g.gamma.values - mcf.values[k]))))
-                  for k, (t, g) in enumerate(extracts[idx0:]) if g.all_defined]
+    _, params, gap_series = _track_mcf(spec, w, extracts,
+                                       _first_defined_from(extracts, spec.tau),
+                                       delta=spec.tolerances["mcf_delta"])
     sup_gap = max(v for _, v in gap_series)
 
     # diffusive spreading of the transition zone, measured on the phase LDE

@@ -78,6 +78,13 @@ def test_simulate_bad_config_is_usage_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_experiment_unread_generator_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(FAST_CONFIG + "v0_kind = gaussian_bump\nv0_amplitude = 0.05\n")
+    assert main(["experiment", "thm22", "--config", str(cfg)]) == 2
+    assert "unknown v0 keys: ['amplitude']" in capsys.readouterr().err
+
+
 def test_heat_reports(tmp_path, capsys):
     assert main(["heat", "--report", "bessel"]) == 0
     assert "single_sign_change=True" in capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,18 @@ def test_decay_report_slopes_on_step_data():
     assert abs(rep["slope_second"] + 1.0) <= 0.1
     assert rep["monotone_bound_holds"]
     assert rep["K_first"] < 10.0 and rep["K_second"] < 10.0
+
+
+def test_decay_report_finite_with_zero_time():
+    # t = 0 takes no part in the fit of K (no t^{-1/2} bound) or of the
+    # log-log slopes (no logarithm)
+    h0 = PhaseSequence(np.where(np.arange(64) < 32, 0.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = decay_report(h0, [0.0, 10.0, 100.0])
+    for key in ("K_first", "K_second", "slope_first", "slope_second"):
+        assert np.isfinite(rep[key]), key
+    assert rep["t"] == [0.0, 10.0, 100.0]
 
 
 def test_bessel_bounds_report_structure():

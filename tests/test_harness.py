@@ -1,10 +1,12 @@
 """Seeded experiment pipelines, generators, and config parsing."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from acfront import harness
 from acfront.errors import FlatnessViolated, H0Violated, PreAsymptotic
 from acfront.harness import (ExperimentSpec, default_spec, make_initial,
                              make_kappa, make_v0, parse_config, run_experiment,
@@ -34,6 +36,12 @@ def test_splitmix64_uniform_deterministic_unit_range():
     assert np.array_equal(a, b)
     assert np.all((a >= 0.0) & (a < 1.0))
     assert a.std() > 0.1
+
+
+def test_splitmix64_uniform_stays_below_one(monkeypatch):
+    # the largest output divided by 2**64 rounds to exactly 1.0
+    monkeypatch.setattr(harness, "splitmix64", lambda seed, n: [2 ** 64 - 1])
+    assert splitmix64_uniform(0, 1)[0] == np.nextafter(1.0, 0.0)
 
 
 def test_make_kappa_generators():
@@ -236,3 +244,22 @@ def test_spec_from_config_rejects_unknown_keys():
         spec_from_config({"name": "thm22", "vorticity": "1"})
     with pytest.raises(ValueError, match="name"):
         spec_from_config({"a": "0.3"})
+
+
+def test_spec_rejects_generator_keys_no_generator_reads():
+    with pytest.raises(ValueError, match=r"unknown v0 keys: \['amplitude', 'i0'\]"):
+        spec_from_config({"name": "thm22", "v0_kind": "gaussian_bump",
+                          "v0_amplitude": "0.05", "v0_i0": "7"})
+    with pytest.raises(ValueError, match=r"unknown kappa keys: \['period'\]"):
+        ExperimentSpec(name="thm22", kappa={"kind": "periodic", "period": 4})
+    # keys of another kind are read by that kind's generator, so they pass
+    spec = spec_from_config({"name": "thm22", "kappa_kind": "step", "kappa_lo": "1"})
+    assert spec.kappa["P"] == 8 and spec.kappa["lo"] == 1
+
+
+def test_readme_example_config_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("Example:\n\n```\n", 1)[1].split("```", 1)[0]
+    spec = spec_from_config(parse_config(example))
+    assert spec.name == "thm24" and spec.seed == 7
+    assert spec.v0 == {"kind": "gaussian_bump", "amp": 0.3}

@@ -7,6 +7,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from acfront.core import BistableNonlinearity, LatticeField, PhaseSequence, discrete_laplacian
 from acfront.errors import NonFinite, VerificationFailed
@@ -82,6 +85,24 @@ def test_ordered_data_stays_ordered():
             u = step(u, cfg)
             v = step(v, cfg)
             assert np.min(v.values - u.values) >= 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), boundary_j=st.sampled_from(["periodic", "reflect"]))
+def test_step_comparison_principle(data, boundary_j):
+    """``u <= v`` gives ``step(u) <= step(v)`` for any window and values in
+    [-0.5, 1.5], where ``dt (4 + |g'|) <= 1`` still holds.  Values lie on a
+    2^-20 grid so that every strict gap is far above binary64 rounding: the
+    scheme is monotone in exact arithmetic, and at gaps of one ulp rounding
+    alone can reverse the order by ~1e-17."""
+    width, height = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 8))
+    grid = hnp.arrays(np.int64, (width, height),
+                      elements=st.integers(-2 ** 19, 3 * 2 ** 19))
+    a, b = data.draw(grid), data.draw(grid)
+    cfg = SimConfig(F03, width=width, height=height, boundary_j=boundary_j)
+    u, v = (LatticeField(x / 2.0 ** 20, i_offset=cfg.i_offset, boundary_j=boundary_j)
+            for x in (np.minimum(a, b), np.maximum(a, b)))
+    assert np.all(step(u, cfg).values <= step(v, cfg).values)
 
 
 def test_residual_vanishes_on_scheme_pairs():
