@@ -17,13 +17,11 @@ import numpy as np
 from . import flow, harness, phase, sim
 from .core import BistableNonlinearity, PhaseSequence
 from .errors import AcFrontError, NumericalError, VerificationFailed
-from .wave import adjoint_solve, compute_d, load_wave, mfde_residual, solve_r, solve_wave
+from .wave import load_wave, mfde_residual, solve_r, solve_wave
 
 
 def _solved_wave(a: float, L: float, h: float):
     w = solve_wave(BistableNonlinearity(a=a), L=L, h=h)
-    adjoint_solve(w)
-    compute_d(w)
     solve_r(w)
     return w
 

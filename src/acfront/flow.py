@@ -136,14 +136,14 @@ def _auto_kmax(t: float) -> int:
     return int(math.ceil(2.0 * t + 40.0 * math.sqrt(t + 1.0) + 20.0))
 
 
-def heat_kernel(t: float, k_range: Optional[int] = None) -> HeatKernelTable:
+def heat_kernel(t: float) -> HeatKernelTable:
     """Kernel table ``G_k(t) = e^{-2t} I_k(2t)`` with auto-sized truncation.
 
-    The default range keeps the truncated mass within 1e-12 of 1.
+    The range ``|k| <= _auto_kmax(t)`` keeps the truncated mass within 1e-12 of 1.
     """
     if t < 0.0:
         raise OutOfRange("kernel time must be nonnegative")
-    kmax = _auto_kmax(t) if k_range is None else int(k_range)
+    kmax = _auto_kmax(t)
     half = _bessel_ladder(kmax, 2.0 * t)
     values = np.concatenate([half[:0:-1], half])
     k = np.arange(-kmax, kmax + 1)
@@ -225,12 +225,13 @@ def decay_report(h0: PhaseSequence, t_grid: Sequence[float]) -> dict:
     return _decay_stats(ts, (heat_solve(h0, float(t)) for t in ts), g0, l0, 1e-14)
 
 
-def bessel_bounds_report(t_grid: Sequence[float], k_max: Optional[int] = None) -> dict:
+def bessel_bounds_report(t_grid: Sequence[float]) -> dict:
     """Structural bounds of the scaled Bessel family used by the heat kernel.
 
-    Checks, for each time: monotonicity ``I_k > I_{k+1}`` in the order, the
-    telescoping identity ``sum_{k in Z} |I_{k+1} - I_k| = 2 I_0`` (scaled, to
-    1e-10), uniform boundedness of ``sqrt(t) e^{-t} sum |I_{k+1} - I_k|`` and
+    Checks, for each time and orders ``k <= _auto_kmax(t)``: monotonicity
+    ``I_k > I_{k+1}`` in the order, the telescoping identity
+    ``sum_{k in Z} |I_{k+1} - I_k| = 2 I_0`` (scaled, to 1e-10), uniform
+    boundedness of ``sqrt(t) e^{-t} sum |I_{k+1} - I_k|`` and
     ``t e^{-t} sum |∂⁽²⁾I|``, and that the second difference
     ``k -> I_{k+1} - 2 I_k + I_{k-1}`` changes sign exactly once on ``k >= 0``.
     """
@@ -238,7 +239,7 @@ def bessel_bounds_report(t_grid: Sequence[float], k_max: Optional[int] = None) -
     floor = 1e-280
     for t in t_grid:
         t = float(t)
-        kmax = _auto_kmax(t) if k_max is None else int(k_max)
+        kmax = _auto_kmax(t)
         half = _bessel_ladder(kmax, t)
         full = np.concatenate([half[:0:-1], half])
         diff = np.diff(full)
@@ -281,15 +282,13 @@ class FlowParams:
     d: float
     dt: Optional[float] = None
     t_end: float = 100.0
-    variant: Optional[str] = None
+
+    @property
+    def variant(self) -> str:
+        """``linear_heat`` when ``|d| < 1e-8``, else ``exp_lde``."""
+        return "linear_heat" if abs(self.d) < 1e-8 else "exp_lde"
 
     def __post_init__(self):
-        if self.variant is None:
-            self.variant = "linear_heat" if abs(self.d) < 1e-8 else "exp_lde"
-        if self.variant not in ("exp_lde", "linear_heat"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == "exp_lde" and abs(self.d) < 1e-8:
-            raise ValueError("exp_lde variant needs |d| >= 1e-8")
         if self.dt is None:
             # explicit-scheme stability for the linearized operator
             self.dt = 0.1 * min(1.0, 1.0 / (2.0 + 2.0 * abs(self.d)))
@@ -322,15 +321,19 @@ class FlowTrajectory:
         return PhaseSequence(self.values[-1].copy(), boundary_j=self.boundary_j)
 
 
-def _march(y0: PhaseSequence, rhs, ts: np.ndarray, dt: float, what: str,
-           grad=None, delta: float = math.inf) -> FlowTrajectory:
+def _march(y0: PhaseSequence, rhs, t_grid: Optional[Sequence[float]], p: FlowParams,
+           what: str, grad=None, delta: float = math.inf) -> FlowTrajectory:
     """Explicit Euler steps ``y += step * rhs(y)`` from ``y0``, at most
-    ``dt`` long, the last before each time in ``ts`` cut short to land on it.
+    ``p.dt`` long, the last before each time in ``t_grid`` (default: the
+    integer times up to ``p.t_end``) cut short to land on it.
 
     With ``grad`` given, raises :class:`FlatnessViolated` once ``grad(y)``
     exceeds ``delta``, initially or after any step.  Raises
-    :class:`NonFinite`, naming ``what``, when a recorded row is not finite.
+    :class:`NonFinite`, naming ``what``, as soon as a step is not finite.
     """
+    if t_grid is None:
+        t_grid = np.linspace(0.0, p.t_end, int(p.t_end) + 1)
+    ts = np.asarray(list(t_grid), dtype=float)
     if grad is not None and grad(y0) > delta:
         raise FlatnessViolated(f"initial gradient {grad(y0):.3g} exceeds delta={delta:g}")
     rows = np.empty((ts.size, len(y0)))
@@ -338,14 +341,15 @@ def _march(y0: PhaseSequence, rhs, ts: np.ndarray, dt: float, what: str,
     t = 0.0
     for idx, target in enumerate(ts):
         while t < target - 1e-12:
-            step = min(dt, target - t)
-            y = y.replace(y.values + step * rhs(y))
+            step = min(p.dt, target - t)
+            vals = y.values + step * rhs(y)
             t += step
+            if not np.all(np.isfinite(vals)):
+                raise NonFinite(f"{what} blew up at t={t:g}")
+            y = y.replace(vals)
             if grad is not None and grad(y) > delta:
                 raise FlatnessViolated(
                     f"gradient {grad(y):.3g} exceeded delta={delta:g} at t={t:g}")
-        if not np.all(np.isfinite(y.values)):
-            raise NonFinite(f"{what} blew up at t={t:g}")
         rows[idx] = y.values
     return FlowTrajectory(ts, rows, boundary_j=y0.boundary_j)
 
@@ -374,7 +378,7 @@ def v_solve(V0: PhaseSequence, p: FlowParams,
         t_grid = np.linspace(0.0, p.t_end, 51)
     ts = np.asarray(list(t_grid), dtype=float)
     if method == "euler":
-        return _march(V0, lambda v: v_rhs(v, p), ts, p.dt, "Euler integration")
+        return _march(V0, lambda v: v_rhs(v, p), ts, p, "Euler integration")
     if method != "cole_hopf":
         raise ValueError(f"unknown method {method!r}")
     rows = np.empty((ts.size, len(V0)))
@@ -399,6 +403,8 @@ def v_solve(V0: PhaseSequence, p: FlowParams,
 def v_gradient_report(traj: FlowTrajectory) -> dict:
     """Gradient-decay diagnostics along a ``V`` trajectory (norms, fitted
     constants for the ``min`` bounds, and log-log slopes)."""
+    if len(traj) == 0:
+        raise OutOfRange("trajectory has no recorded times")
     seqs = [PhaseSequence(row, boundary_j=traj.boundary_j) for row in traj.values]
     rep = _decay_stats(traj.times, seqs, np.max(np.abs(d_plus(seqs[0]))),
                        np.max(np.abs(d2(seqs[0]))), 1e-12)
@@ -427,28 +433,23 @@ def mcf_rhs(G: PhaseSequence, p: FlowParams, *, form: str = "2d",
 
 def mcf_solve(G0: PhaseSequence, p: FlowParams,
               t_grid: Optional[Sequence[float]] = None, *,
-              form: str = "2d", A: Optional[float] = None,
               delta: float = 0.1) -> FlowTrajectory:
-    """Explicit Euler integration of the discrete mean curvature flow.
+    """Explicit Euler integration of the discrete mean curvature flow in its
+    ``2d`` form (see :func:`mcf_rhs`).
 
     Raises :class:`FlatnessViolated` once ``sup|∂⁺Γ|`` exceeds ``delta``; the
     local comparison structure of the flow is only guaranteed for flat
     interfaces.
     """
-    if t_grid is None:
-        t_grid = np.linspace(0.0, p.t_end, int(p.t_end) + 1)
-    return _march(G0, lambda g: mcf_rhs(g, p, form=form, A=A),
-                  np.asarray(list(t_grid), dtype=float), p.dt, "curvature flow",
+    return _march(G0, lambda g: mcf_rhs(g, p), t_grid, p, "curvature flow",
                   grad=lambda g: np.max(np.abs(d_plus(g))), delta=delta)
 
 
 def gradient_lde_solve(U0: PhaseSequence, p: FlowParams,
-                       t_grid: Optional[Sequence[float]] = None, *,
-                       delta: float = 0.1) -> FlowTrajectory:
+                       t_grid: Optional[Sequence[float]] = None) -> FlowTrajectory:
     """Explicit Euler integration of the LDE satisfied by ``Υ = ∂⁺Γ``:
-    ``Υ̇_j = ∂⁺Υ_j/Π_j² - ∂⁻Υ_j/Π_{j-1}² + 2d(Π_j - Π_{j-1})``."""
-    if t_grid is None:
-        t_grid = np.linspace(0.0, p.t_end, int(p.t_end) + 1)
+    ``Υ̇_j = ∂⁺Υ_j/Π_j² - ∂⁻Υ_j/Π_{j-1}² + 2d(Π_j - Π_{j-1})``; raises
+    :class:`FlatnessViolated` once ``sup|Υ|`` exceeds 0.1."""
 
     def rhs(u: PhaseSequence) -> np.ndarray:
         # Pi_j = sqrt(1 + (U_{j+1}^2 + U_j^2)/2) and Pi_{j-1}
@@ -458,8 +459,8 @@ def gradient_lde_solve(U0: PhaseSequence, p: FlowParams,
         return (d_plus(u) / (pi * pi) - d_minus(u) / (pi_m * pi_m)
                 + 2.0 * p.d * (pi - pi_m))
 
-    return _march(U0, rhs, np.asarray(list(t_grid), dtype=float), p.dt, "gradient flow",
-                  grad=lambda u: np.max(np.abs(u.values)), delta=delta)
+    return _march(U0, rhs, t_grid, p, "gradient flow",
+                  grad=lambda u: np.max(np.abs(u.values)), delta=0.1)
 
 
 def kernel_to_csv(table: HeatKernelTable, path: str) -> None:

@@ -29,7 +29,7 @@ from . import __version__ as _pkg_version
 from . import flow, phase, sim
 from .core import BistableNonlinearity, LatticeField, PhaseSequence, d_plus
 from .errors import FlatnessViolated, H0Violated, PreAsymptotic
-from .wave import WaveProfile, adjoint_solve, compute_d, solve_r, solve_wave
+from .wave import WaveProfile, solve_r, solve_wave
 
 __all__ = [
     "ExperimentSpec",
@@ -253,8 +253,6 @@ def _trajectory(spec: ExperimentSpec, w: Optional[WaveProfile], need_d: bool):
     if w is None:
         w = solve_wave(BistableNonlinearity(a=spec.a), L=spec.L, h=spec.h)
     if need_d and w.d is None:
-        adjoint_solve(w)
-        compute_d(w)
         solve_r(w)
     cfg = sim.SimConfig(w.f, dt=spec.dt, t_end=spec.t_end,
                         record_every=spec.record_every, width=spec.width,

@@ -52,6 +52,7 @@ __all__ = [
 
 _MAGIC = b"ACF1"
 _HEADER = struct.Struct("<4sqqqd")
+_SUPERSUB_TOL = 1e-6
 
 
 @dataclass
@@ -64,7 +65,6 @@ class SimConfig:
     record_every: Optional[int] = None
     width: int = 256
     height: int = 64
-    i_offset: Optional[int] = None
     boundary_j: str = "periodic"
 
     def __post_init__(self):
@@ -77,8 +77,11 @@ class SimConfig:
                 f"dt*(4+sup|g'|) <= 1 (sup|g'|={sup:g})")
         if self.record_every is None:
             self.record_every = max(1, int(round(1.0 / self.dt)))
-        if self.i_offset is None:
-            self.i_offset = -(self.width // 2)
+
+    @property
+    def i_offset(self) -> int:
+        """Lattice index of the first window column: ``-(width // 2)``."""
+        return -(self.width // 2)
 
     def blank_field(self, fill: float = 0.0) -> LatticeField:
         return LatticeField(np.full((self.width, self.height), fill),
@@ -202,35 +205,20 @@ class SuperSubSpec:
         return self.C_eps * self.p_of(t)
 
 
-def _window_grid(width: int, height: int, i_offset: int) -> np.ndarray:
+def _window_grid(width: int, i_offset: int) -> np.ndarray:
     return (np.arange(width) + i_offset).astype(float)[:, None]
 
 
-def build_planar_supersub(w: WaveProfile, spec: SuperSubSpec, t: float, *,
-                          width: int = 256, height: int = 64,
-                          i_offset: Optional[int] = None
-                          ) -> tuple[LatticeField, LatticeField]:
-    """Planar super/sub-solution fields at time ``t`` on a window."""
+def _planar_pair(w: WaveProfile, spec: SuperSubSpec, t: float, width: int):
+    """Planar pair at time ``t`` on the window of ``width`` columns from
+    ``i = -(width // 2)``: ``(i_offset, u+, u-, J[u+], J[u-])``, each array
+    of shape ``(width, 1)``, with the residuals analytic in time."""
     if spec.mu is None or spec.C is None:
         raise ValueError("planar spec needs mu and C (see search_planar_constants)")
-    spec.check_offsets(w.a)
-    if i_offset is None:
-        i_offset = -(width // 2)
-    i = _window_grid(width, height, i_offset)
-    decay = math.exp(-spec.mu * t)
-    up = w.phi_at(i - w.c * t + spec.C * spec.q0 * (1.0 - decay)) + spec.q0 * decay
-    um = w.phi_at(i - w.c * t - spec.C * spec.q1 * (1.0 - decay)) - spec.q1 * decay
-    ones = np.ones((1, height))
-    return (LatticeField(up * ones, i_offset=i_offset),
-            LatticeField(um * ones, i_offset=i_offset))
-
-
-def _planar_residuals(w: WaveProfile, spec: SuperSubSpec, t: float,
-                      xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic residuals ``J[u+]`` and ``J[u-]`` of the planar pair on a
-    grid of moving-frame coordinates ``xi = i - c t``."""
     mu, C = spec.mu, spec.C
+    i_offset = -(width // 2)
     decay = math.exp(-mu * t)
+    xi = _window_grid(width, i_offset) - w.c * t
     out = []
     for sign, q in ((+1.0, spec.q0), (-1.0, spec.q1)):
         arg = xi + sign * C * q * (1.0 - decay)
@@ -239,31 +227,30 @@ def _planar_residuals(w: WaveProfile, spec: SuperSubSpec, t: float,
         udot = w.phi_at(arg, 1) * (sign * C * q * mu * decay - w.c) \
             - sign * mu * q * decay
         lap = w.phi_at(arg + 1.0) + w.phi_at(arg - 1.0) - 2.0 * phi
-        out.append(udot - lap - w.f(u))
-    return out[0], out[1]
+        out.append((u, udot - lap - w.f(u)))
+    (up, Jp), (um, Jm) = out
+    return i_offset, up, um, Jp, Jm
 
 
-def build_curved_supersub(w: WaveProfile, spec: SuperSubSpec, t: float, *,
-                          width: int = 128, i_offset: Optional[int] = None
+def build_planar_supersub(w: WaveProfile, spec: SuperSubSpec, t: float, *,
+                          width: int = 256, height: int = 64
                           ) -> tuple[LatticeField, LatticeField]:
-    """Curved super/sub-solution fields at time ``t``; the phase ``V`` is
-    solved exactly from ``spec.V0`` through the Cole-Hopf route."""
-    if w.r is None:
-        raise SolveFailed("curved construction needs the corrector r")
-    params = flow.FlowParams(c=w.c, d=w.d)
-    V = flow.v_solve(spec.V0, params, t_grid=[t]).final()
-    fields = _curved_fields(w, spec, V, t, width=width, i_offset=i_offset)
-    return fields[0], fields[1]
+    """Planar super/sub-solution fields at time ``t``; the window starts at
+    ``i = -(width // 2)``."""
+    spec.check_offsets(w.a)
+    i_offset, up, um, _, _ = _planar_pair(w, spec, t, width)
+    ones = np.ones((1, height))
+    return (LatticeField(up * ones, i_offset=i_offset),
+            LatticeField(um * ones, i_offset=i_offset))
 
 
-def _curved_fields(w: WaveProfile, spec: SuperSubSpec, V: PhaseSequence, t: float,
-                   *, width: int, i_offset: Optional[int],
-                   with_residual: bool = False):
-    """Evaluate the curved pair (and optionally their residuals) at time t."""
-    if i_offset is None:
-        i_offset = -(width // 2) + int(round(float(np.mean(V.values))))
-    height = len(V)
-    i = _window_grid(width, height, i_offset)
+def _curved_pair(w: WaveProfile, spec: SuperSubSpec, V: PhaseSequence, t: float,
+                 width: int):
+    """Curved pair at time ``t`` with phase ``V`` on the window of ``width``
+    columns centred on the mean of ``V``: ``(i_offset, u+, u-, J[u+],
+    J[u-])``, with the residuals analytic in time."""
+    i_offset = -(width // 2) + int(round(float(np.mean(V.values))))
+    i = _window_grid(width, i_offset)
     params = flow.FlowParams(c=w.c, d=w.d)
     vdot = flow.v_rhs(V, params)
     av = alpha(V)
@@ -275,14 +262,12 @@ def _curved_fields(w: WaveProfile, spec: SuperSubSpec, V: PhaseSequence, t: floa
     pdot = spec.p_dot(t)
     q = spec.q_of(t)
     qdot = spec.q_dot(t)
-
-    def assemble(sign: float):
+    out = []
+    for sign in (+1.0, -1.0):
         arg = i - V.values[None, :] + sign * q
         r = w.r_at(arg)
         base = w.phi_at(arg) + r * av[None, :]
         u = base + sign * p
-        if not with_residual:
-            return u, None
         udot = (w.phi_at(arg, 1) + w.r_at(arg, 1) * av[None, :]) \
             * (sign * qdot - vdot[None, :]) \
             + r * avdot[None, :] + sign * pdot
@@ -293,21 +278,29 @@ def _curved_fields(w: WaveProfile, spec: SuperSubSpec, V: PhaseSequence, t: floa
             argj = i - V.shifted(jshift)[None, :] + sign * q
             avj = av_seq.shifted(jshift)[None, :]
             lap += w.phi_at(argj) + w.r_at(argj) * avj
-        J = udot - lap - w.f(u)
-        return u, J
+        out.append((u, udot - lap - w.f(u)))
+    (up, Jp), (um, Jm) = out
+    return i_offset, up, um, Jp, Jm
 
-    up, Jp = assemble(+1.0)
-    um, Jm = assemble(-1.0)
-    fp = LatticeField(up, i_offset=i_offset, boundary_j=V.boundary_j)
-    fm = LatticeField(um, i_offset=i_offset, boundary_j=V.boundary_j)
-    return fp, fm, Jp, Jm
+
+def build_curved_supersub(w: WaveProfile, spec: SuperSubSpec, t: float, *,
+                          width: int = 128) -> tuple[LatticeField, LatticeField]:
+    """Curved super/sub-solution fields at time ``t``, on a window centred on
+    the phase ``V`` solved exactly from ``spec.V0`` (Cole-Hopf route)."""
+    if w.r is None:
+        raise SolveFailed("curved construction needs the corrector r")
+    params = flow.FlowParams(c=w.c, d=w.d)
+    V = flow.v_solve(spec.V0, params, t_grid=[t]).final()
+    i_offset, up, um, _, _ = _curved_pair(w, spec, V, t, width)
+    return (LatticeField(up, i_offset=i_offset, boundary_j=V.boundary_j),
+            LatticeField(um, i_offset=i_offset, boundary_j=V.boundary_j))
 
 
 def verify_supersub(spec: SuperSubSpec, w: WaveProfile, cfg: SimConfig,
-                    t_grid: Sequence[float], *, tol: float = 1e-6,
-                    width: Optional[int] = None,
+                    t_grid: Sequence[float], *, width: Optional[int] = None,
                     raise_on_fail: bool = False) -> dict:
-    """Check ``J[u+] >= -tol`` and ``J[u-] <= tol`` over the window and times.
+    """Check ``J[u+] >= -tol`` and ``J[u-] <= tol`` over the window and times,
+    with ``tol = _SUPERSUB_TOL = 1e-6``.
 
     The residuals are evaluated with analytic time derivatives, so ``tol``
     only absorbs the interpolation floor of the profile splines.  Returns a
@@ -315,21 +308,9 @@ def verify_supersub(spec: SuperSubSpec, w: WaveProfile, cfg: SimConfig,
     ``raise_on_fail`` a failing verdict raises :class:`VerificationFailed`.
     """
     spec.check_offsets(w.a)
-    worst_plus = math.inf
-    worst_minus = -math.inf
-    site_plus = site_minus = None
     if spec.kind == "planar":
         wd = width if width is not None else cfg.width
-        i0 = -(wd // 2)
-        for t in t_grid:
-            xi = np.arange(wd, dtype=float) + i0 - w.c * float(t)
-            Jp, Jm = _planar_residuals(w, spec, float(t), xi)
-            kp = int(np.argmin(Jp))
-            km = int(np.argmax(Jm))
-            if Jp[kp] < worst_plus:
-                worst_plus, site_plus = float(Jp[kp]), (kp + i0, 0, float(t))
-            if Jm[km] > worst_minus:
-                worst_minus, site_minus = float(Jm[km]), (km + i0, 0, float(t))
+        pairs = ((float(t), *_planar_pair(w, spec, float(t), wd)) for t in t_grid)
     else:
         if w.r is None:
             raise SolveFailed("curved verification needs the corrector r")
@@ -344,18 +325,19 @@ def verify_supersub(spec: SuperSubSpec, w: WaveProfile, cfg: SimConfig,
         wd = width if width is not None else 128
         params = flow.FlowParams(c=w.c, d=w.d)
         traj = flow.v_solve(spec.V0, params, t_grid=list(t_grid))
-        for idx, t in enumerate(traj.times):
-            V = PhaseSequence(traj.values[idx], boundary_j=spec.V0.boundary_j)
-            fp, _, Jp, Jm = _curved_fields(w, spec, V, float(t), width=wd,
-                                           i_offset=None, with_residual=True)
-            ip, jp = np.unravel_index(int(np.argmin(Jp)), Jp.shape)
-            im, jm = np.unravel_index(int(np.argmax(Jm)), Jm.shape)
-            if Jp[ip, jp] < worst_plus:
-                worst_plus = float(Jp[ip, jp])
-                site_plus = (int(ip) + fp.i_offset, int(jp), float(t))
-            if Jm[im, jm] > worst_minus:
-                worst_minus = float(Jm[im, jm])
-                site_minus = (int(im) + fp.i_offset, int(jm), float(t))
+        pairs = ((float(t), *_curved_pair(w, spec, traj.at(t), float(t), wd))
+                 for t in traj.times)
+    worst_plus = math.inf
+    worst_minus = -math.inf
+    site_plus = site_minus = None
+    for t, i0, _, _, Jp, Jm in pairs:
+        ip, jp = np.unravel_index(int(np.argmin(Jp)), Jp.shape)
+        im, jm = np.unravel_index(int(np.argmax(Jm)), Jm.shape)
+        if Jp[ip, jp] < worst_plus:
+            worst_plus, site_plus = float(Jp[ip, jp]), (int(ip) + i0, int(jp), t)
+        if Jm[im, jm] > worst_minus:
+            worst_minus, site_minus = float(Jm[im, jm]), (int(im) + i0, int(jm), t)
+    tol = _SUPERSUB_TOL
     verdict = worst_plus >= -tol and worst_minus <= tol
     report = {
         "kind": spec.kind,
@@ -375,25 +357,20 @@ def verify_supersub(spec: SuperSubSpec, w: WaveProfile, cfg: SimConfig,
 
 
 def search_planar_constants(w: WaveProfile, spec: SuperSubSpec, cfg: SimConfig,
-                            t_grid: Sequence[float], *,
-                            mu_grid: Optional[Sequence[float]] = None,
-                            C_grid: Optional[Sequence[float]] = None,
-                            tol: float = 1e-6) -> tuple[float, float, dict]:
-    """Log-grid scan for a certified planar pair ``(mu, C)``.
+                            t_grid: Sequence[float]) -> tuple[float, float, dict]:
+    """Log-grid scan for a certified planar pair ``(mu, C)``: ``mu`` over
+    ``logspace(-2.5, 0, 11)``, and for each ``mu``, ``C`` over
+    ``logspace(0, 2.5, 11)``, each pair checked by :func:`verify_supersub`.
 
     Returns the first passing pair and its report; raises
     :class:`VerificationFailed` when the whole grid fails.
     """
-    if mu_grid is None:
-        mu_grid = np.logspace(-2.5, 0.0, 11)
-    if C_grid is None:
-        C_grid = np.logspace(0.0, 2.5, 11)
     best = None
-    for mu in mu_grid:
-        for C in C_grid:
+    for mu in np.logspace(-2.5, 0.0, 11):
+        for C in np.logspace(0.0, 2.5, 11):
             trial = SuperSubSpec(kind="planar", q0=spec.q0, q1=spec.q1,
                                  mu=float(mu), C=float(C))
-            report = verify_supersub(trial, w, cfg, t_grid, tol=tol)
+            report = verify_supersub(trial, w, cfg, t_grid)
             if report["verdict"] == "pass":
                 return float(mu), float(C), report
             margin = min(report["min_residual_super"], -report["max_residual_sub"])
@@ -429,18 +406,18 @@ def load_snapshot(path: str, boundary_j: str = "periodic") -> tuple[float, Latti
 
 
 class SnapshotWriter:
-    """Persists a snapshot stream to a directory with an NDJSON index."""
+    """Persists a snapshot stream to a directory: ``snap_000000.bin``,
+    ``snap_000001.bin``, ... and the NDJSON index ``snap_index.ndjson``."""
 
-    def __init__(self, directory: str, prefix: str = "snap"):
+    def __init__(self, directory: str):
         self.directory = directory
-        self.prefix = prefix
         self.count = 0
         os.makedirs(directory, exist_ok=True)
-        self.index_path = os.path.join(directory, f"{prefix}_index.ndjson")
+        self.index_path = os.path.join(directory, "snap_index.ndjson")
         open(self.index_path, "w", encoding="utf-8").close()
 
     def write(self, u: LatticeField, t: float) -> str:
-        name = f"{self.prefix}_{self.count:06d}.bin"
+        name = f"snap_{self.count:06d}.bin"
         path = os.path.join(self.directory, name)
         save_snapshot(u, t, path)
         record = {"file": name, "t": t, "width": u.width, "height": u.height,

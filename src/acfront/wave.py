@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -70,17 +70,12 @@ __all__ = [
 ]
 
 THETA_MAX = 0.3
+_PINNING_SPEED = 1e-4
 
 # 6th-order central first derivative, 4th-order central second derivative
 _D1_COEF = (45.0 / 60.0, -9.0 / 60.0, 1.0 / 60.0)
 _D2_COEF = (16.0 / 12.0, -1.0 / 12.0)
 _D2_DIAG = -30.0 / 12.0
-
-
-def _as_nonlinearity(f: Union[BistableNonlinearity, float]) -> BistableNonlinearity:
-    if isinstance(f, BistableNonlinearity):
-        return f
-    return BistableNonlinearity(a=float(f))
 
 
 def _check_grid(L: float, h: float) -> tuple[int, int]:
@@ -190,14 +185,16 @@ def _tail_rate(f: BistableNonlinearity, c: float, shifts: Sequence[float],
 
 
 class _System:
-    """Discretized travelling-wave system for a fixed shift set."""
+    """Discretized travelling-wave system for a fixed shift set and right
+    tail target (1 for the profile, 0 for the adjoint)."""
 
     def __init__(self, f: BistableNonlinearity, n: int, h: float,
-                 shifts: Sequence[float]):
+                 shifts: Sequence[float], right_target: float = 1.0):
         self.f = f
         self.n = n
         self.h = h
         self.shifts = tuple(shifts)
+        self.right_target = right_target
         self.shift_pieces = []
         for alpha in self.shifts:
             self.shift_pieces.extend(_interp_pieces(alpha, h))
@@ -213,25 +210,23 @@ class _System:
         if self._built_for == rho:
             return
         self.rho = rho
-        self.D, self.bD = _stencil_affine(self.n, _deriv_pieces(self.h), *rho)
-        self.S, self.bS = _stencil_affine(self.n, self.shift_pieces, *rho)
+        tails = (*rho, self.right_target)
+        self.D, self.bD = _stencil_affine(self.n, _deriv_pieces(self.h), *tails)
+        self.S, self.bS = _stencil_affine(self.n, self.shift_pieces, *tails)
         self._built_for = rho
 
     def residual(self, phi: np.ndarray, c: float) -> np.ndarray:
         return c * (self.D @ phi + self.bD) + self.S @ phi + self.bS + self.f(phi)
 
     def jacobian(self, phi: np.ndarray, c: float) -> np.ndarray:
-        J = self.c_part(c)
+        J = c * self.D + self.S
         J[np.diag_indices(self.n)] += self.f.dg(phi)
         return J
 
-    def c_part(self, c: float) -> np.ndarray:
-        return c * self.D + self.S
 
-
-def _newton(sys: _System, k0: int, phi0: np.ndarray, c0: float,
-            tol: float = 1e-11, max_iter: int = 60):
-    """Damped Newton on the joint system (collocation rows + phase row).
+def _newton(sys: _System, k0: int, phi0: np.ndarray, c0: float):
+    """Damped Newton on the joint system (collocation rows + phase row), at
+    most 60 steps, stopping once the sup-norm residual is below 1e-11.
 
     The tail-closure rates are refreshed from the current speed while the
     iteration is far from convergence and frozen afterwards, so the final
@@ -245,8 +240,8 @@ def _newton(sys: _System, k0: int, phi0: np.ndarray, c0: float,
     F = sys.residual(phi, c)
     phase = phi[k0] - 0.5
     norm = max(np.max(np.abs(F)), abs(phase))
-    for _ in range(max_iter):
-        if norm < tol:
+    for _ in range(60):
+        if norm < 1e-11:
             break
         J = np.empty((n + 1, n + 1))
         J[:n, :n] = sys.jacobian(phi, c)
@@ -270,7 +265,7 @@ def _newton(sys: _System, k0: int, phi0: np.ndarray, c0: float,
             Ft = sys.residual(trial_phi, trial_c)
             pt = trial_phi[k0] - 0.5
             nt = max(np.max(np.abs(Ft)), abs(pt)) if np.all(np.isfinite(Ft)) else np.inf
-            if nt < (1.0 - 0.25 * lam) * norm or nt < tol:
+            if nt < (1.0 - 0.25 * lam) * norm or nt < 1e-11:
                 phi, c, F, phase, norm = trial_phi, trial_c, Ft, pt, nt
                 improved = True
                 break
@@ -386,42 +381,38 @@ class WaveProfile:
         return self._evaluate(self._r_spline, x, nu, None)
 
 
-def solve_wave(f: Union[BistableNonlinearity, float], L: float = 20.0,
-               h: float = 1.0 / 16.0, c0: Optional[float] = None,
-               phi0: Optional[np.ndarray] = None, *,
-               pinning_threshold: float = 1e-4,
-               boundary_tol: float = 1e-3) -> WaveProfile:
-    """Solve the travelling-wave system for ``(Phi, c)``.
+def solve_wave(f: BistableNonlinearity, L: float = 20.0,
+               h: float = 1.0 / 16.0) -> WaveProfile:
+    """Solve the travelling-wave system for ``(Phi, c)`` by Newton from the
+    logistic ``1 / (1 + e^{-xi/sqrt 2})`` at speed ``sqrt(2) (a - 1/2)``.
 
-    Raises :class:`PinningDetected` when the converged speed falls below the
-    pinning threshold (the front fails to propagate, so no wave with
-    ``c != 0`` exists) and :class:`NewtonDiverged` when damped Newton stalls.
+    Raises :class:`PinningDetected` when the speed falls below the pinning
+    threshold ``_PINNING_SPEED = 1e-4`` (the front fails to propagate, so no
+    wave with ``c != 0`` exists) and :class:`NewtonDiverged` when damped
+    Newton stalls or the profile ends more than 1e-3 from the equilibria.
     """
-    f = _as_nonlinearity(f)
     _, n_half = _check_grid(L, h)
     n = 2 * n_half + 1
     xi = (np.arange(n) - n_half) * h
     k0 = n_half
 
-    if phi0 is None:
-        phi0 = 1.0 / (1.0 + np.exp(-xi / math.sqrt(2.0)))
-    if c0 is None:
-        c0 = math.sqrt(2.0) * (f.a - 0.5)
+    phi0 = 1.0 / (1.0 + np.exp(-xi / math.sqrt(2.0)))
+    c0 = math.sqrt(2.0) * (f.a - 0.5)
 
     sys = _System(f, n, h, (1.0, -1.0))
     phi, c, norm = _newton(sys, k0, phi0, c0)
     if not norm < 1e-9:
-        if abs(c) < pinning_threshold:
+        if abs(c) < _PINNING_SPEED:
             raise PinningDetected(
                 f"Newton stalled with |c|={abs(c):.2e} below the pinning threshold")
         raise NewtonDiverged(f"residual stalled at {norm:.3e}")
-    if abs(c) < pinning_threshold:
+    if abs(c) < _PINNING_SPEED:
         raise PinningDetected(
-            f"converged speed |c|={abs(c):.2e} below threshold {pinning_threshold:g}; "
+            f"converged speed |c|={abs(c):.2e} below threshold {_PINNING_SPEED:g}; "
             "the front is pinned")
     if np.any(np.diff(phi) <= 0.0):
         raise NewtonDiverged("converged profile is not strictly increasing")
-    if abs(phi[0]) > boundary_tol or abs(phi[-1] - 1.0) > boundary_tol:
+    if abs(phi[0]) > 1e-3 or abs(phi[-1] - 1.0) > 1e-3:
         raise NewtonDiverged(
             "profile does not reach the equilibria at the grid ends; increase L")
     return WaveProfile(f=f, L=float(L), h=float(h), xi=xi, phi=phi, c=c, rho=sys.rho)
@@ -444,29 +435,23 @@ def adjoint_matrix(w: WaveProfile) -> np.ndarray:
     closure rates taken from the adjoint characteristic equation; the adjoint
     kernel decays to 0 on both sides, so the closure has no affine part.
     """
-    shifts = (1.0, -1.0)
-    rho = (_tail_rate(w.f, -w.c, shifts, w.h, "left"),
-           _tail_rate(w.f, -w.c, shifts, w.h, "right"))
-    D, _ = _stencil_affine(w.n, _deriv_pieces(w.h), *rho, right_target=0.0)
-    sys = _System(w.f, w.n, w.h, shifts)
-    S, _ = _stencil_affine(w.n, sys.shift_pieces, *rho, right_target=0.0)
-    A = -w.c * D + S
-    A[np.diag_indices(w.n)] += w.f.dg(w.phi)
-    return A
+    sys = _System(w.f, w.n, w.h, (1.0, -1.0), right_target=0.0)
+    sys.build(-w.c)
+    return sys.jacobian(w.phi, -w.c)
 
 
-def adjoint_solve(w: WaveProfile, *, separation: float = 10.0) -> np.ndarray:
+def adjoint_solve(w: WaveProfile) -> np.ndarray:
     """Kernel element of the adjoint linearization, positive and normalized.
 
     ``psi`` is the smallest right singular vector of the discretized adjoint,
     sign-fixed to be positive and scaled so that the trapezoid pairing
     ``<psi, Phi'> = 1``.  Raises :class:`DegenerateKernel` unless the
-    smallest singular value is separated from the second smallest by the
-    given factor or the kernel element fails strict positivity.
+    second smallest singular value is at least 10 times the smallest, or
+    when the kernel element fails strict positivity.
     """
     A = adjoint_matrix(w)
     sv, Vh = np.linalg.svd(A)[1:]
-    if not sv[-2] >= separation * sv[-1]:
+    if not sv[-2] >= 10.0 * sv[-1]:
         raise DegenerateKernel(
             f"singular values {sv[-1]:.3e}, {sv[-2]:.3e} are not separated")
     psi = Vh[-1].copy()
@@ -490,14 +475,15 @@ def compute_d(w: WaveProfile) -> float:
     return w.d
 
 
-def solve_r(w: WaveProfile, *, residual_tol: float = 1e-7) -> np.ndarray:
+def solve_r(w: WaveProfile) -> np.ndarray:
     """Corrector ``r`` with ``L r = -Phi'' - d Phi'`` and ``<psi, r> = 0``.
 
     One solve of the bordered system ``[[L, psi], [psi^T W, 0]]``, where
     ``W`` holds the trapezoid weights of the pairing.  The border makes the
     singular ``L`` invertible (its kernel ``Phi'`` pairs to 1 with ``psi``),
     and the right-hand side is solvable by construction of ``d``, so the
-    border multiplier vanishes up to the residual check.
+    border multiplier vanishes up to the residual check (sup-norm < 1e-7).
+    Solves ``psi`` and ``d`` first when they are missing.
     """
     if w.d is None:
         compute_d(w)
@@ -514,8 +500,8 @@ def solve_r(w: WaveProfile, *, residual_tol: float = 1e-7) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise SolveFailed("bordered corrector system is singular") from None
     res = np.max(np.abs(A @ r - rhs))
-    if not res < residual_tol:
-        raise SolveFailed(f"corrector residual {res:.3e} above {residual_tol:g}")
+    if not res < 1e-7:
+        raise SolveFailed(f"corrector residual {res:.3e} above 1e-07")
     w.r = r
     w._r_spline = CubicSpline(w.xi, r, bc_type="clamped")
     return r

@@ -129,7 +129,7 @@ def crossing_fields(draw, phi0):
                         boundary_j=draw(st.sampled_from(["periodic", "reflect"])))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(data=st.data())
 def test_extract_bit_identical_to_per_row_reference(wave03, data):
     u = data.draw(crossing_fields(float(wave03.phi[0])))
@@ -142,7 +142,7 @@ def test_extract_bit_identical_to_per_row_reference(wave03, data):
     assert np.array_equal(g.clamped_mask, clamped)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
 def test_phi_inverse_vector_equals_scalar_calls(wave03, fracs):
     lo = np.nextafter(float(wave03.phi[0]), 1.0)

@@ -87,7 +87,7 @@ def test_ordered_data_stays_ordered():
             assert np.min(v.values - u.values) >= 0.0
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(data=st.data(), boundary_j=st.sampled_from(["periodic", "reflect"]))
 def test_step_comparison_principle(data, boundary_j):
     """``u <= v`` gives ``step(u) <= step(v)`` for any window and values in
@@ -287,6 +287,48 @@ def curved_spec(height=64):
                         V0=PhaseSequence(np.sin(2.0 * np.pi * j / height)))
 
 
+# frozen verify_supersub reports: (min J[u+], max J[u-], site_super, site_sub, verdict)
+FROZEN_REPORTS = {
+    "planar_fail": (-0.10938497113144746, 0.10794966919472256,
+                    (-1, 0, 0.0), (0, 0, 0.0), "fail"),
+    "planar_pass": (0.0019923660758787674, -0.003972943097132711,
+                    (-22, 0, 48.0), (-6, 0, 46.0), "pass"),
+    "curved_periodic": (0.0007531711199552377, -0.0007740347359166331,
+                        (-37, 38, 50.0), (-31, 5, 50.0), "pass"),
+    "curved_reflect": (0.0007531514706290358, -0.0007740344922397713,
+                       (-36, 17, 50.0), (-31, 27, 50.0), "pass"),
+    "curved_small_C_eps": (-0.007042124197559722, 0.007043017860226888,
+                           (-5, 40, 14.0), (-4, 29, 14.0), "fail"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_REPORTS))
+def test_verify_supersub_reports_frozen(wave03, case):
+    w = wave03
+    cfg = SimConfig(w.f)
+    t_grid = np.linspace(0.0, 50.0, 26)
+    if case == "planar_fail":
+        spec = SuperSubSpec(kind="planar", q0=0.1, q1=0.1, mu=1.0, C=1.0)
+        report = verify_supersub(spec, w, cfg, [0.0, 10.0])
+    elif case == "planar_pass":
+        spec = SuperSubSpec(kind="planar", q0=0.1, q1=0.1, mu=MU_REF, C=C_BIG)
+        report = verify_supersub(spec, w, cfg, t_grid)
+    else:
+        spec = curved_spec()
+        if case == "curved_reflect":
+            spec.V0 = PhaseSequence(spec.V0.values, boundary_j="reflect")
+        elif case == "curved_small_C_eps":
+            spec.C_eps = 0.01
+        report = verify_supersub(spec, w, cfg, t_grid, width=128)
+    lo, hi, site_super, site_sub, verdict = FROZEN_REPORTS[case]
+    assert report["verdict"] == verdict
+    assert report["tol"] == 1e-6
+    assert report["min_residual_super"] == pytest.approx(lo, rel=1e-9)
+    assert report["max_residual_sub"] == pytest.approx(hi, rel=1e-9)
+    assert report["site_super"] == site_super
+    assert report["site_sub"] == site_sub
+
+
 def test_curved_pair_certified_with_default_constants(wave03):
     w = wave03
     cfg = SimConfig(w.f)
@@ -357,3 +399,5 @@ def test_supersub_spec_validation():
 def test_build_planar_requires_constants(wave03):
     with pytest.raises(ValueError):
         build_planar_supersub(wave03, SuperSubSpec(kind="planar"), 0.0)
+    with pytest.raises(ValueError, match="needs mu and C"):
+        verify_supersub(SuperSubSpec(kind="planar"), wave03, SimConfig(wave03.f), [0.0])
