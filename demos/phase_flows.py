@@ -13,13 +13,14 @@ from acfront.core import PhaseSequence, d_plus
 from acfront.flow import (FlowParams, mcf_solve, v_gradient_report, v_solve,
                           trajectory_to_csv)
 
-p = FlowParams(c=-0.279590404792108, d=-0.146568639309, t_end=50.0)
+p = FlowParams(c=-0.279590404792108, d=-0.146568639309)
+t_end = 50.0
 j = np.arange(64)
 V0 = PhaseSequence(2.0 * np.sin(2.0 * np.pi * j / 8.0))
 
-traj = v_solve(V0, p)
-print(f"Cole-Hopf solve to t={p.t_end}: mean drift per unit time = "
-      f"{(np.mean(traj.final().values) - np.mean(V0.values)) / p.t_end:+.6f} "
+traj = v_solve(V0, p, t_grid=np.linspace(0.0, t_end, 51))
+print(f"Cole-Hopf solve to t={t_end}: mean drift per unit time = "
+      f"{(np.mean(traj.final().values) - np.mean(V0.values)) / t_end:+.6f} "
       f"(c = {p.c:+.6f})")
 
 rep = v_gradient_report(traj)

@@ -245,37 +245,31 @@ class PhaseSequence:
         return PhaseSequence(np.asarray(values, dtype=float), self.boundary_j)
 
 
-def _maybe_at(arr: np.ndarray, j):
-    return arr if j is None else float(arr[j])
-
-
-def d_plus(s: PhaseSequence, j: Optional[int] = None):
+def d_plus(s: PhaseSequence) -> np.ndarray:
     """Forward difference ``s_{j+1} - s_j``."""
-    return _maybe_at(s.shifted(+1) - s.values, j)
+    return s.shifted(+1) - s.values
 
 
-def d_minus(s: PhaseSequence, j: Optional[int] = None):
+def d_minus(s: PhaseSequence) -> np.ndarray:
     """Backward difference ``s_j - s_{j-1}``."""
-    return _maybe_at(s.values - s.shifted(-1), j)
+    return s.values - s.shifted(-1)
 
 
-def d2(s: PhaseSequence, j: Optional[int] = None):
+def d2(s: PhaseSequence) -> np.ndarray:
     """Second difference ``s_{j+1} - 2 s_j + s_{j-1}``."""
-    return _maybe_at(s.shifted(+1) - 2.0 * s.values + s.shifted(-1), j)
+    return s.shifted(+1) - 2.0 * s.values + s.shifted(-1)
 
 
-def beta(s: PhaseSequence, j: Optional[int] = None):
+def beta(s: PhaseSequence) -> np.ndarray:
     """Discrete slope factor ``sqrt(1 + (|d_plus|^2 + |d_minus|^2)/2) >= 1``."""
-    dp = s.shifted(+1) - s.values
-    dm = s.values - s.shifted(-1)
-    return _maybe_at(np.sqrt(1.0 + 0.5 * (dp * dp + dm * dm)), j)
+    return np.sqrt(1.0 + alpha(s))
 
 
-def alpha(s: PhaseSequence, j: Optional[int] = None):
+def alpha(s: PhaseSequence) -> np.ndarray:
     """``beta^2 - 1 = (|d_plus|^2 + |d_minus|^2)/2 >= 0``."""
-    dp = s.shifted(+1) - s.values
-    dm = s.values - s.shifted(-1)
-    return _maybe_at(0.5 * (dp * dp + dm * dm), j)
+    dp = d_plus(s)
+    dm = d_minus(s)
+    return 0.5 * (dp * dp + dm * dm)
 
 
 def deviation_seminorm(s: PhaseSequence) -> float:

@@ -4,9 +4,9 @@ The interface dynamics of a nearly flat lattice front reduce to scalar LDEs
 for per-row phases.  This module provides:
 
 * scaled modified Bessel evaluation ``e^{-t} I_k(t)`` (Miller backward
-  recurrence, power series for small arguments) and the discrete heat kernel
-  ``G_k(t) = e^{-2t} I_k(2t)``, which solves ``\\dot G = G_{k+1} + G_{k-1} -
-  2 G_k`` with a unit mass delta at ``t = 0``;
+  recurrence) and the discrete heat kernel ``G_k(t) = e^{-2t} I_k(2t)``,
+  which solves ``\\dot G = G_{k+1} + G_{k-1} - 2 G_k`` with a unit mass
+  delta at ``t = 0``;
 * ``heat_solve``: exact convolution of a phase sequence with the kernel;
 * the exponential heat LDE ``V̇ = (1/d)(e^{d ∂⁺V} - 2 + e^{-d ∂⁻V}) + c``
   linearized through the Cole-Hopf substitution ``h = e^{d (V - c t)}``, with
@@ -35,7 +35,6 @@ __all__ = [
     "FlowParams",
     "FlowTrajectory",
     "bessel_i",
-    "bessel_i_unscaled",
     "heat_kernel",
     "heat_solve",
     "decay_report",
@@ -46,7 +45,6 @@ __all__ = [
     "mcf_solve",
     "mcf_rhs",
     "gradient_lde_solve",
-    "kernel_to_csv",
     "trajectory_to_csv",
     "report_to_ndjson",
 ]
@@ -54,39 +52,22 @@ __all__ = [
 _RESCALE = 1e250
 
 
-def _bessel_series_scaled(kmax: int, t: float) -> np.ndarray:
-    """Scaled values ``e^{-t} I_k(t)`` for ``k = 0..kmax`` by power series."""
-    out = np.zeros(kmax + 1)
-    x = 0.5 * t
-    damp = math.exp(-t)
-    for k in range(kmax + 1):
-        # term_m = (t/2)^(2m+k) / (m! (m+k)!)
-        term = x ** k / math.factorial(k) if k < 160 else 0.0
-        total = term
-        m = 0
-        while term > 1e-20 * total + 5e-324 and m < 200:
-            m += 1
-            term *= x * x / (m * (m + k))
-            total += term
-        out[k] = damp * total
-    return out
-
-
 def _bessel_ladder(kmax: int, t: float) -> np.ndarray:
     """Scaled values ``e^{-t} I_k(t)`` for ``k = 0..kmax``.
 
     Miller backward recurrence seeded far above ``kmax``, normalized through
     the identity ``e^{-t} (I_0 + 2 sum_{k>=1} I_k) = 1`` so the returned
-    ladder carries unit mass by construction.
+    ladder carries unit mass by construction.  Below ``t = 2^-53``, where
+    ``e^{-t} I_1(t) ~ t/2`` is under the rounding of the unit mass and the
+    recurrence factor ``2k/t`` heads for overflow, the ladder is the unit
+    delta.
     """
     if t < 0.0:
         raise OutOfRange("Bessel argument must be nonnegative")
-    if t < 1e-12:
+    if t < 2.0 ** -53:
         out = np.zeros(kmax + 1)
         out[0] = 1.0
         return out
-    if t < 1.0:
-        return _bessel_series_scaled(kmax, t)
     start = int(max(kmax, math.ceil(t + 10.0 * math.sqrt(t + 1.0)))) + 40
     f = np.zeros(start + 2)
     f[start] = 1e-250
@@ -106,14 +87,6 @@ def bessel_i(k, t: float):
     ladder = _bessel_ladder(int(karr.max()), float(t))
     out = ladder[karr]
     return float(out[0]) if np.asarray(k).ndim == 0 else out
-
-
-def bessel_i_unscaled(k, t: float):
-    """Unscaled ``I_k(t)`` for moderate ``t`` (raises once ``e^t`` overflows)."""
-    if t > 700.0:
-        raise OverflowGuard("unscaled Bessel would overflow; use bessel_i")
-    scaled = bessel_i(k, t)
-    return scaled * math.exp(t)
 
 
 @dataclass(frozen=True)
@@ -281,7 +254,6 @@ class FlowParams:
     c: float
     d: float
     dt: Optional[float] = None
-    t_end: float = 100.0
 
     @property
     def variant(self) -> str:
@@ -321,18 +293,16 @@ class FlowTrajectory:
         return PhaseSequence(self.values[-1].copy(), boundary_j=self.boundary_j)
 
 
-def _march(y0: PhaseSequence, rhs, t_grid: Optional[Sequence[float]], p: FlowParams,
+def _march(y0: PhaseSequence, rhs, t_grid: Sequence[float], p: FlowParams,
            what: str, grad=None, delta: float = math.inf) -> FlowTrajectory:
     """Explicit Euler steps ``y += step * rhs(y)`` from ``y0``, at most
-    ``p.dt`` long, the last before each time in ``t_grid`` (default: the
-    integer times up to ``p.t_end``) cut short to land on it.
+    ``p.dt`` long, the last before each time in ``t_grid`` cut short to land
+    on it.
 
     With ``grad`` given, raises :class:`FlatnessViolated` once ``grad(y)``
     exceeds ``delta``, initially or after any step.  Raises
     :class:`NonFinite`, naming ``what``, as soon as a step is not finite.
     """
-    if t_grid is None:
-        t_grid = np.linspace(0.0, p.t_end, int(p.t_end) + 1)
     ts = np.asarray(list(t_grid), dtype=float)
     if grad is not None and grad(y0) > delta:
         raise FlatnessViolated(f"initial gradient {grad(y0):.3g} exceeds delta={delta:g}")
@@ -363,8 +333,7 @@ def v_rhs(V: PhaseSequence, p: FlowParams) -> np.ndarray:
     return (np.exp(p.d * dp) - 2.0 + np.exp(-p.d * dm)) / p.d + p.c
 
 
-def v_solve(V0: PhaseSequence, p: FlowParams,
-            t_grid: Optional[Sequence[float]] = None,
+def v_solve(V0: PhaseSequence, p: FlowParams, t_grid: Sequence[float],
             method: str = "cole_hopf") -> FlowTrajectory:
     """Integrate the phase LDE for ``V`` from ``V0``.
 
@@ -374,8 +343,6 @@ def v_solve(V0: PhaseSequence, p: FlowParams,
     independent cross-check.  Raises :class:`OverflowGuard` when the
     transform would overflow.
     """
-    if t_grid is None:
-        t_grid = np.linspace(0.0, p.t_end, 51)
     ts = np.asarray(list(t_grid), dtype=float)
     if method == "euler":
         return _march(V0, lambda v: v_rhs(v, p), ts, p, "Euler integration")
@@ -412,30 +379,18 @@ def v_gradient_report(traj: FlowTrajectory) -> dict:
     return rep
 
 
-def mcf_rhs(G: PhaseSequence, p: FlowParams, *, form: str = "2d",
-            A: Optional[float] = None) -> np.ndarray:
-    """Right-hand side of the discrete mean curvature flow.
-
-    ``2d`` form: ``∂⁽²⁾Γ/β² + 2dβ + c - 2d``.  ``anisotropic`` form:
-    ``β(∂⁽²⁾Γ/β³ + c + A (1 - 1/β))`` with the anisotropy coefficient ``A``
-    supplied externally; the two coincide when ``A = 2d - c``.
-    """
+def mcf_rhs(G: PhaseSequence, p: FlowParams) -> np.ndarray:
+    """Right-hand side ``∂⁽²⁾Γ/β² + 2dβ + c - 2d`` of the discrete mean
+    curvature flow: curvature plus the direction-dependent drift
+    ``c + 2d(β - 1)``."""
     b = beta(G)
-    lap = d2(G)
-    if form == "2d":
-        return lap / (b * b) + 2.0 * p.d * b + p.c - 2.0 * p.d
-    if form == "anisotropic":
-        if A is None:
-            A = 2.0 * p.d - p.c
-        return b * (lap / (b * b * b) + p.c + A * (1.0 - 1.0 / b))
-    raise ValueError(f"unknown form {form!r}")
+    return d2(G) / (b * b) + 2.0 * p.d * b + p.c - 2.0 * p.d
 
 
-def mcf_solve(G0: PhaseSequence, p: FlowParams,
-              t_grid: Optional[Sequence[float]] = None, *,
+def mcf_solve(G0: PhaseSequence, p: FlowParams, t_grid: Sequence[float], *,
               delta: float = 0.1) -> FlowTrajectory:
-    """Explicit Euler integration of the discrete mean curvature flow in its
-    ``2d`` form (see :func:`mcf_rhs`).
+    """Explicit Euler integration of the discrete mean curvature flow (see
+    :func:`mcf_rhs`).
 
     Raises :class:`FlatnessViolated` once ``sup|∂⁺Γ|`` exceeds ``delta``; the
     local comparison structure of the flow is only guaranteed for flat
@@ -446,7 +401,7 @@ def mcf_solve(G0: PhaseSequence, p: FlowParams,
 
 
 def gradient_lde_solve(U0: PhaseSequence, p: FlowParams,
-                       t_grid: Optional[Sequence[float]] = None) -> FlowTrajectory:
+                       t_grid: Sequence[float]) -> FlowTrajectory:
     """Explicit Euler integration of the LDE satisfied by ``Υ = ∂⁺Γ``:
     ``Υ̇_j = ∂⁺Υ_j/Π_j² - ∂⁻Υ_j/Π_{j-1}² + 2d(Π_j - Π_{j-1})``; raises
     :class:`FlatnessViolated` once ``sup|Υ|`` exceeds 0.1."""
@@ -461,14 +416,6 @@ def gradient_lde_solve(U0: PhaseSequence, p: FlowParams,
 
     return _march(U0, rhs, t_grid, p, "gradient flow",
                   grad=lambda u: np.max(np.abs(u.values)), delta=0.1)
-
-
-def kernel_to_csv(table: HeatKernelTable, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "value"])
-        for k, v in zip(table.k, table.values):
-            writer.writerow([int(k), format(v, ".17g")])
 
 
 def trajectory_to_csv(traj: FlowTrajectory, path: str) -> None:

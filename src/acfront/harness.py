@@ -53,16 +53,14 @@ _MASK = (1 << 64) - 1
 
 
 def splitmix64(seed: int, n: int) -> list[int]:
-    """First ``n`` outputs of the splitmix64 stream for ``seed``."""
-    x = seed & _MASK
-    out = []
-    for _ in range(n):
-        x = (x + 0x9E3779B97F4A7C15) & _MASK
-        z = x
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        out.append(z ^ (z >> 31))
-    return out
+    """First ``n`` outputs of the splitmix64 stream for ``seed``, in one
+    uint64 pass: state ``x_k = seed + k * 0x9E3779B97F4A7C15`` (mod 2^64,
+    ``k = 1..n``), then the two multiply-xorshift mixes."""
+    u64 = np.uint64
+    x = u64(seed & _MASK) + np.arange(1, n + 1, dtype=u64) * u64(0x9E3779B97F4A7C15)
+    z = (x ^ (x >> u64(30))) * u64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> u64(27))) * u64(0x94D049BB133111EB)
+    return (z ^ (z >> u64(31))).tolist()
 
 def splitmix64_uniform(seed: int, n: int) -> np.ndarray:
     """``n`` doubles in [0, 1) from the splitmix64 stream."""
@@ -492,23 +490,34 @@ def _coerce(value: str):
         return value
 
 
+# the scalar spec fields a config may set, with the type each must parse to
+# (an integer also passes as a float)
+_SCALAR_KEYS = {"a": float, "width": int, "height": int, "dt": float, "t_end": float,
+                "tau": float, "record_every": int, "boundary_j": str, "seed": int,
+                "L": float, "h": float}
+
+
 def spec_from_config(cfg: dict, name: Optional[str] = None) -> ExperimentSpec:
     """Build an :class:`ExperimentSpec` from a flat config dict.
 
     Scalar spec fields map directly (``a``, ``width``, ``height``, ``dt``,
     ``t_end``, ``tau``, ``seed``, ``boundary_j``, ``L``, ``h``,
     ``record_every``); generator fields use prefixes ``kappa_*`` and
-    ``v0_*``; tolerance overrides use ``tol_<criterion>``.
+    ``v0_*``; tolerance overrides use ``tol_<criterion>``.  A scalar value
+    of the wrong type is a ``ValueError`` naming its key.
     """
     values = {k: _coerce(v) for k, v in cfg.items()}
     name = name or values.pop("name", None)
     if name is None:
         raise ValueError("config must set name= (thm22|thm23|thm24|step_kappa)")
     spec = default_spec(str(name))
-    for key in ("a", "width", "height", "dt", "t_end", "tau", "record_every",
-                "boundary_j", "seed", "L", "h"):
+    for key, kind in _SCALAR_KEYS.items():
         if key in values:
-            setattr(spec, key, values.pop(key))
+            value = values.pop(key)
+            allowed = (int, float) if kind is float else kind
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(f"config key {key} must be {kind.__name__}, got {value!r}")
+            setattr(spec, key, value)
     kappa = dict(spec.kappa)
     v0 = dict(spec.v0)
     for key in list(values):

@@ -45,9 +45,6 @@ class PhaseExtract:
     def all_defined(self) -> bool:
         return bool(np.all(self.defined_mask))
 
-    def defined_values(self) -> np.ndarray:
-        return self.gamma.values[self.defined_mask]
-
 
 def extract(u: LatticeField, w: WaveProfile) -> PhaseExtract:
     """Extract the interface phase of every row of ``u`` in one pass.

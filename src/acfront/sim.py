@@ -4,8 +4,10 @@ sub/super-solution verification.
 The scheme is explicit Euler on ``u̇ = Δ⁺u + g(u)``.  Under the step
 restriction ``dt (4 + sup|g'|) <= 1`` the update is monotone in every input
 value, so ordered initial fields produce ordered trajectories; the
-correctness arguments for front trapping rest on that comparison property,
-which is why no higher-order integrator is used.
+correctness arguments for front trapping rest on that comparison property.
+A higher-order integrator need not give it up: a strong-stability-preserving
+Runge-Kutta step is a convex combination of forward-Euler steps (Shu and
+Osher 1988), so it is monotone under the same step bound.
 
 Verification of candidate super/sub-solutions evaluates the residual
 ``J[u] = u̇ - Δ⁺u - g(u)`` with an analytic time derivative (no time
@@ -17,7 +19,6 @@ squared discrete gradient of the phase.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -46,8 +47,6 @@ __all__ = [
     "load_snapshot",
     "SnapshotWriter",
     "read_snapshots",
-    "export_row_csv",
-    "export_col_csv",
 ]
 
 _MAGIC = b"ACF1"
@@ -71,12 +70,18 @@ class SimConfig:
         sup = self.f.dg_sup()
         if self.dt is None:
             self.dt = 0.2 / (4.0 + sup)
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
+            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
         if self.dt * (4.0 + sup) > 1.0 + 1e-12:
             raise ValueError(
                 f"dt={self.dt:g} violates the monotone-scheme condition "
                 f"dt*(4+sup|g'|) <= 1 (sup|g'|={sup:g})")
         if self.record_every is None:
             self.record_every = max(1, int(round(1.0 / self.dt)))
+        if self.record_every < 1:
+            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
     @property
     def i_offset(self) -> int:
@@ -441,22 +446,3 @@ def read_snapshots(index_path: str) -> list[tuple[float, LatticeField]]:
                                      boundary_j=rec.get("boundary_j", "periodic"))
             out.append((t, field))
     return out
-
-
-def export_row_csv(u: LatticeField, j: int, path: str) -> None:
-    """One row of the field (fixed ``j``) as CSV columns ``i, value``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "value"])
-        for idx in range(u.width):
-            writer.writerow([idx + u.i_offset, format(u.values[idx, j], ".17g")])
-
-
-def export_col_csv(u: LatticeField, i: int, path: str) -> None:
-    """One column of the field (fixed lattice ``i``) as CSV ``j, value``."""
-    idx = i - u.i_offset
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "value"])
-        for j in range(u.height):
-            writer.writerow([j, format(u.values[idx, j], ".17g")])

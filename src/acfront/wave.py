@@ -78,8 +78,8 @@ _D2_COEF = (16.0 / 12.0, -1.0 / 12.0)
 _D2_DIAG = -30.0 / 12.0
 
 
-def _check_grid(L: float, h: float) -> tuple[int, int]:
-    """Return (points per unit shift, half-width in cells)."""
+def _check_grid(L: float, h: float) -> int:
+    """Half-width ``L / h`` in grid cells, after validating ``L`` and ``h``."""
     s = 1.0 / h
     if abs(s - round(s)) > 1e-9:
         raise ValueError(f"1/h must be an integer, got h={h}")
@@ -88,7 +88,7 @@ def _check_grid(L: float, h: float) -> tuple[int, int]:
         raise ValueError(f"L must be a multiple of h, got L={L}, h={h}")
     if L < 2.0:
         raise ValueError("half-width L must be at least 2")
-    return int(round(s)), int(round(n_half))
+    return int(round(n_half))
 
 
 def _deriv_pieces(h: float) -> list[tuple[int, float]]:
@@ -391,7 +391,7 @@ def solve_wave(f: BistableNonlinearity, L: float = 20.0,
     wave with ``c != 0`` exists) and :class:`NewtonDiverged` when damped
     Newton stalls or the profile ends more than 1e-3 from the equilibria.
     """
-    _, n_half = _check_grid(L, h)
+    n_half = _check_grid(L, h)
     n = 2 * n_half + 1
     xi = (np.arange(n) - n_half) * h
     k0 = n_half
@@ -612,7 +612,7 @@ def load_wave(path: str) -> WaveProfile:
         f = BistableNonlinearity(a=float(meta["a"]))
     L = float(meta["L"])
     h = float(meta["h"])
-    _, n_half = _check_grid(L, h)
+    n_half = _check_grid(L, h)
     xi = (np.arange(2 * n_half + 1) - n_half) * h
     return WaveProfile(f=f, L=L, h=h, xi=xi, phi=arrays["phi"], c=float(meta["c"]),
                        rho=(float(meta["rho_l"]), float(meta["rho_r"])),

@@ -171,6 +171,26 @@ def test_experiment_failed_verdict_exit_code(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("line, key", [
+    ("dt = -0.01", "dt"), ("dt = nan", "dt"), ("t_end = -1", "t_end"),
+    ("record_every = 0", "record_every"),
+])
+def test_experiment_bad_step_setting_is_usage_error(tmp_path, capsys, line, key):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(FAST_CONFIG + line + "\n")
+    assert main(["experiment", "thm22", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "pass" not in captured.out
+    assert f"error: {key} must be" in captured.err
+
+
+def test_experiment_wrongly_typed_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(FAST_CONFIG + "width = abc\n")
+    assert main(["experiment", "thm22", "--config", str(cfg)]) == 2
+    assert "config key width must be int" in capsys.readouterr().err
+
+
 def test_experiment_tau_after_t_end_exit_code(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("name = thm24\nwidth = 64\nheight = 8\nt_end = 6\ntau = 20\n")

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acfront import harness
 from acfront.errors import FlatnessViolated, H0Violated, PreAsymptotic
@@ -28,6 +30,32 @@ def test_splitmix64_reference_vectors():
                                 0x06C45D188009454F]
     assert splitmix64(1, 3) == [0x910A2DEC89025CC1, 0xBEEB8DA1658EEC67,
                                 0xF893A2EEFB32555E]
+
+
+def splitmix64_loop(seed, n):
+    """The splitmix64 stream one output at a time, on Python integers."""
+    mask = (1 << 64) - 1
+    x = seed & mask
+    out = []
+    for _ in range(n):
+        x = (x + 0x9E3779B97F4A7C15) & mask
+        z = x
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+@settings(max_examples=200)
+@given(seed=st.one_of(st.integers(-2 ** 70, 2 ** 70),
+                      st.sampled_from([0, 2 ** 63 + 5, 2 ** 64 - 1, -1])),
+       n=st.integers(0, 1100))
+def test_splitmix64_matches_loop_reference(seed, n):
+    want = splitmix64_loop(seed, n)
+    got = splitmix64(seed, n)
+    assert got == want and all(type(v) is int for v in got)
+    uniform = np.minimum(np.array([v / 2.0 ** 64 for v in want]), np.nextafter(1.0, 0.0))
+    assert splitmix64_uniform(seed, n).tobytes() == uniform.tobytes()
 
 
 def test_splitmix64_uniform_deterministic_unit_range():
@@ -244,6 +272,15 @@ def test_spec_from_config_rejects_unknown_keys():
         spec_from_config({"name": "thm22", "vorticity": "1"})
     with pytest.raises(ValueError, match="name"):
         spec_from_config({"a": "0.3"})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("width", "abc"), ("height", "2.5"), ("a", "abc"), ("dt", "true"),
+    ("seed", "1.5"), ("record_every", "x"), ("boundary_j", "3"), ("L", "wide"),
+])
+def test_spec_from_config_rejects_wrongly_typed_scalar(key, value):
+    with pytest.raises(ValueError, match=f"config key {key} must be"):
+        spec_from_config({"name": "thm22", key: value})
 
 
 def test_spec_rejects_generator_keys_no_generator_reads():

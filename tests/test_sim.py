@@ -1,6 +1,5 @@
 """Monotone scheme, snapshot format, and super/sub-solution machinery."""
 
-import csv
 import json
 import math
 import os
@@ -15,8 +14,7 @@ from acfront.core import BistableNonlinearity, LatticeField, PhaseSequence, disc
 from acfront.errors import NonFinite, VerificationFailed
 from acfront.harness import splitmix64_uniform
 from acfront.sim import (SimConfig, SuperSubSpec, build_curved_supersub,
-                         build_planar_supersub, export_col_csv, export_row_csv,
-                         load_snapshot, read_snapshots, residual_J, run,
+                         build_planar_supersub, load_snapshot, read_snapshots, residual_J, run,
                          save_snapshot, search_planar_constants, step,
                          verify_supersub, SnapshotWriter)
 
@@ -35,6 +33,16 @@ def test_config_defaults_satisfy_monotonicity_bound():
 def test_config_rejects_unstable_step():
     with pytest.raises(ValueError):
         SimConfig(F03, dt=0.2)
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"dt": -0.01}, "dt"), ({"dt": 0.0}, "dt"), ({"dt": math.nan}, "dt"),
+    ({"dt": math.inf}, "dt"), ({"t_end": -1.0}, "t_end"),
+    ({"record_every": 0}, "record_every"), ({"record_every": -3}, "record_every"),
+])
+def test_config_rejects_bad_step_settings(kw, match):
+    with pytest.raises(ValueError, match=match):
+        SimConfig(F03, **kw)
 
 
 def test_step_is_explicit_euler_update():
@@ -176,23 +184,6 @@ def test_snapshot_writer_index_and_read_back(tmp_path):
     for (_, a), (_, b) in zip(back, snaps):
         assert np.array_equal(a.values, b.values)
         assert a.boundary_j == "reflect"
-
-
-def test_csv_exports(tmp_path):
-    u = LatticeField(np.arange(12.0).reshape(4, 3), i_offset=-2)
-    rpath = tmp_path / "row.csv"
-    export_row_csv(u, 1, str(rpath))
-    with open(rpath, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["i", "value"]
-    assert [int(r[0]) for r in rows[1:]] == [-2, -1, 0, 1]
-    assert [float(r[1]) for r in rows[1:]] == u.values[:, 1].tolist()
-
-    cpath = tmp_path / "col.csv"
-    export_col_csv(u, 0, str(cpath))
-    with open(cpath, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert [float(r[1]) for r in rows[1:]] == u.values[2, :].tolist()
 
 
 # ---------------------------------------------------------------------------
