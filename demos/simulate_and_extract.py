@@ -11,12 +11,12 @@ import numpy as np
 from acfront import BistableNonlinearity, solve_wave
 from acfront.harness import ExperimentSpec, make_initial
 from acfront.phase import extract, flatness, front_error, phase_series_to_csv
-from acfront.sim import SimConfig, run
+from acfront.sim import run
 
 spec = ExperimentSpec(name="thm22", a=0.3, t_end=80.0,
                       kappa={"kind": "periodic", "P": 8, "amplitude": 2.0})
 w = solve_wave(BistableNonlinearity(a=spec.a))
-cfg = SimConfig(f=w.f, t_end=spec.t_end, width=spec.width, height=spec.height)
+cfg = spec.sim_config(w.f)
 u0 = make_initial(spec, w)
 
 print(f"dt = {cfg.dt:.6f}, steps = {int(np.ceil(cfg.t_end / cfg.dt))}, "

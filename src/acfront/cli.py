@@ -42,13 +42,10 @@ def _cmd_simulate(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = harness.parse_config(fh.read())
     spec = harness.spec_from_config(cfg)
-    w = _solved_wave(spec.a, spec.L, spec.h)
-    sim_cfg = sim.SimConfig(w.f, dt=spec.dt, t_end=spec.t_end,
-                            record_every=spec.record_every, width=spec.width,
-                            height=spec.height, boundary_j=spec.boundary_j)
-    u0 = harness.make_initial(spec, w)
+    w = solve_wave(BistableNonlinearity(a=spec.a), L=spec.L, h=spec.h)
+    sim_cfg = spec.sim_config(w.f)
     writer = sim.SnapshotWriter(args.out)
-    snaps = sim.run(u0, sim_cfg, writer=writer)
+    snaps = sim.run(harness.make_initial(spec, w), sim_cfg, writer=writer)
     print(f"{len(snaps)} snapshots written to {args.out} "
           f"(index {writer.index_path})")
     return 0
@@ -98,27 +95,23 @@ def _cmd_heat(args) -> int:
 
 
 def _read_gamma_csv(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    header = [h.strip().lower() for h in rows[0]]
-    if "gamma" in header:
-        col = header.index("gamma")
-        body = rows[1:]
-    elif _is_float_row(rows[0], 0):
-        col = 0
-        body = rows
-    else:
-        col = 0
-        body = rows[1:]
-    return np.array([float(r[col]) for r in body if r and r[col].strip() != ""])
-
-
-def _is_float_row(row, col) -> bool:
-    try:
-        float(row[col])
-        return True
-    except (ValueError, IndexError):
-        return False
+    """The ``gamma`` column of a CSV with a header row, the layout
+    ``acfront phase --out`` writes; every row must hold a phase and all rows
+    one time ``t``."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        reader.fieldnames = [h.strip().lower() for h in reader.fieldnames or []]
+        rows = list(reader)
+    if "gamma" not in reader.fieldnames:
+        raise ValueError(f"{path}: no header row with a gamma column")
+    cells = [(r["gamma"] or "").strip() for r in rows]
+    if "" in cells:
+        raise ValueError(f"{path}: gamma is blank (phase undefined) on data row "
+                         f"{cells.index('') + 1}")
+    times = {(r.get("t") or "").strip() for r in rows}
+    if len(times) > 1:
+        raise ValueError(f"{path}: rows of {len(times)} times t; keep one time's rows")
+    return np.array([float(c) for c in cells])
 
 
 def _cmd_mcf(args) -> int:
@@ -175,8 +168,7 @@ def _cmd_experiment(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = harness.parse_config(fh.read())
-        spec = harness.spec_from_config(cfg, name=args.name
-                                        if "name" not in cfg else None)
+        spec = harness.spec_from_config(cfg, name=args.name)
     else:
         spec = harness.default_spec(args.name)
     report = harness.run_experiment(spec)

@@ -301,9 +301,12 @@ def _march(y0: PhaseSequence, rhs, t_grid: Sequence[float], p: FlowParams,
 
     With ``grad`` given, raises :class:`FlatnessViolated` once ``grad(y)``
     exceeds ``delta``, initially or after any step.  Raises
-    :class:`NonFinite`, naming ``what``, as soon as a step is not finite.
+    :class:`NonFinite`, naming ``what``, as soon as a step is not finite, and
+    :class:`OutOfRange` for a negative or decreasing ``t_grid``.
     """
     ts = np.asarray(list(t_grid), dtype=float)
+    if np.any(np.diff(ts, prepend=0.0) < 0.0):
+        raise OutOfRange(f"{what} output times must be >= 0 and nondecreasing")
     if grad is not None and grad(y0) > delta:
         raise FlatnessViolated(f"initial gradient {grad(y0):.3g} exceeds delta={delta:g}")
     rows = np.empty((ts.size, len(y0)))

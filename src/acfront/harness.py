@@ -20,15 +20,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__ as _pkg_version
 from . import flow, phase, sim
-from .core import BistableNonlinearity, LatticeField, PhaseSequence, d_plus
-from .errors import FlatnessViolated, H0Violated, PreAsymptotic
+from .core import BistableNonlinearity, LatticeField, PhaseSequence
+from .errors import FlatnessViolated, H0Violated, OutOfRange, PreAsymptotic
 from .wave import WaveProfile, solve_r, solve_wave
 
 __all__ = [
@@ -111,14 +111,13 @@ class ExperimentSpec:
                 raise ValueError(f"unknown {gen} keys: {unknown}")
 
     def config_dict(self) -> dict:
-        return {
-            "name": self.name, "a": self.a, "width": self.width,
-            "height": self.height, "dt": self.dt, "t_end": self.t_end,
-            "tau": self.tau, "record_every": self.record_every,
-            "boundary_j": self.boundary_j, "seed": self.seed,
-            "kappa": self.kappa, "v0": self.v0, "tolerances": self.tolerances,
-            "L": self.L, "h": self.h,
-        }
+        return asdict(self)
+
+    def sim_config(self, f: BistableNonlinearity) -> sim.SimConfig:
+        """The lattice run this spec describes, for the nonlinearity ``f``."""
+        return sim.SimConfig(f, dt=self.dt, t_end=self.t_end,
+                             record_every=self.record_every, width=self.width,
+                             height=self.height, boundary_j=self.boundary_j)
 
     def config_hash(self) -> str:
         canon = json.dumps(self.config_dict(), sort_keys=True)
@@ -239,104 +238,99 @@ def make_initial(spec: ExperimentSpec, w: WaveProfile) -> LatticeField:
 # pipelines
 
 
-def _provenance(spec: ExperimentSpec) -> dict:
-    return {"config_hash": spec.config_hash(), "package_version": _pkg_version,
-            "numpy_version": np.__version__}
+def _report(spec: ExperimentSpec, series: dict, verdicts: dict, **kw) -> ExperimentReport:
+    """The report of ``spec``: its config, ``series`` and ``verdicts`` (``kw``
+    sets ``mu_hat``/``mu_pred``) and the provenance of the run."""
+    provenance = {"config_hash": spec.config_hash(), "package_version": _pkg_version,
+                  "numpy_version": np.__version__}
+    return ExperimentReport(name=spec.name, config=spec.config_dict(), series=series,
+                            verdicts=verdicts, provenance=provenance, **kw)
 
 
 def _trajectory(spec: ExperimentSpec, w: Optional[WaveProfile], need_d: bool):
     """Solve the wave (with ``need_d``, also its adjoint, ``d`` and ``r``)
     unless given, run the lattice from :func:`make_initial` and extract the
-    phase of every snapshot: ``(w, snapshots, [(t, PhaseExtract), ...])``."""
+    phase of every snapshot: ``(w, [(t, u, PhaseExtract), ...], k0)``.
+
+    ``k0`` indexes the hand-off snapshot, the first at ``t >= tau``; its
+    phase must be defined on every row, else :class:`PreAsymptotic`.  The
+    run stops with :class:`OutOfRange` as soon as a defined row's anchor
+    comes within ``ceil(L)`` cells of either i-edge, so the window always
+    holds the resolved profile.
+    """
     if w is None:
         w = solve_wave(BistableNonlinearity(a=spec.a), L=spec.L, h=spec.h)
     if need_d and w.d is None:
         solve_r(w)
-    cfg = sim.SimConfig(w.f, dt=spec.dt, t_end=spec.t_end,
-                        record_every=spec.record_every, width=spec.width,
-                        height=spec.height, boundary_j=spec.boundary_j)
-    snaps = sim.run(make_initial(spec, w), cfg)
-    return w, snaps, [(t, phase.extract(u, w)) for t, u in snaps]
+    cfg = spec.sim_config(w.f)
+    margin = math.ceil(spec.L)
+    traj = []
+
+    def observe(t: float, u: LatticeField) -> None:
+        g = phase.extract(u, w)
+        k = g.i_star[g.defined_mask] - u.i_offset
+        if k.size and min(k.min(), u.width - 2 - k.max()) < margin:
+            raise OutOfRange(f"front anchor within {margin} cells of a window edge "
+                             f"at t={t:g}")
+        traj.append((t, u, g))
+
+    sim.run(make_initial(spec, w), cfg, observers=[observe])
+    k0 = next((k for k, (t, _, _) in enumerate(traj) if t >= spec.tau), None)
+    if k0 is None:
+        raise PreAsymptotic(f"no snapshot at or after tau={spec.tau:g}")
+    t0, _, g0 = traj[k0]
+    if not g0.all_defined:
+        raise PreAsymptotic(f"phase undefined on some rows at tau={t0:g}")
+    return w, traj, k0
 
 
-def _first_defined_from(extracts, tau: float) -> int:
-    """Index of the first snapshot at or after ``tau`` whose phase is defined
-    on every row; :class:`PreAsymptotic` when there is none."""
-    idx = next((k for k, (t, g) in enumerate(extracts)
-                if t >= tau and g.all_defined), None)
-    if idx is None:
-        raise PreAsymptotic(f"phase undefined on some rows at every snapshot "
-                            f"from tau={tau:g}")
-    return idx
-
-
-def _track_mcf(spec: ExperimentSpec, w: WaveProfile, extracts, idx0: int, **kw):
-    """Curvature flow from the phase at ``extracts[idx0]`` over the later
+def _track_mcf(spec: ExperimentSpec, w: WaveProfile, traj, k0: int, **kw):
+    """Curvature flow from the phase at ``traj[k0]`` over the later
     snapshot times (``kw`` goes to :func:`flow.mcf_solve`), its parameters,
     and its sup gap to every later phase defined on every row."""
-    t0, g0 = extracts[idx0]
+    t0, _, g0 = traj[k0]
     params = flow.FlowParams(c=w.c, d=w.d)
     gamma0 = PhaseSequence(g0.gamma.values.copy(), boundary_j=spec.boundary_j)
-    mcf = flow.mcf_solve(gamma0, params, t_grid=[t - t0 for t, _ in extracts[idx0:]], **kw)
+    mcf = flow.mcf_solve(gamma0, params, t_grid=[t - t0 for t, _, _ in traj[k0:]], **kw)
     gap_series = [(t, float(np.max(np.abs(g.gamma.values - mcf.values[k]))))
-                  for k, (t, g) in enumerate(extracts[idx0:]) if g.all_defined]
+                  for k, (t, _, g) in enumerate(traj[k0:]) if g.all_defined]
     return mcf, params, gap_series
 
 
 def run_thm22(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> ExperimentReport:
     """Front convergence: sup distance to the fitted profile falls below
     tolerance by ``t_end``."""
-    w, snaps, extracts = _trajectory(spec, w, need_d=False)
-    fe_series = []
-    fl_series = []
-    for (t, u), (_, g) in zip(snaps, extracts):
-        if not g.all_defined:
-            continue
-        fe_series.append((t, phase.front_error(u, w, g)))
-        fl_series.append((t, phase.flatness(g)))
-    if not fe_series:
-        raise PreAsymptotic("no snapshot had every row's phase defined")
-    tol = spec.tolerances["front_error"]
+    w, traj, _ = _trajectory(spec, w, need_d=False)
+    defined = [(t, u, g) for t, u, g in traj if g.all_defined]
+    fe_series = [(t, phase.front_error(u, w, g)) for t, u, g in defined]
+    fl_series = [(t, phase.flatness(g)) for t, _, g in defined]
     final = fe_series[-1][1]
-    report = ExperimentReport(
-        name=spec.name, config=spec.config_dict(),
-        series={"front_error": fe_series, "flatness": fl_series},
-        verdicts={"front_error_final": _verdict(final, tol)},
-        provenance=_provenance(spec))
-    return report
+    return _report(spec, {"front_error": fe_series, "flatness": fl_series},
+                   {"front_error_final": _verdict(final, spec.tolerances["front_error"])})
 
 
 def run_thm23(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> ExperimentReport:
     """Curvature-flow tracking: hand the extracted phase at ``tau`` to the
     discrete curvature flow and bound the gap up to ``t_end``."""
-    w, _, extracts = _trajectory(spec, w, need_d=True)
+    w, traj, k0 = _trajectory(spec, w, need_d=True)
     handoff_tol = spec.tolerances["flatness_handoff"]
-    idx0 = next((k for k, (t, _) in enumerate(extracts) if t >= spec.tau), None)
-    if idx0 is None:
-        raise PreAsymptotic(f"no snapshot at or after tau={spec.tau:g}")
-    t0, g0 = extracts[idx0]
-    if not g0.all_defined:
-        raise PreAsymptotic(f"phase undefined on some rows at tau={t0:g}")
+    t0, _, g0 = traj[k0]
     fl0 = phase.flatness(g0)
     if fl0 > handoff_tol:
         raise FlatnessViolated(
             f"flatness {fl0:.4f} at hand-off t={t0:g} exceeds {handoff_tol:g}")
-    mcf, params, gap_series = _track_mcf(spec, w, extracts, idx0)
+    mcf, params, gap_series = _track_mcf(spec, w, traj, k0)
     vtr = flow.v_solve(mcf.at(0.0), params, t_grid=mcf.times)
     v_gap_series = [(t, float(np.max(np.abs(mcf.values[k] - vtr.values[k]))))
-                    for k, (t, g) in enumerate(extracts[idx0:]) if g.all_defined]
+                    for k, (t, _, g) in enumerate(traj[k0:]) if g.all_defined]
     sup_gap = max(v for _, v in gap_series)
     sup_v_gap = max(v for _, v in v_gap_series)
     tol = spec.tolerances["tracking"]
-    report = ExperimentReport(
-        name=spec.name, config=spec.config_dict(),
-        series={"mcf_gap": gap_series, "mcf_v_gap": v_gap_series,
-                "flatness_handoff": [(t0, fl0)]},
-        verdicts={"tracking_sup": _verdict(sup_gap, tol),
-                  "handoff_flatness": _verdict(fl0, handoff_tol),
-                  "mcf_vs_v": _verdict(sup_v_gap, tol)},
-        provenance=_provenance(spec))
-    return report
+    return _report(spec, {"mcf_gap": gap_series, "mcf_v_gap": v_gap_series,
+                          "flatness_handoff": [(t0, fl0)]},
+                   {"tracking_sup": _verdict(sup_gap, tol),
+                    "handoff_flatness": _verdict(fl0, handoff_tol),
+                    "mcf_vs_v": _verdict(sup_v_gap, tol)})
 
 
 def _mu_prediction(w: WaveProfile, g: phase.PhaseExtract, tau: float) -> float:
@@ -350,33 +344,25 @@ def run_thm24(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Experime
     """Limiting offset of a periodically modulated front: fit ``mu`` from
     late snapshots, check stability, the final profile fit, and the
     averaging prediction."""
-    w, snaps, extracts = _trajectory(spec, w, need_d=True)
-    mu_series = []
-    for (t, _), (_, g) in zip(snaps, extracts):
-        if g.all_defined:
-            mu_series.append((t, float(np.mean(g.gamma.values)) - w.c * t))
-    if not mu_series:
-        raise PreAsymptotic("no snapshot had every row's phase defined")
+    w, traj, k0 = _trajectory(spec, w, need_d=True)
+    mu_series = [(t, float(np.mean(g.gamma.values)) - w.c * t)
+                 for t, _, g in traj if g.all_defined]
     n = len(mu_series)
     tail10 = [v for _, v in mu_series[max(0, n - max(1, n // 10)):]]
     tail20 = [v for _, v in mu_series[max(0, n - max(1, n // 5)):]]
     mu_hat = float(np.mean(tail10))
     mu_spread = float(max(tail20) - min(tail20))
-    t_end, u_end = snaps[-1]
+    t_end, u_end, _ = traj[-1]
     i = u_end.lattice_i().astype(float)[:, None]
     final_err = float(np.max(np.abs(u_end.values - w.phi_at(i - w.c * t_end - mu_hat))))
-    t_tau, g_tau = extracts[_first_defined_from(extracts, spec.tau)]
+    t_tau, _, g_tau = traj[k0]
     mu_pred = _mu_prediction(w, g_tau, t_tau)
     tols = spec.tolerances
-    report = ExperimentReport(
-        name=spec.name, config=spec.config_dict(),
-        series={"mu_of_t": mu_series},
-        verdicts={"mu_stable": _verdict(mu_spread, tols["mu_stable"]),
-                  "final_profile_error": _verdict(final_err, tols["front_error"]),
-                  "mu_vs_prediction": _verdict(abs(mu_hat - mu_pred), tols["mu_pred"])},
-        mu_hat=mu_hat, mu_pred=mu_pred,
-        provenance=_provenance(spec))
-    return report
+    return _report(spec, {"mu_of_t": mu_series},
+                   {"mu_stable": _verdict(mu_spread, tols["mu_stable"]),
+                    "final_profile_error": _verdict(final_err, tols["front_error"]),
+                    "mu_vs_prediction": _verdict(abs(mu_hat - mu_pred), tols["mu_pred"])},
+                   mu_hat=mu_hat, mu_pred=mu_pred)
 
 
 def run_step_kappa(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> ExperimentReport:
@@ -385,11 +371,11 @@ def run_step_kappa(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Exp
     ``sqrt(t)`` in the diffusive phase proxy."""
     if spec.boundary_j != "reflect":
         raise ValueError("step_kappa needs the reflect j-boundary")
-    w, _, extracts = _trajectory(spec, w, need_d=True)
+    w, traj, k0 = _trajectory(spec, w, need_d=True)
     kappa = make_kappa(spec)
     lo = float(kappa.values[0])
     hi = float(kappa.values[-1])
-    t_end, g_end = extracts[-1]
+    t_end, _, g_end = traj[-1]
     if not g_end.all_defined:
         raise PreAsymptotic("phase undefined on some rows at t_end")
     rows = 3
@@ -401,8 +387,7 @@ def run_step_kappa(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Exp
     # curvature-flow tracking of the transition zone from the hand-off time
     # the step transition hands off with a mild but not tiny slope, so the
     # curvature-flow flatness guard gets the wider experiment-level bound
-    _, params, gap_series = _track_mcf(spec, w, extracts,
-                                       _first_defined_from(extracts, spec.tau),
+    _, params, gap_series = _track_mcf(spec, w, traj, k0,
                                        delta=spec.tolerances["mcf_delta"])
     sup_gap = max(v for _, v in gap_series)
 
@@ -422,15 +407,11 @@ def run_step_kappa(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Exp
     slope = float(np.polyfit(np.log(t_probe), np.log(widths), 1)[0])
 
     tols = spec.tolerances
-    report = ExperimentReport(
-        name=spec.name, config=spec.config_dict(),
-        series={"mcf_gap": gap_series,
-                "proxy_width": list(zip(t_probe.tolist(), widths))},
-        verdicts={"edge_phases": _verdict(edge_err, tols["edge_phase"]),
-                  "tracking_sup": _verdict(sup_gap, tols["tracking"]),
-                  "width_slope": _verdict(abs(slope - 0.5), 0.1)},
-        provenance=_provenance(spec))
-    return report
+    return _report(spec, {"mcf_gap": gap_series,
+                          "proxy_width": list(zip(t_probe.tolist(), widths))},
+                   {"edge_phases": _verdict(edge_err, tols["edge_phase"]),
+                    "tracking_sup": _verdict(sup_gap, tols["tracking"]),
+                    "width_slope": _verdict(abs(slope - 0.5), 0.1)})
 
 
 _RUNNERS = {"thm22": run_thm22, "thm23": run_thm23, "thm24": run_thm24,
@@ -504,13 +485,16 @@ def spec_from_config(cfg: dict, name: Optional[str] = None) -> ExperimentSpec:
     ``t_end``, ``tau``, ``seed``, ``boundary_j``, ``L``, ``h``,
     ``record_every``); generator fields use prefixes ``kappa_*`` and
     ``v0_*``; tolerance overrides use ``tol_<criterion>``.  A scalar value
-    of the wrong type is a ``ValueError`` naming its key.
+    of the wrong type, or a config ``name`` naming another experiment than
+    ``name`` (``step`` and ``step_kappa`` are one), is a ``ValueError``.
     """
     values = {k: _coerce(v) for k, v in cfg.items()}
-    name = name or values.pop("name", None)
-    if name is None:
+    given = values.pop("name", None)
+    if name is None and given is None:
         raise ValueError("config must set name= (thm22|thm23|thm24|step_kappa)")
-    spec = default_spec(str(name))
+    spec = default_spec(str(name or given))
+    if given is not None and default_spec(str(given)).name != spec.name:
+        raise ValueError(f"config name {given} conflicts with experiment {name}")
     for key, kind in _SCALAR_KEYS.items():
         if key in values:
             value = values.pop(key)
@@ -527,7 +511,6 @@ def spec_from_config(cfg: dict, name: Optional[str] = None) -> ExperimentSpec:
             v0[key[len("v0_"):]] = values.pop(key)
         elif key.startswith("tol_"):
             spec.tolerances[key[len("tol_"):]] = values.pop(key)
-    values.pop("name", None)
     if values:
         raise ValueError(f"unknown config keys: {sorted(values)}")
     spec.kappa = kappa

@@ -136,6 +136,40 @@ def test_mcf_steep_data_fails_flatness_guard(tmp_path, capsys):
     assert "verdict failure" in capsys.readouterr().err
 
 
+def test_mcf_negative_end_time_is_out_of_range(tmp_path, capsys):
+    init = tmp_path / "gamma0.csv"
+    _write_gamma(init, np.zeros(8))
+    assert main(["mcf", "--init", str(init), "--c", "-0.2796", "--d", "-0.1466",
+                 "--t-end", "-5", "--samples", "3",
+                 "--out", str(tmp_path / "traj.csv")]) == 1
+    assert "nondecreasing" in capsys.readouterr().err
+
+
+def test_mcf_reads_phase_output(snapshot_dir, wave_file, tmp_path):
+    phases = tmp_path / "phase.csv"
+    assert main(["phase", "--snapshot", str(snapshot_dir / "snap_000000.bin"),
+                 "--wave", wave_file, "--out", str(phases)]) == 0
+    out = tmp_path / "traj.csv"
+    assert main(["mcf", "--init", str(phases), "--wave", wave_file, "--t-end", "1",
+                 "--samples", "2", "--delta", "1", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 2 * 16
+
+
+@pytest.mark.parametrize("text, message", [
+    ("t,j,gamma,defined\n0,0,0.5,1\n0,1,,0\n0,2,0.5,1\n",
+     "gamma is blank (phase undefined) on data row 2"),
+    ("t,j,gamma,defined\n0,0,0.5,1\n0,1,0.5,1\n1,0,0.4,1\n1,1,0.4,1\n",
+     "rows of 2 times t"),
+    ("0.5\n0.4\n0.3\n", "no header row with a gamma column"),
+], ids=["blank_gamma", "two_times", "headerless"])
+def test_mcf_init_layout_errors_are_usage_errors(tmp_path, capsys, text, message):
+    init = tmp_path / "gamma0.csv"
+    init.write_text(text)
+    assert main(["mcf", "--init", str(init), "--c", "-0.2796", "--d", "-0.1466",
+                 "--out", str(tmp_path / "traj.csv")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_verify_subsuper_planar(capsys):
     code = main(["verify-subsuper", "--kind", "planar",
                  "--t-end", "10", "--t-samples", "6"])
@@ -153,7 +187,7 @@ def test_verify_subsuper_curved(capsys):
 
 def test_experiment_with_config_and_report(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(FAST_CONFIG.replace("t_end = 2.0", "t_end = 20.0"))
+    cfg.write_text(FAST_CONFIG.replace("t_end = 2.0", "t_end = 20.0\ntau = 10"))
     out = tmp_path / "report.ndjson"
     assert main(["experiment", "thm22", "--config", str(cfg),
                  "--out", str(out)]) == 0
@@ -165,7 +199,7 @@ def test_experiment_with_config_and_report(tmp_path, capsys):
 
 def test_experiment_failed_verdict_exit_code(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(FAST_CONFIG.replace("t_end = 2.0", "t_end = 20.0")
+    cfg.write_text(FAST_CONFIG.replace("t_end = 2.0", "t_end = 20.0\ntau = 10")
                    + "tol_front_error = 1e-12\n")
     assert main(["experiment", "thm22", "--config", str(cfg)]) == 1
     assert "FAIL" in capsys.readouterr().out
@@ -203,6 +237,29 @@ def test_thm23_tau_after_t_end_exit_code(tmp_path, capsys):
     cfg.write_text("name = thm23\nwidth = 64\nheight = 8\nt_end = 6\ntau = 20\n")
     assert main(["experiment", "thm23", "--config", str(cfg)]) == 1
     assert "tau=20" in capsys.readouterr().err
+
+
+def test_thm22_without_handoff_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(FAST_CONFIG.replace("t_end = 2.0", "t_end = 0"))
+    assert main(["experiment", "thm22", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "pass" not in captured.out
+    assert "no snapshot at or after tau=60" in captured.err
+
+
+def test_front_near_window_edge_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("name = thm22\nwidth = 64\nheight = 8\ntau = 10\nt_end = 50\n")
+    assert main(["experiment", "thm22", "--config", str(cfg)]) == 1
+    assert "window edge" in capsys.readouterr().err
+
+
+def test_experiment_name_conflicting_with_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(FAST_CONFIG)
+    assert main(["experiment", "thm24", "--config", str(cfg)]) == 2
+    assert "conflicts with experiment thm24" in capsys.readouterr().err
 
 
 def test_pinned_wave_is_numerical_failure(capsys):

@@ -288,6 +288,18 @@ def test_euler_blowup_raises_nonfinite():
                   [0.0, 5000.0], delta=np.inf)
 
 
+@pytest.mark.parametrize("grid", [[2.0, 1.0], [0.0, -2.5, -5.0], [-1.0]])
+def test_marching_solvers_reject_negative_or_decreasing_times(grid):
+    p = FlowParams(c=C_REF, d=D_REF)
+    G0 = PhaseSequence(0.01 * np.sin(2.0 * np.pi * np.arange(8) / 8.0))
+    with pytest.raises(OutOfRange, match="nondecreasing"):
+        mcf_solve(G0, p, grid)
+    with pytest.raises(OutOfRange, match="nondecreasing"):
+        gradient_lde_solve(PhaseSequence(d_plus(G0)), p, grid)
+    with pytest.raises(OutOfRange, match="nondecreasing"):
+        v_solve(G0, p, grid, method="euler")
+
+
 def test_v_gradient_report_rejects_empty_trajectory():
     traj = v_solve(PhaseSequence(np.zeros(4)), FlowParams(c=C_REF, d=D_REF), t_grid=[])
     with pytest.raises(OutOfRange, match="no recorded times"):

@@ -1,5 +1,6 @@
 """Seeded experiment pipelines, generators, and config parsing."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acfront import harness
-from acfront.errors import FlatnessViolated, H0Violated, PreAsymptotic
+from acfront.errors import FlatnessViolated, H0Violated, OutOfRange, PreAsymptotic
 from acfront.harness import (ExperimentSpec, default_spec, make_initial,
                              make_kappa, make_v0, parse_config, run_experiment,
                              run_thm22, run_thm23, run_thm24, run_step_kappa,
@@ -229,6 +230,46 @@ def test_report_ndjson_reproducible(tmp_path, wave03):
     assert meta["config"]["name"] == "thm22"
 
 
+# SHA-256 of the NDJSON report of each fast spec above, with the meta
+# record's provenance (package and numpy versions) removed
+REPORT_DIGESTS = [
+    (fast_spec("thm22"),
+     "98f28399a2b0a90c49bd843f690a75ab6742b2b7cf43421164147f28f8036ba0"),
+    (fast_spec("thm23", t_end=40.0),
+     "cb0f02660a8db59b9f2e1c0e80bb04e8ed78c83c5e0d66562885a600fe7513cc"),
+    (fast_spec("thm24", t_end=40.0),
+     "a037a869052a7d407efe03d6887c86ba2370805dc5ec876351ee922e5afea339"),
+    (ExperimentSpec(name="step_kappa", width=96, height=48, t_end=60.0, tau=30.0,
+                    boundary_j="reflect", kappa={"kind": "step", "lo": 0.0, "hi": 2.0}),
+     "94eaa5c7e7004a20e932b7a345308ac0d8a046b3762b6867ef6dd78d058be243"),
+]
+
+
+@pytest.mark.parametrize("spec, digest", REPORT_DIGESTS,
+                         ids=[spec.name for spec, _ in REPORT_DIGESTS])
+def test_report_bytes_pinned(tmp_path, wave03, spec, digest):
+    path = tmp_path / "report.ndjson"
+    run_experiment(spec, wave03).to_ndjson(str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    meta = json.loads(lines[0])
+    del meta["provenance"]
+    lines[0] = json.dumps(meta)
+    assert hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest() == digest
+
+
+def test_thm22_needs_a_handoff(wave03):
+    with pytest.raises(PreAsymptotic, match="tau=10"):
+        run_thm22(fast_spec("thm22", t_end=5.0), wave03)
+
+
+def test_front_near_window_edge_is_out_of_range(wave03):
+    # the front moves left at |c| ~ 0.28 and reaches ceil(L) = 20 cells from
+    # the left edge of the 64-wide window near t = 40
+    spec = fast_spec("thm22", width=64, height=8, t_end=50.0)
+    with pytest.raises(OutOfRange, match="within 20 cells of a window edge"):
+        run_thm22(spec, wave03)
+
+
 def test_default_specs():
     assert default_spec("thm22").name == "thm22"
     assert default_spec("step").name == "step_kappa"
@@ -265,6 +306,14 @@ def test_spec_from_config_round_trip():
     assert spec.kappa["P"] == 8 and spec.kappa["amplitude"] == 1
     assert spec.v0 == {"kind": "gaussian_bump", "amp": 0.25}
     assert spec.tolerances["front_error"] == 0.05
+
+
+def test_spec_from_config_name_must_match_the_experiment():
+    with pytest.raises(ValueError, match="config name thm22 conflicts with experiment thm24"):
+        spec_from_config({"name": "thm22"}, name="thm24")
+    assert spec_from_config({"name": "step_kappa"}, name="step").name == "step_kappa"
+    assert spec_from_config({"name": "thm24"}, name="thm24").name == "thm24"
+    assert spec_from_config({}, name="thm23").name == "thm23"
 
 
 def test_spec_from_config_rejects_unknown_keys():
