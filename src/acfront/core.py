@@ -190,7 +190,8 @@ class LatticeField:
         else:
             out[1:-1, 0] = self.values[:, 0]
             out[1:-1, -1] = self.values[:, -1]
-        # corners never enter the 5-point stencil; fill for definiteness
+        # the flat stencil of ``_flat_laplacian`` reads the corners, but only
+        # into ghost-column entries that it discards; fill for definiteness
         out[0, 0] = out[0, 1]
         out[0, -1] = out[0, -2]
         out[-1, 0] = out[-1, 1]
@@ -201,16 +202,44 @@ class LatticeField:
         return LatticeField(self.values.copy(), self.i_offset, self.boundary_j)
 
 
-def discrete_laplacian(u: LatticeField, i: Optional[int] = None, j: Optional[int] = None):
-    """Five-point lattice Laplacian ``u_{i+1,j}+u_{i,j+1}+u_{i-1,j}+u_{i,j-1}-4u_{i,j}``.
+def _flat_laplacian(u: LatticeField) -> tuple[np.ndarray, np.ndarray]:
+    """Five-point Laplacian and centre values on the flat padded layout.
 
-    With no indices, returns the full array over the window using ghost
-    values; with ``(i, j)`` returns the scalar at that site.
+    ``f = u.padded().reshape(-1)`` holds the ``(W+2, S)`` padded array row
+    by row, ``S = H + 2``.  The ``W`` interior rows, ghost columns included,
+    are the ``n = W*S`` contiguous entries ``f[S:S+n]``, and every neighbour
+    is the same run shifted by a constant: ``±S`` for ``i ± 1`` and ``±1``
+    for ``j ± 1``.  So all five reads are contiguous slices, which numpy
+    streams faster than the strided ``(W, H)`` sub-blocks of the padded
+    array.  The entries at the ghost columns (``j = -1`` and ``j = H``) mix
+    neighbouring rows and the padding corners; they mean nothing, and every
+    caller drops them through ``[:, 1:-1]``.  Returns ``(lap, c)``, both
+    contiguous and shaped ``(W, S)``: ``lap`` is a fresh array, ``c`` a view
+    into the padding.
+    """
+    w, h = u.values.shape
+    s = h + 2
+    n = w * s
+    f = u.padded().reshape(-1)
+    c = f[s:s + n]
+    # same summation order as the pointwise stencil: ((E + W) + N) + S - 4c
+    lap = f[2 * s:2 * s + n] + f[:n]
+    lap += f[s + 1:s + 1 + n]
+    lap += f[s - 1:s - 1 + n]
+    lap -= 4.0 * c
+    return lap.reshape(w, s), c.reshape(w, s)
+
+
+def discrete_laplacian(u: LatticeField, i: Optional[int] = None, j: Optional[int] = None):
+    """Five-point lattice Laplacian ``u_{i+1,j}+u_{i-1,j}+u_{i,j+1}+u_{i,j-1}-4u_{i,j}``.
+
+    With no indices, returns the full ``(W, H)`` array over the window using
+    ghost values: a view of the flat contiguous stencil (``_flat_laplacian``)
+    with its ghost columns dropped.  With ``(i, j)`` returns the scalar at
+    that site, summed in the same order, so the two agree bit for bit.
     """
     if i is None and j is None:
-        p = u.padded()
-        return (p[2:, 1:-1] + p[:-2, 1:-1] + p[1:-1, 2:] + p[1:-1, :-2]
-                - 4.0 * p[1:-1, 1:-1])
+        return _flat_laplacian(u)[0][:, 1:-1]
     if i is None or j is None:
         raise ValueError("pass both i and j, or neither")
     return (u.at(i + 1, j) + u.at(i - 1, j) + u.at(i, j + 1) + u.at(i, j - 1)

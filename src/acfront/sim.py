@@ -29,7 +29,8 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import flow
-from .core import BistableNonlinearity, LatticeField, PhaseSequence, alpha, d_plus, discrete_laplacian
+from .core import (BistableNonlinearity, LatticeField, PhaseSequence, _flat_laplacian, alpha,
+                   d_plus, discrete_laplacian)
 from .errors import NonFinite, SolveFailed, VerificationFailed
 from .wave import WaveProfile
 
@@ -94,18 +95,37 @@ class SimConfig:
 
 
 def step(u: LatticeField, cfg: SimConfig) -> LatticeField:
-    """One explicit Euler step ``u + dt (Δ⁺u + g(u))``."""
-    vals = u.values + cfg.dt * (discrete_laplacian(u) + cfg.f(u.values))
-    if not np.all(np.isfinite(vals)):
-        raise NonFinite("simulation step produced non-finite values")
-    return LatticeField(vals, i_offset=u.i_offset, boundary_j=u.boundary_j)
+    """One explicit Euler step ``u + dt (Δ⁺u + g(u))``.
+
+    Works on the flat contiguous layout of ``u.padded()`` (see
+    ``core._flat_laplacian``): ``g``, the scaling by ``dt`` and the update
+    run in place over the ``W*(H+2)`` interior rows, ghost columns included,
+    so every pass streams contiguous memory.  The result is the ``(W, H)``
+    view that drops the ghost columns, and is bit-identical to the strided
+    whole-array update.  ``u`` is left untouched.
+    """
+    lap, c = _flat_laplacian(u)
+    lap += cfg.f(c)
+    lap *= cfg.dt
+    lap += c
+    try:
+        return LatticeField(lap[:, 1:-1], i_offset=u.i_offset, boundary_j=u.boundary_j)
+    except ValueError as exc:  # the field's own finiteness check
+        raise NonFinite("simulation step produced non-finite values") from exc
 
 
 def run(u0: LatticeField, cfg: SimConfig,
         observers: Iterable[Callable[[float, LatticeField], None]] = (),
         writer: Optional["SnapshotWriter"] = None) -> list[tuple[float, LatticeField]]:
     """Integrate from ``u0`` to ``t_end``, recording every ``record_every``
-    steps (the initial and final states are always included)."""
+    steps (the initial and final states are always included).
+
+    ``u0`` must have the window size and ``boundary_j`` of ``cfg``; its
+    ``i_offset`` is free."""
+    if u0.values.shape != (cfg.width, cfg.height) or u0.boundary_j != cfg.boundary_j:
+        raise ValueError(
+            f"initial field is {u0.width}x{u0.height} {u0.boundary_j}, config is "
+            f"{cfg.width}x{cfg.height} {cfg.boundary_j}")
     observers = tuple(observers)
     n_steps = int(math.ceil(cfg.t_end / cfg.dt - 1e-9))
     snaps: list[tuple[float, LatticeField]] = []

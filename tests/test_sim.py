@@ -19,6 +19,9 @@ from acfront.sim import (SimConfig, SuperSubSpec, build_curved_supersub,
                          verify_supersub, SnapshotWriter)
 
 F03 = BistableNonlinearity(a=0.3)
+_TABLE_U = np.linspace(-1.0, 2.0, 61)
+F03_TABLE = BistableNonlinearity(a=0.3, kind="table", table_u=_TABLE_U,
+                                 table_g=F03(_TABLE_U))
 
 
 def test_config_defaults_satisfy_monotonicity_bound():
@@ -46,13 +49,52 @@ def test_config_rejects_bad_step_settings(kw, match):
 
 
 def test_step_is_explicit_euler_update():
-    cfg = SimConfig(F03, width=8, height=4)
+    """Bitwise oracle for the flat-stencil indexing: on every window of
+    width 1-12 and height 1-8, under both ``boundary_j`` policies and both
+    nonlinearity kinds, ``step`` and ``discrete_laplacian`` equal the
+    strided whole-array expressions."""
     rng = np.random.default_rng(0)
-    u = LatticeField(rng.uniform(size=(8, 4)), i_offset=cfg.i_offset)
-    out = step(u, cfg)
-    want = u.values + cfg.dt * (discrete_laplacian(u) + F03(u.values))
-    assert np.array_equal(out.values, want)
-    assert out.i_offset == u.i_offset
+    for boundary_j in ("periodic", "reflect"):
+        for width in range(1, 13):
+            for height in range(1, 9):
+                vals = rng.uniform(-0.5, 1.5, size=(width, height))
+                u = LatticeField(vals, i_offset=-(width // 2), boundary_j=boundary_j)
+                p = u.padded()
+                lap = (p[2:, 1:-1] + p[:-2, 1:-1] + p[1:-1, 2:] + p[1:-1, :-2]
+                       - 4.0 * p[1:-1, 1:-1])
+                assert np.array_equal(discrete_laplacian(u), lap)
+                for f in (F03, F03_TABLE):
+                    cfg = SimConfig(f, width=width, height=height, boundary_j=boundary_j)
+                    out = step(u, cfg)
+                    assert np.array_equal(out.values, vals + cfg.dt * (lap + f(vals)))
+                    assert (out.i_offset, out.boundary_j) == (u.i_offset, boundary_j)
+
+
+def test_step_and_run_leave_emitted_fields_untouched():
+    """``step`` does not write into its input, and every snapshot ``run``
+    hands out keeps the values it had when it was emitted."""
+    cfg = SimConfig(F03, t_end=0.5, record_every=3, width=8, height=4)
+    u = LatticeField(splitmix64_uniform(7, 8 * 4).reshape(8, 4), i_offset=cfg.i_offset)
+    before = u.values.copy()
+    step(u, cfg)
+    assert np.array_equal(u.values, before)
+    at_emit = []
+    snaps = run(u, cfg, observers=[lambda t, v: at_emit.append(v.values.copy())])
+    assert np.array_equal(u.values, before)
+    assert len(snaps) == len(at_emit) > 2
+    for (_, v), frozen in zip(snaps, at_emit):
+        assert np.array_equal(v.values, frozen)
+
+
+def test_run_rejects_field_of_another_geometry():
+    cfg = SimConfig(F03, t_end=0.1, width=16, height=8, boundary_j="reflect")
+    for shape, boundary_j in (((4, 3), "periodic"), ((4, 3), "reflect"),
+                              ((16, 8), "periodic"), ((8, 16), "reflect")):
+        with pytest.raises(ValueError, match="config is 16x8 reflect"):
+            run(LatticeField(np.zeros(shape), boundary_j=boundary_j), cfg)
+    # the window position is free
+    snaps = run(LatticeField(np.zeros((16, 8)), i_offset=5, boundary_j="reflect"), cfg)
+    assert snaps[-1][1].i_offset == 5
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
