@@ -9,6 +9,11 @@ the package and are fixed at this level:
   give 1;
 * in the vertical (``j``) direction either ``periodic`` (indices wrap) or
   ``reflect`` (the ghost equals the edge value, i.e. zero discrete flux).
+
+The j-policy is a field of each container, and only the containers apply it
+(``_wrap_j`` for ``LatticeField.at`` and ``PhaseSequence.shifted``, and
+``LatticeField.padded``); outside this module only ``flow.heat_solve`` reads
+it, to extend a reflecting sequence evenly.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ __all__ = [
 ]
 
 BOUNDARY_J = ("periodic", "reflect")
+_DG_SUP_LO, _DG_SUP_HI = -1.0, 2.0
 
 
 @dataclass(frozen=True)
@@ -113,16 +119,13 @@ class BistableNonlinearity:
         out = self._spline(u, 1)
         return float(out) if np.ndim(u) == 0 else np.asarray(out, dtype=float)
 
-    def dg_sup(self, lo: float = -1.0, hi: float = 2.0) -> float:
-        """Supremum of ``|g'|`` over ``[lo, hi]``, used by step-size bounds."""
+    def dg_sup(self) -> float:
+        """Supremum of ``|g'|`` over ``[-1, 2]``, used by step-size bounds."""
         if self.kind == "cubic":
-            # quadratic in u: extremum at the vertex plus the endpoints
-            cand = [lo, hi]
-            vertex = (1.0 + self.a) / 3.0
-            if lo < vertex < hi:
-                cand.append(vertex)
+            # quadratic in u: extremum at an endpoint or the vertex, in (1/3, 2/3)
+            cand = (_DG_SUP_LO, _DG_SUP_HI, (1.0 + self.a) / 3.0)
             return max(abs(self.dg(u)) for u in cand)
-        s = np.linspace(lo, hi, 4097)
+        s = np.linspace(_DG_SUP_LO, _DG_SUP_HI, 4097)
         return float(np.max(np.abs(self.dg(s))))
 
 
@@ -181,21 +184,17 @@ class LatticeField:
         """Values with one ghost layer on every side, shape (W+2, H+2)."""
         w, h = self.values.shape
         out = np.empty((w + 2, h + 2), dtype=float)
+        # whole ghost rows: ``_flat_laplacian`` reads the corners, but only
+        # into ghost-column entries that it discards
+        out[0] = 0.0
+        out[-1] = 1.0
         out[1:-1, 1:-1] = self.values
-        out[0, 1:-1] = 0.0
-        out[-1, 1:-1] = 1.0
         if self.boundary_j == "periodic":
             out[1:-1, 0] = self.values[:, -1]
             out[1:-1, -1] = self.values[:, 0]
         else:
             out[1:-1, 0] = self.values[:, 0]
             out[1:-1, -1] = self.values[:, -1]
-        # the flat stencil of ``_flat_laplacian`` reads the corners, but only
-        # into ghost-column entries that it discards; fill for definiteness
-        out[0, 0] = out[0, 1]
-        out[0, -1] = out[0, -2]
-        out[-1, 0] = out[-1, 1]
-        out[-1, -1] = out[-1, -2]
         return out
 
     def copy(self) -> "LatticeField":

@@ -46,12 +46,11 @@ class OverflowGuard(NumericalError):
 class VerificationFailed(AcFrontError):
     """A super/sub-solution inequality was violated.
 
-    Carries the first violating site and the measured residual there.
+    Carries the measured margin or residual that failed.
     """
 
-    def __init__(self, message, site=None, value=None):
+    def __init__(self, message, value=None):
         super().__init__(message)
-        self.site = site
         self.value = value
 
 

@@ -284,14 +284,13 @@ def _trajectory(spec: ExperimentSpec, w: Optional[WaveProfile], need_d: bool):
     return w, traj, k0
 
 
-def _track_mcf(spec: ExperimentSpec, w: WaveProfile, traj, k0: int, **kw):
+def _track_mcf(w: WaveProfile, traj, k0: int, **kw):
     """Curvature flow from the phase at ``traj[k0]`` over the later
     snapshot times (``kw`` goes to :func:`flow.mcf_solve`), its parameters,
     and its sup gap to every later phase defined on every row."""
     t0, _, g0 = traj[k0]
     params = flow.FlowParams(c=w.c, d=w.d)
-    gamma0 = PhaseSequence(g0.gamma.values.copy(), boundary_j=spec.boundary_j)
-    mcf = flow.mcf_solve(gamma0, params, t_grid=[t - t0 for t, _, _ in traj[k0:]], **kw)
+    mcf = flow.mcf_solve(g0.gamma, params, t_grid=[t - t0 for t, _, _ in traj[k0:]], **kw)
     gap_series = [(t, float(np.max(np.abs(g.gamma.values - mcf.values[k]))))
                   for k, (t, _, g) in enumerate(traj[k0:]) if g.all_defined]
     return mcf, params, gap_series
@@ -319,7 +318,7 @@ def run_thm23(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Experime
     if fl0 > handoff_tol:
         raise FlatnessViolated(
             f"flatness {fl0:.4f} at hand-off t={t0:g} exceeds {handoff_tol:g}")
-    mcf, params, gap_series = _track_mcf(spec, w, traj, k0)
+    mcf, params, gap_series = _track_mcf(w, traj, k0)
     vtr = flow.v_solve(mcf.at(0.0), params, t_grid=mcf.times)
     v_gap_series = [(t, float(np.max(np.abs(mcf.values[k] - vtr.values[k]))))
                     for k, (t, _, g) in enumerate(traj[k0:]) if g.all_defined]
@@ -371,10 +370,12 @@ def run_step_kappa(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Exp
     ``sqrt(t)`` in the diffusive phase proxy."""
     if spec.boundary_j != "reflect":
         raise ValueError("step_kappa needs the reflect j-boundary")
-    w, traj, k0 = _trajectory(spec, w, need_d=True)
     kappa = make_kappa(spec)
     lo = float(kappa.values[0])
     hi = float(kappa.values[-1])
+    if lo == hi:
+        raise ValueError(f"step_kappa needs two distinct plateaus, got both at {lo:g}")
+    w, traj, k0 = _trajectory(spec, w, need_d=True)
     t_end, _, g_end = traj[-1]
     if not g_end.all_defined:
         raise PreAsymptotic("phase undefined on some rows at t_end")
@@ -387,8 +388,7 @@ def run_step_kappa(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Exp
     # curvature-flow tracking of the transition zone from the hand-off time
     # the step transition hands off with a mild but not tiny slope, so the
     # curvature-flow flatness guard gets the wider experiment-level bound
-    _, params, gap_series = _track_mcf(spec, w, traj, k0,
-                                       delta=spec.tolerances["mcf_delta"])
+    _, params, gap_series = _track_mcf(w, traj, k0, delta=spec.tolerances["mcf_delta"])
     sup_gap = max(v for _, v in gap_series)
 
     # diffusive spreading of the transition zone, measured on the phase LDE

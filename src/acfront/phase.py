@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import LatticeField, PhaseSequence
+from .core import LatticeField, PhaseSequence, d_plus
 from .errors import NoDefinedRows, UndefinedRows
 from .wave import WaveProfile, phi_inverse
 
@@ -116,21 +116,17 @@ def interfacial_monotonicity(u: LatticeField, w: WaveProfile) -> dict:
 
 
 def flatness(g: PhaseExtract) -> float:
-    """``sup_j |gamma_{j+1} - gamma_j|`` over adjacent defined pairs."""
+    """``sup_j |gamma_{j+1} - gamma_j|`` over adjacent defined rows: the
+    ``d_plus`` pairs of the phase's own ``boundary_j`` that join two rows (the
+    reflect ghost past the last row joins one) and are finite (undefined rows
+    carry ``nan``)."""
     if np.count_nonzero(g.defined_mask) < 2:
         raise NoDefinedRows("flatness needs at least two defined rows")
-    mask = g.defined_mask
-    height = mask.size
-    idx = np.arange(height)
-    if g.gamma.boundary_j == "periodic":
-        nxt = (idx + 1) % height
-    else:
-        idx = idx[:-1]
-        nxt = idx + 1
-    pair = mask[idx] & mask[nxt]
-    if not np.any(pair):
+    rows = g.gamma.replace(np.arange(len(g.gamma)))
+    diffs = d_plus(g.gamma)[d_plus(rows) != 0.0]
+    diffs = diffs[np.isfinite(diffs)]
+    if not diffs.size:
         raise NoDefinedRows("no adjacent pair of defined rows")
-    diffs = g.gamma.values[nxt[pair]] - g.gamma.values[idx[pair]]
     return float(np.max(np.abs(diffs)))
 
 

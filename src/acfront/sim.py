@@ -31,7 +31,7 @@ import numpy as np
 from . import flow
 from .core import (BistableNonlinearity, LatticeField, PhaseSequence, _flat_laplacian, alpha,
                    d_plus, discrete_laplacian)
-from .errors import NonFinite, SolveFailed, VerificationFailed
+from .errors import NonFinite, OutOfRange, SolveFailed, VerificationFailed
 from .wave import WaveProfile
 
 __all__ = [
@@ -50,8 +50,9 @@ __all__ = [
     "read_snapshots",
 ]
 
-_MAGIC = b"ACF1"
-_HEADER = struct.Struct("<4sqqqd")
+_MAGIC = b"ACF2"
+_OLD_MAGIC = b"ACF1"
+_HEADER = struct.Struct("<4sqqqd8s")
 _SUPERSUB_TOL = 1e-6
 
 
@@ -240,6 +241,7 @@ def _planar_pair(w: WaveProfile, spec: SuperSubSpec, t: float, width: int):
     of shape ``(width, 1)``, with the residuals analytic in time."""
     if spec.mu is None or spec.C is None:
         raise ValueError("planar spec needs mu and C (see search_planar_constants)")
+    spec.check_offsets(w.a)
     mu, C = spec.mu, spec.C
     i_offset = -(width // 2)
     decay = math.exp(-mu * t)
@@ -262,7 +264,6 @@ def build_planar_supersub(w: WaveProfile, spec: SuperSubSpec, t: float, *,
                           ) -> tuple[LatticeField, LatticeField]:
     """Planar super/sub-solution fields at time ``t``; the window starts at
     ``i = -(width // 2)``."""
-    spec.check_offsets(w.a)
     i_offset, up, um, _, _ = _planar_pair(w, spec, t, width)
     ones = np.ones((1, height))
     return (LatticeField(up * ones, i_offset=i_offset),
@@ -322,17 +323,17 @@ def build_curved_supersub(w: WaveProfile, spec: SuperSubSpec, t: float, *,
 
 
 def verify_supersub(spec: SuperSubSpec, w: WaveProfile, cfg: SimConfig,
-                    t_grid: Sequence[float], *, width: Optional[int] = None,
-                    raise_on_fail: bool = False) -> dict:
+                    t_grid: Sequence[float], *, width: Optional[int] = None) -> dict:
     """Check ``J[u+] >= -tol`` and ``J[u-] <= tol`` over the window and times,
     with ``tol = _SUPERSUB_TOL = 1e-6``.
 
     The residuals are evaluated with analytic time derivatives, so ``tol``
     only absorbs the interpolation floor of the profile splines.  Returns a
-    report with the extremal residuals, their sites and the verdict; with
-    ``raise_on_fail`` a failing verdict raises :class:`VerificationFailed`.
+    report with the extremal residuals, their sites and the verdict.  An
+    empty ``t_grid`` would check nothing and raises :class:`OutOfRange`.
     """
-    spec.check_offsets(w.a)
+    if len(t_grid) == 0:
+        raise OutOfRange("super/sub verification needs at least one time")
     if spec.kind == "planar":
         wd = width if width is not None else cfg.width
         pairs = ((float(t), *_planar_pair(w, spec, float(t), wd)) for t in t_grid)
@@ -364,7 +365,7 @@ def verify_supersub(spec: SuperSubSpec, w: WaveProfile, cfg: SimConfig,
             worst_minus, site_minus = float(Jm[im, jm]), (int(im) + i0, int(jm), t)
     tol = _SUPERSUB_TOL
     verdict = worst_plus >= -tol and worst_minus <= tol
-    report = {
+    return {
         "kind": spec.kind,
         "tol": tol,
         "min_residual_super": worst_plus,
@@ -373,12 +374,6 @@ def verify_supersub(spec: SuperSubSpec, w: WaveProfile, cfg: SimConfig,
         "site_sub": site_minus,
         "verdict": "pass" if verdict else "fail",
     }
-    if raise_on_fail and not verdict:
-        bad = site_plus if worst_plus < -tol else site_minus
-        raise VerificationFailed(
-            f"super/sub residual violated at site {bad}", site=bad,
-            value=worst_plus if worst_plus < -tol else worst_minus)
-    return report
 
 
 def search_planar_constants(w: WaveProfile, spec: SuperSubSpec, cfg: SimConfig,
@@ -411,28 +406,36 @@ def search_planar_constants(w: WaveProfile, spec: SuperSubSpec, cfg: SimConfig,
 
 
 def save_snapshot(u: LatticeField, t: float, path: str) -> None:
-    """Write one field: 64-byte header (magic, width, height, i_offset, t)
-    followed by row-major binary64 little-endian values."""
-    header = _HEADER.pack(_MAGIC, u.width, u.height, u.i_offset, float(t))
+    """Write one whole field: a 64-byte little-endian header (magic ``ACF2``,
+    int64 width, height, i_offset, float64 t, ``boundary_j`` in 8 NUL-padded
+    ASCII bytes, then zeros) and the row-major binary64 values."""
+    header = _HEADER.pack(_MAGIC, u.width, u.height, u.i_offset, float(t),
+                          u.boundary_j.encode("ascii"))
     with open(path, "wb") as fh:
         fh.write(header.ljust(64, b"\0"))
         fh.write(np.ascontiguousarray(u.values, dtype="<f8").tobytes())
 
 
-def load_snapshot(path: str, boundary_j: str = "periodic") -> tuple[float, LatticeField]:
+def load_snapshot(path: str) -> tuple[float, LatticeField]:
+    """``(t, field)`` of a :func:`save_snapshot` file, ``boundary_j`` included."""
     with open(path, "rb") as fh:
         raw = fh.read(64)
-        magic, width, height, i_offset, t = _HEADER.unpack(raw[: _HEADER.size])
-        if magic != _MAGIC:
+        if raw[:4] == _OLD_MAGIC:
+            raise ValueError(f"{path} is an ACF1 snapshot, which does not record "
+                             "boundary_j; write it again with this version")
+        if len(raw) < 64 or raw[:4] != _MAGIC:
             raise ValueError(f"{path} is not a snapshot file")
+        _, width, height, i_offset, t, boundary_j = _HEADER.unpack(raw[:_HEADER.size])
         data = np.frombuffer(fh.read(8 * width * height), dtype="<f8")
     values = data.reshape(width, height).astype(float)
-    return t, LatticeField(values, i_offset=int(i_offset), boundary_j=boundary_j)
+    return t, LatticeField(values, i_offset=int(i_offset),
+                           boundary_j=boundary_j.rstrip(b"\0").decode("ascii"))
 
 
 class SnapshotWriter:
     """Persists a snapshot stream to a directory: ``snap_000000.bin``,
-    ``snap_000001.bin``, ... and the NDJSON index ``snap_index.ndjson``."""
+    ``snap_000001.bin``, ... (see :func:`save_snapshot`) and the NDJSON index
+    ``snap_index.ndjson``, a listing of each file's time and geometry."""
 
     def __init__(self, directory: str):
         self.directory = directory
@@ -454,6 +457,7 @@ class SnapshotWriter:
 
 
 def read_snapshots(index_path: str) -> list[tuple[float, LatticeField]]:
+    """The snapshots an index lists, read whole from the files it names."""
     base = os.path.dirname(index_path)
     out = []
     with open(index_path, "r", encoding="utf-8") as fh:
@@ -462,7 +466,5 @@ def read_snapshots(index_path: str) -> list[tuple[float, LatticeField]]:
             if not line:
                 continue
             rec = json.loads(line)
-            t, field = load_snapshot(os.path.join(base, rec["file"]),
-                                     boundary_j=rec.get("boundary_j", "periodic"))
-            out.append((t, field))
+            out.append(load_snapshot(os.path.join(base, rec["file"])))
     return out

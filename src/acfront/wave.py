@@ -58,7 +58,6 @@ __all__ = [
     "WaveProfile",
     "solve_wave",
     "mfde_residual",
-    "adjoint_matrix",
     "adjoint_solve",
     "compute_d",
     "solve_r",
@@ -418,30 +417,21 @@ def solve_wave(f: BistableNonlinearity, L: float = 20.0,
     return WaveProfile(f=f, L=float(L), h=float(h), xi=xi, phi=phi, c=c, rho=sys.rho)
 
 
-def mfde_residual(w: WaveProfile, phi: Optional[np.ndarray] = None,
-                  c: Optional[float] = None) -> np.ndarray:
-    """Residual of the travelling-wave equation on the collocation grid,
-    using the same derivative stencil and tail closure as the solver."""
-    phi = w.phi if phi is None else np.asarray(phi, dtype=float)
-    c = w.c if c is None else float(c)
-    return w._system().residual(phi, c)
-
-
-def adjoint_matrix(w: WaveProfile) -> np.ndarray:
-    """Discretization of the adjoint linearization around the profile.
-
-    The adjoint of ``L u = c u' + u(.+1) + u(.-1) - 2 u + g'(Phi) u`` flips
-    the sign of the derivative term.  The same stencils are used, with tail
-    closure rates taken from the adjoint characteristic equation; the adjoint
-    kernel decays to 0 on both sides, so the closure has no affine part.
-    """
-    sys = _System(w.f, w.n, w.h, (1.0, -1.0), right_target=0.0)
-    sys.build(-w.c)
-    return sys.jacobian(w.phi, -w.c)
+def mfde_residual(w: WaveProfile) -> np.ndarray:
+    """Residual of the travelling-wave equation at ``(w.phi, w.c)`` on the
+    collocation grid, using the same derivative stencil and tail closure as
+    the solver."""
+    return w._system().residual(w.phi, w.c)
 
 
 def adjoint_solve(w: WaveProfile) -> np.ndarray:
     """Kernel element of the adjoint linearization, positive and normalized.
+
+    The adjoint of ``L u = c u' + u(.+1) + u(.-1) - 2 u + g'(Phi) u`` flips
+    the sign of the derivative term.  It is discretized with the same
+    stencils, with tail closure rates taken from the adjoint characteristic
+    equation; the adjoint kernel decays to 0 on both sides, so the closure
+    has no affine part.
 
     ``psi`` is the smallest right singular vector of the discretized adjoint,
     sign-fixed to be positive and scaled so that the trapezoid pairing
@@ -449,7 +439,10 @@ def adjoint_solve(w: WaveProfile) -> np.ndarray:
     second smallest singular value is at least 10 times the smallest, or
     when the kernel element fails strict positivity.
     """
-    A = adjoint_matrix(w)
+    sys = _System(w.f, w.n, w.h, (1.0, -1.0), right_target=0.0)
+    sys.build(-w.c)
+    A = sys.jacobian(w.phi, -w.c)
+    del sys  # free its two dense n x n stencils before the SVD sets the peak memory
     sv, Vh = np.linalg.svd(A)[1:]
     if not sv[-2] >= 10.0 * sv[-1]:
         raise DegenerateKernel(

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from acfront.cli import main
+from acfront.phase import extract, flatness
+from acfront.sim import read_snapshots
 from acfront.wave import load_wave
 
 FAST_CONFIG = """\
@@ -63,6 +65,28 @@ def test_phase_reports_defined_rows(snapshot_dir, wave_file, tmp_path, capsys):
     assert "defined_rows=16/16" in text
     assert "front_error=" in text and "flatness=" in text
     assert out.read_text().count("\n") >= 2
+
+
+def test_phase_reads_boundary_from_snapshot(wave_file, tmp_path, capsys):
+    cfg = tmp_path / "reflect.cfg"
+    cfg.write_text(FAST_CONFIG.replace("t_end = 2.0", "t_end = 4.0")
+                   + "boundary_j = reflect\n")
+    out = tmp_path / "snaps"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    t, u = read_snapshots(str(out / "snap_index.ndjson"))[4]
+    assert (t, u.boundary_j) == (4.0, "reflect")
+    expected = flatness(extract(u, load_wave(wave_file)))
+    capsys.readouterr()
+    assert main(["phase", "--snapshot", str(out / "snap_000004.bin"),
+                 "--wave", wave_file]) == 0
+    assert f"flatness={expected:.6g}\n" in capsys.readouterr().out
+
+
+def test_phase_rejects_old_snapshot_format(snapshot_dir, wave_file, tmp_path, capsys):
+    old = tmp_path / "old.bin"
+    old.write_bytes(b"ACF1" + (snapshot_dir / "snap_000000.bin").read_bytes()[4:])
+    assert main(["phase", "--snapshot", str(old), "--wave", wave_file]) == 2
+    assert "ACF1 snapshot" in capsys.readouterr().err
 
 
 def test_phase_missing_snapshot_is_usage_error(wave_file, capsys):
@@ -183,6 +207,36 @@ def test_verify_subsuper_curved(capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "verdict=pass" in text and "site_super=" in text
+
+
+def test_verify_subsuper_offsets_only_bind_planar(capsys):
+    # q0 = 0.1 lies outside (0, a) at a = 0.05; only the planar pair reads it
+    code = main(["verify-subsuper", "--kind", "curved", "--a", "0.05",
+                 "--t-end", "2", "--t-samples", "2"])
+    assert code == 0
+    assert "verdict=pass" in capsys.readouterr().out
+    code = main(["verify-subsuper", "--kind", "planar", "--a", "0.05",
+                 "--t-end", "2", "--t-samples", "2"])
+    assert code == 2
+    assert "q0 must lie in (0, a) = (0, 0.05)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["planar", "curved"])
+def test_verify_subsuper_empty_time_grid_is_out_of_range(kind, capsys):
+    assert main(["verify-subsuper", "--kind", kind, "--t-samples", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "verdict=pass" not in captured.out
+    assert "at least one time" in captured.err
+
+
+def test_experiment_step_with_equal_plateaus_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("name = step_kappa\nwidth = 96\nheight = 32\nt_end = 40\n"
+                   "tau = 20\nkappa_lo = 2\nkappa_hi = 2\n")
+    assert main(["experiment", "step", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "width_slope" not in captured.out
+    assert "two distinct plateaus" in captured.err
 
 
 def test_experiment_with_config_and_report(tmp_path, capsys):

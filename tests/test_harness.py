@@ -257,6 +257,17 @@ def test_report_bytes_pinned(tmp_path, wave03, spec, digest):
     assert hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest() == digest
 
 
+def test_step_kappa_with_equal_plateaus_fails_before_the_lattice_runs(wave03, monkeypatch):
+    def no_run(*args, **kw):
+        raise AssertionError("the lattice ran")
+
+    monkeypatch.setattr(harness.sim, "run", no_run)
+    spec = ExperimentSpec(name="step_kappa", width=96, height=32, t_end=40.0, tau=20.0,
+                          boundary_j="reflect", kappa={"kind": "step", "lo": 2.0, "hi": 2.0})
+    with pytest.raises(ValueError, match="two distinct plateaus"):
+        run_step_kappa(spec, wave03)
+
+
 def test_thm22_needs_a_handoff(wave03):
     with pytest.raises(PreAsymptotic, match="tau=10"):
         run_thm22(fast_spec("thm22", t_end=5.0), wave03)

@@ -175,6 +175,49 @@ def test_flatness_needs_two_defined_rows(wave03):
         flatness(extract(u, wave03))
 
 
+def flatness_pairing_reference(g):
+    """``flatness`` with the pairs written out per policy: ``(j, j+1 mod H)``
+    when periodic, ``(j, j+1)`` for ``j < H-1`` when reflecting."""
+    mask = g.defined_mask
+    if np.count_nonzero(mask) < 2:
+        raise NoDefinedRows("fewer than two defined rows")
+    idx = np.arange(mask.size)
+    if g.gamma.boundary_j == "periodic":
+        nxt = (idx + 1) % mask.size
+    else:
+        idx = idx[:-1]
+        nxt = idx + 1
+    pair = mask[idx] & mask[nxt]
+    if not np.any(pair):
+        raise NoDefinedRows("no adjacent defined pair")
+    return float(np.max(np.abs(g.gamma.values[nxt[pair]] - g.gamma.values[idx[pair]])))
+
+
+def test_flatness_matches_pairing_reference(wave03):
+    """Every defined mask of heights 1-8 under both policies, with random
+    phases: equal floats, and NoDefinedRows in exactly the same cases."""
+    rng = np.random.default_rng(2024)
+    raised = 0
+    for boundary_j in ("periodic", "reflect"):
+        for height in range(1, 9):
+            for bits in range(2 ** height):
+                defined = (bits >> np.arange(height)) & 1 == 1
+                u = planar_field(wave03, rng.uniform(-3.0, 3.0, height),
+                                 boundary_j=boundary_j)
+                u.values[:, ~defined] = 0.8  # no crossing: the row is undefined
+                g = extract(u, wave03)
+                assert np.array_equal(g.defined_mask, defined)
+                try:
+                    expected = flatness_pairing_reference(g)
+                except NoDefinedRows:
+                    with pytest.raises(NoDefinedRows):
+                        flatness(g)
+                    raised += 1
+                else:
+                    assert flatness(g) == expected
+    assert 0 < raised < 2 * (2 ** 9 - 2)
+
+
 def test_front_error_zero_on_exact_front(wave03):
     gammas = np.array([0.7, -1.2, 2.9])
     u = planar_field(wave03, gammas)

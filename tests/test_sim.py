@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from acfront.core import BistableNonlinearity, LatticeField, PhaseSequence, discrete_laplacian
-from acfront.errors import NonFinite, VerificationFailed
+from acfront.errors import NonFinite, OutOfRange, VerificationFailed
 from acfront.harness import splitmix64_uniform
 from acfront.sim import (SimConfig, SuperSubSpec, build_curved_supersub,
                          build_planar_supersub, load_snapshot, read_snapshots, residual_J, run,
@@ -195,18 +195,50 @@ def test_snapshot_round_trip_and_header(tmp_path):
     path = tmp_path / "snap.bin"
     save_snapshot(u, 2.5, str(path))
     raw = path.read_bytes()
-    assert raw[:4] == b"ACF1"
+    assert raw[:4] == b"ACF2"
     assert len(raw) == 64 + 12 * 5 * 8
-    t, back = load_snapshot(str(path), boundary_j="reflect")
+    t, back = load_snapshot(str(path))
     assert t == 2.5
     assert back.i_offset == -6
+    assert back.boundary_j == "reflect"
     assert np.array_equal(back.values, vals)
+
+
+def test_snapshot_rejects_old_format(tmp_path):
+    path = tmp_path / "snap.bin"
+    save_snapshot(LatticeField(np.zeros((3, 2))), 1.0, str(path))
+    path.write_bytes(b"ACF1" + path.read_bytes()[4:])
+    with pytest.raises(ValueError, match="ACF1 snapshot"):
+        load_snapshot(str(path))
+
+
+def test_read_snapshots_takes_only_file_names_from_index(tmp_path):
+    cfg = SimConfig(F03, t_end=0.1, record_every=2, width=8, height=4,
+                    boundary_j="reflect")
+    writer = SnapshotWriter(str(tmp_path / "out"))
+    snaps = run(cfg.blank_field(0.5), cfg, writer=writer)
+    with open(writer.index_path) as fh:
+        files = [json.loads(line)["file"] for line in fh]
+    with open(writer.index_path, "w") as fh:
+        fh.writelines(json.dumps({"file": name}) + "\n" for name in files)
+    back = read_snapshots(writer.index_path)
+    assert len(back) == len(snaps)
+    for (t, a), (s, b) in zip(back, snaps):
+        assert (t, a.i_offset, a.boundary_j) == (s, b.i_offset, "reflect")
+        assert np.array_equal(a.values, b.values)
 
 
 def test_snapshot_magic_check(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"JUNK" + b"\0" * 200)
     with pytest.raises(ValueError):
+        load_snapshot(str(path))
+
+
+def test_snapshot_with_truncated_header_is_value_error(tmp_path):
+    path = tmp_path / "short.bin"
+    path.write_bytes(b"ACF2" + b"\0" * 20)
+    with pytest.raises(ValueError, match="not a snapshot file"):
         load_snapshot(str(path))
 
 
@@ -308,10 +340,11 @@ def test_planar_bad_constants_fail_with_site(wave03):
     spec = SuperSubSpec(kind="planar", q0=0.1, q1=0.1, mu=1.0, C=1.0)
     report = verify_supersub(spec, w, cfg, [0.0, 10.0])
     assert report["verdict"] == "fail"
-    with pytest.raises(VerificationFailed) as err:
-        verify_supersub(spec, w, cfg, [0.0, 10.0], raise_on_fail=True)
-    assert err.value.site is not None
-    assert err.value.value is not None
+    assert report["min_residual_super"] < -report["tol"]
+    assert report["max_residual_sub"] > report["tol"]
+    for key in ("site_super", "site_sub"):
+        i, j, t = report[key]
+        assert -128 <= i < 128 and j == 0 and t in (0.0, 10.0)
 
 
 def curved_spec(height=64):
@@ -427,6 +460,32 @@ def test_supersub_spec_validation():
         spec.check_offsets(0.3)
     with pytest.raises(ValueError):
         SuperSubSpec(kind="planar", q1=0.8, mu=0.1, C=2.0).check_offsets(0.3)
+
+
+def test_offsets_bind_only_the_planar_pair(wave03):
+    w = wave03
+    cfg = SimConfig(w.f)
+    # q0 >= a and q1 >= 1 - a: the curved pair never reads them
+    spec = curved_spec()
+    report = verify_supersub(spec, w, cfg, [0.0, 2.0], width=128)
+    spec.q0, spec.q1 = 0.5, 0.9
+    assert verify_supersub(spec, w, cfg, [0.0, 2.0], width=128) == report
+    build_curved_supersub(w, spec, 1.0, width=96)
+    for q0, q1, name in ((0.3, 0.1, "q0"), (0.1, 0.7, "q1")):
+        planar = SuperSubSpec(kind="planar", q0=q0, q1=q1, mu=MU_REF, C=C_BIG)
+        with pytest.raises(ValueError, match=f"{name} must lie"):
+            verify_supersub(planar, w, cfg, [0.0])
+        with pytest.raises(ValueError, match=f"{name} must lie"):
+            build_planar_supersub(w, planar, 0.0)
+
+
+@pytest.mark.parametrize("kind", ["planar", "curved"])
+def test_verify_supersub_rejects_empty_time_grid(wave03, kind):
+    spec = (SuperSubSpec(kind="planar", mu=MU_REF, C=C_BIG) if kind == "planar"
+            else curved_spec())
+    for t_grid in ([], np.linspace(0.0, 50.0, 0)):
+        with pytest.raises(OutOfRange, match="at least one time"):
+            verify_supersub(spec, wave03, SimConfig(wave03.f), t_grid)
 
 
 def test_build_planar_requires_constants(wave03):

@@ -1,5 +1,6 @@
 """Travelling-wave solver: independent speed oracle, frozen values, structure."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -178,8 +179,7 @@ def test_save_load_table_nonlinearity(tmp_path):
 
 
 def test_mfde_residual_detects_wrong_speed(wave03):
-    w = wave03
-    wrong = mfde_residual(w, c=w.c * 1.01)
+    wrong = mfde_residual(dataclasses.replace(wave03, c=1.01 * wave03.c))
     assert np.max(np.abs(wrong)) > 1e-5
 
 
