@@ -1,9 +1,11 @@
 """Run the lattice Allen-Cahn simulation and track the front phase.
 
 Starts from a front with a sinusoidal transverse modulation, integrates with
-the monotone explicit Euler scheme, and extracts the per-row phase gamma_j(t).
-The modulation flattens and the front settles onto the planar wave profile
-moving at speed c.
+the monotone SSP-RK3 scheme (twelve steps per unit time at a = 0.3), and
+extracts the per-row phase gamma_j(t) at every integer time.  The modulation
+flattens and the front settles onto the planar wave profile moving at speed
+c.  The phases go to phase_series.csv, whose boundary_j column lets
+``acfront mcf --init`` flow them under the run's j-boundary policy.
 """
 
 import numpy as np

@@ -94,9 +94,10 @@ def _cmd_heat(args) -> int:
     return 0 if ok else 1
 
 
-def _read_gamma_csv(path: str) -> np.ndarray:
+def _read_gamma_csv(path: str) -> tuple[np.ndarray, Optional[str]]:
     """The ``gamma`` column of a CSV with a header row, the layout
-    ``acfront phase --out`` writes; every row must hold a phase and all rows
+    ``acfront phase --out`` writes, and the one policy of its ``boundary_j``
+    column (``None`` without one); every row must hold a phase and all rows
     one time ``t``."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -111,11 +112,22 @@ def _read_gamma_csv(path: str) -> np.ndarray:
     times = {(r.get("t") or "").strip() for r in rows}
     if len(times) > 1:
         raise ValueError(f"{path}: rows of {len(times)} times t; keep one time's rows")
-    return np.array([float(c) for c in cells])
+    boundary_j = None
+    if "boundary_j" in reader.fieldnames:
+        policies = sorted({(r["boundary_j"] or "").strip() for r in rows})
+        if len(policies) > 1:
+            raise ValueError(f"{path}: rows of {len(policies)} boundary_j policies "
+                             f"{policies}; keep one")
+        boundary_j = policies[0] if policies else None
+    return np.array([float(c) for c in cells]), boundary_j
 
 
 def _cmd_mcf(args) -> int:
-    gamma0 = PhaseSequence(_read_gamma_csv(args.init), boundary_j=args.boundary)
+    gamma, recorded = _read_gamma_csv(args.init)
+    if args.boundary and recorded and args.boundary != recorded:
+        raise ValueError(f"--boundary {args.boundary} contradicts the boundary_j "
+                         f"column of {args.init} ({recorded})")
+    gamma0 = PhaseSequence(gamma, boundary_j=args.boundary or recorded or "periodic")
     if args.wave:
         w = load_wave(args.wave)
         c, d = w.c, w.d
@@ -219,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=float, default=None)
     p.add_argument("--t-end", type=float, default=50.0)
     p.add_argument("--samples", type=int, default=51)
-    p.add_argument("--boundary", choices=["periodic", "reflect"], default="periodic")
+    p.add_argument("--boundary", choices=["periodic", "reflect"], default=None,
+                   help="j-boundary policy; default the CSV's boundary_j column, "
+                   "else periodic")
     p.add_argument("--delta", type=float, default=0.1,
                    help="flatness guard for the curvature-flow regime")
     p.add_argument("--out", default="mcf_trajectory.csv")

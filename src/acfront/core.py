@@ -1,7 +1,8 @@
 """Lattice containers, bistable nonlinearities and discrete difference operators.
 
-Everything here is binary64 and side-effect free: operators return fresh
-arrays and never mutate their inputs.  Two boundary policies appear throughout
+Everything here is binary64, and the public operators are side-effect free:
+they return fresh arrays and never mutate their inputs (the private stencil
+helpers write into buffers their caller owns).  Two boundary policies appear throughout
 the package and are fixed at this level:
 
 * in the horizontal (``i``) direction fields always use ``dirichlet_equilibria``
@@ -12,8 +13,9 @@ the package and are fixed at this level:
 
 The j-policy is a field of each container, and only the containers apply it
 (``_wrap_j`` for ``LatticeField.at`` and ``PhaseSequence.shifted``, and
-``LatticeField.padded``); outside this module only ``flow.heat_solve`` reads
-it, to extend a reflecting sequence evenly.
+``_fill_ghosts`` for ``LatticeField.padded`` and the stage buffers of
+``sim.step``, which pass the field's own policy); outside this module only
+``flow.heat_solve`` reads it, to extend a reflecting sequence evenly.
 """
 
 from __future__ import annotations
@@ -184,28 +186,39 @@ class LatticeField:
         """Values with one ghost layer on every side, shape (W+2, H+2)."""
         w, h = self.values.shape
         out = np.empty((w + 2, h + 2), dtype=float)
-        # whole ghost rows: ``_flat_laplacian`` reads the corners, but only
-        # into ghost-column entries that it discards
-        out[0] = 0.0
-        out[-1] = 1.0
         out[1:-1, 1:-1] = self.values
-        if self.boundary_j == "periodic":
-            out[1:-1, 0] = self.values[:, -1]
-            out[1:-1, -1] = self.values[:, 0]
-        else:
-            out[1:-1, 0] = self.values[:, 0]
-            out[1:-1, -1] = self.values[:, -1]
-        return out
+        return _fill_ghosts(out, self.boundary_j)
 
     def copy(self) -> "LatticeField":
         return LatticeField(self.values.copy(), self.i_offset, self.boundary_j)
 
 
-def _flat_laplacian(u: LatticeField) -> tuple[np.ndarray, np.ndarray]:
+def _fill_ghosts(p: np.ndarray, boundary_j: str) -> np.ndarray:
+    """Write the ghost layer of the padded ``(W+2, H+2)`` array ``p`` in
+    place from its interior, and return ``p``: whole ghost rows 0 (left) and
+    1 (right), and the ghost columns of the interior rows by ``boundary_j``.
+
+    The ghost rows are whole because ``_flat_laplacian`` reads the corners,
+    but only into ghost-column entries that it discards.
+    """
+    p[0] = 0.0
+    p[-1] = 1.0
+    if boundary_j == "periodic":
+        p[1:-1, 0] = p[1:-1, -2]
+        p[1:-1, -1] = p[1:-1, 1]
+    else:
+        p[1:-1, 0] = p[1:-1, 1]
+        p[1:-1, -1] = p[1:-1, -2]
+    return p
+
+
+def _flat_laplacian(p: np.ndarray, out: Optional[np.ndarray] = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Five-point Laplacian and centre values on the flat padded layout.
 
-    ``f = u.padded().reshape(-1)`` holds the ``(W+2, S)`` padded array row
-    by row, ``S = H + 2``.  The ``W`` interior rows, ghost columns included,
+    ``p`` is a contiguous padded array (``LatticeField.padded``) and
+    ``f = p.reshape(-1)`` holds its ``(W+2, S)`` entries row by row,
+    ``S = H + 2``.  The ``W`` interior rows, ghost columns included,
     are the ``n = W*S`` contiguous entries ``f[S:S+n]``, and every neighbour
     is the same run shifted by a constant: ``±S`` for ``i ± 1`` and ``±1``
     for ``j ± 1``.  So all five reads are contiguous slices, which numpy
@@ -213,16 +226,17 @@ def _flat_laplacian(u: LatticeField) -> tuple[np.ndarray, np.ndarray]:
     array.  The entries at the ghost columns (``j = -1`` and ``j = H``) mix
     neighbouring rows and the padding corners; they mean nothing, and every
     caller drops them through ``[:, 1:-1]``.  Returns ``(lap, c)``, both
-    contiguous and shaped ``(W, S)``: ``lap`` is a fresh array, ``c`` a view
-    into the padding.
+    contiguous and shaped ``(W, S)``: ``lap`` is written into ``out`` (any
+    contiguous array of ``W*S`` entries that does not overlap ``p``) or a
+    fresh array, ``c`` is a view into ``p``.
     """
-    w, h = u.values.shape
-    s = h + 2
+    w = p.shape[0] - 2
+    s = p.shape[1]
     n = w * s
-    f = u.padded().reshape(-1)
+    f = p.reshape(-1)
     c = f[s:s + n]
     # same summation order as the pointwise stencil: ((E + W) + N) + S - 4c
-    lap = f[2 * s:2 * s + n] + f[:n]
+    lap = np.add(f[2 * s:2 * s + n], f[:n], out=None if out is None else out.reshape(-1))
     lap += f[s + 1:s + 1 + n]
     lap += f[s - 1:s - 1 + n]
     lap -= 4.0 * c
@@ -238,7 +252,7 @@ def discrete_laplacian(u: LatticeField, i: Optional[int] = None, j: Optional[int
     that site, summed in the same order, so the two agree bit for bit.
     """
     if i is None and j is None:
-        return _flat_laplacian(u)[0][:, 1:-1]
+        return _flat_laplacian(u.padded())[0][:, 1:-1]
     if i is None or j is None:
         raise ValueError("pass both i and j, or neither")
     return (u.at(i + 1, j) + u.at(i - 1, j) + u.at(i, j + 1) + u.at(i, j - 1)

@@ -140,13 +140,14 @@ def front_error(u: LatticeField, w: WaveProfile, g: PhaseExtract) -> float:
 
 
 def phase_series_to_csv(records: Sequence[tuple[float, PhaseExtract]], path: str) -> None:
-    """Phase time series as CSV with columns ``t, j, gamma, defined``."""
+    """Phase time series as CSV with columns ``t, j, gamma, defined,
+    boundary_j`` (the phase's j-boundary policy)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "j", "gamma", "defined"])
+        writer.writerow(["t", "j", "gamma", "defined", "boundary_j"])
         for t, g in records:
             for j in range(len(g.gamma)):
                 defined = bool(g.defined_mask[j])
                 writer.writerow([format(t, ".17g"), j,
                                  format(g.gamma.values[j], ".17g") if defined else "",
-                                 int(defined)])
+                                 int(defined), g.gamma.boundary_j])

@@ -1,13 +1,16 @@
 """Time integration of the planar lattice Allen-Cahn equation and
 sub/super-solution verification.
 
-The scheme is explicit Euler on ``u̇ = Δ⁺u + g(u)``.  Under the step
-restriction ``dt (4 + sup|g'|) <= 1`` the update is monotone in every input
-value, so ordered initial fields produce ordered trajectories; the
-correctness arguments for front trapping rest on that comparison property.
-A higher-order integrator need not give it up: a strong-stability-preserving
-Runge-Kutta step is a convex combination of forward-Euler steps (Shu and
-Osher 1988), so it is monotone under the same step bound.
+The scheme is the three-stage, third-order strong-stability-preserving
+Runge-Kutta method of Shu and Osher (1988) on ``u̇ = Δ⁺u + g(u)``.  Under
+the step restriction ``dt (4 + sup|g'|) <= 1`` one forward-Euler update is
+monotone in every input value, and each SSP-RK3 stage is a convex
+combination of such updates, so the step is monotone under the same bound
+(Gottlieb, Shu and Tadmor 2001): ordered initial fields produce ordered
+trajectories, and the correctness arguments for front trapping rest on that
+comparison property.  The default ``dt = 1 / ceil(4 + sup|g'|)`` is the
+largest unit fraction inside the bound, so a unit of time is a whole number
+of steps and the default snapshots fall on integer times.
 
 Verification of candidate super/sub-solutions evaluates the residual
 ``J[u] = u̇ - Δ⁺u - g(u)`` with an analytic time derivative (no time
@@ -29,8 +32,8 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import flow
-from .core import (BistableNonlinearity, LatticeField, PhaseSequence, _flat_laplacian, alpha,
-                   d_plus, discrete_laplacian)
+from .core import (BistableNonlinearity, LatticeField, PhaseSequence, _fill_ghosts,
+                   _flat_laplacian, alpha, d_plus)
 from .errors import NonFinite, OutOfRange, SolveFailed, VerificationFailed
 from .wave import WaveProfile
 
@@ -39,7 +42,6 @@ __all__ = [
     "SuperSubSpec",
     "step",
     "run",
-    "residual_J",
     "build_planar_supersub",
     "build_curved_supersub",
     "verify_supersub",
@@ -71,7 +73,7 @@ class SimConfig:
     def __post_init__(self):
         sup = self.f.dg_sup()
         if self.dt is None:
-            self.dt = 0.2 / (4.0 + sup)
+            self.dt = 1.0 / math.ceil(4.0 + sup)
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
@@ -95,22 +97,50 @@ class SimConfig:
                             i_offset=self.i_offset, boundary_j=self.boundary_j)
 
 
-def step(u: LatticeField, cfg: SimConfig) -> LatticeField:
-    """One explicit Euler step ``u + dt (Δ⁺u + g(u))``.
-
-    Works on the flat contiguous layout of ``u.padded()`` (see
-    ``core._flat_laplacian``): ``g``, the scaling by ``dt`` and the update
-    run in place over the ``W*(H+2)`` interior rows, ghost columns included,
-    so every pass streams contiguous memory.  The result is the ``(W, H)``
-    view that drops the ghost columns, and is bit-identical to the strided
-    whole-array update.  ``u`` is left untouched.
-    """
-    lap, c = _flat_laplacian(u)
+def _euler(p: np.ndarray, cfg: SimConfig, out: np.ndarray) -> np.ndarray:
+    """Forward-Euler update ``E(v) = v + dt (Δ⁺v + g(v))`` of the padded
+    field ``p``, written into ``out`` (see ``core._flat_laplacian``) and
+    returned as a ``(W, H+2)`` array whose ghost-column entries mean
+    nothing."""
+    lap, c = _flat_laplacian(p, out)
     lap += cfg.f(c)
     lap *= cfg.dt
     lap += c
+    return lap
+
+
+def step(u: LatticeField, cfg: SimConfig) -> LatticeField:
+    """One Shu-Osher SSP-RK3 step: ``u1 = E(u)``, ``u2 = (3u + E(u1)) / 4``,
+    ``u(t + dt) = (u + 2 E(u2)) / 3``, with ``E`` the forward-Euler update.
+
+    Every stage works on the flat contiguous padded layout (see
+    ``core._flat_laplacian``).  Each Euler update writes straight into the
+    interior rows of the next stage's padded buffer, the combinations run in
+    place over those rows, ghost columns included, and only the stage
+    inputs get their ghost layer filled.  ``u`` is left untouched.
+
+    The stages are bare arrays, so the one finiteness check is the result
+    field's own: a non-finite stage value stays non-finite through every
+    later stage, and it raises :class:`NonFinite`.  Stages 2 and 3 do not
+    warn about the invalid operations (``inf - inf``) that carry it there.
+    """
+    p0 = u.padded()
+    u0 = p0[1:-1]
+    p1 = np.empty_like(p0)
+    p2 = np.empty_like(p0)
+    _euler(p0, cfg, p1[1:-1])
+    _fill_ghosts(p1, u.boundary_j)
+    with np.errstate(invalid="ignore"):
+        u2 = _euler(p1, cfg, p2[1:-1])
+        u2 += 3.0 * u0
+        u2 *= 0.25
+        _fill_ghosts(p2, u.boundary_j)
+        out = _euler(p2, cfg, p1[1:-1])
+        out *= 2.0
+        out += u0
+        out *= 1.0 / 3.0
     try:
-        return LatticeField(lap[:, 1:-1], i_offset=u.i_offset, boundary_j=u.boundary_j)
+        return LatticeField(out[:, 1:-1], i_offset=u.i_offset, boundary_j=u.boundary_j)
     except ValueError as exc:  # the field's own finiteness check
         raise NonFinite("simulation step produced non-finite values") from exc
 
@@ -118,8 +148,10 @@ def step(u: LatticeField, cfg: SimConfig) -> LatticeField:
 def run(u0: LatticeField, cfg: SimConfig,
         observers: Iterable[Callable[[float, LatticeField], None]] = (),
         writer: Optional["SnapshotWriter"] = None) -> list[tuple[float, LatticeField]]:
-    """Integrate from ``u0`` to ``t_end``, recording every ``record_every``
-    steps (the initial and final states are always included).
+    """Integrate from ``u0`` in the fewest steps that reach ``t_end`` (to
+    within 1e-9 of a step, so a ``t_end`` on the step grid is hit exactly),
+    recording every ``record_every`` steps (the initial and final states are
+    always included).
 
     ``u0`` must have the window size and ``boundary_j`` of ``cfg``; its
     ``i_offset`` is free."""
@@ -145,19 +177,6 @@ def run(u0: LatticeField, cfg: SimConfig,
         if k % cfg.record_every == 0 or k == n_steps:
             emit(k * cfg.dt, u)
     return snaps
-
-
-def residual_J(snap0: tuple[float, LatticeField], snap1: tuple[float, LatticeField],
-               cfg: SimConfig) -> LatticeField:
-    """Forward-difference residual ``J[u] = u̇ - Δ⁺u - g(u)`` of a snapshot
-    pair, with the spatial part evaluated on the earlier snapshot."""
-    t0, u0 = snap0
-    t1, u1 = snap1
-    dt = t1 - t0
-    if dt <= 0.0:
-        raise ValueError("snapshots must be in increasing time order")
-    vals = (u1.values - u0.values) / dt - discrete_laplacian(u0) - cfg.f(u0.values)
-    return LatticeField(vals, i_offset=u0.i_offset, boundary_j=u0.boundary_j)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from acfront.cli import main
+from acfront.flow import FlowParams, mcf_solve
 from acfront.phase import extract, flatness
 from acfront.sim import read_snapshots
 from acfront.wave import load_wave
@@ -179,13 +180,57 @@ def test_mcf_reads_phase_output(snapshot_dir, wave_file, tmp_path):
     assert len(out.read_text().splitlines()) == 1 + 2 * 16
 
 
+@pytest.fixture(scope="module")
+def reflect_phase(wave_file, tmp_path_factory):
+    """``(phase CSV, extracted phase)`` at t = 4 of a reflect run, written by
+    ``simulate`` and ``phase --out``."""
+    root = tmp_path_factory.mktemp("cli_reflect")
+    cfg = root / "reflect.cfg"
+    cfg.write_text(FAST_CONFIG.replace("t_end = 2.0", "t_end = 4.0")
+                   + "boundary_j = reflect\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(root / "snaps")]) == 0
+    _, u = read_snapshots(str(root / "snaps" / "snap_index.ndjson"))[4]
+    phases = root / "phase.csv"
+    assert main(["phase", "--snapshot", str(root / "snaps" / "snap_000004.bin"),
+                 "--wave", wave_file, "--out", str(phases)]) == 0
+    return phases, extract(u, load_wave(wave_file)).gamma
+
+
+@pytest.mark.parametrize("boundary", [[], ["--boundary", "reflect"]],
+                         ids=["from_csv", "agreeing_flag"])
+def test_mcf_flows_phase_output_under_its_recorded_boundary(reflect_phase, wave_file,
+                                                            tmp_path, boundary):
+    phases, gamma = reflect_phase
+    assert gamma.boundary_j == "reflect"
+    assert {line.rsplit(",", 1)[1] for line in phases.read_text().splitlines()} \
+        == {"boundary_j", "reflect"}
+    out = tmp_path / "traj.csv"
+    assert main(["mcf", "--init", str(phases), "--wave", wave_file, "--t-end", "5",
+                 "--samples", "6", "--delta", "1", "--out", str(out), *boundary]) == 0
+    w = load_wave(wave_file)
+    want = mcf_solve(gamma, FlowParams(c=w.c, d=w.d), t_grid=np.linspace(0.0, 5.0, 6),
+                     delta=1.0)
+    got = np.array([float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]])
+    assert np.array_equal(got, want.values.reshape(-1))
+
+
+def test_mcf_boundary_contradicting_csv_is_usage_error(reflect_phase, wave_file,
+                                                       tmp_path, capsys):
+    phases, _ = reflect_phase
+    assert main(["mcf", "--init", str(phases), "--wave", wave_file, "--delta", "1",
+                 "--boundary", "periodic", "--out", str(tmp_path / "traj.csv")]) == 2
+    assert "contradicts the boundary_j column" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text, message", [
     ("t,j,gamma,defined\n0,0,0.5,1\n0,1,,0\n0,2,0.5,1\n",
      "gamma is blank (phase undefined) on data row 2"),
     ("t,j,gamma,defined\n0,0,0.5,1\n0,1,0.5,1\n1,0,0.4,1\n1,1,0.4,1\n",
      "rows of 2 times t"),
     ("0.5\n0.4\n0.3\n", "no header row with a gamma column"),
-], ids=["blank_gamma", "two_times", "headerless"])
+    ("t,j,gamma,defined,boundary_j\n0,0,0.5,1,reflect\n0,1,0.5,1,periodic\n",
+     "rows of 2 boundary_j policies"),
+], ids=["blank_gamma", "two_times", "headerless", "two_policies"])
 def test_mcf_init_layout_errors_are_usage_errors(tmp_path, capsys, text, message):
     init = tmp_path / "gamma0.csv"
     init.write_text(text)

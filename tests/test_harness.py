@@ -159,6 +159,15 @@ def test_thm23_fast_run_passes(wave03):
     assert t0 >= 10.0 and fl0 < 0.1
 
 
+def test_thm23_tracking_is_converged_in_dt(wave03):
+    """Halving dt moves ``tracking_sup`` by less than 1 % of its value, so
+    the gap measures the curvature-flow model, not the time error of the
+    lattice step (a first-order step moves it by half)."""
+    gaps = [run_thm23(fast_spec("thm23", t_end=40.0, dt=1.0 / n, record_every=n),
+                      wave03).verdicts["tracking_sup"]["value"] for n in (12, 24)]
+    assert abs(gaps[0] - gaps[1]) < 0.01 * gaps[1]
+
+
 def test_thm23_steep_handoff_rejected(wave03):
     spec = fast_spec("thm23", tau=0.0,
                      kappa={"kind": "periodic", "P": 4, "amplitude": 2.0,
@@ -234,14 +243,14 @@ def test_report_ndjson_reproducible(tmp_path, wave03):
 # record's provenance (package and numpy versions) removed
 REPORT_DIGESTS = [
     (fast_spec("thm22"),
-     "98f28399a2b0a90c49bd843f690a75ab6742b2b7cf43421164147f28f8036ba0"),
+     "388313481eb6e18014546e69fddc01b97901e9606cc56468a9bec25b3be65700"),
     (fast_spec("thm23", t_end=40.0),
-     "cb0f02660a8db59b9f2e1c0e80bb04e8ed78c83c5e0d66562885a600fe7513cc"),
+     "f45130cac349998770b4310a62ccd46536f3cb04e2b49269064b75ba5b0f586e"),
     (fast_spec("thm24", t_end=40.0),
-     "a037a869052a7d407efe03d6887c86ba2370805dc5ec876351ee922e5afea339"),
+     "45923bc86433905ff2c58d706a81e4b0fa6ce1de6ebb8f309a5c664f84e478b9"),
     (ExperimentSpec(name="step_kappa", width=96, height=48, t_end=60.0, tau=30.0,
                     boundary_j="reflect", kappa={"kind": "step", "lo": 0.0, "hi": 2.0}),
-     "94eaa5c7e7004a20e932b7a345308ac0d8a046b3762b6867ef6dd78d058be243"),
+     "66e5eea23ff7741aeec18a8142cdaf4b8d48980f6651015557c64244fb698644"),
 ]
 
 

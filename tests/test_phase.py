@@ -269,7 +269,8 @@ def test_phase_series_csv(tmp_path, wave03):
     phase_series_to_csv([(0.0, g), (1.0, g)], str(path))
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "j", "gamma", "defined"]
+    assert rows[0] == ["t", "j", "gamma", "defined", "boundary_j"]
     assert len(rows) == 1 + 2 * 3
+    assert {row[4] for row in rows[1:]} == {g.gamma.boundary_j}
     assert rows[2][2] == "" and rows[2][3] == "0"
     assert float(rows[1][2]) == g.gamma.values[0]

@@ -14,7 +14,7 @@ from acfront.core import BistableNonlinearity, LatticeField, PhaseSequence, disc
 from acfront.errors import NonFinite, OutOfRange, VerificationFailed
 from acfront.harness import splitmix64_uniform
 from acfront.sim import (SimConfig, SuperSubSpec, build_curved_supersub,
-                         build_planar_supersub, load_snapshot, read_snapshots, residual_J, run,
+                         build_planar_supersub, load_snapshot, read_snapshots, run,
                          save_snapshot, search_planar_constants, step,
                          verify_supersub, SnapshotWriter)
 
@@ -27,10 +27,28 @@ F03_TABLE = BistableNonlinearity(a=0.3, kind="table", table_u=_TABLE_U,
 def test_config_defaults_satisfy_monotonicity_bound():
     cfg = SimConfig(F03)
     sup = F03.dg_sup()
-    assert cfg.dt == pytest.approx(0.2 / (4.0 + sup), abs=1e-15)
+    assert cfg.dt == 1.0 / math.ceil(4.0 + sup) == 1.0 / 12.0
     assert cfg.dt * (4.0 + sup) <= 1.0
-    assert cfg.record_every * cfg.dt == pytest.approx(1.0, abs=0.02)
+    assert cfg.record_every * cfg.dt == 1.0
     assert cfg.i_offset == -cfg.width // 2
+
+
+@settings(max_examples=200)
+@given(a=st.floats(0.01, 0.99), kind=st.sampled_from(["cubic", "table"]))
+def test_default_dt_is_monotone_and_divides_unit_time(a, kind):
+    """The default step keeps ``dt (4 + sup|g'|) <= 1`` and takes a whole
+    number of steps per unit time, so recorded times are exact integers."""
+    f = BistableNonlinearity(a=a)
+    if kind == "table":
+        f = BistableNonlinearity(a=a, kind="table", table_u=_TABLE_U, table_g=f(_TABLE_U))
+    cfg = SimConfig(f)
+    assert cfg.dt * (4.0 + f.dg_sup()) <= 1.0
+    assert cfg.record_every * cfg.dt == 1.0
+
+
+def test_run_records_exact_integer_times():
+    cfg = SimConfig(F03, t_end=5.0, width=8, height=4)
+    assert [t for t, _ in run(cfg.blank_field(0.25), cfg)] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 def test_config_rejects_unstable_step():
@@ -48,25 +66,36 @@ def test_config_rejects_bad_step_settings(kw, match):
         SimConfig(F03, **kw)
 
 
-def test_step_is_explicit_euler_update():
-    """Bitwise oracle for the flat-stencil indexing: on every window of
-    width 1-12 and height 1-8, under both ``boundary_j`` policies and both
-    nonlinearity kinds, ``step`` and ``discrete_laplacian`` equal the
-    strided whole-array expressions."""
+def test_step_is_shu_osher_rk3_update():
+    """Bitwise oracle for the flat-stencil indexing and the stage buffers: on
+    every window of width 1-12 and height 1-8, under both ``boundary_j``
+    policies and both nonlinearity kinds, ``discrete_laplacian`` equals the
+    strided whole-array stencil and ``step`` equals the Shu-Osher SSP-RK3
+    composition of forward-Euler updates written on it."""
     rng = np.random.default_rng(0)
+
+    def laplacian(vals, boundary_j):
+        p = LatticeField(vals, boundary_j=boundary_j).padded()
+        return (p[2:, 1:-1] + p[:-2, 1:-1] + p[1:-1, 2:] + p[1:-1, :-2]
+                - 4.0 * p[1:-1, 1:-1])
+
     for boundary_j in ("periodic", "reflect"):
         for width in range(1, 13):
             for height in range(1, 9):
                 vals = rng.uniform(-0.5, 1.5, size=(width, height))
                 u = LatticeField(vals, i_offset=-(width // 2), boundary_j=boundary_j)
-                p = u.padded()
-                lap = (p[2:, 1:-1] + p[:-2, 1:-1] + p[1:-1, 2:] + p[1:-1, :-2]
-                       - 4.0 * p[1:-1, 1:-1])
-                assert np.array_equal(discrete_laplacian(u), lap)
+                assert np.array_equal(discrete_laplacian(u), laplacian(vals, boundary_j))
                 for f in (F03, F03_TABLE):
                     cfg = SimConfig(f, width=width, height=height, boundary_j=boundary_j)
+
+                    def euler(v):
+                        return v + cfg.dt * (laplacian(v, boundary_j) + f(v))
+
+                    u1 = euler(vals)
+                    u2 = (euler(u1) + 3.0 * vals) * 0.25
+                    want = (euler(u2) * 2.0 + vals) * (1.0 / 3.0)
                     out = step(u, cfg)
-                    assert np.array_equal(out.values, vals + cfg.dt * (lap + f(vals)))
+                    assert np.array_equal(out.values, want)
                     assert (out.i_offset, out.boundary_j) == (u.i_offset, boundary_j)
 
 
@@ -153,40 +182,6 @@ def test_step_comparison_principle(data, boundary_j):
     u, v = (LatticeField(x / 2.0 ** 20, i_offset=cfg.i_offset, boundary_j=boundary_j)
             for x in (np.minimum(a, b), np.maximum(a, b)))
     assert np.all(step(u, cfg).values <= step(v, cfg).values)
-
-
-def test_residual_vanishes_on_scheme_pairs():
-    cfg = SimConfig(F03, width=16, height=8)
-    u0 = LatticeField(splitmix64_uniform(5, 16 * 8).reshape(16, 8),
-                      i_offset=cfg.i_offset)
-    u1 = step(u0, cfg)
-    J = residual_J((0.0, u0), (cfg.dt, u1), cfg)
-    assert np.max(np.abs(J.values)) < 1e-13
-
-
-def test_residual_halves_with_sample_interval_on_exact_wave(wave03):
-    # planar wave pairs: J is pure forward-difference error, first order in dt
-    w = wave03
-    cfg = SimConfig(w.f, width=64, height=4)
-    i = (np.arange(64) - 32).astype(float)[:, None]
-    ones = np.ones((1, 4))
-
-    def field_at(t):
-        return LatticeField(w.phi_at(i - w.c * t) * ones, i_offset=-32)
-
-    sups = []
-    for dt in (0.02, 0.01):
-        J = residual_J((0.0, field_at(0.0)), (dt, field_at(dt)), cfg)
-        sups.append(np.max(np.abs(J.values[1:-1, :])))
-    ratio = sups[0] / sups[1]
-    assert 1.8 < ratio < 2.2
-
-
-def test_residual_rejects_unordered_pair():
-    cfg = SimConfig(F03, width=4, height=2)
-    u = cfg.blank_field(0.3)
-    with pytest.raises(ValueError):
-        residual_J((1.0, u), (1.0, u), cfg)
 
 
 def test_snapshot_round_trip_and_header(tmp_path):
