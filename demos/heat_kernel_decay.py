@@ -1,9 +1,10 @@
 """Discrete heat kernel: Bessel evaluation, structural bounds, decay rates.
 
 The kernel of the 1D lattice heat semigroup is G_k(t) = e^{-2t} I_k(2t) with
-I_k the modified Bessel function. The scaled ladder is computed by backward
-recurrence, so the kernel has exactly unit mass. Front-like initial data then
-shows the |d+ h|_inf ~ t^{-1/2} and |d2 h|_inf ~ t^{-1} decay rates.
+I_k the modified Bessel function. The scaled ladder comes from
+scipy.special.ive, so the kernel's mass is 1 within rounding. Front-like
+initial data then shows the |d+ h|_inf ~ t^{-1/2} and |d2 h|_inf ~ t^{-1}
+decay rates.
 """
 
 import numpy as np

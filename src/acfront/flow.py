@@ -3,17 +3,15 @@
 The interface dynamics of a nearly flat lattice front reduce to scalar LDEs
 for per-row phases.  This module provides:
 
-* scaled modified Bessel evaluation ``e^{-t} I_k(t)`` (Miller backward
-  recurrence) and the discrete heat kernel ``G_k(t) = e^{-2t} I_k(2t)``,
-  which solves ``\\dot G = G_{k+1} + G_{k-1} - 2 G_k`` with a unit mass
-  delta at ``t = 0``;
+* the discrete heat kernel ``G_k(t) = e^{-2t} I_k(2t)`` from the scaled
+  modified Bessel function ``scipy.special.ive``; it solves
+  ``\\dot G = G_{k+1} + G_{k-1} - 2 G_k`` with a unit mass delta at ``t = 0``;
 * ``heat_solve``: exact convolution of a phase sequence with the kernel;
 * the exponential heat LDE ``V̇ = (1/d)(e^{d ∂⁺V} - 2 + e^{-d ∂⁻V}) + c``
   linearized through the Cole-Hopf substitution ``h = e^{d (V - c t)}``, with
   a direct Euler route for cross-checking, falling back to the linear heat
   LDE ``V̇ = ∂⁽²⁾V + c`` when ``d`` vanishes;
-* the discrete mean curvature flow ``Γ̇ = ∂⁽²⁾Γ/β² + 2dβ + c - 2d`` and the
-  LDE for its gradient ``Υ = ∂⁺Γ``;
+* the discrete mean curvature flow ``Γ̇ = ∂⁽²⁾Γ/β² + 2dβ + c - 2d``;
 * report builders for the kernel decay bounds and gradient decay rates.
 """
 
@@ -26,6 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.special import ive
 
 from .core import PhaseSequence, beta, d2, d_plus, d_minus, deviation_seminorm
 from .errors import FlatnessViolated, NonFinite, OutOfRange, OverflowGuard
@@ -34,7 +33,6 @@ __all__ = [
     "HeatKernelTable",
     "FlowParams",
     "FlowTrajectory",
-    "bessel_i",
     "heat_kernel",
     "heat_solve",
     "decay_report",
@@ -44,49 +42,16 @@ __all__ = [
     "v_gradient_report",
     "mcf_solve",
     "mcf_rhs",
-    "gradient_lde_solve",
     "trajectory_to_csv",
     "report_to_ndjson",
 ]
 
-_RESCALE = 1e250
-
 
 def _bessel_ladder(kmax: int, t: float) -> np.ndarray:
-    """Scaled values ``e^{-t} I_k(t)`` for ``k = 0..kmax``.
-
-    Miller backward recurrence seeded far above ``kmax``, normalized through
-    the identity ``e^{-t} (I_0 + 2 sum_{k>=1} I_k) = 1`` so the returned
-    ladder carries unit mass by construction.  Below ``t = 2^-53``, where
-    ``e^{-t} I_1(t) ~ t/2`` is under the rounding of the unit mass and the
-    recurrence factor ``2k/t`` heads for overflow, the ladder is the unit
-    delta.
-    """
+    """Scaled values ``e^{-t} I_k(t)`` for ``k = 0..kmax`` (``scipy.special.ive``)."""
     if t < 0.0:
         raise OutOfRange("Bessel argument must be nonnegative")
-    if t < 2.0 ** -53:
-        out = np.zeros(kmax + 1)
-        out[0] = 1.0
-        return out
-    start = int(max(kmax, math.ceil(t + 10.0 * math.sqrt(t + 1.0)))) + 40
-    f = np.zeros(start + 2)
-    f[start] = 1e-250
-    for k in range(start, 0, -1):
-        f[k - 1] = f[k + 1] + (2.0 * k / t) * f[k]
-        if f[k - 1] > _RESCALE:
-            f[k - 1:] /= _RESCALE
-    mass = f[0] + 2.0 * f[1:].sum()
-    return f[: kmax + 1] / mass
-
-
-def bessel_i(k, t: float):
-    """Scaled modified Bessel value(s) ``e^{-t} I_k(t)``, ``k >= 0``."""
-    karr = np.atleast_1d(np.asarray(k, dtype=int))
-    if np.any(karr < 0):
-        raise OutOfRange("order k must be nonnegative")
-    ladder = _bessel_ladder(int(karr.max()), float(t))
-    out = ladder[karr]
-    return float(out[0]) if np.asarray(k).ndim == 0 else out
+    return ive(np.arange(kmax + 1), t)
 
 
 @dataclass(frozen=True)
@@ -401,24 +366,6 @@ def mcf_solve(G0: PhaseSequence, p: FlowParams, t_grid: Sequence[float], *,
     """
     return _march(G0, lambda g: mcf_rhs(g, p), t_grid, p, "curvature flow",
                   grad=lambda g: np.max(np.abs(d_plus(g))), delta=delta)
-
-
-def gradient_lde_solve(U0: PhaseSequence, p: FlowParams,
-                       t_grid: Sequence[float]) -> FlowTrajectory:
-    """Explicit Euler integration of the LDE satisfied by ``Υ = ∂⁺Γ``:
-    ``Υ̇_j = ∂⁺Υ_j/Π_j² - ∂⁻Υ_j/Π_{j-1}² + 2d(Π_j - Π_{j-1})``; raises
-    :class:`FlatnessViolated` once ``sup|Υ|`` exceeds 0.1."""
-
-    def rhs(u: PhaseSequence) -> np.ndarray:
-        # Pi_j = sqrt(1 + (U_{j+1}^2 + U_j^2)/2) and Pi_{j-1}
-        up, um, v = u.shifted(+1), u.shifted(-1), u.values
-        pi = np.sqrt(1.0 + 0.5 * (up * up + v * v))
-        pi_m = np.sqrt(1.0 + 0.5 * (v * v + um * um))
-        return (d_plus(u) / (pi * pi) - d_minus(u) / (pi_m * pi_m)
-                + 2.0 * p.d * (pi - pi_m))
-
-    return _march(U0, rhs, t_grid, p, "gradient flow",
-                  grad=lambda u: np.max(np.abs(u.values)), delta=0.1)
 
 
 def trajectory_to_csv(traj: FlowTrajectory, path: str) -> None:

@@ -62,10 +62,11 @@ def splitmix64(seed: int, n: int) -> list[int]:
     z = (z ^ (z >> u64(27))) * u64(0x94D049BB133111EB)
     return (z ^ (z >> u64(31))).tolist()
 
+
 def splitmix64_uniform(seed: int, n: int) -> np.ndarray:
     """``n`` doubles in [0, 1) from the splitmix64 stream."""
     # v / 2**64 rounds up to 1.0 for v >= 2**64 - 2**10
-    return np.minimum(np.array([v / 2.0 ** 64 for v in splitmix64(seed, n)]),
+    return np.minimum(np.array(splitmix64(seed, n), dtype=np.uint64) / 2.0 ** 64,
                       np.nextafter(1.0, 0.0))
 
 

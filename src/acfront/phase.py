@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .wave import WaveProfile, phi_inverse
 __all__ = [
     "PhaseExtract",
     "extract",
-    "interfacial_monotonicity",
     "flatness",
     "front_error",
     "phase_series_to_csv",
@@ -78,41 +77,6 @@ def _nan_tolerant_sequence(values: np.ndarray, boundary_j: str) -> PhaseSequence
     seq = PhaseSequence(np.zeros_like(values), boundary_j=boundary_j)
     seq.values = np.asarray(values, dtype=float)
     return seq
-
-
-def interfacial_monotonicity(u: LatticeField, w: WaveProfile) -> dict:
-    """Forward-difference and ray-structure checks on the interfacial region.
-
-    The region is ``{(i, j): Phi(-2) <= u_{i,j} <= Phi(2)}``.  Reports the
-    minimum of ``u_{i+1,j} - u_{i,j}`` over it, and whether the sets below
-    ``Phi(-2)`` and above ``Phi(2)`` are left and right rays in ``i`` (no
-    re-entry through either boundary).
-    """
-    lo = float(w.phi_at(-2.0))
-    hi = float(w.phi_at(2.0))
-    vals = u.values
-    inside = (vals >= lo) & (vals <= hi)
-    fwd = vals[1:, :] - vals[:-1, :]
-    region = inside[:-1, :]
-    min_diff: Optional[float] = float(np.min(fwd[region])) if np.any(region) else None
-
-    below = vals <= lo
-    above = vals >= hi
-    # (iii): a site below the lower threshold must have its left neighbour below
-    bad_below = below[1:, :] & ~below[:-1, :] & (vals[:-1, :] > lo)
-    # (iv): a site above the upper threshold must have its right neighbour above
-    bad_above = above[:-1, :] & ~above[1:, :] & (vals[1:, :] < hi)
-    below_sites = [(int(i) + 1 + u.i_offset, int(j)) for i, j in zip(*np.nonzero(bad_below))]
-    above_sites = [(int(i) + u.i_offset, int(j)) for i, j in zip(*np.nonzero(bad_above))]
-    return {
-        "min_forward_difference": min_diff,
-        "interfacial_sites": int(np.count_nonzero(inside)),
-        "monotone": min_diff is not None and min_diff > 0.0,
-        "no_reentry_below": not below_sites,
-        "no_reentry_above": not above_sites,
-        "reentry_below_sites": below_sites,
-        "reentry_above_sites": above_sites,
-    }
 
 
 def flatness(g: PhaseExtract) -> float:

@@ -135,21 +135,19 @@ def _stencil_affine(n: int, pieces: Sequence[tuple[int, float]],
     read at ``n-1+m`` resolves to ``e + (Phi_{n-1} - e) * rho_r^m`` where
     ``e`` is the right equilibrium (1 for the profile, 0 for the adjoint).
     """
+    offs, wgts = zip(*pieces)
+    wgt = np.array(wgts, dtype=float)[:, None]
+    cols = np.arange(n) + np.array(offs)[:, None]
+    rows = np.broadcast_to(np.arange(n), cols.shape)
+    edge = np.clip(cols, 0, n - 1)
+    # the distance past the edge is 0 inside the grid, where rho^0 = 1 (also
+    # for rho = 0); np.add.at sums each entry in piece order
+    decay = np.where(cols < 0, rho_l, rho_r) ** np.abs(cols - edge)
     M = np.zeros((n, n))
+    np.add.at(M, (rows, edge), wgt * decay)
+    right = cols > n - 1
     b = np.zeros(n)
-    rows = np.arange(n)
-    for off, wgt in pieces:
-        cols = rows + off
-        inside = (cols >= 0) & (cols < n)
-        M[rows[inside], cols[inside]] += wgt
-        left = cols < 0
-        if np.any(left):
-            M[rows[left], 0] += wgt * rho_l ** (-cols[left])
-        right = cols > n - 1
-        if np.any(right):
-            decay = rho_r ** (cols[right] - (n - 1))
-            M[rows[right], n - 1] += wgt * decay
-            b[rows[right]] += wgt * right_target * (1.0 - decay)
+    np.add.at(b, rows[right], (wgt * right_target * (1.0 - decay))[right])
     return M, b
 
 
@@ -223,6 +221,21 @@ class _System:
         return J
 
 
+def _bordered_solve(A: np.ndarray, col: np.ndarray, row: np.ndarray,
+                    rhs: np.ndarray, singular: Exception) -> np.ndarray:
+    """Solution of ``[[A, col], [row, 0]] x = rhs``; raises ``singular`` when
+    the bordered matrix is singular."""
+    n = A.shape[0]
+    B = np.zeros((n + 1, n + 1))
+    B[:n, :n] = A
+    B[:n, n] = col
+    B[n, :n] = row
+    try:
+        return np.linalg.solve(B, rhs)
+    except np.linalg.LinAlgError:
+        raise singular from None
+
+
 def _newton(sys: _System, k0: int, phi0: np.ndarray, c0: float):
     """Damped Newton on the joint system (collocation rows + phase row), at
     most 60 steps, stopping once the sup-norm residual is below 1e-11.
@@ -234,6 +247,8 @@ def _newton(sys: _System, k0: int, phi0: np.ndarray, c0: float):
     phi = phi0.copy()
     c = float(c0)
     n = phi.size
+    phase_row = np.zeros(n)
+    phase_row[k0] = 1.0
     freeze = False
     sys.build(c)
     F = sys.residual(phi, c)
@@ -242,18 +257,9 @@ def _newton(sys: _System, k0: int, phi0: np.ndarray, c0: float):
     for _ in range(60):
         if norm < 1e-11:
             break
-        J = np.empty((n + 1, n + 1))
-        J[:n, :n] = sys.jacobian(phi, c)
-        J[:n, n] = sys.D @ phi + sys.bD
-        J[n, :] = 0.0
-        J[n, k0] = 1.0
-        rhs = np.empty(n + 1)
-        rhs[:n] = -F
-        rhs[n] = -phase
-        try:
-            step = np.linalg.solve(J, rhs)
-        except np.linalg.LinAlgError:
-            raise NewtonDiverged("singular Newton system") from None
+        step = _bordered_solve(sys.jacobian(phi, c), sys.D @ phi + sys.bD, phase_row,
+                               np.append(-F, -phase),
+                               NewtonDiverged("singular Newton system"))
         lam = 1.0
         improved = False
         while lam >= 1.0 / 1024.0:
@@ -483,15 +489,10 @@ def solve_r(w: WaveProfile) -> np.ndarray:
     n = w.n
     rhs = -w.phi_second_grid() - w.d * w.phi_prime_grid()
     A = w.linearization()
-    B = np.zeros((n + 1, n + 1))
-    B[:n, :n] = A
-    B[:n, n] = w.psi
-    B[n, :n] = w.h * w.psi
-    B[n, [0, n - 1]] *= 0.5
-    try:
-        r = np.linalg.solve(B, np.append(rhs, 0.0))[:n]
-    except np.linalg.LinAlgError:
-        raise SolveFailed("bordered corrector system is singular") from None
+    weights = w.h * w.psi
+    weights[[0, n - 1]] *= 0.5
+    r = _bordered_solve(A, w.psi, weights, np.append(rhs, 0.0),
+                        SolveFailed("bordered corrector system is singular"))[:n]
     res = np.max(np.abs(A @ r - rhs))
     if not res < 1e-7:
         raise SolveFailed(f"corrector residual {res:.3e} above 1e-07")
@@ -582,8 +583,18 @@ def save_wave(w: WaveProfile, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _field(record: dict, key: str, path: str):
+    if key not in record:
+        raise ValueError(f"{path}: wave file has no field {key!r}")
+    return record[key]
+
+
 def load_wave(path: str) -> WaveProfile:
-    """Read a profile written by :func:`save_wave`."""
+    """Read a profile written by :func:`save_wave`.
+
+    Raises ``ValueError``, naming the file, for a record that is not a JSON
+    object and for a missing or non-numeric field or a missing array.
+    """
     arrays = {}
     meta = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -592,22 +603,33 @@ def load_wave(path: str) -> WaveProfile:
             if not line:
                 continue
             rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError(f"{path}: record {line[:40]!r} is not a JSON object")
             if rec.get("type") == "wave_profile":
                 meta = rec
             elif rec.get("type") == "array":
-                arrays[rec["name"]] = np.asarray(rec["values"], dtype=float)
+                arrays[_field(rec, "name", path)] = np.asarray(
+                    _field(rec, "values", path), dtype=float)
     if meta is None or "phi" not in arrays:
         raise ValueError(f"{path} does not contain a wave profile")
+
+    def number(key: str) -> float:
+        try:
+            return float(_field(meta, key, path))
+        except TypeError:
+            raise ValueError(f"{path}: wave field {key!r} is not a number") from None
+
     if meta.get("kind", "cubic") == "table":
-        f = BistableNonlinearity(a=float(meta["a"]), kind="table",
-                                 table_u=arrays["table_u"], table_g=arrays["table_g"])
+        f = BistableNonlinearity(a=number("a"), kind="table",
+                                 table_u=_field(arrays, "table_u", path),
+                                 table_g=_field(arrays, "table_g", path))
     else:
-        f = BistableNonlinearity(a=float(meta["a"]))
-    L = float(meta["L"])
-    h = float(meta["h"])
+        f = BistableNonlinearity(a=number("a"))
+    L = number("L")
+    h = number("h")
     n_half = _check_grid(L, h)
     xi = (np.arange(2 * n_half + 1) - n_half) * h
-    return WaveProfile(f=f, L=L, h=h, xi=xi, phi=arrays["phi"], c=float(meta["c"]),
-                       rho=(float(meta["rho_l"]), float(meta["rho_r"])),
-                       psi=arrays.get("psi"), d=float(meta["d"]) if "d" in meta else None,
+    return WaveProfile(f=f, L=L, h=h, xi=xi, phi=arrays["phi"], c=number("c"),
+                       rho=(number("rho_l"), number("rho_r")),
+                       psi=arrays.get("psi"), d=number("d") if "d" in meta else None,
                        r=arrays.get("r"))

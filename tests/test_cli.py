@@ -366,6 +366,38 @@ def test_pinned_wave_is_numerical_failure(capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_wave_window_too_short_is_numerical_failure(capsys):
+    assert main(["wave", "--a", "0.3", "--L", "2"]) == 3
+    assert "does not reach the equilibria" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case, named", [("meta_without_c", "'c'"),
+                                         ("null_c", "'c'"),
+                                         ("table_without_table_u", "'table_u'"),
+                                         ("list_record", "not a JSON object")],
+                         ids=["meta_without_c", "null_c", "table_without_table_u",
+                              "list_record"])
+def test_malformed_wave_file_is_usage_error(snapshot_dir, wave_file, tmp_path, capsys,
+                                            case, named):
+    with open(wave_file, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    meta = json.loads(lines[0])
+    if case == "meta_without_c":
+        del meta["c"]
+    elif case == "null_c":
+        meta["c"] = None
+    elif case == "table_without_table_u":
+        meta["kind"] = "table"
+    else:
+        lines.append("[1, 2, 3]")
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n", encoding="utf-8")
+    assert main(["phase", "--snapshot", str(snapshot_dir / "snap_000000.bin"),
+                 "--wave", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and named in err
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main([])

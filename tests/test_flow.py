@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from mpmath import mp
 
-from acfront.core import PhaseSequence, beta, d2, d_plus
+from acfront.core import PhaseSequence, beta, d2, d_minus, d_plus
 from acfront.errors import FlatnessViolated, NonFinite, OutOfRange, OverflowGuard
-from acfront.flow import (FlowParams, bessel_bounds_report, bessel_i,
-                          decay_report, gradient_lde_solve, heat_kernel,
-                          heat_solve, mcf_rhs, mcf_solve, report_to_ndjson,
-                          trajectory_to_csv, v_gradient_report, v_rhs, v_solve)
+from acfront.flow import (FlowParams, bessel_bounds_report, decay_report,
+                          heat_kernel, heat_solve, mcf_rhs, mcf_solve,
+                          report_to_ndjson, trajectory_to_csv, v_gradient_report,
+                          v_rhs, v_solve)
 from acfront.harness import splitmix64_uniform
 
 C_REF = -0.279590404792108
@@ -26,7 +26,7 @@ D_REF = -0.146568639309
 
 def bessel_series_oracle(k: int, t: float) -> float:
     """High-precision power series for e^{-t} I_k(t), independent of the
-    Miller recurrence under test."""
+    scipy routine behind the heat kernel."""
     mp.dps = 40
     x = mp.mpf(t) / 2
     total = mp.mpf(0)
@@ -39,36 +39,44 @@ def bessel_series_oracle(k: int, t: float) -> float:
     return float(total * mp.e ** (-mp.mpf(t)))
 
 
+def kernel_bessel(k, t: float):
+    """e^{-t} I_k(t) read off the heat kernel, G_k(t/2) = e^{-t} I_k(t)."""
+    table = heat_kernel(t / 2.0)
+    return table.values[table.kmax + np.asarray(k)]
+
+
 def test_bessel_matches_series_oracle():
     for t in (5e-13, 1e-8, 1e-3, 0.1, 0.5, 2.0, 10.0, 100.0):
         for k in (0, 1, 3, 10):
-            got = bessel_i(k, t)
+            got = kernel_bessel(k, t)
             want = bessel_series_oracle(k, t)
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
 def test_bessel_matches_scipy_scaled():
+    # both halves of the symmetric table against the scaled Bessel ladder
     ks = np.arange(0, 40)
     for t in (5e-13, 1e-8, 1e-3, 0.1, 0.5, 1.0, 7.0, 50.0, 300.0):
-        got = bessel_i(ks, t)
         want = scipy.special.ive(ks, t)
-        assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(kernel_bessel(ks, t) - want)) < 1e-12
+        assert np.max(np.abs(kernel_bessel(-ks, t) - want)) < 1e-12
 
 
 def test_bessel_recurrence_identity_by_central_difference():
     # I_{k-1} + I_{k+1} = 2 I_k' on the scaled ladder s_k = e^{-t} I_k(t):
     # s_{k-1} + s_{k+1} = 2 (s_k' + s_k), at t=2, k=3
     eps = 1e-4
-    lhs = bessel_i(2, 2.0) + bessel_i(4, 2.0)
-    rhs = (bessel_i(3, 2.0 + eps) - bessel_i(3, 2.0 - eps)) / eps + 2.0 * bessel_i(3, 2.0)
+    lhs = kernel_bessel(2, 2.0) + kernel_bessel(4, 2.0)
+    rhs = ((kernel_bessel(3, 2.0 + eps) - kernel_bessel(3, 2.0 - eps)) / eps
+           + 2.0 * kernel_bessel(3, 2.0))
     assert abs(lhs - rhs) < 1e-8
 
 
 def test_bessel_guards():
     with pytest.raises(OutOfRange):
-        bessel_i(-1, 2.0)
+        heat_kernel(-0.5)
     with pytest.raises(OutOfRange):
-        bessel_i(0, -1.0)
+        bessel_bounds_report([1.0, -1.0])
 
 
 def test_kernel_mass_exact():
@@ -256,15 +264,23 @@ def test_mcf_forms_agree():
 
 
 def test_mcf_matches_gradient_lde():
+    # oracle: the gradient Υ = ∂⁺Γ of the curvature flow solves
+    # Υ̇_j = ∂⁺Υ_j/Π_j² - ∂⁻Υ_j/Π_{j-1}² + 2d(Π_j - Π_{j-1}),
+    # Π_j = sqrt(1 + (Υ_{j+1}² + Υ_j²)/2), on every recorded state
     p = FlowParams(c=C_REF, d=D_REF)
     j = np.arange(24)
     G0 = PhaseSequence(0.05 * np.sin(2.0 * np.pi * j / 24.0))
-    grid = np.linspace(0.0, 10.0, 6)
-    mcf = mcf_solve(G0, p, grid)
-    lde = gradient_lde_solve(PhaseSequence(d_plus(G0)), p, grid)
-    for k in range(grid.size):
-        got = d_plus(PhaseSequence(mcf.values[k]))
-        assert np.max(np.abs(got - lde.values[k])) < 1e-12
+    mcf = mcf_solve(G0, p, np.linspace(0.0, 10.0, 6))
+    for row in mcf.values:
+        G = PhaseSequence(row)
+        U = PhaseSequence(d_plus(G))
+        up, um, v = U.shifted(+1), U.shifted(-1), U.values
+        pi = np.sqrt(1.0 + 0.5 * (up * up + v * v))
+        pi_m = np.sqrt(1.0 + 0.5 * (v * v + um * um))
+        want = (d_plus(U) / (pi * pi) - d_minus(U) / (pi_m * pi_m)
+                + 2.0 * p.d * (pi - pi_m))
+        got = d_plus(PhaseSequence(mcf_rhs(G, p)))
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_mcf_flatness_guard():
@@ -272,8 +288,6 @@ def test_mcf_flatness_guard():
     steep = PhaseSequence(np.array([0.0, 1.0, 0.0, 1.0]))
     with pytest.raises(FlatnessViolated):
         mcf_solve(steep, p, [1.0])
-    with pytest.raises(FlatnessViolated):
-        gradient_lde_solve(PhaseSequence(np.array([0.0, 1.0])), p, [1.0])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -294,8 +308,6 @@ def test_marching_solvers_reject_negative_or_decreasing_times(grid):
     G0 = PhaseSequence(0.01 * np.sin(2.0 * np.pi * np.arange(8) / 8.0))
     with pytest.raises(OutOfRange, match="nondecreasing"):
         mcf_solve(G0, p, grid)
-    with pytest.raises(OutOfRange, match="nondecreasing"):
-        gradient_lde_solve(PhaseSequence(d_plus(G0)), p, grid)
     with pytest.raises(OutOfRange, match="nondecreasing"):
         v_solve(G0, p, grid, method="euler")
 

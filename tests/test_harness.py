@@ -245,7 +245,7 @@ REPORT_DIGESTS = [
     (fast_spec("thm22"),
      "388313481eb6e18014546e69fddc01b97901e9606cc56468a9bec25b3be65700"),
     (fast_spec("thm23", t_end=40.0),
-     "f45130cac349998770b4310a62ccd46536f3cb04e2b49269064b75ba5b0f586e"),
+     "a55445f911ebbb9ed9a5812ea15e9a0b2f67c6358803b89dc5b6338aa34085a3"),
     (fast_spec("thm24", t_end=40.0),
      "45923bc86433905ff2c58d706a81e4b0fa6ce1de6ebb8f309a5c664f84e478b9"),
     (ExperimentSpec(name="step_kappa", width=96, height=48, t_end=60.0, tau=30.0,

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from acfront.core import LatticeField
 from acfront.errors import NoDefinedRows, UndefinedRows
-from acfront.phase import (extract, flatness, front_error,
-                           interfacial_monotonicity, phase_series_to_csv)
+from acfront.phase import extract, flatness, front_error, phase_series_to_csv
 from acfront.wave import phi_inverse
 
 
@@ -238,27 +237,6 @@ def test_front_error_requires_all_rows(wave03):
     g = extract(u, wave03)
     with pytest.raises(UndefinedRows):
         front_error(u, wave03, g)
-
-
-def test_monotonicity_clean_on_exact_front(wave03):
-    u = planar_field(wave03, np.array([0.0, 0.5, 1.0, 1.5]))
-    rep = interfacial_monotonicity(u, wave03)
-    assert rep["monotone"]
-    assert rep["min_forward_difference"] > 0.0
-    assert rep["interfacial_sites"] > 0
-    assert rep["no_reentry_below"] and rep["no_reentry_above"]
-    assert rep["reentry_below_sites"] == []
-
-
-def test_monotonicity_flags_reentry_islands(wave03):
-    u = planar_field(wave03, np.zeros(4))
-    u.values[5, 1] = 0.95   # upper-state island deep in the lower region
-    u.values[40, 2] = 1e-6  # lower-state island deep in the upper region
-    rep = interfacial_monotonicity(u, wave03)
-    assert not rep["no_reentry_above"]
-    assert not rep["no_reentry_below"]
-    assert (5 + u.i_offset, 1) in rep["reentry_above_sites"]
-    assert (40 + u.i_offset, 2) in rep["reentry_below_sites"]
 
 
 def test_phase_series_csv(tmp_path, wave03):

@@ -6,11 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from acfront.core import BistableNonlinearity
-from acfront.errors import OutOfRange, PinningDetected
-from acfront.wave import (WaveProfile, adjoint_solve, c_theta, compute_d,
-                          dispersion, load_wave, mfde_residual, phi_inverse,
-                          save_wave, solve_r, solve_wave)
+from acfront.core import BistableNonlinearity, PhaseSequence
+from acfront.errors import (DegenerateKernel, NewtonDiverged, OutOfRange,
+                            PinningDetected, SolveFailed)
+from acfront.sim import SuperSubSpec, build_curved_supersub
+from acfront.wave import (WaveProfile, _deriv_pieces, _interp_pieces,
+                          _second_deriv_pieces, _stencil_affine, adjoint_solve,
+                          c_theta, compute_d, dispersion, load_wave,
+                          mfde_residual, phi_inverse, save_wave, solve_r,
+                          solve_wave)
 
 
 def lde_front_speed_rk4(a, n=192, t_end=170.0, dt=0.02, fit_from=20.0):
@@ -77,6 +81,30 @@ def test_mirror_symmetry_of_speed():
 def test_balanced_detuning_detects_pinning():
     with pytest.raises(PinningDetected):
         solve_wave(BistableNonlinearity(a=0.5))
+
+
+def test_short_window_does_not_reach_equilibria():
+    with pytest.raises(NewtonDiverged, match="does not reach the equilibria"):
+        solve_wave(BistableNonlinearity(a=0.3), L=2.0)
+
+
+def test_missing_corrector_is_solve_failed():
+    w = solve_wave(BistableNonlinearity(a=0.3))
+    with pytest.raises(SolveFailed, match="has not been solved"):
+        w.r_at(0.0)
+    spec = SuperSubSpec(kind="curved", V0=PhaseSequence(np.zeros(8)))
+    with pytest.raises(SolveFailed, match="needs the corrector r"):
+        build_curved_supersub(w, spec, 1.0)
+
+
+def test_adjoint_rejects_degenerate_kernel(wave03):
+    ramp = np.linspace(0.0, 1.0, wave03.n)
+    w = dataclasses.replace(wave03, phi=ramp, _phi_spline=None)
+    with pytest.raises(DegenerateKernel, match="not strictly positive"):
+        adjoint_solve(w)
+    w = dataclasses.replace(wave03, phi=ramp[::-1], _phi_spline=None)
+    with pytest.raises(DegenerateKernel, match="not transverse"):
+        adjoint_solve(w)
 
 
 def test_adjoint_positive_normalized_frozen_d(wave03):
@@ -149,6 +177,37 @@ def test_zero_tail_rate_is_a_hard_clamp(wave03):
     inside = np.linspace(-w.L, w.L, 9)
     for nu in (0, 1):
         assert np.array_equal(clamped.phi_at(inside, nu), w.phi_at(inside, nu))
+
+
+def stencil_affine_loop(n, pieces, rho_l, rho_r, right_target):
+    """Reference tail closure: one pass per stencil piece, in piece order."""
+    M = np.zeros((n, n))
+    b = np.zeros(n)
+    rows = np.arange(n)
+    for off, wgt in pieces:
+        cols = rows + off
+        inside = (cols >= 0) & (cols < n)
+        M[rows[inside], cols[inside]] += wgt
+        left = cols < 0
+        M[rows[left], 0] += wgt * rho_l ** (-cols[left])
+        right = cols > n - 1
+        decay = rho_r ** (cols[right] - (n - 1))
+        M[rows[right], n - 1] += wgt * decay
+        b[rows[right]] += wgt * right_target * (1.0 - decay)
+    return M, b
+
+
+@pytest.mark.parametrize("rho_l, rho_r, right_target",
+                         [(0.7, 0.4, 1.0), (0.0, 0.9, 1.0), (0.3, 0.0, 0.0)])
+def test_stencil_affine_matches_loop_bitwise(rho_l, rho_r, right_target):
+    h = 1.0 / 4.0
+    pieces = (_deriv_pieces(h) + _second_deriv_pieces(h) + _interp_pieces(0.3, h)
+              + _interp_pieces(-2.6, h) + [(0, -2.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _stencil_affine(12, pieces, rho_l, rho_r, right_target)
+    for a, b in zip(got, stencil_affine_loop(12, pieces, rho_l, rho_r, right_target)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_save_load_round_trip(tmp_path, wave03):
