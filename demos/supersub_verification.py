@@ -41,7 +41,7 @@ print(f"  max J[u-] = {report['max_residual_sub']:+.3e}")
 
 # Negative control: with no additive offset the initial curvature cost is
 # unpaid and the margin precondition must reject the pair.
-broken = SuperSubSpec(kind="curved", V0=V0, M=1e-12, nu=1e-15)
+broken = SuperSubSpec(kind="curved", V0=V0, M=1e-12)
 try:
     verify_supersub(broken, w, cfg, t_grid, width=128)
     print("\nnegative control unexpectedly passed")

@@ -235,7 +235,7 @@ class FlowParams:
 
 @dataclass
 class FlowTrajectory:
-    """Phase sequences recorded along a flow, one row per time."""
+    """Phase sequences recorded along a flow, row ``values[k]`` at ``times[k]``."""
 
     times: np.ndarray
     values: np.ndarray
@@ -247,12 +247,6 @@ class FlowTrajectory:
 
     def __len__(self) -> int:
         return self.times.size
-
-    def at(self, t: float) -> PhaseSequence:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9 + 1e-9 * abs(t):
-            raise OutOfRange(f"time {t} was not recorded")
-        return PhaseSequence(self.values[idx].copy(), boundary_j=self.boundary_j)
 
     def final(self) -> PhaseSequence:
         return PhaseSequence(self.values[-1].copy(), boundary_j=self.boundary_j)

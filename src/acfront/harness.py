@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
@@ -103,9 +104,16 @@ class ExperimentSpec:
         defaults = {"front_error": 0.02, "tracking": 0.1, "mu_stable": 0.01,
                     "mu_pred": 0.05, "edge_phase": 0.1, "flatness_handoff": 0.1,
                     "mcf_delta": 0.2}
+        for key, value in self.tolerances.items():
+            if key not in defaults:
+                raise ValueError(f"unknown tolerance {key!r}; known: {sorted(defaults)}")
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"tolerance {key} must be a number, got {value!r}")
         self.tolerances = {**defaults, **self.tolerances}
-        if self.kappa.get("kind") == "periodic" and int(self.kappa.get("P", 1)) < 1:
-            raise ValueError("kappa period P must be >= 1")
+        P = self.kappa.get("P", 1)
+        if self.kappa.get("kind", "periodic") == "periodic" and (
+                isinstance(P, bool) or not isinstance(P, numbers.Integral) or P < 1):
+            raise ValueError(f"kappa period P must be an integer >= 1, got {P!r}")
         for gen, known in _GENERATOR_KEYS.items():
             unknown = sorted(set(getattr(self, gen)) - known)
             if unknown:
@@ -320,7 +328,7 @@ def run_thm23(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Experime
         raise FlatnessViolated(
             f"flatness {fl0:.4f} at hand-off t={t0:g} exceeds {handoff_tol:g}")
     mcf, params, gap_series = _track_mcf(w, traj, k0)
-    vtr = flow.v_solve(mcf.at(0.0), params, t_grid=mcf.times)
+    vtr = flow.v_solve(g0.gamma, params, t_grid=mcf.times)
     v_gap_series = [(t, float(np.max(np.abs(mcf.values[k] - vtr.values[k]))))
                     for k, (t, _, g) in enumerate(traj[k0:]) if g.all_defined]
     sup_gap = max(v for _, v in gap_series)

@@ -17,7 +17,9 @@ Verification of candidate super/sub-solutions evaluates the residual
 differencing): the planar pair trades an initial uniform offset for an
 eventual phase shift, and the curved pair rides an exactly solved phase
 LDE through the Cole-Hopf route, with a corrector term proportional to the
-squared discrete gradient of the phase.
+squared discrete gradient of the phase.  The residuals of all times form
+one ``(time, i, j)`` array, and one ``argmin`` and one ``argmax`` over it
+give both worst residuals and their sites.
 """
 
 from __future__ import annotations
@@ -206,7 +208,6 @@ class SuperSubSpec:
     delta: float = 0.02
     m: float = 0.015
     C_eps: float = 5.0
-    nu: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in ("planar", "curved"):
@@ -234,10 +235,7 @@ class SuperSubSpec:
         return 1.5 * self.M * min(self.delta, t ** -1.5 if t > 0 else math.inf) / self.m
 
     def p_dot(self, t: float) -> float:
-        t_knee = self.delta ** (-2.0 / 3.0)
-        if t <= t_knee:
-            return 0.0
-        return -2.25 * self.M * t ** -2.5 / self.m
+        return 0.0 if t <= self.delta ** (-2.0 / 3.0) else -2.25 * self.M * t ** -2.5 / self.m
 
     def q_of(self, t: float) -> float:
         t_knee = self.delta ** (-2.0 / 3.0)
@@ -254,16 +252,18 @@ def _window_grid(width: int, i_offset: int) -> np.ndarray:
     return (np.arange(width) + i_offset).astype(float)[:, None]
 
 
-def _planar_pair(w: WaveProfile, spec: SuperSubSpec, t: float, width: int):
-    """Planar pair at time ``t`` on the window of ``width`` columns from
+def _planar_pair(w: WaveProfile, spec: SuperSubSpec, t: Sequence[float], width: int):
+    """Planar pair at the times ``t`` on the window of ``width`` columns from
     ``i = -(width // 2)``: ``(i_offset, u+, u-, J[u+], J[u-])``, each array
-    of shape ``(width, 1)``, with the residuals analytic in time."""
+    of shape ``(len(t), width, 1)``, with the residuals analytic in time."""
     if spec.mu is None or spec.C is None:
         raise ValueError("planar spec needs mu and C (see search_planar_constants)")
     spec.check_offsets(w.a)
     mu, C = spec.mu, spec.C
     i_offset = -(width // 2)
-    decay = math.exp(-mu * t)
+    # libm's exp per time: numpy's SIMD exp can differ by an ulp and move a tied site
+    decay = np.array([math.exp(-mu * s) for s in t])[:, None, None]
+    t = np.asarray(t, dtype=float)[:, None, None]
     xi = _window_grid(width, i_offset) - w.c * t
     out = []
     for sign, q in ((+1.0, spec.q0), (-1.0, spec.q1)):
@@ -283,10 +283,9 @@ def build_planar_supersub(w: WaveProfile, spec: SuperSubSpec, t: float, *,
                           ) -> tuple[LatticeField, LatticeField]:
     """Planar super/sub-solution fields at time ``t``; the window starts at
     ``i = -(width // 2)``."""
-    i_offset, up, um, _, _ = _planar_pair(w, spec, t, width)
-    ones = np.ones((1, height))
-    return (LatticeField(up * ones, i_offset=i_offset),
-            LatticeField(um * ones, i_offset=i_offset))
+    i_offset, up, um, _, _ = _planar_pair(w, spec, [t], width)
+    return tuple(LatticeField(np.repeat(u[0], height, axis=1), i_offset=i_offset)
+                 for u in (up, um))
 
 
 def _curved_pair(w: WaveProfile, spec: SuperSubSpec, V: PhaseSequence, t: float,
@@ -296,17 +295,13 @@ def _curved_pair(w: WaveProfile, spec: SuperSubSpec, V: PhaseSequence, t: float,
     J[u-])``, with the residuals analytic in time."""
     i_offset = -(width // 2) + int(round(float(np.mean(V.values))))
     i = _window_grid(width, i_offset)
-    params = flow.FlowParams(c=w.c, d=w.d)
-    vdot = flow.v_rhs(V, params)
+    vdot = flow.v_rhs(V, flow.FlowParams(c=w.c, d=w.d))
     av = alpha(V)
     av_seq = PhaseSequence(av, boundary_j=V.boundary_j)
     vdot_seq = PhaseSequence(vdot, boundary_j=V.boundary_j)
     avdot = (V.shifted(+1) - V.values) * (vdot_seq.shifted(+1) - vdot) \
         + (V.shifted(-1) - V.values) * (vdot_seq.shifted(-1) - vdot)
-    p = spec.p_of(t)
-    pdot = spec.p_dot(t)
-    q = spec.q_of(t)
-    qdot = spec.q_dot(t)
+    p, pdot, q, qdot = spec.p_of(t), spec.p_dot(t), spec.q_of(t), spec.q_dot(t)
     out = []
     for sign in (+1.0, -1.0):
         arg = i - V.values[None, :] + sign * q
@@ -334,8 +329,7 @@ def build_curved_supersub(w: WaveProfile, spec: SuperSubSpec, t: float, *,
     the phase ``V`` solved exactly from ``spec.V0`` (Cole-Hopf route)."""
     if w.r is None:
         raise SolveFailed("curved construction needs the corrector r")
-    params = flow.FlowParams(c=w.c, d=w.d)
-    V = flow.v_solve(spec.V0, params, t_grid=[t]).final()
+    V = flow.v_solve(spec.V0, flow.FlowParams(c=w.c, d=w.d), t_grid=[t]).final()
     i_offset, up, um, _, _ = _curved_pair(w, spec, V, t, width)
     return (LatticeField(up, i_offset=i_offset, boundary_j=V.boundary_j),
             LatticeField(um, i_offset=i_offset, boundary_j=V.boundary_j))
@@ -354,34 +348,35 @@ def verify_supersub(spec: SuperSubSpec, w: WaveProfile, cfg: SimConfig,
     if len(t_grid) == 0:
         raise OutOfRange("super/sub verification needs at least one time")
     if spec.kind == "planar":
-        wd = width if width is not None else cfg.width
-        pairs = ((float(t), *_planar_pair(w, spec, float(t), wd)) for t in t_grid)
+        ts = np.asarray(t_grid, dtype=float)
+        i0, _, _, Jp, Jm = _planar_pair(w, spec, ts, cfg.width if width is None else width)
+        offsets = np.full(ts.size, i0)
     else:
         if w.r is None:
             raise SolveFailed("curved verification needs the corrector r")
         grad0 = float(np.max(np.abs(d_plus(spec.V0))))
         p0 = spec.p_of(0.0)
         slack = p0 - float(np.max(np.abs(w.r))) * grad0 * grad0
-        nu = spec.nu if spec.nu is not None else 0.5 * p0
-        if not slack > nu > 0.0:
+        if not slack > 0.5 * p0:
             raise VerificationFailed(
-                f"initial offset margin {slack:.3e} does not clear nu={nu:.3e}",
+                f"initial offset margin {slack:.3e} does not clear p(0)/2={0.5 * p0:.3e}",
                 value=slack)
         wd = width if width is not None else 128
-        params = flow.FlowParams(c=w.c, d=w.d)
-        traj = flow.v_solve(spec.V0, params, t_grid=list(t_grid))
-        pairs = ((float(t), *_curved_pair(w, spec, traj.at(t), float(t), wd))
-                 for t in traj.times)
-    worst_plus = math.inf
-    worst_minus = -math.inf
-    site_plus = site_minus = None
-    for t, i0, _, _, Jp, Jm in pairs:
-        ip, jp = np.unravel_index(int(np.argmin(Jp)), Jp.shape)
-        im, jm = np.unravel_index(int(np.argmax(Jm)), Jm.shape)
-        if Jp[ip, jp] < worst_plus:
-            worst_plus, site_plus = float(Jp[ip, jp]), (int(ip) + i0, int(jp), t)
-        if Jm[im, jm] > worst_minus:
-            worst_minus, site_minus = float(Jm[im, jm]), (int(im) + i0, int(jm), t)
+        traj = flow.v_solve(spec.V0, flow.FlowParams(c=w.c, d=w.d), t_grid=list(t_grid))
+        ts, offsets = traj.times, np.empty(len(traj), dtype=int)
+        Jp = np.empty((len(traj), wd, len(spec.V0)))
+        Jm = np.empty_like(Jp)
+        for k, (t, v) in enumerate(zip(ts.tolist(), traj.values)):
+            offsets[k], _, _, Jp[k], Jm[k] = _curved_pair(
+                w, spec, PhaseSequence(v, boundary_j=traj.boundary_j), t, wd)
+
+    def worst(J: np.ndarray, pick) -> tuple[float, tuple[int, int, float]]:
+        # flat C order: ties go to the first time, then the first site
+        k, i, j = np.unravel_index(int(pick(J)), J.shape)
+        return float(J[k, i, j]), (int(offsets[k] + i), int(j), float(ts[k]))
+
+    worst_plus, site_plus = worst(Jp, np.argmin)
+    worst_minus, site_minus = worst(Jm, np.argmax)
     tol = _SUPERSUB_TOL
     verdict = worst_plus >= -tol and worst_minus <= tol
     return {

@@ -79,6 +79,8 @@ _D2_DIAG = -30.0 / 12.0
 
 def _check_grid(L: float, h: float) -> int:
     """Half-width ``L / h`` in grid cells, after validating ``L`` and ``h``."""
+    if not (math.isfinite(L) and math.isfinite(h) and h > 0.0):
+        raise ValueError(f"L must be finite and h positive and finite, got L={L}, h={h}")
     s = 1.0 / h
     if abs(s - round(s)) > 1e-9:
         raise ValueError(f"1/h must be an integer, got h={h}")

@@ -191,7 +191,7 @@ def test_c06_supersub_verification(wave03):
     checks["curved_pass"] = rep["verdict"] == "pass"
     degenerate = SuperSubSpec(kind="curved",
                               V0=PhaseSequence(np.sin(2.0 * np.pi * j / 64.0)),
-                              M=1e-12, nu=1e-15)
+                              M=1e-12)
     try:
         verify_supersub(degenerate, w, cfg, [0.0, 1.0], width=128)
         checks["degenerate_offset_rejected"] = False

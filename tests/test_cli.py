@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from acfront import harness
 from acfront.cli import main
 from acfront.flow import FlowParams, mcf_solve
 from acfront.phase import extract, flatness
@@ -315,6 +316,36 @@ def test_experiment_bad_step_setting_is_usage_error(tmp_path, capsys, line, key)
     captured = capsys.readouterr()
     assert "pass" not in captured.out
     assert f"error: {key} must be" in captured.err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("tol_frnt_error = 0.01", "unknown tolerance 'frnt_error'"),
+    ("tol_front_error = abc", "tolerance front_error must be a number, got 'abc'"),
+    ("kappa_P = 2.5", "kappa period P must be an integer >= 1, got 2.5"),
+], ids=["unknown_tolerance", "non_numeric_tolerance", "fractional_period"])
+def test_experiment_bad_tolerance_or_period_fails_before_the_wave_solve(
+        tmp_path, capsys, monkeypatch, line, message):
+    def no_solve(*args, **kw):
+        raise AssertionError("the wave was solved")
+
+    monkeypatch.setattr(harness, "solve_wave", no_solve)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(FAST_CONFIG + line + "\n")
+    assert main(["experiment", "thm22", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h", ["0", "-0.0625"])
+def test_wave_nonpositive_spacing_is_usage_error(h, capsys):
+    assert main(["wave", "--a", "0.3", "--h", h]) == 2
+    assert "h positive and finite" in capsys.readouterr().err
+
+
+def test_experiment_zero_spacing_in_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(FAST_CONFIG + "h = 0\n")
+    assert main(["experiment", "thm22", "--config", str(cfg)]) == 2
+    assert "h positive and finite" in capsys.readouterr().err
 
 
 def test_experiment_wrongly_typed_key_is_usage_error(tmp_path, capsys):

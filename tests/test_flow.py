@@ -318,14 +318,15 @@ def test_v_gradient_report_rejects_empty_trajectory():
         v_gradient_report(traj)
 
 
-def test_trajectory_at_and_final():
+def test_trajectory_final_is_last_row():
     p = FlowParams(c=C_REF, d=D_REF)
-    V0 = PhaseSequence(np.zeros(4))
+    V0 = PhaseSequence(np.zeros(4), boundary_j="reflect")
     traj = v_solve(V0, p, t_grid=[0.0, 1.0, 2.0])
-    assert np.array_equal(traj.at(1.0).values, traj.values[1])
-    assert np.array_equal(traj.final().values, traj.at(2.0).values)
-    with pytest.raises(OutOfRange):
-        traj.at(1.5)
+    final = traj.final()
+    assert np.array_equal(final.values, traj.values[-1])
+    assert final.boundary_j == "reflect"
+    final.values[0] += 1.0  # a copy, not a view of the trajectory
+    assert not np.array_equal(final.values, traj.values[-1])
 
 
 def test_csv_and_ndjson_exports(tmp_path):

@@ -142,6 +142,20 @@ def test_spec_validation_and_hash():
     assert c.tolerances["tracking"] == 0.1
 
 
+def test_spec_rejects_unknown_or_non_numeric_tolerances_and_fractional_period():
+    with pytest.raises(ValueError, match="unknown tolerance 'frnt_error'"):
+        ExperimentSpec(name="thm22", tolerances={"frnt_error": 0.01})
+    for bad in ("abc", True, None):
+        with pytest.raises(ValueError, match="tolerance front_error must be a number"):
+            ExperimentSpec(name="thm22", tolerances={"front_error": bad})
+    for P in (2.5, 8.0, True, 0, "8"):
+        with pytest.raises(ValueError, match="kappa period P must be an integer >= 1"):
+            ExperimentSpec(name="thm22", kappa={"kind": "periodic", "P": P})
+    spec = ExperimentSpec(name="thm22", tolerances={"front_error": 1},
+                          kappa={"P": np.int64(4)})
+    assert spec.tolerances["front_error"] == 1 and spec.kappa["P"] == 4
+
+
 def test_thm22_fast_run_passes(wave03):
     report = run_thm22(fast_spec("thm22"), wave03)
     assert report.passed

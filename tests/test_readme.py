@@ -1,10 +1,11 @@
-"""The README's command-line usage stays in step with the parser."""
+"""The README's command-line usage and config keys stay in step with the code."""
 
 import argparse
 import re
 from pathlib import Path
 
 from acfront.cli import build_parser
+from acfront.harness import _SCALAR_KEYS, ExperimentSpec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -36,3 +37,23 @@ def test_readme_command_line_is_accepted_by_parser():
         flags = re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", command)
         unknown = [f for f in flags if f not in known]
         assert not unknown, f"README `acfront {name}` lists unknown flags {unknown}"
+
+
+def readme_config_text() -> str:
+    """The README's config-file paragraph, joined into one line."""
+    text = README.read_text(encoding="utf-8")
+    para = text.split("Config files are flat", 1)[1].split("\n\n", 1)[0]
+    return " ".join(para.split())
+
+
+def test_readme_scalar_config_keys_match_the_parser():
+    listed = readme_config_text().split("Scalar keys:", 1)[1].split(";", 1)[0]
+    keys = set(re.findall(r"`(\w+)`", listed))
+    assert keys == set(_SCALAR_KEYS) | {"name"}
+
+
+def test_readme_tolerance_defaults_match_the_spec():
+    listed = readme_config_text().split("criteria and defaults:", 1)[1]
+    listed = re.split(r"\.\s", listed, maxsplit=1)[0]
+    tolerances = {k: float(v) for k, v in re.findall(r"`(\w+)` = ([\d.]+)", listed)}
+    assert tolerances == ExperimentSpec(name="thm22").tolerances

@@ -390,6 +390,30 @@ def test_verify_supersub_reports_frozen(wave03, case):
     assert report["site_sub"] == site_sub
 
 
+@pytest.mark.parametrize("case", ["planar_pass", "planar_fail", "curved"])
+def test_all_times_match_the_worst_single_time_call(wave03, case):
+    """One reduction over every time gives the extremes and sites of the
+    worst single-time call, ties going to the first time."""
+    w = wave03
+    cfg = SimConfig(w.f)
+    t_grid = np.linspace(0.0, 50.0, 26)
+    if case == "curved":
+        spec, kw = curved_spec(), {"width": 128}
+    else:
+        mu, C = (MU_REF, C_BIG) if case == "planar_pass" else (1.0, 1.0)
+        spec, kw = SuperSubSpec(kind="planar", q0=0.1, q1=0.1, mu=mu, C=C), {}
+    report = verify_supersub(spec, w, cfg, t_grid, **kw)
+    singles = [verify_supersub(spec, w, cfg, [t], **kw) for t in t_grid]
+    worst_super = min(singles, key=lambda r: r["min_residual_super"])
+    worst_sub = max(singles, key=lambda r: r["max_residual_sub"])
+    assert report["min_residual_super"] == worst_super["min_residual_super"]
+    assert report["site_super"] == worst_super["site_super"]
+    assert report["max_residual_sub"] == worst_sub["max_residual_sub"]
+    assert report["site_sub"] == worst_sub["site_sub"]
+    assert report["verdict"] == ("fail" if case == "planar_fail" else "pass")
+    assert (report["verdict"] == "pass") == all(r["verdict"] == "pass" for r in singles)
+
+
 def test_curved_pair_certified_with_default_constants(wave03):
     w = wave03
     cfg = SimConfig(w.f)
@@ -421,7 +445,6 @@ def test_curved_no_offset_rejected_at_margin(wave03):
     cfg = SimConfig(w.f)
     spec = curved_spec()
     spec.M = 1e-12
-    spec.nu = 1e-15
     with pytest.raises(VerificationFailed):
         verify_supersub(spec, w, cfg, [0.0, 1.0], width=128)
 

@@ -88,6 +88,14 @@ def test_short_window_does_not_reach_equilibria():
         solve_wave(BistableNonlinearity(a=0.3), L=2.0)
 
 
+@pytest.mark.parametrize("L, h", [(20.0, 0.0), (20.0, -0.0625), (20.0, float("nan")),
+                                  (20.0, float("inf")), (float("inf"), 0.0625),
+                                  (float("nan"), 0.0625)])
+def test_non_finite_or_nonpositive_grid_is_rejected(L, h):
+    with pytest.raises(ValueError, match="L must be finite and h positive and finite"):
+        solve_wave(BistableNonlinearity(a=0.3), L=L, h=h)
+
+
 def test_missing_corrector_is_solve_failed():
     w = solve_wave(BistableNonlinearity(a=0.3))
     with pytest.raises(SolveFailed, match="has not been solved"):
