@@ -11,11 +11,11 @@ the package and are fixed at this level:
 * in the vertical (``j``) direction either ``periodic`` (indices wrap) or
   ``reflect`` (the ghost equals the edge value, i.e. zero discrete flux).
 
-The j-policy is a field of each container, and only the containers apply it
-(``_wrap_j`` for ``LatticeField.at`` and ``PhaseSequence.shifted``, and
-``_fill_ghosts`` for ``LatticeField.padded`` and the stage buffers of
-``sim.step``, which pass the field's own policy); outside this module only
-``flow.heat_solve`` reads it, to extend a reflecting sequence evenly.
+The j-policy is a field of each container, and one ghost rule applies it:
+``_fill_ghosts``, on the last axis of ``LatticeField.padded``,
+``PhaseSequence.padded`` and the ``sim.step`` stage buffers, which ``at`` and
+the difference operators read.  Outside this module only ``flow.heat_solve``
+reads the policy, to extend a reflecting sequence evenly.
 """
 
 from __future__ import annotations
@@ -131,12 +131,6 @@ class BistableNonlinearity:
         return float(np.max(np.abs(self.dg(s))))
 
 
-def _wrap_j(idx: np.ndarray, height: int, boundary_j: str) -> np.ndarray:
-    if boundary_j == "periodic":
-        return np.mod(idx, height)
-    return np.clip(idx, 0, height - 1)
-
-
 @dataclass
 class LatticeField:
     """A rectangular window of lattice values ``u[i, j]``.
@@ -173,14 +167,12 @@ class LatticeField:
         return self.i_offset + np.arange(self.width)
 
     def at(self, i: int, j: int) -> float:
-        """Value at lattice site ``(i, j)`` honouring both boundary policies."""
-        row = i - self.i_offset
-        if row < 0:
-            return 0.0
-        if row >= self.width:
-            return 1.0
-        col = int(_wrap_j(np.asarray(j), self.height, self.boundary_j))
-        return float(self.values[row, col])
+        """Value at site ``(i, j)`` of :meth:`padded`: an ``i`` past either edge
+        reads that side's ghost row, and a ``j`` outside ``[-1, H]`` raises."""
+        if not -1 <= j <= self.height:
+            raise ValueError(f"j={j} lies past the ghost layer [-1, {self.height}]")
+        row = min(max(i - self.i_offset + 1, 0), self.width + 1)
+        return float(self.padded()[row, j + 1])
 
     def padded(self) -> np.ndarray:
         """Values with one ghost layer on every side, shape (W+2, H+2)."""
@@ -194,21 +186,20 @@ class LatticeField:
 
 
 def _fill_ghosts(p: np.ndarray, boundary_j: str) -> np.ndarray:
-    """Write the ghost layer of the padded ``(W+2, H+2)`` array ``p`` in
-    place from its interior, and return ``p``: whole ghost rows 0 (left) and
-    1 (right), and the ghost columns of the interior rows by ``boundary_j``.
-
-    The ghost rows are whole because ``_flat_laplacian`` reads the corners,
-    but only into ghost-column entries that it discards.
-    """
-    p[0] = 0.0
-    p[-1] = 1.0
+    """Fill the ghosts of the padded array ``p`` in place from its interior
+    and return ``p``: ``p[..., 0]`` and ``p[..., -1]`` by ``boundary_j``, then
+    on a ``(W+2, H+2)`` lattice array the whole first row with 0 and last row
+    with 1 (whole, since ``_flat_laplacian`` reads their corners into
+    ghost-column entries that it discards)."""
     if boundary_j == "periodic":
-        p[1:-1, 0] = p[1:-1, -2]
-        p[1:-1, -1] = p[1:-1, 1]
+        p[..., 0] = p[..., -2]
+        p[..., -1] = p[..., 1]
     else:
-        p[1:-1, 0] = p[1:-1, 1]
-        p[1:-1, -1] = p[1:-1, -2]
+        p[..., 0] = p[..., 1]
+        p[..., -1] = p[..., -2]
+    if p.ndim == 2:
+        p[0] = 0.0
+        p[-1] = 1.0
     return p
 
 
@@ -278,10 +269,12 @@ class PhaseSequence:
     def __len__(self) -> int:
         return self.values.size
 
-    def shifted(self, offset: int) -> np.ndarray:
-        """Values of ``s_{j+offset}`` for every ``j`` under the boundary policy."""
-        idx = np.arange(len(self)) + offset
-        return self.values[_wrap_j(idx, len(self), self.boundary_j)]
+    def padded(self) -> np.ndarray:
+        """Values with one ghost on each end by ``boundary_j``, shape
+        ``(H+2,)``: entry ``j + 1`` holds ``s_j`` for ``j = -1 .. H``."""
+        out = np.empty(len(self) + 2)
+        out[1:-1] = self.values
+        return _fill_ghosts(out, self.boundary_j)
 
     def replace(self, values: np.ndarray) -> "PhaseSequence":
         return PhaseSequence(np.asarray(values, dtype=float), self.boundary_j)
@@ -289,17 +282,20 @@ class PhaseSequence:
 
 def d_plus(s: PhaseSequence) -> np.ndarray:
     """Forward difference ``s_{j+1} - s_j``."""
-    return s.shifted(+1) - s.values
+    q = s.padded()
+    return q[2:] - q[1:-1]
 
 
 def d_minus(s: PhaseSequence) -> np.ndarray:
     """Backward difference ``s_j - s_{j-1}``."""
-    return s.values - s.shifted(-1)
+    q = s.padded()
+    return q[1:-1] - q[:-2]
 
 
 def d2(s: PhaseSequence) -> np.ndarray:
     """Second difference ``s_{j+1} - 2 s_j + s_{j-1}``."""
-    return s.shifted(+1) - 2.0 * s.values + s.shifted(-1)
+    q = s.padded()
+    return q[2:] - 2.0 * q[1:-1] + q[:-2]
 
 
 def beta(s: PhaseSequence) -> np.ndarray:

@@ -229,8 +229,8 @@ class FlowParams:
         if self.dt is None:
             # explicit-scheme stability for the linearized operator
             self.dt = 0.1 * min(1.0, 1.0 / (2.0 + 2.0 * abs(self.d)))
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
 
 @dataclass

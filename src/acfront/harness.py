@@ -53,22 +53,26 @@ __all__ = [
 _MASK = (1 << 64) - 1
 
 
-def splitmix64(seed: int, n: int) -> list[int]:
-    """First ``n`` outputs of the splitmix64 stream for ``seed``, in one
-    uint64 pass: state ``x_k = seed + k * 0x9E3779B97F4A7C15`` (mod 2^64,
+def _splitmix64_array(seed: int, n: int) -> np.ndarray:
+    """First ``n`` outputs of the splitmix64 stream for ``seed``, as uint64, in
+    one pass: state ``x_k = seed + k * 0x9E3779B97F4A7C15`` (mod 2^64,
     ``k = 1..n``), then the two multiply-xorshift mixes."""
     u64 = np.uint64
     x = u64(seed & _MASK) + np.arange(1, n + 1, dtype=u64) * u64(0x9E3779B97F4A7C15)
     z = (x ^ (x >> u64(30))) * u64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> u64(27))) * u64(0x94D049BB133111EB)
-    return (z ^ (z >> u64(31))).tolist()
+    return z ^ (z >> u64(31))
+
+
+def splitmix64(seed: int, n: int) -> list[int]:
+    """First ``n`` outputs of the splitmix64 stream for ``seed``, as Python ints."""
+    return _splitmix64_array(seed, n).tolist()
 
 
 def splitmix64_uniform(seed: int, n: int) -> np.ndarray:
     """``n`` doubles in [0, 1) from the splitmix64 stream."""
     # v / 2**64 rounds up to 1.0 for v >= 2**64 - 2**10
-    return np.minimum(np.array(splitmix64(seed, n), dtype=np.uint64) / 2.0 ** 64,
-                      np.nextafter(1.0, 0.0))
+    return np.minimum(_splitmix64_array(seed, n) / 2.0 ** 64, np.nextafter(1.0, 0.0))
 
 
 # every key some kappa or v0 generator reads, whatever the kind: spec_from_config
@@ -109,7 +113,10 @@ class ExperimentSpec:
                 raise ValueError(f"unknown tolerance {key!r}; known: {sorted(defaults)}")
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"tolerance {key} must be a number, got {value!r}")
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"tolerance {key} must be positive and finite, got {value}")
         self.tolerances = {**defaults, **self.tolerances}
+        sim._check_window(self.width, self.height)
         P = self.kappa.get("P", 1)
         if self.kappa.get("kind", "periodic") == "periodic" and (
                 isinstance(P, bool) or not isinstance(P, numbers.Integral) or P < 1):

@@ -73,7 +73,8 @@ def extract(u: LatticeField, w: WaveProfile) -> PhaseExtract:
 
 def _nan_tolerant_sequence(values: np.ndarray, boundary_j: str) -> PhaseSequence:
     # PhaseSequence validates finiteness; undefined rows are carried as nan,
-    # so bypass the constructor check while keeping the shifted() machinery.
+    # so bypass the constructor check while keeping padded() and the
+    # difference operators.
     seq = PhaseSequence(np.zeros_like(values), boundary_j=boundary_j)
     seq.values = np.asarray(values, dtype=float)
     return seq

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import flow
 from .core import (BistableNonlinearity, LatticeField, PhaseSequence, _fill_ghosts,
-                   _flat_laplacian, alpha, d_plus)
+                   _flat_laplacian, alpha, d_minus, d_plus)
 from .errors import NonFinite, OutOfRange, SolveFailed, VerificationFailed
 from .wave import WaveProfile
 
@@ -60,6 +60,12 @@ _HEADER = struct.Struct("<4sqqqd8s")
 _SUPERSUB_TOL = 1e-6
 
 
+def _check_window(width, height) -> None:
+    for key, value in (("width", width), ("height", height)):
+        if not (isinstance(value, (int, np.integer)) and value >= 1):
+            raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+
+
 @dataclass
 class SimConfig:
     """Integration parameters and default window geometry."""
@@ -73,6 +79,7 @@ class SimConfig:
     boundary_j: str = "periodic"
 
     def __post_init__(self):
+        _check_window(self.width, self.height)
         sup = self.f.dg_sup()
         if self.dt is None:
             self.dt = 1.0 / math.ceil(4.0 + sup)
@@ -93,10 +100,6 @@ class SimConfig:
     def i_offset(self) -> int:
         """Lattice index of the first window column: ``-(width // 2)``."""
         return -(self.width // 2)
-
-    def blank_field(self, fill: float = 0.0) -> LatticeField:
-        return LatticeField(np.full((self.width, self.height), fill),
-                            i_offset=self.i_offset, boundary_j=self.boundary_j)
 
 
 def _euler(p: np.ndarray, cfg: SimConfig, out: np.ndarray) -> np.ndarray:
@@ -294,30 +297,22 @@ def _curved_pair(w: WaveProfile, spec: SuperSubSpec, V: PhaseSequence, t: float,
     columns centred on the mean of ``V``: ``(i_offset, u+, u-, J[u+],
     J[u-])``, with the residuals analytic in time."""
     i_offset = -(width // 2) + int(round(float(np.mean(V.values))))
-    i = _window_grid(width, i_offset)
-    vdot = flow.v_rhs(V, flow.FlowParams(c=w.c, d=w.d))
-    av = alpha(V)
-    av_seq = PhaseSequence(av, boundary_j=V.boundary_j)
-    vdot_seq = PhaseSequence(vdot, boundary_j=V.boundary_j)
-    avdot = (V.shifted(+1) - V.values) * (vdot_seq.shifted(+1) - vdot) \
-        + (V.shifted(-1) - V.values) * (vdot_seq.shifted(-1) - vdot)
+    vdot = V.replace(flow.v_rhs(V, flow.FlowParams(c=w.c, d=w.d)))
+    av = V.replace(alpha(V)).padded()
+    avdot = d_plus(V) * d_plus(vdot) + d_minus(V) * d_minus(vdot)
     p, pdot, q, qdot = spec.p_of(t), spec.p_dot(t), spec.q_of(t), spec.q_dot(t)
+    # Φ + rα with profile-valued ghosts (not the pinned 0/1), for the lattice's Δ
+    xi = _window_grid(width + 2, i_offset - 1) - V.padded()[None, :]
     out = []
     for sign in (+1.0, -1.0):
-        arg = i - V.values[None, :] + sign * q
+        arg = xi + sign * q
         r = w.r_at(arg)
-        base = w.phi_at(arg) + r * av[None, :]
+        lap, base = (x[:, 1:-1] for x in _flat_laplacian(w.phi_at(arg) + r * av[None, :]))
+        arg, r = arg[1:-1, 1:-1], r[1:-1, 1:-1]
         u = base + sign * p
-        udot = (w.phi_at(arg, 1) + w.r_at(arg, 1) * av[None, :]) \
-            * (sign * qdot - vdot[None, :]) \
+        udot = (w.phi_at(arg, 1) + w.r_at(arg, 1) * av[None, 1:-1]) \
+            * (sign * qdot - vdot.values[None, :]) \
             + r * avdot[None, :] + sign * pdot
-        lap = (w.phi_at(arg + 1.0) + w.r_at(arg + 1.0) * av[None, :]
-               + w.phi_at(arg - 1.0) + w.r_at(arg - 1.0) * av[None, :]
-               - 4.0 * base)
-        for jshift in (+1, -1):
-            argj = i - V.shifted(jshift)[None, :] + sign * q
-            avj = av_seq.shifted(jshift)[None, :]
-            lap += w.phi_at(argj) + w.r_at(argj) * avj
         out.append((u, udot - lap - w.f(u)))
     (up, Jp), (um, Jm) = out
     return i_offset, up, um, Jp, Jm

@@ -322,7 +322,14 @@ def test_experiment_bad_step_setting_is_usage_error(tmp_path, capsys, line, key)
     ("tol_frnt_error = 0.01", "unknown tolerance 'frnt_error'"),
     ("tol_front_error = abc", "tolerance front_error must be a number, got 'abc'"),
     ("kappa_P = 2.5", "kappa period P must be an integer >= 1, got 2.5"),
-], ids=["unknown_tolerance", "non_numeric_tolerance", "fractional_period"])
+    ("tol_front_error = nan", "tolerance front_error must be positive and finite, got nan"),
+    ("tol_front_error = -1", "tolerance front_error must be positive and finite, got -1"),
+    ("width = 0", "width must be an integer >= 1, got 0"),
+    ("width = -4", "width must be an integer >= 1, got -4"),
+    ("height = 0", "height must be an integer >= 1, got 0"),
+], ids=["unknown_tolerance", "non_numeric_tolerance", "fractional_period",
+        "nan_tolerance", "negative_tolerance", "zero_width", "negative_width",
+        "zero_height"])
 def test_experiment_bad_tolerance_or_period_fails_before_the_wave_solve(
         tmp_path, capsys, monkeypatch, line, message):
     def no_solve(*args, **kw):

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from acfront.core import (BistableNonlinearity, LatticeField, PhaseSequence,
                           alpha, beta, d2, d_minus, d_plus,
@@ -87,6 +90,29 @@ def test_field_column_boundary_policies():
     assert ref.at(1, -1) == vals[1, 0]
 
 
+@pytest.mark.parametrize("boundary_j", ["periodic", "reflect"])
+def test_field_at_raises_past_the_ghost_layer(boundary_j):
+    u = LatticeField(np.arange(12.0).reshape(4, 3), boundary_j=boundary_j)
+    for j in (-2, 4, 100):
+        with pytest.raises(ValueError, match="past the ghost layer"):
+            u.at(1, j)
+    # the i-ghost rows clip, whatever the distance
+    assert (u.at(-50, -1), u.at(50, 3)) == (0.0, 1.0)
+
+
+@settings(max_examples=100)
+@given(data=st.data(), width=st.integers(1, 6), height=st.integers(1, 8),
+       boundary_j=st.sampled_from(["periodic", "reflect"]))
+def test_field_rows_and_phase_sequences_share_the_j_ghosts(data, width, height,
+                                                           boundary_j):
+    vals = data.draw(hnp.arrays(float, (width, height),
+                                elements=st.floats(-1e3, 1e3, allow_nan=False)))
+    p = LatticeField(vals, boundary_j=boundary_j).padded()
+    assert np.all(p[0] == 0.0) and np.all(p[-1] == 1.0)
+    for row, padded_row in zip(vals, p[1:-1]):
+        assert np.array_equal(padded_row, PhaseSequence(row, boundary_j).padded())
+
+
 def test_laplacian_matches_pointwise_stencil():
     """The whole-window Laplacian equals the scalar stencil bit for bit at
     every site of every window up to 12x8, ghosts of both policies included."""
@@ -112,13 +138,12 @@ def test_laplacian_of_constant_vanishes_inside():
     assert np.all(lap[-1, :] == 0.75)
 
 
-def test_shifted_respects_boundary():
+def test_padded_respects_boundary():
     s = PhaseSequence(np.array([1.0, 2.0, 3.0]))
-    assert s.shifted(+1).tolist() == [2.0, 3.0, 1.0]
-    assert s.shifted(-1).tolist() == [3.0, 1.0, 2.0]
+    assert s.padded().tolist() == [3.0, 1.0, 2.0, 3.0, 1.0]
     r = PhaseSequence(np.array([1.0, 2.0, 3.0]), boundary_j="reflect")
-    assert r.shifted(+1).tolist() == [2.0, 3.0, 3.0]
-    assert r.shifted(-1).tolist() == [1.0, 1.0, 2.0]
+    assert r.padded().tolist() == [1.0, 1.0, 2.0, 3.0, 3.0]
+    assert PhaseSequence(np.array([5.0])).padded().tolist() == [5.0, 5.0, 5.0]
 
 
 def test_difference_operators_frozen_example():

@@ -274,13 +274,20 @@ def test_mcf_matches_gradient_lde():
     for row in mcf.values:
         G = PhaseSequence(row)
         U = PhaseSequence(d_plus(G))
-        up, um, v = U.shifted(+1), U.shifted(-1), U.values
+        q = U.padded()
+        up, um, v = q[2:], q[:-2], q[1:-1]
         pi = np.sqrt(1.0 + 0.5 * (up * up + v * v))
         pi_m = np.sqrt(1.0 + 0.5 * (v * v + um * um))
         want = (d_plus(U) / (pi * pi) - d_minus(U) / (pi_m * pi_m)
                 + 2.0 * p.d * (pi - pi_m))
         got = d_plus(PhaseSequence(mcf_rhs(G, p)))
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), float("inf")])
+def test_flow_params_reject_nonpositive_or_nonfinite_dt(dt):
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        FlowParams(c=C_REF, d=D_REF, dt=dt)
 
 
 def test_mcf_flatness_guard():

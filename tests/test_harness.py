@@ -67,10 +67,12 @@ def test_splitmix64_uniform_deterministic_unit_range():
     assert a.std() > 0.1
 
 
-def test_splitmix64_uniform_stays_below_one(monkeypatch):
-    # the largest output divided by 2**64 rounds to exactly 1.0
-    monkeypatch.setattr(harness, "splitmix64", lambda seed, n: [2 ** 64 - 1])
-    assert splitmix64_uniform(0, 1)[0] == np.nextafter(1.0, 0.0)
+def test_splitmix64_uniform_stays_below_one():
+    # this seed's first output is 2**64 - 1 (the preimage under the bijective
+    # mixes), which divided by 2**64 rounds to exactly 1.0
+    seed = 0x31628AF67B2131AB
+    assert splitmix64(seed, 1) == [2 ** 64 - 1]
+    assert splitmix64_uniform(seed, 1)[0] == np.nextafter(1.0, 0.0)
 
 
 def test_make_kappa_generators():
@@ -148,6 +150,9 @@ def test_spec_rejects_unknown_or_non_numeric_tolerances_and_fractional_period():
     for bad in ("abc", True, None):
         with pytest.raises(ValueError, match="tolerance front_error must be a number"):
             ExperimentSpec(name="thm22", tolerances={"front_error": bad})
+    for bad in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="tolerance tracking must be positive and finite"):
+            ExperimentSpec(name="thm22", tolerances={"tracking": bad})
     for P in (2.5, 8.0, True, 0, "8"):
         with pytest.raises(ValueError, match="kappa period P must be an integer >= 1"):
             ExperimentSpec(name="thm22", kappa={"kind": "periodic", "P": P})

@@ -12,8 +12,9 @@ from hypothesis.extra import numpy as hnp
 
 from acfront.core import BistableNonlinearity, LatticeField, PhaseSequence, discrete_laplacian
 from acfront.errors import NonFinite, OutOfRange, VerificationFailed
+from acfront.flow import FlowParams, v_solve
 from acfront.harness import splitmix64_uniform
-from acfront.sim import (SimConfig, SuperSubSpec, build_curved_supersub,
+from acfront.sim import (SimConfig, SuperSubSpec, _curved_pair, build_curved_supersub,
                          build_planar_supersub, load_snapshot, read_snapshots, run,
                          save_snapshot, search_planar_constants, step,
                          verify_supersub, SnapshotWriter)
@@ -48,7 +49,8 @@ def test_default_dt_is_monotone_and_divides_unit_time(a, kind):
 
 def test_run_records_exact_integer_times():
     cfg = SimConfig(F03, t_end=5.0, width=8, height=4)
-    assert [t for t, _ in run(cfg.blank_field(0.25), cfg)] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    u0 = LatticeField(np.full((8, 4), 0.25))
+    assert [t for t, _ in run(u0, cfg)] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 def test_config_rejects_unstable_step():
@@ -60,6 +62,9 @@ def test_config_rejects_unstable_step():
     ({"dt": -0.01}, "dt"), ({"dt": 0.0}, "dt"), ({"dt": math.nan}, "dt"),
     ({"dt": math.inf}, "dt"), ({"t_end": -1.0}, "t_end"),
     ({"record_every": 0}, "record_every"), ({"record_every": -3}, "record_every"),
+    ({"width": 0}, "width must be an integer >= 1"),
+    ({"height": -4}, "height must be an integer >= 1"),
+    ({"width": 2.5}, "width must be an integer >= 1"),
 ])
 def test_config_rejects_bad_step_settings(kw, match):
     with pytest.raises(ValueError, match=match):
@@ -136,7 +141,7 @@ def test_step_raises_on_blowup():
 
 def test_run_records_requested_times():
     cfg = SimConfig(F03, t_end=0.5, record_every=10, width=8, height=4)
-    u0 = cfg.blank_field(0.25)
+    u0 = LatticeField(np.full((8, 4), 0.25))
     snaps = run(u0, cfg)
     n_steps = int(math.ceil(cfg.t_end / cfg.dt - 1e-9))
     want = [0.0] + [k * cfg.dt for k in range(1, n_steps + 1)
@@ -149,8 +154,9 @@ def test_run_records_requested_times():
 def test_run_observers_see_every_snapshot():
     cfg = SimConfig(F03, t_end=0.2, record_every=5, width=8, height=4)
     seen = []
-    run(cfg.blank_field(0.4), cfg, observers=[lambda t, u: seen.append(t)])
-    assert seen == [t for t, _ in run(cfg.blank_field(0.4), cfg)]
+    u0 = LatticeField(np.full((8, 4), 0.4))
+    run(u0, cfg, observers=[lambda t, u: seen.append(t)])
+    assert seen == [t for t, _ in run(u0, cfg)]
 
 
 def test_ordered_data_stays_ordered():
@@ -211,7 +217,8 @@ def test_read_snapshots_takes_only_file_names_from_index(tmp_path):
     cfg = SimConfig(F03, t_end=0.1, record_every=2, width=8, height=4,
                     boundary_j="reflect")
     writer = SnapshotWriter(str(tmp_path / "out"))
-    snaps = run(cfg.blank_field(0.5), cfg, writer=writer)
+    snaps = run(LatticeField(np.full((8, 4), 0.5), boundary_j="reflect"), cfg,
+                writer=writer)
     with open(writer.index_path) as fh:
         files = [json.loads(line)["file"] for line in fh]
     with open(writer.index_path, "w") as fh:
@@ -241,7 +248,8 @@ def test_snapshot_writer_index_and_read_back(tmp_path):
     cfg = SimConfig(F03, t_end=0.1, record_every=2, width=8, height=4,
                     boundary_j="reflect")
     writer = SnapshotWriter(str(tmp_path / "out"))
-    snaps = run(cfg.blank_field(0.5), cfg, writer=writer)
+    snaps = run(LatticeField(np.full((8, 4), 0.5), boundary_j="reflect"), cfg,
+                writer=writer)
     index = writer.index_path
     with open(index) as fh:
         records = [json.loads(line) for line in fh]
@@ -438,6 +446,21 @@ def test_curved_fields_ordered_and_fd_residual_signs(wave03):
             - discrete_laplacian(um_0) - w.f(um_0.values)
         assert np.min(fd_super[1:-1, :]) > -2e-5
         assert np.max(fd_sub[1:-1, :]) < 2e-5
+
+
+@pytest.mark.parametrize("boundary_j", ["periodic", "reflect"])
+def test_curved_residual_does_not_depend_on_the_window(wave03, boundary_j):
+    """u± and J± at a site are functions of the pair there, so a window
+    narrower than the front gives the same bits as a wide one at the sites
+    they share: the ghost layer follows the profile, not the pinned 0/1."""
+    spec = curved_spec(height=16)
+    for t in (0.0, 5.0):
+        V0 = PhaseSequence(spec.V0.values, boundary_j)
+        V = v_solve(V0, FlowParams(c=wave03.c, d=wave03.d), t_grid=[t]).final()
+        wide, narrow = (_curved_pair(wave03, spec, V, t, width) for width in (96, 6))
+        k = narrow[0] - wide[0]
+        for a, b in zip(wide[1:], narrow[1:]):
+            assert np.array_equal(a[k:k + 6], b)
 
 
 def test_curved_no_offset_rejected_at_margin(wave03):
