@@ -175,10 +175,12 @@ class LatticeField:
         return float(self.padded()[row, j + 1])
 
     def padded(self) -> np.ndarray:
-        """Values with one ghost layer on every side, shape (W+2, H+2)."""
+        """Values with one ghost layer on every side, shape (W+2, H+2).  The
+        i-ghost rows are 0 and 1 whole, corners included, as
+        ``_flat_laplacian`` reads the corners into entries it discards."""
         w, h = self.values.shape
         out = np.empty((w + 2, h + 2), dtype=float)
-        out[1:-1, 1:-1] = self.values
+        out[0], out[1:-1, 1:-1], out[-1] = 0.0, self.values, 1.0
         return _fill_ghosts(out, self.boundary_j)
 
     def copy(self) -> "LatticeField":
@@ -186,20 +188,14 @@ class LatticeField:
 
 
 def _fill_ghosts(p: np.ndarray, boundary_j: str) -> np.ndarray:
-    """Fill the ghosts of the padded array ``p`` in place from its interior
-    and return ``p``: ``p[..., 0]`` and ``p[..., -1]`` by ``boundary_j``, then
-    on a ``(W+2, H+2)`` lattice array the whole first row with 0 and last row
-    with 1 (whole, since ``_flat_laplacian`` reads their corners into
-    ghost-column entries that it discards)."""
+    """Fill ``p[..., 0]`` and ``p[..., -1]`` of the padded array ``p`` in place
+    from its interior by ``boundary_j`` and return ``p``."""
     if boundary_j == "periodic":
         p[..., 0] = p[..., -2]
         p[..., -1] = p[..., 1]
     else:
         p[..., 0] = p[..., 1]
         p[..., -1] = p[..., -2]
-    if p.ndim == 2:
-        p[0] = 0.0
-        p[-1] = 1.0
     return p
 
 

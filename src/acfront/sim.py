@@ -133,6 +133,7 @@ def step(u: LatticeField, cfg: SimConfig) -> LatticeField:
     u0 = p0[1:-1]
     p1 = np.empty_like(p0)
     p2 = np.empty_like(p0)
+    p1[[0, -1]] = p2[[0, -1]] = p0[[0, -1]]  # i-ghost rows; _euler never writes them
     _euler(p0, cfg, p1[1:-1])
     _fill_ghosts(p1, u.boundary_j)
     with np.errstate(invalid="ignore"):

@@ -217,8 +217,8 @@ def test_read_snapshots_takes_only_file_names_from_index(tmp_path):
     cfg = SimConfig(F03, t_end=0.1, record_every=2, width=8, height=4,
                     boundary_j="reflect")
     writer = SnapshotWriter(str(tmp_path / "out"))
-    snaps = run(LatticeField(np.full((8, 4), 0.5), boundary_j="reflect"), cfg,
-                writer=writer)
+    snaps = run(LatticeField(np.full((8, 4), 0.5), i_offset=cfg.i_offset,
+                             boundary_j="reflect"), cfg, writer=writer)
     with open(writer.index_path) as fh:
         files = [json.loads(line)["file"] for line in fh]
     with open(writer.index_path, "w") as fh:
@@ -248,8 +248,8 @@ def test_snapshot_writer_index_and_read_back(tmp_path):
     cfg = SimConfig(F03, t_end=0.1, record_every=2, width=8, height=4,
                     boundary_j="reflect")
     writer = SnapshotWriter(str(tmp_path / "out"))
-    snaps = run(LatticeField(np.full((8, 4), 0.5), boundary_j="reflect"), cfg,
-                writer=writer)
+    snaps = run(LatticeField(np.full((8, 4), 0.5), i_offset=cfg.i_offset,
+                             boundary_j="reflect"), cfg, writer=writer)
     index = writer.index_path
     with open(index) as fh:
         records = [json.loads(line) for line in fh]
@@ -260,7 +260,7 @@ def test_snapshot_writer_index_and_read_back(tmp_path):
     assert [t for t, _ in back] == [t for t, _ in snaps]
     for (_, a), (_, b) in zip(back, snaps):
         assert np.array_equal(a.values, b.values)
-        assert a.boundary_j == "reflect"
+        assert (a.i_offset, a.boundary_j) == (-4, "reflect")
 
 
 # ---------------------------------------------------------------------------
