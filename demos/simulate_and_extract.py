@@ -1,8 +1,8 @@
 """Run the lattice Allen-Cahn simulation and track the front phase.
 
 Starts from a front with a sinusoidal transverse modulation, integrates with
-the monotone SSP-RK3 scheme (twelve steps per unit time at a = 0.3), and
-extracts the per-row phase gamma_j(t) at every integer time.  The modulation
+the monotone fourth-order SSPRK(10,4) scheme (three steps per unit time, each
+of ten forward-Euler substeps), and extracts the per-row phase gamma_j(t) at every integer time.  The modulation
 flattens and the front settles onto the planar wave profile moving at speed
 c.  The phases go to phase_series.csv, whose boundary_j column lets
 ``acfront mcf --init`` flow them under the run's j-boundary policy.

@@ -13,8 +13,8 @@ the package and are fixed at this level:
 
 The j-policy is a field of each container, and one ghost rule applies it:
 ``_fill_ghosts``, on the last axis of ``LatticeField.padded``,
-``PhaseSequence.padded`` and the ``sim.step`` stage buffers, which ``at`` and
-the difference operators read.  Outside this module only ``flow.heat_solve``
+``PhaseSequence.padded``, the ``sim.step`` stage buffers and the one row
+``LatticeField.at`` reads; the difference operators read those arrays.  Outside this module only ``flow.heat_solve``
 reads the policy, to extend a reflecting sequence evenly.
 """
 
@@ -105,12 +105,21 @@ class BistableNonlinearity:
 
     def __call__(self, u):
         """Evaluate ``g(u)`` elementwise."""
+        u = np.asarray(u, dtype=float)
+        out = self._into(u, np.empty_like(u), np.empty_like(u))
+        return float(out) if out.ndim == 0 else out
+
+    def _into(self, u: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        """Write ``g(u)`` into ``out`` and return it; ``tmp`` is scratch of
+        the same shape.  The cubic is ``((1 - u) u) (u - a)``, all in place;
+        neither buffer may overlap ``u``."""
         if self.kind == "cubic":
-            u = np.asarray(u, dtype=float)
-            out = u * (1.0 - u) * (u - self.a)
-            return float(out) if out.ndim == 0 else out
-        out = self._spline(u)
-        return float(out) if np.ndim(u) == 0 else np.asarray(out, dtype=float)
+            np.subtract(1.0, u, out=out)
+            out *= u
+            out *= np.subtract(u, self.a, out=tmp)
+        else:
+            out[...] = self._spline(u)
+        return out
 
     def dg(self, u):
         """Evaluate ``g'(u)`` elementwise."""
@@ -168,11 +177,16 @@ class LatticeField:
 
     def at(self, i: int, j: int) -> float:
         """Value at site ``(i, j)`` of :meth:`padded`: an ``i`` past either edge
-        reads that side's ghost row, and a ``j`` outside ``[-1, H]`` raises."""
+        reads that side's ghost row, and a ``j`` outside ``[-1, H]`` raises.
+        Only row ``i`` is padded, by the same ghost rule."""
         if not -1 <= j <= self.height:
             raise ValueError(f"j={j} lies past the ghost layer [-1, {self.height}]")
-        row = min(max(i - self.i_offset + 1, 0), self.width + 1)
-        return float(self.padded()[row, j + 1])
+        row = i - self.i_offset
+        if not 0 <= row < self.width:
+            return 0.0 if row < 0 else 1.0
+        p = np.empty(self.height + 2)
+        p[1:-1] = self.values[row]
+        return float(_fill_ghosts(p, self.boundary_j)[j + 1])
 
     def padded(self) -> np.ndarray:
         """Values with one ghost layer on every side, shape (W+2, H+2).  The
@@ -199,8 +213,8 @@ def _fill_ghosts(p: np.ndarray, boundary_j: str) -> np.ndarray:
     return p
 
 
-def _flat_laplacian(p: np.ndarray, out: Optional[np.ndarray] = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def _flat_laplacian(p: np.ndarray, out: Optional[np.ndarray] = None,
+                    tmp: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """Five-point Laplacian and centre values on the flat padded layout.
 
     ``p`` is a contiguous padded array (``LatticeField.padded``) and
@@ -215,7 +229,8 @@ def _flat_laplacian(p: np.ndarray, out: Optional[np.ndarray] = None
     caller drops them through ``[:, 1:-1]``.  Returns ``(lap, c)``, both
     contiguous and shaped ``(W, S)``: ``lap`` is written into ``out`` (any
     contiguous array of ``W*S`` entries that does not overlap ``p``) or a
-    fresh array, ``c`` is a view into ``p``.
+    fresh array, ``c`` is a view into ``p``.  ``tmp``, of the same kind as
+    ``out``, holds ``4c``; without it that is a fresh array too.
     """
     w = p.shape[0] - 2
     s = p.shape[1]
@@ -226,7 +241,7 @@ def _flat_laplacian(p: np.ndarray, out: Optional[np.ndarray] = None
     lap = np.add(f[2 * s:2 * s + n], f[:n], out=None if out is None else out.reshape(-1))
     lap += f[s + 1:s + 1 + n]
     lap += f[s - 1:s - 1 + n]
-    lap -= 4.0 * c
+    lap -= np.multiply(c, 4.0, out=None if tmp is None else tmp.reshape(-1))
     return lap.reshape(w, s), c.reshape(w, s)
 
 

@@ -210,7 +210,7 @@ def make_v0(spec: ExperimentSpec) -> np.ndarray:
     shape = (spec.width, spec.height)
     if kind == "none":
         return np.zeros(shape)
-    i = (np.arange(spec.width) - spec.width // 2).astype(float)[:, None]
+    i = (np.arange(spec.width) + sim._window_origin(spec.width)).astype(float)[:, None]
     j = (np.arange(spec.height) - spec.height // 2).astype(float)[None, :]
     ci = float(cfg.get("center_i", 0.0))
     cj = float(cfg.get("center_j", 0.0))
@@ -237,7 +237,7 @@ def make_initial(spec: ExperimentSpec, w: WaveProfile) -> LatticeField:
     infinite-lattice limits.
     """
     kappa = make_kappa(spec)
-    i_offset = -(spec.width // 2)
+    i_offset = sim._window_origin(spec.width)
     i = (np.arange(spec.width) + i_offset).astype(float)[:, None]
     vals = w.phi_at(i - kappa.values[None, :]) + make_v0(spec)
     edge = 5
@@ -373,7 +373,8 @@ def run_thm24(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Experime
     t_tau, _, g_tau = traj[k0]
     mu_pred = _mu_prediction(w, g_tau, t_tau)
     tols = spec.tolerances
-    return _report(spec, {"mu_of_t": mu_series},
+    return _report(spec, {"mu_of_t": mu_series,
+                          "flatness_handoff": [(t_tau, phase.flatness(g_tau))]},
                    {"mu_stable": _verdict(mu_spread, tols["mu_stable"]),
                     "final_profile_error": _verdict(final_err, tols["front_error"]),
                     "mu_vs_prediction": _verdict(abs(mu_hat - mu_pred), tols["mu_pred"])},

@@ -1,16 +1,18 @@
 """Time integration of the planar lattice Allen-Cahn equation and
 sub/super-solution verification.
 
-The scheme is the three-stage, third-order strong-stability-preserving
-Runge-Kutta method of Shu and Osher (1988) on ``u̇ = Δ⁺u + g(u)``.  Under
-the step restriction ``dt (4 + sup|g'|) <= 1`` one forward-Euler update is
-monotone in every input value, and each SSP-RK3 stage is a convex
-combination of such updates, so the step is monotone under the same bound
-(Gottlieb, Shu and Tadmor 2001): ordered initial fields produce ordered
-trajectories, and the correctness arguments for front trapping rest on that
-comparison property.  The default ``dt = 1 / ceil(4 + sup|g'|)`` is the
-largest unit fraction inside the bound, so a unit of time is a whole number
-of steps and the default snapshots fall on integer times.
+The scheme is Ketcheson's ten-stage, fourth-order strong-stability-preserving
+Runge-Kutta method SSPRK(10,4) (SIAM J. Sci. Comput. 30, 2008) on
+``u̇ = Δ⁺u + g(u)``, in Shu-Osher form with forward-Euler substeps of
+``h = dt / 6``.  Under ``h (4 + sup|g'|) <= 1`` one forward-Euler update is
+monotone in every input value, and each stage is a convex combination of
+such updates, so the step is monotone under the same bound (Gottlieb, Shu
+and Tadmor 2001): ordered initial fields produce ordered trajectories, and
+the correctness arguments for front trapping rest on that comparison
+property.  The default ``dt = 1 / ceil(N / 4)`` with
+``N = ceil(4 + sup|g'|)`` (1/3 for every cubic ``g``) uses two thirds of
+that bound at most: a unit of time is a whole number of steps, so the
+default snapshots fall on integer times.
 
 Verification of candidate super/sub-solutions evaluates the residual
 ``J[u] = u̇ - Δ⁺u - g(u)`` with an analytic time derivative (no time
@@ -44,8 +46,6 @@ __all__ = [
     "SuperSubSpec",
     "step",
     "run",
-    "build_planar_supersub",
-    "build_curved_supersub",
     "verify_supersub",
     "search_planar_constants",
     "save_snapshot",
@@ -66,6 +66,12 @@ def _check_window(width, height) -> None:
             raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
 
 
+def _window_origin(width: int) -> int:
+    """Lattice index ``i`` of the first column of a window of ``width``
+    columns centred on ``i = 0``: ``-(width // 2)``."""
+    return -(width // 2)
+
+
 @dataclass
 class SimConfig:
     """Integration parameters and default window geometry."""
@@ -82,15 +88,15 @@ class SimConfig:
         _check_window(self.width, self.height)
         sup = self.f.dg_sup()
         if self.dt is None:
-            self.dt = 1.0 / math.ceil(4.0 + sup)
+            self.dt = 1.0 / math.ceil(math.ceil(4.0 + sup) / 4)
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
-        if self.dt * (4.0 + sup) > 1.0 + 1e-12:
+        if self.dt / 6.0 * (4.0 + sup) > 1.0 + 1e-12:
             raise ValueError(
                 f"dt={self.dt:g} violates the monotone-scheme condition "
-                f"dt*(4+sup|g'|) <= 1 (sup|g'|={sup:g})")
+                f"(dt/6)*(4+sup|g'|) <= 1 (sup|g'|={sup:g})")
         if self.record_every is None:
             self.record_every = max(1, int(round(1.0 / self.dt)))
         if self.record_every < 1:
@@ -98,53 +104,62 @@ class SimConfig:
 
     @property
     def i_offset(self) -> int:
-        """Lattice index of the first window column: ``-(width // 2)``."""
-        return -(self.width // 2)
-
-
-def _euler(p: np.ndarray, cfg: SimConfig, out: np.ndarray) -> np.ndarray:
-    """Forward-Euler update ``E(v) = v + dt (Δ⁺v + g(v))`` of the padded
-    field ``p``, written into ``out`` (see ``core._flat_laplacian``) and
-    returned as a ``(W, H+2)`` array whose ghost-column entries mean
-    nothing."""
-    lap, c = _flat_laplacian(p, out)
-    lap += cfg.f(c)
-    lap *= cfg.dt
-    lap += c
-    return lap
+        """Lattice index of the first window column (see ``_window_origin``)."""
+        return _window_origin(self.width)
 
 
 def step(u: LatticeField, cfg: SimConfig) -> LatticeField:
-    """One Shu-Osher SSP-RK3 step: ``u1 = E(u)``, ``u2 = (3u + E(u1)) / 4``,
-    ``u(t + dt) = (u + 2 E(u2)) / 3``, with ``E`` the forward-Euler update.
+    """One SSPRK(10,4) step in Shu-Osher form.  With ``E`` the forward-Euler
+    update ``E(v) = v + h (Δ⁺v + g(v))`` at ``h = dt / 6``:
+    ``y1 = u`` and ``y_{k+1} = E(y_k)`` for ``k = 1..4``;
+    ``y6 = (3/5) u + (2/5) E(y5)`` and ``y_{k+1} = E(y_k)`` for ``k = 6..9``;
+    ``u(t + dt) = (3/5) E(y10) + (9/25) E(y5) + u / 25``.
 
-    Every stage works on the flat contiguous padded layout (see
-    ``core._flat_laplacian``).  Each Euler update writes straight into the
-    interior rows of the next stage's padded buffer, the combinations run in
-    place over those rows, ghost columns included, and only the stage
-    inputs get their ghost layer filled.  ``u`` is left untouched.
+    Every Euler update works on the flat contiguous padded layout (see
+    ``core._flat_laplacian``) and writes straight into the interior rows of
+    the next stage's padded buffer; two such buffers take turns, and ``g``
+    runs in place in two scratch arrays.  The combinations run in place over
+    whole rows, ghost columns included, and only the stage inputs get their
+    ghost layer filled.  All buffers are made afresh on each call, and
+    ``u`` is left untouched.
 
     The stages are bare arrays, so the one finiteness check is the result
     field's own: a non-finite stage value stays non-finite through every
-    later stage, and it raises :class:`NonFinite`.  Stages 2 and 3 do not
-    warn about the invalid operations (``inf - inf``) that carry it there.
+    later stage, and it raises :class:`NonFinite`.  The invalid operations
+    (``inf - inf``) that carry it there do not warn; the overflow that made
+    it does.
     """
+    h = cfg.dt / 6.0
     p0 = u.padded()
     u0 = p0[1:-1]
-    p1 = np.empty_like(p0)
-    p2 = np.empty_like(p0)
-    p1[[0, -1]] = p2[[0, -1]] = p0[[0, -1]]  # i-ghost rows; _euler never writes them
-    _euler(p0, cfg, p1[1:-1])
-    _fill_ghosts(p1, u.boundary_j)
+    pa, pb = np.empty_like(p0), np.empty_like(p0)
+    pa[[0, -1]] = pb[[0, -1]] = p0[[0, -1]]  # i-ghost rows; no stage writes them
+    e5, s1, s2 = (np.empty_like(u0) for _ in range(3))
+
+    def euler(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+        lap, c = _flat_laplacian(p, out, s1)
+        lap += cfg.f._into(c, s1, s2)
+        lap *= h
+        lap += c
+        return lap
+
     with np.errstate(invalid="ignore"):
-        u2 = _euler(p1, cfg, p2[1:-1])
-        u2 += 3.0 * u0
-        u2 *= 0.25
-        _fill_ghosts(p2, u.boundary_j)
-        out = _euler(p2, cfg, p1[1:-1])
-        out *= 2.0
-        out += u0
-        out *= 1.0 / 3.0
+        p = p0
+        for q in (pa, pb, pa, pb):  # y2 .. y5
+            euler(p, q[1:-1])
+            p = _fill_ghosts(q, u.boundary_j)
+        euler(p, e5)
+        y6 = np.multiply(e5, 0.4, out=pa[1:-1])
+        y6 += np.multiply(u0, 0.6, out=s1)
+        p = _fill_ghosts(pa, u.boundary_j)
+        for q in (pb, pa, pb, pa):  # y7 .. y10
+            euler(p, q[1:-1])
+            p = _fill_ghosts(q, u.boundary_j)
+        out = euler(p, pb[1:-1])
+        out *= 0.6
+        e5 *= 0.36
+        out += e5
+        out += np.multiply(u0, 0.04, out=s1)
     try:
         return LatticeField(out[:, 1:-1], i_offset=u.i_offset, boundary_j=u.boundary_j)
     except ValueError as exc:  # the field's own finiteness check
@@ -257,14 +272,14 @@ def _window_grid(width: int, i_offset: int) -> np.ndarray:
 
 
 def _planar_pair(w: WaveProfile, spec: SuperSubSpec, t: Sequence[float], width: int):
-    """Planar pair at the times ``t`` on the window of ``width`` columns from
-    ``i = -(width // 2)``: ``(i_offset, u+, u-, J[u+], J[u-])``, each array
+    """Planar pair at the times ``t`` on the window of ``width`` columns
+    centred on ``i = 0`` (see ``_window_origin``): ``(i_offset, u+, u-, J[u+], J[u-])``, each array
     of shape ``(len(t), width, 1)``, with the residuals analytic in time."""
     if spec.mu is None or spec.C is None:
         raise ValueError("planar spec needs mu and C (see search_planar_constants)")
     spec.check_offsets(w.a)
     mu, C = spec.mu, spec.C
-    i_offset = -(width // 2)
+    i_offset = _window_origin(width)
     # libm's exp per time: numpy's SIMD exp can differ by an ulp and move a tied site
     decay = np.array([math.exp(-mu * s) for s in t])[:, None, None]
     t = np.asarray(t, dtype=float)[:, None, None]
@@ -282,22 +297,12 @@ def _planar_pair(w: WaveProfile, spec: SuperSubSpec, t: Sequence[float], width: 
     return i_offset, up, um, Jp, Jm
 
 
-def build_planar_supersub(w: WaveProfile, spec: SuperSubSpec, t: float, *,
-                          width: int = 256, height: int = 64
-                          ) -> tuple[LatticeField, LatticeField]:
-    """Planar super/sub-solution fields at time ``t``; the window starts at
-    ``i = -(width // 2)``."""
-    i_offset, up, um, _, _ = _planar_pair(w, spec, [t], width)
-    return tuple(LatticeField(np.repeat(u[0], height, axis=1), i_offset=i_offset)
-                 for u in (up, um))
-
-
 def _curved_pair(w: WaveProfile, spec: SuperSubSpec, V: PhaseSequence, t: float,
                  width: int):
     """Curved pair at time ``t`` with phase ``V`` on the window of ``width``
     columns centred on the mean of ``V``: ``(i_offset, u+, u-, J[u+],
     J[u-])``, with the residuals analytic in time."""
-    i_offset = -(width // 2) + int(round(float(np.mean(V.values))))
+    i_offset = _window_origin(width) + int(round(float(np.mean(V.values))))
     vdot = V.replace(flow.v_rhs(V, flow.FlowParams(c=w.c, d=w.d)))
     av = V.replace(alpha(V)).padded()
     avdot = d_plus(V) * d_plus(vdot) + d_minus(V) * d_minus(vdot)
@@ -317,18 +322,6 @@ def _curved_pair(w: WaveProfile, spec: SuperSubSpec, V: PhaseSequence, t: float,
         out.append((u, udot - lap - w.f(u)))
     (up, Jp), (um, Jm) = out
     return i_offset, up, um, Jp, Jm
-
-
-def build_curved_supersub(w: WaveProfile, spec: SuperSubSpec, t: float, *,
-                          width: int = 128) -> tuple[LatticeField, LatticeField]:
-    """Curved super/sub-solution fields at time ``t``, on a window centred on
-    the phase ``V`` solved exactly from ``spec.V0`` (Cole-Hopf route)."""
-    if w.r is None:
-        raise SolveFailed("curved construction needs the corrector r")
-    V = flow.v_solve(spec.V0, flow.FlowParams(c=w.c, d=w.d), t_grid=[t]).final()
-    i_offset, up, um, _, _ = _curved_pair(w, spec, V, t, width)
-    return (LatticeField(up, i_offset=i_offset, boundary_j=V.boundary_j),
-            LatticeField(um, i_offset=i_offset, boundary_j=V.boundary_j))
 
 
 def verify_supersub(spec: SuperSubSpec, w: WaveProfile, cfg: SimConfig,

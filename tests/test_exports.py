@@ -19,3 +19,12 @@ def test_all_names_exist(name):
     assert len(set(exported)) == len(exported), "duplicate names in __all__"
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def test_sim_exports_no_test_only_builders():
+    """Tests reach the super/sub pairs through ``verify_supersub`` and the
+    private pair evaluators, so ``sim`` exports no field builder for them."""
+    sim = importlib.import_module("acfront.sim")
+    assert not [n for n in sim.__all__ if n.startswith("build_")]
+    assert not hasattr(sim, "build_planar_supersub")
+    assert not hasattr(sim, "build_curved_supersub")

@@ -216,6 +216,9 @@ def test_thm24_fast_run_passes(wave03):
     assert report.mu_hat is not None and report.mu_pred is not None
     assert abs(report.mu_hat - report.mu_pred) < 0.05
     assert report.verdicts["mu_stable"]["value"] < 0.01
+    # the hand-off flatness shows whether the run tested a curved phase at all
+    (t0, fl0), = report.series["flatness_handoff"]
+    assert t0 == 10.0 and 0.0 < fl0 < 0.1
 
 
 def test_thm24_tau_after_t_end_is_preasymptotic(wave03):
@@ -262,14 +265,14 @@ def test_report_ndjson_reproducible(tmp_path, wave03):
 # record's provenance (package and numpy versions) removed
 REPORT_DIGESTS = [
     (fast_spec("thm22"),
-     "388313481eb6e18014546e69fddc01b97901e9606cc56468a9bec25b3be65700"),
+     "974e8f732aaa8bae4fa372aa3c58ad500b3325df9e90e79b3db883e142e6ab53"),
     (fast_spec("thm23", t_end=40.0),
-     "a55445f911ebbb9ed9a5812ea15e9a0b2f67c6358803b89dc5b6338aa34085a3"),
+     "e491886a440cf46246f30fb1b1f1372d2107b607c68a765ce1c6d5637aaeb6c0"),
     (fast_spec("thm24", t_end=40.0),
-     "45923bc86433905ff2c58d706a81e4b0fa6ce1de6ebb8f309a5c664f84e478b9"),
+     "0448d858288bcf3729ea7de1973b1e87da493c570c8ca4c6aaf6bbeba1859bf0"),
     (ExperimentSpec(name="step_kappa", width=96, height=48, t_end=60.0, tau=30.0,
                     boundary_j="reflect", kappa={"kind": "step", "lo": 0.0, "hi": 2.0}),
-     "66e5eea23ff7741aeec18a8142cdaf4b8d48980f6651015557c64244fb698644"),
+     "9b212cbf819a4c221ef23825777b78219b357d852e21132a0477ec2d54f63cec"),
 ]
 
 

@@ -14,9 +14,8 @@ from acfront.core import BistableNonlinearity, LatticeField, PhaseSequence, disc
 from acfront.errors import NonFinite, OutOfRange, VerificationFailed
 from acfront.flow import FlowParams, v_solve
 from acfront.harness import splitmix64_uniform
-from acfront.sim import (SimConfig, SuperSubSpec, _curved_pair, build_curved_supersub,
-                         build_planar_supersub, load_snapshot, read_snapshots, run,
-                         save_snapshot, search_planar_constants, step,
+from acfront.sim import (SimConfig, SuperSubSpec, _curved_pair, _planar_pair, load_snapshot,
+                         read_snapshots, run, save_snapshot, search_planar_constants, step,
                          verify_supersub, SnapshotWriter)
 
 F03 = BistableNonlinearity(a=0.3)
@@ -28,8 +27,8 @@ F03_TABLE = BistableNonlinearity(a=0.3, kind="table", table_u=_TABLE_U,
 def test_config_defaults_satisfy_monotonicity_bound():
     cfg = SimConfig(F03)
     sup = F03.dg_sup()
-    assert cfg.dt == 1.0 / math.ceil(4.0 + sup) == 1.0 / 12.0
-    assert cfg.dt * (4.0 + sup) <= 1.0
+    assert cfg.dt == 1.0 / math.ceil(math.ceil(4.0 + sup) / 4) == 1.0 / 3.0
+    assert cfg.dt / 6.0 * (4.0 + sup) <= 1.0
     assert cfg.record_every * cfg.dt == 1.0
     assert cfg.i_offset == -cfg.width // 2
 
@@ -37,13 +36,14 @@ def test_config_defaults_satisfy_monotonicity_bound():
 @settings(max_examples=200)
 @given(a=st.floats(0.01, 0.99), kind=st.sampled_from(["cubic", "table"]))
 def test_default_dt_is_monotone_and_divides_unit_time(a, kind):
-    """The default step keeps ``dt (4 + sup|g'|) <= 1`` and takes a whole
-    number of steps per unit time, so recorded times are exact integers."""
+    """The default step keeps its Euler substep inside the monotone bound,
+    ``(dt/6) (4 + sup|g'|) <= 1``, and takes a whole number of steps per
+    unit time, so recorded times are exact integers."""
     f = BistableNonlinearity(a=a)
     if kind == "table":
         f = BistableNonlinearity(a=a, kind="table", table_u=_TABLE_U, table_g=f(_TABLE_U))
     cfg = SimConfig(f)
-    assert cfg.dt * (4.0 + f.dg_sup()) <= 1.0
+    assert cfg.dt / 6.0 * (4.0 + f.dg_sup()) <= 1.0
     assert cfg.record_every * cfg.dt == 1.0
 
 
@@ -53,9 +53,24 @@ def test_run_records_exact_integer_times():
     assert [t for t, _ in run(u0, cfg)] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
 
+def test_table_nonlinearity_with_n_49_records_exact_integer_times():
+    """N = ceil(4 + sup|g'|) = 49 gives dt = 1/13, and 13 steps reach t = 1
+    exactly, where a step of 1/49 would record 0.9999999999999999."""
+    k = 44.5 / F03.dg_sup()
+    f = BistableNonlinearity(a=0.3, kind="table", table_u=_TABLE_U,
+                             table_g=k * F03(_TABLE_U))
+    assert math.ceil(4.0 + f.dg_sup()) == 49 and 49 * (1.0 / 49) != 1.0
+    cfg = SimConfig(f, t_end=3.0, width=8, height=4)
+    assert (cfg.dt, cfg.record_every) == (1.0 / 13, 13)
+    u0 = LatticeField(np.full((8, 4), 0.25))
+    assert [t for t, _ in run(u0, cfg)] == [0.0, 1.0, 2.0, 3.0]
+
+
 def test_config_rejects_unstable_step():
-    with pytest.raises(ValueError):
-        SimConfig(F03, dt=0.2)
+    # (0.6 / 6) * (4 + 7.1) > 1
+    with pytest.raises(ValueError, match="monotone-scheme condition"):
+        SimConfig(F03, dt=0.6)
+    SimConfig(F03, dt=6.0 / 11.1)
 
 
 @pytest.mark.parametrize("kw, match", [
@@ -71,12 +86,13 @@ def test_config_rejects_bad_step_settings(kw, match):
         SimConfig(F03, **kw)
 
 
-def test_step_is_shu_osher_rk3_update():
+def test_step_is_ssprk104_update():
     """Bitwise oracle for the flat-stencil indexing and the stage buffers: on
     every window of width 1-12 and height 1-8, under both ``boundary_j``
     policies and both nonlinearity kinds, ``discrete_laplacian`` equals the
-    strided whole-array stencil and ``step`` equals the Shu-Osher SSP-RK3
-    composition of forward-Euler updates written on it."""
+    strided whole-array stencil and ``step`` equals the SSPRK(10,4)
+    composition, in Shu-Osher form, of forward-Euler updates at ``dt / 6``
+    written on it."""
     rng = np.random.default_rng(0)
 
     def laplacian(vals, boundary_j):
@@ -94,20 +110,45 @@ def test_step_is_shu_osher_rk3_update():
                     cfg = SimConfig(f, width=width, height=height, boundary_j=boundary_j)
 
                     def euler(v):
-                        return v + cfg.dt * (laplacian(v, boundary_j) + f(v))
+                        return v + cfg.dt / 6.0 * (laplacian(v, boundary_j) + f(v))
 
-                    u1 = euler(vals)
-                    u2 = (euler(u1) + 3.0 * vals) * 0.25
-                    want = (euler(u2) * 2.0 + vals) * (1.0 / 3.0)
+                    y = vals
+                    for _ in range(4):
+                        y = euler(y)
+                    e5 = euler(y)
+                    y = (2 / 5) * e5 + (3 / 5) * vals
+                    for _ in range(4):
+                        y = euler(y)
+                    want = (3 / 5) * euler(y) + (9 / 25) * e5 + (1 / 25) * vals
                     out = step(u, cfg)
                     assert np.array_equal(out.values, want)
                     assert (out.i_offset, out.boundary_j) == (u.i_offset, boundary_j)
 
 
+@pytest.mark.parametrize("boundary_j", ["periodic", "reflect"])
+def test_step_is_fourth_order_in_time(boundary_j):
+    """Over one unit of time from a front-like field, halving dt cuts the
+    error against a dt = 1/96 reference by at least 12x (16x in the limit)."""
+    width, height = 16, 6
+    i = np.arange(width)[:, None] - width // 2
+    j = np.arange(height)[None, :]
+    vals = 1.0 / (1.0 + np.exp(-0.8 * (i - np.sin(2.0 * np.pi * j / height))))
+    u0 = LatticeField(vals, i_offset=-(width // 2), boundary_j=boundary_j)
+
+    def at_one(n):
+        cfg = SimConfig(F03, dt=1.0 / n, t_end=1.0, width=width, height=height,
+                        boundary_j=boundary_j)
+        return run(u0, cfg)[-1][1].values
+
+    ref = at_one(96)
+    err3, err6 = (np.max(np.abs(at_one(n) - ref)) for n in (3, 6))
+    assert err3 >= 12.0 * err6 > 0.0
+
+
 def test_step_and_run_leave_emitted_fields_untouched():
     """``step`` does not write into its input, and every snapshot ``run``
     hands out keeps the values it had when it was emitted."""
-    cfg = SimConfig(F03, t_end=0.5, record_every=3, width=8, height=4)
+    cfg = SimConfig(F03, t_end=2.0, record_every=3, width=8, height=4)
     u = LatticeField(splitmix64_uniform(7, 8 * 4).reshape(8, 4), i_offset=cfg.i_offset)
     before = u.values.copy()
     step(u, cfg)
@@ -270,6 +311,21 @@ MU_REF = 10.0 ** -2.25
 C_BIG = 10.0 ** 2.5
 
 
+def planar_fields(w, spec, t, width, height):
+    """The planar pair at time ``t`` as two fields of ``height`` equal rows."""
+    i_offset, up, um, _, _ = _planar_pair(w, spec, [t], width)
+    return tuple(LatticeField(np.repeat(u[0], height, axis=1), i_offset=i_offset)
+                 for u in (up, um))
+
+
+def curved_fields(w, spec, t, width):
+    """The curved pair at time ``t`` on the phase solved exactly from ``spec.V0``."""
+    V = v_solve(spec.V0, FlowParams(c=w.c, d=w.d), t_grid=[t]).final()
+    i_offset, up, um, _, _ = _curved_pair(w, spec, V, t, width)
+    return tuple(LatticeField(u, i_offset=i_offset, boundary_j=V.boundary_j)
+                 for u in (up, um))
+
+
 def planar_residual_oracle(w, spec, t, xi, sign, q):
     """Test-side re-derivation of the planar residual from the closed form."""
     mu, C = spec.mu, spec.C
@@ -309,8 +365,7 @@ def test_planar_residual_matches_time_difference_oracle(wave03):
     width, height = 64, 4
     delta = 1e-3
     for t in (1.0, 10.0):
-        fields = {s: build_planar_supersub(w, spec, t + s * delta,
-                                           width=width, height=height)
+        fields = {s: planar_fields(w, spec, t + s * delta, width, height)
                   for s in (-1, 0, 1)}
         for which, sign, q in ((0, +1.0, spec.q0), (1, -1.0, spec.q1)):
             mid = fields[0][which]
@@ -435,9 +490,9 @@ def test_curved_fields_ordered_and_fd_residual_signs(wave03):
     spec = curved_spec(height=32)
     delta = 1e-3
     for t in (0.5, 5.0, 30.0):
-        up_m, um_m = build_curved_supersub(w, spec, t - delta, width=96)
-        up_0, um_0 = build_curved_supersub(w, spec, t, width=96)
-        up_p, um_p = build_curved_supersub(w, spec, t + delta, width=96)
+        up_m, um_m = curved_fields(w, spec, t - delta, 96)
+        up_0, um_0 = curved_fields(w, spec, t, 96)
+        up_p, um_p = curved_fields(w, spec, t + delta, 96)
         assert up_m.i_offset == up_0.i_offset == up_p.i_offset
         assert np.all(up_0.values >= um_0.values)
         fd_super = (up_p.values - up_m.values) / (2 * delta) \
@@ -511,13 +566,13 @@ def test_offsets_bind_only_the_planar_pair(wave03):
     report = verify_supersub(spec, w, cfg, [0.0, 2.0], width=128)
     spec.q0, spec.q1 = 0.5, 0.9
     assert verify_supersub(spec, w, cfg, [0.0, 2.0], width=128) == report
-    build_curved_supersub(w, spec, 1.0, width=96)
+    curved_fields(w, spec, 1.0, 96)
     for q0, q1, name in ((0.3, 0.1, "q0"), (0.1, 0.7, "q1")):
         planar = SuperSubSpec(kind="planar", q0=q0, q1=q1, mu=MU_REF, C=C_BIG)
         with pytest.raises(ValueError, match=f"{name} must lie"):
             verify_supersub(planar, w, cfg, [0.0])
         with pytest.raises(ValueError, match=f"{name} must lie"):
-            build_planar_supersub(w, planar, 0.0)
+            _planar_pair(w, planar, [0.0], 256)
 
 
 @pytest.mark.parametrize("kind", ["planar", "curved"])
@@ -531,6 +586,6 @@ def test_verify_supersub_rejects_empty_time_grid(wave03, kind):
 
 def test_build_planar_requires_constants(wave03):
     with pytest.raises(ValueError):
-        build_planar_supersub(wave03, SuperSubSpec(kind="planar"), 0.0)
+        _planar_pair(wave03, SuperSubSpec(kind="planar"), [0.0], 256)
     with pytest.raises(ValueError, match="needs mu and C"):
         verify_supersub(SuperSubSpec(kind="planar"), wave03, SimConfig(wave03.f), [0.0])

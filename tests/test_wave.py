@@ -9,7 +9,7 @@ import pytest
 from acfront.core import BistableNonlinearity, PhaseSequence
 from acfront.errors import (DegenerateKernel, NewtonDiverged, OutOfRange,
                             PinningDetected, SolveFailed)
-from acfront.sim import SuperSubSpec, build_curved_supersub
+from acfront.sim import SimConfig, SuperSubSpec, verify_supersub
 from acfront.wave import (WaveProfile, _deriv_pieces, _interp_pieces,
                           _second_deriv_pieces, _stencil_affine, adjoint_solve,
                           c_theta, compute_d, dispersion, load_wave,
@@ -102,7 +102,7 @@ def test_missing_corrector_is_solve_failed():
         w.r_at(0.0)
     spec = SuperSubSpec(kind="curved", V0=PhaseSequence(np.zeros(8)))
     with pytest.raises(SolveFailed, match="needs the corrector r"):
-        build_curved_supersub(w, spec, 1.0)
+        verify_supersub(spec, w, SimConfig(w.f), [1.0])
 
 
 def test_adjoint_rejects_degenerate_kernel(wave03):
