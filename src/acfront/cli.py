@@ -140,9 +140,9 @@ def _cmd_mcf(args) -> int:
         print("mcf needs either --wave or both --c and --d", file=sys.stderr)
         return 2
     params = flow.FlowParams(c=c, d=d)
-    traj = flow.mcf_solve(gamma0, params,
-                          t_grid=np.linspace(0.0, args.t_end, args.samples),
-                          delta=args.delta)
+    with np.errstate(invalid="ignore"):  # mcf_solve rejects a non-finite --t-end
+        t_grid = np.linspace(0.0, args.t_end, args.samples)
+    traj = flow.mcf_solve(gamma0, params, t_grid=t_grid, delta=args.delta)
     flow.trajectory_to_csv(traj, args.out)
     print(f"trajectory ({len(traj)} times) written to {args.out}")
     return 0

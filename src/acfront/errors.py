@@ -24,7 +24,8 @@ class NewtonDiverged(NumericalError):
 
 
 class DegenerateKernel(NumericalError):
-    """Adjoint kernel is not numerically one-dimensional."""
+    """Adjoint kernel is not simple and transverse to Phi', or its element
+    fails the kernel residual or the positivity check."""
 
 
 class SolveFailed(NumericalError):

@@ -47,13 +47,6 @@ __all__ = [
 ]
 
 
-def _bessel_ladder(kmax: int, t: float) -> np.ndarray:
-    """Scaled values ``e^{-t} I_k(t)`` for ``k = 0..kmax`` (``scipy.special.ive``)."""
-    if t < 0.0:
-        raise OutOfRange("Bessel argument must be nonnegative")
-    return ive(np.arange(kmax + 1), t)
-
-
 @dataclass(frozen=True)
 class HeatKernelTable:
     """Discrete heat kernel ``G_k(t)`` on the symmetric range ``|k| <= kmax``."""
@@ -71,6 +64,10 @@ class HeatKernelTable:
 
 
 def _auto_kmax(t: float) -> int:
+    """Truncation order of the kernel at time ``t``; raises :class:`OutOfRange`
+    unless ``t`` is finite and nonnegative (NaN included)."""
+    if not 0.0 <= t < math.inf:
+        raise OutOfRange(f"kernel time must be finite and nonnegative, got {t}")
     return int(math.ceil(2.0 * t + 40.0 * math.sqrt(t + 1.0) + 20.0))
 
 
@@ -79,10 +76,8 @@ def heat_kernel(t: float) -> HeatKernelTable:
 
     The range ``|k| <= _auto_kmax(t)`` keeps the truncated mass within 1e-12 of 1.
     """
-    if t < 0.0:
-        raise OutOfRange("kernel time must be nonnegative")
     kmax = _auto_kmax(t)
-    half = _bessel_ladder(kmax, 2.0 * t)
+    half = ive(np.arange(kmax + 1), 2.0 * t)
     values = np.concatenate([half[:0:-1], half])
     k = np.arange(-kmax, kmax + 1)
     return HeatKernelTable(t=float(t), k=k, values=values)
@@ -178,7 +173,7 @@ def bessel_bounds_report(t_grid: Sequence[float]) -> dict:
     for t in t_grid:
         t = float(t)
         kmax = _auto_kmax(t)
-        half = _bessel_ladder(kmax, t)
+        half = ive(np.arange(kmax + 1), t)
         full = np.concatenate([half[:0:-1], half])
         diff = np.diff(full)
         lap = full[2:] - 2.0 * full[1:-1] + full[:-2]
@@ -226,6 +221,8 @@ class FlowParams:
         return "linear_heat" if abs(self.d) < 1e-8 else "exp_lde"
 
     def __post_init__(self):
+        if not (math.isfinite(self.c) and math.isfinite(self.d)):
+            raise ValueError(f"c and d must be finite, got c={self.c}, d={self.d}")
         if self.dt is None:
             # explicit-scheme stability for the linearized operator
             self.dt = 0.1 * min(1.0, 1.0 / (2.0 + 2.0 * abs(self.d)))
@@ -261,11 +258,11 @@ def _march(y0: PhaseSequence, rhs, t_grid: Sequence[float], p: FlowParams,
     With ``grad`` given, raises :class:`FlatnessViolated` once ``grad(y)``
     exceeds ``delta``, initially or after any step.  Raises
     :class:`NonFinite`, naming ``what``, as soon as a step is not finite, and
-    :class:`OutOfRange` for a negative or decreasing ``t_grid``.
+    :class:`OutOfRange` for a non-finite, negative or decreasing ``t_grid``.
     """
     ts = np.asarray(list(t_grid), dtype=float)
-    if np.any(np.diff(ts, prepend=0.0) < 0.0):
-        raise OutOfRange(f"{what} output times must be >= 0 and nondecreasing")
+    if not (np.all(np.isfinite(ts)) and np.all(np.diff(ts, prepend=0.0) >= 0.0)):
+        raise OutOfRange(f"{what} output times must be finite, >= 0 and nondecreasing")
     if grad is not None and grad(y0) > delta:
         raise FlatnessViolated(f"initial gradient {grad(y0):.3g} exceeds delta={delta:g}")
     rows = np.empty((ts.size, len(y0)))

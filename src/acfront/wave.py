@@ -9,7 +9,9 @@ with ``Phi(-inf) = 0``, ``Phi(+inf) = 1`` and the phase fixed by
 ``Phi(0) = 1/2``.  The equation is discretized by collocation on a uniform
 grid over ``[-L, L]`` whose spacing divides 1, so the unit shifts are exact
 index offsets, and the joint system in ``(Phi, c)`` is solved by damped
-Newton.  ``Phi'`` uses central differences.
+Newton.  ``Phi'`` uses central differences.  Every linear solve of the
+module (Newton steps, ``psi`` and ``r``) is one sparse LU of a matrix
+bordered by one row and one column.
 
 Reads beyond the grid are closed with the linearized tail recurrence: a ghost
 at distance ``m`` past an edge reads ``equilibrium + (edge - equilibrium) *
@@ -23,12 +25,11 @@ On top of the profile the module computes:
 
 * ``psi``, the positive kernel element of the adjoint linearization
   ``-c psi' + psi(.+1) + psi(.-1) - 2 psi + g'(Phi) psi = 0``, discretized
-  with the same stencils and its own tail closure and resolved as the
-  smallest singular vector, normalized so ``<psi, Phi'> = 1``;
+  with the same stencils and its own tail closure and normalized so
+  ``<psi, Phi'> = 1``;
 * the drift coefficient ``d = -<Phi'', psi>`` governing the curvature
   response of the front;
-* the corrector ``r`` solving ``L r + d Phi' = -Phi''`` with ``<psi, r> = 0``,
-  as one bordered linear solve;
+* the corrector ``r`` solving ``L r + d Phi' = -Phi''`` with ``<psi, r> = 0``;
 * oblique speeds ``c_theta`` for propagation directions tilted by ``theta``
   (off-grid shifts by cubic interpolation) and the normal-speed map
   ``dispersion(theta) = c_theta / cos(theta)``.
@@ -42,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse.linalg
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
@@ -225,16 +227,12 @@ class _System:
 
 def _bordered_solve(A: np.ndarray, col: np.ndarray, row: np.ndarray,
                     rhs: np.ndarray, singular: Exception) -> np.ndarray:
-    """Solution of ``[[A, col], [row, 0]] x = rhs``; raises ``singular`` when
-    the bordered matrix is singular."""
-    n = A.shape[0]
-    B = np.zeros((n + 1, n + 1))
-    B[:n, :n] = A
-    B[:n, n] = col
-    B[n, :n] = row
+    """Solution of ``[[A, col], [row, 0]] x = rhs`` by one sparse LU; raises
+    ``singular`` when the bordered matrix is exactly singular."""
+    B = scipy.sparse.bmat([[A, col[:, None]], [row[None, :], None]], format="csc")
     try:
-        return np.linalg.solve(B, rhs)
-    except np.linalg.LinAlgError:
+        return scipy.sparse.linalg.splu(B).solve(rhs)
+    except RuntimeError:
         raise singular from None
 
 
@@ -338,10 +336,15 @@ class WaveProfile:
         """Forward linearization around the profile (tail closure included)."""
         return self._system().jacobian(self.phi, self.c)
 
+    def _weights(self) -> np.ndarray:
+        """Trapezoid weights of the pairing on the collocation grid."""
+        wts = np.full(self.n, self.h)
+        wts[[0, -1]] *= 0.5
+        return wts
+
     def pairing(self, u: np.ndarray, v: np.ndarray) -> float:
         """Trapezoid pairing ``<u, v>`` on the collocation grid."""
-        w = u * v
-        return float(self.h * (np.sum(w) - 0.5 * w[0] - 0.5 * w[-1]))
+        return float(np.sum(self._weights() * u * v))
 
     def _evaluate(self, spline: CubicSpline, x, nu: int, tails):
         """Derivative ``nu`` (0 or 1) of a grid function: ``spline`` on the grid,
@@ -441,27 +444,24 @@ def adjoint_solve(w: WaveProfile) -> np.ndarray:
     equation; the adjoint kernel decays to 0 on both sides, so the closure
     has no affine part.
 
-    ``psi`` is the smallest right singular vector of the discretized adjoint,
-    sign-fixed to be positive and scaled so that the trapezoid pairing
-    ``<psi, Phi'> = 1``.  Raises :class:`DegenerateKernel` unless the
-    second smallest singular value is at least 10 times the smallest, or
-    when the kernel element fails strict positivity.
+    ``psi`` solves ``[[A, Phi'], [(W Phi')^T, 0]] [psi; lam] = [0; 1]``, with
+    ``W`` the trapezoid weights, so ``<psi, Phi'> = 1``; the bordered matrix
+    is nonsingular exactly when ker A is simple and transverse to ``Phi'``
+    (Keller 1977).  Raises :class:`DegenerateKernel` when it is singular,
+    when ``|A psi| > 1e-6 |A| |psi|`` in sup-norms (tail truncation keeps the
+    ratio below 3e-8 on every window ``solve_wave`` accepts), or when ``psi``
+    is not strictly positive.
     """
     sys = _System(w.f, w.n, w.h, (1.0, -1.0), right_target=0.0)
     sys.build(-w.c)
     A = sys.jacobian(w.phi, -w.c)
-    del sys  # free its two dense n x n stencils before the SVD sets the peak memory
-    sv, Vh = np.linalg.svd(A)[1:]
-    if not sv[-2] >= 10.0 * sv[-1]:
-        raise DegenerateKernel(
-            f"singular values {sv[-1]:.3e}, {sv[-2]:.3e} are not separated")
-    psi = Vh[-1].copy()
-    if psi.sum() < 0.0:
-        psi = -psi
-    scale = w.pairing(psi, w.phi_prime_grid())
-    if scale <= 0.0:
-        raise DegenerateKernel("kernel element is not transverse to Phi'")
-    psi = psi / scale
+    dphi = w.phi_prime_grid()
+    psi = _bordered_solve(A, dphi, w._weights() * dphi, np.append(np.zeros(w.n), 1.0),
+                          DegenerateKernel("kernel is not simple or not transverse"))[:w.n]
+    ratio = np.max(np.abs(A @ psi)) / (np.max(np.abs(A).sum(axis=1)) * np.max(np.abs(psi)))
+    if not ratio <= 1e-6:
+        raise DegenerateKernel(f"adjoint residual ratio {ratio:.3e} is above 1e-6; "
+                               "psi is not a kernel element")
     if not np.all(psi > 0.0):
         raise DegenerateKernel("adjoint kernel element is not strictly positive")
     w.psi = psi
@@ -488,13 +488,10 @@ def solve_r(w: WaveProfile) -> np.ndarray:
     """
     if w.d is None:
         compute_d(w)
-    n = w.n
     rhs = -w.phi_second_grid() - w.d * w.phi_prime_grid()
     A = w.linearization()
-    weights = w.h * w.psi
-    weights[[0, n - 1]] *= 0.5
-    r = _bordered_solve(A, w.psi, weights, np.append(rhs, 0.0),
-                        SolveFailed("bordered corrector system is singular"))[:n]
+    r = _bordered_solve(A, w.psi, w._weights() * w.psi, np.append(rhs, 0.0),
+                        SolveFailed("bordered corrector system is singular"))[:w.n]
     res = np.max(np.abs(A @ r - rhs))
     if not res < 1e-7:
         raise SolveFailed(f"corrector residual {res:.3e} above 1e-07")
@@ -509,7 +506,7 @@ def c_theta(w: WaveProfile, theta: float) -> float:
     Off-grid shifts ``cos(theta)``, ``sin(theta)`` are applied by cubic
     interpolation on the collocation grid.  Only small tilts are supported.
     """
-    if abs(theta) > THETA_MAX + 1e-12:
+    if not abs(theta) <= THETA_MAX + 1e-12:
         raise OutOfRange(f"|theta| must be <= {THETA_MAX}, got {theta}")
     key = round(float(theta), 15)
     if key in w._c_theta_cache:
@@ -539,7 +536,7 @@ def phi_inverse(w: WaveProfile, v):
     v = np.asarray(v, dtype=float)
     scalar = v.ndim == 0
     v = np.atleast_1d(v)
-    if np.any(v <= w.phi[0]) or np.any(v >= w.phi[-1]):
+    if not np.all((w.phi[0] < v) & (v < w.phi[-1])):
         raise OutOfRange("value outside the represented profile range")
     hi_idx = np.searchsorted(w.phi, v)
     lo = w.xi[hi_idx - 1].astype(float).copy()

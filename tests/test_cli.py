@@ -165,10 +165,11 @@ def test_mcf_steep_data_fails_flatness_guard(tmp_path, capsys):
 def test_mcf_negative_end_time_is_out_of_range(tmp_path, capsys):
     init = tmp_path / "gamma0.csv"
     _write_gamma(init, np.zeros(8))
-    assert main(["mcf", "--init", str(init), "--c", "-0.2796", "--d", "-0.1466",
-                 "--t-end", "-5", "--samples", "3",
-                 "--out", str(tmp_path / "traj.csv")]) == 1
-    assert "nondecreasing" in capsys.readouterr().err
+    for t_end in ("-5", "inf", "nan"):
+        assert main(["mcf", "--init", str(init), "--c", "-0.2796", "--d", "-0.1466",
+                     "--t-end", t_end, "--samples", "3",
+                     "--out", str(tmp_path / "traj.csv")]) == 1
+        assert "nondecreasing" in capsys.readouterr().err
 
 
 def test_mcf_reads_phase_output(snapshot_dir, wave_file, tmp_path):

@@ -73,10 +73,19 @@ def test_bessel_recurrence_identity_by_central_difference():
 
 
 def test_bessel_guards():
-    with pytest.raises(OutOfRange):
-        heat_kernel(-0.5)
-    with pytest.raises(OutOfRange):
-        bessel_bounds_report([1.0, -1.0])
+    nan = float("nan")
+    h0 = PhaseSequence(np.zeros(4))
+    for t in (-0.5, nan, float("inf")):
+        with pytest.raises(OutOfRange, match="finite and nonnegative"):
+            heat_kernel(t)
+    for call in (lambda: bessel_bounds_report([1.0, -1.0]),
+                 lambda: bessel_bounds_report([-5.0]),
+                 lambda: bessel_bounds_report([nan]),
+                 lambda: heat_solve(h0, nan),
+                 lambda: v_solve(h0, FlowParams(c=C_REF, d=D_REF), t_grid=[nan]),
+                 lambda: decay_report(h0, [nan])):
+        with pytest.raises(OutOfRange, match="finite and nonnegative"):
+            call()
 
 
 def test_kernel_mass_exact():
@@ -288,6 +297,11 @@ def test_mcf_matches_gradient_lde():
 def test_flow_params_reject_nonpositive_or_nonfinite_dt(dt):
     with pytest.raises(ValueError, match="dt must be positive and finite"):
         FlowParams(c=C_REF, d=D_REF, dt=dt)
+    if not np.isfinite(dt):
+        # a non-finite c or d is bad input too, not a blow-up of the flow
+        for c, d in ((dt, D_REF), (C_REF, dt)):
+            with pytest.raises(ValueError, match="c and d must be finite"):
+                FlowParams(c=c, d=d)
 
 
 def test_mcf_flatness_guard():
@@ -309,7 +323,8 @@ def test_euler_blowup_raises_nonfinite():
                   [0.0, 5000.0], delta=np.inf)
 
 
-@pytest.mark.parametrize("grid", [[2.0, 1.0], [0.0, -2.5, -5.0], [-1.0]])
+@pytest.mark.parametrize("grid", [[2.0, 1.0], [0.0, -2.5, -5.0], [-1.0],
+                                  [1.0, float("inf")], [float("nan")]])
 def test_marching_solvers_reject_negative_or_decreasing_times(grid):
     p = FlowParams(c=C_REF, d=D_REF)
     G0 = PhaseSequence(0.01 * np.sin(2.0 * np.pi * np.arange(8) / 8.0))

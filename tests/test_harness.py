@@ -262,17 +262,18 @@ def test_report_ndjson_reproducible(tmp_path, wave03):
 
 
 # SHA-256 of the NDJSON report of each fast spec above, with the meta
-# record's provenance (package and numpy versions) removed
+# record's provenance (package and numpy versions) removed; the same under
+# any BLAS thread count, since every wave solve is a sparse LU
 REPORT_DIGESTS = [
     (fast_spec("thm22"),
-     "974e8f732aaa8bae4fa372aa3c58ad500b3325df9e90e79b3db883e142e6ab53"),
+     "e3c986f1abc435f40c4b1907232bfd35a393332094608942e251cd871438c0aa"),
     (fast_spec("thm23", t_end=40.0),
-     "e491886a440cf46246f30fb1b1f1372d2107b607c68a765ce1c6d5637aaeb6c0"),
+     "1d6afc8a1e2df726b753ecf6c0c82ba77e124d127765c994dfc71ef4d866e201"),
     (fast_spec("thm24", t_end=40.0),
-     "0448d858288bcf3729ea7de1973b1e87da493c570c8ca4c6aaf6bbeba1859bf0"),
+     "40d586794ded253e2c27413e8550870a1116f65bfdf024ffde080f6c69430d6a"),
     (ExperimentSpec(name="step_kappa", width=96, height=48, t_end=60.0, tau=30.0,
                     boundary_j="reflect", kappa={"kind": "step", "lo": 0.0, "hi": 2.0}),
-     "9b212cbf819a4c221ef23825777b78219b357d852e21132a0477ec2d54f63cec"),
+     "9ec81838bc401c52dab05b4980ef7588019f0852a415c4ce9b24d21178f616b9"),
 ]
 
 

@@ -417,8 +417,10 @@ FROZEN_REPORTS = {
                     (-1, 0, 0.0), (0, 0, 0.0), "fail"),
     "planar_pass": (0.0019923660758787674, -0.003972943097132711,
                     (-22, 0, 48.0), (-6, 0, 46.0), "pass"),
+    # j = 5 and j = 27 are mirror sites of sin(2 pi j / 64), whose residuals
+    # are equal in exact arithmetic; rounding picks one of them
     "curved_periodic": (0.0007531711199552377, -0.0007740347359166331,
-                        (-37, 38, 50.0), (-31, 5, 50.0), "pass"),
+                        (-37, 38, 50.0), (-31, 27, 50.0), "pass"),
     "curved_reflect": (0.0007531514706290358, -0.0007740344922397713,
                        (-36, 17, 50.0), (-31, 27, 50.0), "pass"),
     "curved_small_C_eps": (-0.007042124197559722, 0.007043017860226888,

@@ -1,11 +1,16 @@
 """Travelling-wave solver: independent speed oracle, frozen values, structure."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import acfront
+from acfront import wave
 from acfront.core import BistableNonlinearity, PhaseSequence
 from acfront.errors import (DegenerateKernel, NewtonDiverged, OutOfRange,
                             PinningDetected, SolveFailed)
@@ -105,14 +110,36 @@ def test_missing_corrector_is_solve_failed():
         verify_supersub(spec, w, SimConfig(w.f), [1.0])
 
 
-def test_adjoint_rejects_degenerate_kernel(wave03):
+def test_adjoint_rejects_degenerate_kernel(wave03, monkeypatch):
+    # a ramp is no wave: its adjoint is nonsingular, so the bordered solve
+    # returns a vector that is not a kernel element
     ramp = np.linspace(0.0, 1.0, wave03.n)
-    w = dataclasses.replace(wave03, phi=ramp, _phi_spline=None)
+    for phi in (ramp, ramp[::-1]):
+        w = dataclasses.replace(wave03, phi=phi, _phi_spline=None)
+        with pytest.raises(DegenerateKernel, match="not a kernel element"):
+            adjoint_solve(w)
+    # a flat profile with unit tail ratios has Phi' = 0 exactly, so the
+    # border vanishes and the bordered matrix is singular
+    w = dataclasses.replace(wave03, phi=np.zeros(wave03.n), rho=(1.0, 1.0),
+                            _phi_spline=None)
+    assert not np.any(w.phi_prime_grid())
+    with pytest.raises(DegenerateKernel, match="not simple or not transverse"):
+        adjoint_solve(w)
+    solve = wave._bordered_solve
+    monkeypatch.setattr(wave, "_bordered_solve", lambda *args: -solve(*args))
     with pytest.raises(DegenerateKernel, match="not strictly positive"):
-        adjoint_solve(w)
-    w = dataclasses.replace(wave03, phi=ramp[::-1], _phi_spline=None)
-    with pytest.raises(DegenerateKernel, match="not transverse"):
-        adjoint_solve(w)
+        adjoint_solve(dataclasses.replace(wave03, psi=None))
+
+
+def test_bordered_solve_maps_exact_singularity_to_the_callers_error():
+    col = row = np.ones(3)
+    x = wave._bordered_solve(np.diag([1.0, 2.0, 4.0]), col, row,
+                             np.array([1.0, 2.0, 4.0, 0.0]), SolveFailed("singular"))
+    assert x == pytest.approx([-5.0 / 7.0, 1.0 / 7.0, 4.0 / 7.0, 12.0 / 7.0], abs=1e-15)
+    # diag(1, 0, 0) has a two-dimensional kernel; one border cannot close it
+    with pytest.raises(SolveFailed, match="^singular$"):
+        wave._bordered_solve(np.diag([1.0, 0.0, 0.0]), col, row, np.ones(4),
+                             SolveFailed("singular"))
 
 
 def test_adjoint_positive_normalized_frozen_d(wave03):
@@ -131,13 +158,32 @@ def test_corrector_solves_inhomogeneous_problem(wave03):
     assert np.max(np.abs(w.r)) == pytest.approx(0.1624, abs=2e-3)
 
 
+def test_wave_bits_do_not_depend_on_the_blas_thread_count(wave03):
+    """A single-threaded BLAS reproduces c, d, c_theta, psi and r bit for bit."""
+    code = ("from acfront import BistableNonlinearity, solve_r, solve_wave\n"
+            "from acfront.wave import c_theta\n"
+            "w = solve_wave(BistableNonlinearity(a=0.3))\n"
+            "solve_r(w)\n"
+            "print(w.c.hex(), w.d.hex(), c_theta(w, 0.1).hex(),\n"
+            "      float(w.psi.sum()).hex(), float(w.r.sum()).hex())\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(acfront.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    w = wave03
+    assert out == [w.c.hex(), w.d.hex(), c_theta(w, 0.1).hex(),
+                   float(w.psi.sum()).hex(), float(w.r.sum()).hex()]
+
+
 def test_tilted_speed_symmetric_and_frozen_dispersion(wave03):
     w = wave03
     assert c_theta(w, 0.0) == pytest.approx(w.c, abs=1e-12)
     assert c_theta(w, 0.1) == pytest.approx(c_theta(w, -0.1), abs=1e-10)
     assert dispersion(w, 0.1) == pytest.approx(-0.281061340537, abs=1e-9)
-    with pytest.raises(OutOfRange):
-        c_theta(w, 0.5)
+    for theta in (0.5, float("nan")):
+        with pytest.raises(OutOfRange):
+            c_theta(w, theta)
 
 
 def test_curvature_coefficient_identity(wave03):
@@ -155,10 +201,9 @@ def test_profile_inverse_round_trip(wave03):
     back = phi_inverse(w, w.phi_at(xs))
     assert np.max(np.abs(back - xs)) < 1e-8
     assert phi_inverse(w, 0.5) == pytest.approx(0.0, abs=1e-10)
-    with pytest.raises(OutOfRange):
-        phi_inverse(w, 0.0)
-    with pytest.raises(OutOfRange):
-        phi_inverse(w, 1.0)
+    for v in (0.0, 1.0, float("nan"), [0.5, float("nan")]):
+        with pytest.raises(OutOfRange):
+            phi_inverse(w, v)
 
 
 def test_profile_tails_exponential_and_bounded(wave03):
