@@ -8,12 +8,10 @@ from .core import (
     LatticeField,
     PhaseSequence,
     alpha,
-    beta,
     d2,
     d_minus,
     d_plus,
     deviation_seminorm,
-    discrete_laplacian,
 )
 from .errors import (
     AcFrontError,
@@ -48,8 +46,7 @@ from .wave import (
 
 __all__ = [
     "BistableNonlinearity", "LatticeField", "PhaseSequence",
-    "alpha", "beta", "d2", "d_minus", "d_plus", "deviation_seminorm",
-    "discrete_laplacian",
+    "alpha", "d2", "d_minus", "d_plus", "deviation_seminorm",
     "AcFrontError", "DegenerateKernel", "FlatnessViolated", "H0Violated",
     "NewtonDiverged", "NoDefinedRows", "NonFinite", "NumericalError",
     "OutOfRange", "OverflowGuard", "PinningDetected", "PreAsymptotic",

@@ -123,6 +123,8 @@ def _read_gamma_csv(path: str) -> tuple[np.ndarray, Optional[str]]:
 
 
 def _cmd_mcf(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     gamma, recorded = _read_gamma_csv(args.init)
     if args.boundary and recorded and args.boundary != recorded:
         raise ValueError(f"--boundary {args.boundary} contradicts the boundary_j "

@@ -13,9 +13,10 @@ the package and are fixed at this level:
 
 The j-policy is a field of each container, and one ghost rule applies it:
 ``_fill_ghosts``, on the last axis of ``LatticeField.padded``,
-``PhaseSequence.padded``, the ``sim.step`` stage buffers and the one row
-``LatticeField.at`` reads; the difference operators read those arrays.  Outside this module only ``flow.heat_solve``
-reads the policy, to extend a reflecting sequence evenly.
+``PhaseSequence.padded`` and the stage buffers of ``_ssprk104``, the one
+time step of the lattice and of the phase flows; the difference operators
+read those arrays.  Outside this module only ``flow.heat_solve`` reads the
+policy, to extend a reflecting sequence evenly.
 """
 
 from __future__ import annotations
@@ -30,11 +31,9 @@ __all__ = [
     "BistableNonlinearity",
     "LatticeField",
     "PhaseSequence",
-    "discrete_laplacian",
     "d_plus",
     "d_minus",
     "d2",
-    "beta",
     "alpha",
     "deviation_seminorm",
 ]
@@ -175,19 +174,6 @@ class LatticeField:
         """Lattice coordinates of the rows, ``i_offset .. i_offset+width-1``."""
         return self.i_offset + np.arange(self.width)
 
-    def at(self, i: int, j: int) -> float:
-        """Value at site ``(i, j)`` of :meth:`padded`: an ``i`` past either edge
-        reads that side's ghost row, and a ``j`` outside ``[-1, H]`` raises.
-        Only row ``i`` is padded, by the same ghost rule."""
-        if not -1 <= j <= self.height:
-            raise ValueError(f"j={j} lies past the ghost layer [-1, {self.height}]")
-        row = i - self.i_offset
-        if not 0 <= row < self.width:
-            return 0.0 if row < 0 else 1.0
-        p = np.empty(self.height + 2)
-        p[1:-1] = self.values[row]
-        return float(_fill_ghosts(p, self.boundary_j)[j + 1])
-
     def padded(self) -> np.ndarray:
         """Values with one ghost layer on every side, shape (W+2, H+2).  The
         i-ghost rows are 0 and 1 whole, corners included, as
@@ -245,20 +231,44 @@ def _flat_laplacian(p: np.ndarray, out: Optional[np.ndarray] = None,
     return lap.reshape(w, s), c.reshape(w, s)
 
 
-def discrete_laplacian(u: LatticeField, i: Optional[int] = None, j: Optional[int] = None):
-    """Five-point lattice Laplacian ``u_{i+1,j}+u_{i-1,j}+u_{i,j+1}+u_{i,j-1}-4u_{i,j}``.
+def _ssprk104(p0: np.ndarray, euler, boundary_j: str) -> np.ndarray:
+    """One SSPRK(10,4) step (Ketcheson, SIAM J. Sci. Comput. 30, 2008) from
+    the padded array ``p0``, last axis ``j``; returns the padded result.
 
-    With no indices, returns the full ``(W, H)`` array over the window using
-    ghost values: a view of the flat contiguous stencil (``_flat_laplacian``)
-    with its ghost columns dropped.  With ``(i, j)`` returns the scalar at
-    that site, summed in the same order, so the two agree bit for bit.
+    ``euler(p, out)`` writes the forward-Euler substep ``E(p)`` into
+    ``out``, shaped like ``p[1:-1]``.  In Shu-Osher form, with
+    ``u = p0[1:-1]``: ``y_{k+1} = E(y_k)`` from ``y1 = u`` for ``k = 1..4``
+    and from ``y6 = (3/5) u + (2/5) E(y5)`` for ``k = 6..9``; the result is
+    ``(3/5) E(y10) + (9/25) E(y5) + u / 25``.  The weights are nonnegative,
+    so the step is monotone wherever ``E`` is (Gottlieb, Shu and Tadmor 2001).
+    Two padded buffers take turns as the stages, with ``p0[[0, -1]]`` (a
+    lattice array's i-ghost rows) pinned in both and the j-ghosts filled by
+    ``_fill_ghosts``; the combinations run in place in dead stage buffers.
+    Invalid operations (``inf - inf``) on non-finite stage values do not warn.
     """
-    if i is None and j is None:
-        return _flat_laplacian(u.padded())[0][:, 1:-1]
-    if i is None or j is None:
-        raise ValueError("pass both i and j, or neither")
-    return (u.at(i + 1, j) + u.at(i - 1, j) + u.at(i, j + 1) + u.at(i, j - 1)
-            - 4.0 * u.at(i, j))
+    u = p0[1:-1]
+    pa, pb = np.empty_like(p0), np.empty_like(p0)
+    pa[[0, -1]] = pb[[0, -1]] = p0[[0, -1]]
+    e5 = np.empty_like(u)
+    with np.errstate(invalid="ignore"):
+        p = p0
+        for q in (pa, pb, pa, pb):  # y2 .. y5
+            euler(p, q[1:-1])
+            p = _fill_ghosts(q, boundary_j)
+        euler(p, e5)
+        y6 = np.multiply(e5, 0.4, out=pb[1:-1])  # y5 is dead
+        y6 += np.multiply(u, 0.6, out=pa[1:-1])
+        p = _fill_ghosts(pb, boundary_j)
+        for q in (pa, pb, pa, pb):  # y7 .. y10
+            euler(p, q[1:-1])
+            p = _fill_ghosts(q, boundary_j)
+        out = pa[1:-1]
+        euler(p, out)
+        out *= 0.6
+        e5 *= 0.36
+        out += e5
+        out += np.multiply(u, 0.04, out=pb[1:-1])  # y10 is dead
+    return _fill_ghosts(pa, boundary_j)
 
 
 @dataclass
@@ -309,13 +319,9 @@ def d2(s: PhaseSequence) -> np.ndarray:
     return q[2:] - 2.0 * q[1:-1] + q[:-2]
 
 
-def beta(s: PhaseSequence) -> np.ndarray:
-    """Discrete slope factor ``sqrt(1 + (|d_plus|^2 + |d_minus|^2)/2) >= 1``."""
-    return np.sqrt(1.0 + alpha(s))
-
-
 def alpha(s: PhaseSequence) -> np.ndarray:
-    """``beta^2 - 1 = (|d_plus|^2 + |d_minus|^2)/2 >= 0``."""
+    """``β² - 1 = (|d_plus|² + |d_minus|²)/2 >= 0``, with ``β >= 1`` the
+    discrete slope factor of the curvature flow."""
     dp = d_plus(s)
     dm = d_minus(s)
     return 0.5 * (dp * dp + dm * dm)

@@ -9,9 +9,10 @@ for per-row phases.  This module provides:
 * ``heat_solve``: exact convolution of a phase sequence with the kernel;
 * the exponential heat LDE ``V̇ = (1/d)(e^{d ∂⁺V} - 2 + e^{-d ∂⁻V}) + c``
   linearized through the Cole-Hopf substitution ``h = e^{d (V - c t)}``, with
-  a direct Euler route for cross-checking, falling back to the linear heat
-  LDE ``V̇ = ∂⁽²⁾V + c`` when ``d`` vanishes;
-* the discrete mean curvature flow ``Γ̇ = ∂⁽²⁾Γ/β² + 2dβ + c - 2d``;
+  a direct explicit route for cross-checking, falling back to the linear
+  heat LDE ``V̇ = ∂⁽²⁾V + c`` when ``d`` vanishes;
+* the discrete mean curvature flow ``Γ̇ = ∂⁽²⁾Γ/β² + 2dβ + c - 2d``, marched,
+  like the direct route, by the lattice's own SSPRK(10,4) step;
 * report builders for the kernel decay bounds and gradient decay rates.
 """
 
@@ -26,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import ive
 
-from .core import PhaseSequence, beta, d2, d_plus, d_minus, deviation_seminorm
+from .core import PhaseSequence, _ssprk104, d2, d_plus, deviation_seminorm
 from .errors import FlatnessViolated, NonFinite, OutOfRange, OverflowGuard
 
 __all__ = [
@@ -209,7 +210,8 @@ def bessel_bounds_report(t_grid: Sequence[float]) -> dict:
 
 @dataclass
 class FlowParams:
-    """Parameters shared by the phase-flow integrators."""
+    """Parameters shared by the phase-flow integrators; ``dt`` bounds the
+    forward-Euler substep of the explicit marcher (steps of at most ``6 dt``)."""
 
     c: float
     d: float
@@ -245,51 +247,62 @@ class FlowTrajectory:
     def __len__(self) -> int:
         return self.times.size
 
-    def final(self) -> PhaseSequence:
-        return PhaseSequence(self.values[-1].copy(), boundary_j=self.boundary_j)
-
 
 def _march(y0: PhaseSequence, rhs, t_grid: Sequence[float], p: FlowParams,
-           what: str, grad=None, delta: float = math.inf) -> FlowTrajectory:
-    """Explicit Euler steps ``y += step * rhs(y)`` from ``y0``, at most
-    ``p.dt`` long, the last before each time in ``t_grid`` cut short to land
-    on it.
+           what: str, delta: float = math.inf) -> FlowTrajectory:
+    """SSPRK(10,4) steps (``core._ssprk104``) from ``y0``, with ``rhs(q)``
+    the right-hand side at the padded sequence ``q``: forward-Euler
+    substeps ``q[1:-1] + h rhs(q)`` of ``h = step / 6 <= p.dt``, so steps at
+    most ``6 p.dt`` long, the last before each time in ``t_grid`` cut short
+    to land on it.
 
-    With ``grad`` given, raises :class:`FlatnessViolated` once ``grad(y)``
-    exceeds ``delta``, initially or after any step.  Raises
-    :class:`NonFinite`, naming ``what``, as soon as a step is not finite, and
-    :class:`OutOfRange` for a non-finite, negative or decreasing ``t_grid``.
+    Raises :class:`FlatnessViolated` once ``sup|∂⁺y|`` exceeds ``delta``,
+    initially or after any step.  Raises :class:`NonFinite`, naming
+    ``what``, as soon as a step is not finite, and :class:`OutOfRange` for a
+    non-finite, negative or decreasing ``t_grid``.
     """
     ts = np.asarray(list(t_grid), dtype=float)
     if not (np.all(np.isfinite(ts)) and np.all(np.diff(ts, prepend=0.0) >= 0.0)):
         raise OutOfRange(f"{what} output times must be finite, >= 0 and nondecreasing")
-    if grad is not None and grad(y0) > delta:
-        raise FlatnessViolated(f"initial gradient {grad(y0):.3g} exceeds delta={delta:g}")
+
+    def slope(q: np.ndarray) -> float:
+        return float(np.max(np.abs(q[2:] - q[1:-1])))
+
+    def euler(q: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(rhs(q), h, out=out)
+        out += q[1:-1]
+
+    q = y0.padded()
+    if slope(q) > delta:
+        raise FlatnessViolated(f"initial gradient {slope(q):.3g} exceeds delta={delta:g}")
     rows = np.empty((ts.size, len(y0)))
-    y = y0.replace(y0.values.copy())
     t = 0.0
     for idx, target in enumerate(ts):
         while t < target - 1e-12:
-            step = min(p.dt, target - t)
-            vals = y.values + step * rhs(y)
+            step = min(6.0 * p.dt, target - t)
+            h = step / 6.0
+            q = _ssprk104(q, euler, y0.boundary_j)
             t += step
-            if not np.all(np.isfinite(vals)):
+            if not np.all(np.isfinite(q)):
                 raise NonFinite(f"{what} blew up at t={t:g}")
-            y = y.replace(vals)
-            if grad is not None and grad(y) > delta:
+            if slope(q) > delta:
                 raise FlatnessViolated(
-                    f"gradient {grad(y):.3g} exceeded delta={delta:g} at t={t:g}")
-        rows[idx] = y.values
+                    f"gradient {slope(q):.3g} exceeded delta={delta:g} at t={t:g}")
+        rows[idx] = q[1:-1]
     return FlowTrajectory(ts, rows, boundary_j=y0.boundary_j)
+
+
+def _v_rhs(q: np.ndarray, p: FlowParams) -> np.ndarray:
+    """Right-hand side of the phase LDE at the padded sequence ``q``."""
+    if p.variant == "linear_heat":
+        return q[2:] - 2.0 * q[1:-1] + q[:-2] + p.c
+    return (np.exp(p.d * (q[2:] - q[1:-1])) - 2.0
+            + np.exp(-p.d * (q[1:-1] - q[:-2]))) / p.d + p.c
 
 
 def v_rhs(V: PhaseSequence, p: FlowParams) -> np.ndarray:
     """Right-hand side of the phase LDE for ``V`` (exact, no time stepping)."""
-    if p.variant == "linear_heat":
-        return d2(V) + p.c
-    dp = d_plus(V)
-    dm = d_minus(V)
-    return (np.exp(p.d * dp) - 2.0 + np.exp(-p.d * dm)) / p.d + p.c
+    return _v_rhs(V.padded(), p)
 
 
 def v_solve(V0: PhaseSequence, p: FlowParams, t_grid: Sequence[float],
@@ -298,13 +311,13 @@ def v_solve(V0: PhaseSequence, p: FlowParams, t_grid: Sequence[float],
 
     ``cole_hopf`` evaluates the exact solution at each requested time through
     ``h = e^{d (V - c t)}`` and the heat kernel (or directly for the linear
-    variant); ``euler`` time-steps the nonlinear LDE explicitly as an
-    independent cross-check.  Raises :class:`OverflowGuard` when the
-    transform would overflow.
+    variant); ``euler`` selects the explicit marcher made of forward-Euler
+    substeps (:func:`_march`), an independent cross-check on the nonlinear
+    LDE.  Raises :class:`OverflowGuard` when the transform would overflow.
     """
     ts = np.asarray(list(t_grid), dtype=float)
     if method == "euler":
-        return _march(V0, lambda v: v_rhs(v, p), ts, p, "Euler integration")
+        return _march(V0, lambda q: _v_rhs(q, p), ts, p, "explicit integration")
     if method != "cole_hopf":
         raise ValueError(f"unknown method {method!r}")
     rows = np.empty((ts.size, len(V0)))
@@ -338,25 +351,30 @@ def v_gradient_report(traj: FlowTrajectory) -> dict:
     return rep
 
 
+def _mcf_rhs(q: np.ndarray, p: FlowParams) -> np.ndarray:
+    """:func:`mcf_rhs` at the padded sequence ``q``."""
+    dp, dm = q[2:] - q[1:-1], q[1:-1] - q[:-2]
+    b2 = 1.0 + 0.5 * (dp * dp + dm * dm)
+    return (dp - dm) / b2 + 2.0 * p.d * np.sqrt(b2) + (p.c - 2.0 * p.d)
+
+
 def mcf_rhs(G: PhaseSequence, p: FlowParams) -> np.ndarray:
     """Right-hand side ``∂⁽²⁾Γ/β² + 2dβ + c - 2d`` of the discrete mean
-    curvature flow: curvature plus the direction-dependent drift
-    ``c + 2d(β - 1)``."""
-    b = beta(G)
-    return d2(G) / (b * b) + 2.0 * p.d * b + p.c - 2.0 * p.d
+    curvature flow, with ``β = sqrt(1 + (|∂⁺Γ|² + |∂⁻Γ|²)/2)``: curvature
+    plus the direction-dependent drift ``c + 2d(β - 1)``."""
+    return _mcf_rhs(G.padded(), p)
 
 
 def mcf_solve(G0: PhaseSequence, p: FlowParams, t_grid: Sequence[float], *,
               delta: float = 0.1) -> FlowTrajectory:
-    """Explicit Euler integration of the discrete mean curvature flow (see
-    :func:`mcf_rhs`).
+    """The discrete mean curvature flow (see :func:`mcf_rhs`), marched by
+    SSPRK(10,4) steps made of forward-Euler substeps (:func:`_march`).
 
     Raises :class:`FlatnessViolated` once ``sup|∂⁺Γ|`` exceeds ``delta``; the
     local comparison structure of the flow is only guaranteed for flat
     interfaces.
     """
-    return _march(G0, lambda g: mcf_rhs(g, p), t_grid, p, "curvature flow",
-                  grad=lambda g: np.max(np.abs(d_plus(g))), delta=delta)
+    return _march(G0, lambda q: _mcf_rhs(q, p), t_grid, p, "curvature flow", delta)
 
 
 def trajectory_to_csv(traj: FlowTrajectory, path: str) -> None:

@@ -342,7 +342,8 @@ def run_thm23(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Experime
     sup_v_gap = max(v for _, v in v_gap_series)
     tol = spec.tolerances["tracking"]
     return _report(spec, {"mcf_gap": gap_series, "mcf_v_gap": v_gap_series,
-                          "flatness_handoff": [(t0, fl0)]},
+                          "flatness_handoff": [(t0, fl0)],
+                          "spread_handoff": [(t0, float(np.ptp(g0.gamma.values)))]},
                    {"tracking_sup": _verdict(sup_gap, tol),
                     "handoff_flatness": _verdict(fl0, handoff_tol),
                     "mcf_vs_v": _verdict(sup_v_gap, tol)})
@@ -374,7 +375,8 @@ def run_thm24(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Experime
     mu_pred = _mu_prediction(w, g_tau, t_tau)
     tols = spec.tolerances
     return _report(spec, {"mu_of_t": mu_series,
-                          "flatness_handoff": [(t_tau, phase.flatness(g_tau))]},
+                          "flatness_handoff": [(t_tau, phase.flatness(g_tau))],
+                          "spread_handoff": [(t_tau, float(np.ptp(g_tau.gamma.values)))]},
                    {"mu_stable": _verdict(mu_spread, tols["mu_stable"]),
                     "final_profile_error": _verdict(final_err, tols["front_error"]),
                     "mu_vs_prediction": _verdict(abs(mu_hat - mu_pred), tols["mu_pred"])},

@@ -36,8 +36,8 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import flow
-from .core import (BistableNonlinearity, LatticeField, PhaseSequence, _fill_ghosts,
-                   _flat_laplacian, alpha, d_minus, d_plus)
+from .core import (BistableNonlinearity, LatticeField, PhaseSequence, _flat_laplacian,
+                   _ssprk104, alpha, d_minus, d_plus)
 from .errors import NonFinite, OutOfRange, SolveFailed, VerificationFailed
 from .wave import WaveProfile
 
@@ -109,59 +109,32 @@ class SimConfig:
 
 
 def step(u: LatticeField, cfg: SimConfig) -> LatticeField:
-    """One SSPRK(10,4) step in Shu-Osher form.  With ``E`` the forward-Euler
-    update ``E(v) = v + h (Δ⁺v + g(v))`` at ``h = dt / 6``:
-    ``y1 = u`` and ``y_{k+1} = E(y_k)`` for ``k = 1..4``;
-    ``y6 = (3/5) u + (2/5) E(y5)`` and ``y_{k+1} = E(y_k)`` for ``k = 6..9``;
-    ``u(t + dt) = (3/5) E(y10) + (9/25) E(y5) + u / 25``.
+    """One SSPRK(10,4) step (``core._ssprk104``) of ``u̇ = Δ⁺u + g(u)``,
+    made of forward-Euler substeps ``E(v) = v + h (Δ⁺v + g(v))`` at
+    ``h = dt / 6``.
 
     Every Euler update works on the flat contiguous padded layout (see
     ``core._flat_laplacian``) and writes straight into the interior rows of
-    the next stage's padded buffer; two such buffers take turns, and ``g``
-    runs in place in two scratch arrays.  The combinations run in place over
-    whole rows, ghost columns included, and only the stage inputs get their
-    ghost layer filled.  All buffers are made afresh on each call, and
-    ``u`` is left untouched.
+    the next stage's padded buffer, ghost columns included; ``g`` runs in
+    place in two scratch arrays.  All buffers are made afresh on each call,
+    and ``u`` is left untouched.
 
-    The stages are bare arrays, so the one finiteness check is the result
-    field's own: a non-finite stage value stays non-finite through every
-    later stage, and it raises :class:`NonFinite`.  The invalid operations
-    (``inf - inf``) that carry it there do not warn; the overflow that made
-    it does.
+    The one finiteness check is the result field's own: a non-finite stage
+    value raises :class:`NonFinite`.  The overflow that made it warns.
     """
     h = cfg.dt / 6.0
     p0 = u.padded()
-    u0 = p0[1:-1]
-    pa, pb = np.empty_like(p0), np.empty_like(p0)
-    pa[[0, -1]] = pb[[0, -1]] = p0[[0, -1]]  # i-ghost rows; no stage writes them
-    e5, s1, s2 = (np.empty_like(u0) for _ in range(3))
+    s1, s2 = np.empty_like(p0[1:-1]), np.empty_like(p0[1:-1])
 
-    def euler(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def euler(p: np.ndarray, out: np.ndarray) -> None:
         lap, c = _flat_laplacian(p, out, s1)
         lap += cfg.f._into(c, s1, s2)
         lap *= h
         lap += c
-        return lap
 
-    with np.errstate(invalid="ignore"):
-        p = p0
-        for q in (pa, pb, pa, pb):  # y2 .. y5
-            euler(p, q[1:-1])
-            p = _fill_ghosts(q, u.boundary_j)
-        euler(p, e5)
-        y6 = np.multiply(e5, 0.4, out=pa[1:-1])
-        y6 += np.multiply(u0, 0.6, out=s1)
-        p = _fill_ghosts(pa, u.boundary_j)
-        for q in (pb, pa, pb, pa):  # y7 .. y10
-            euler(p, q[1:-1])
-            p = _fill_ghosts(q, u.boundary_j)
-        out = euler(p, pb[1:-1])
-        out *= 0.6
-        e5 *= 0.36
-        out += e5
-        out += np.multiply(u0, 0.04, out=s1)
+    p = _ssprk104(p0, euler, u.boundary_j)
     try:
-        return LatticeField(out[:, 1:-1], i_offset=u.i_offset, boundary_j=u.boundary_j)
+        return LatticeField(p[1:-1, 1:-1], i_offset=u.i_offset, boundary_j=u.boundary_j)
     except ValueError as exc:  # the field's own finiteness check
         raise NonFinite("simulation step produced non-finite values") from exc
 

@@ -172,6 +172,17 @@ def test_mcf_negative_end_time_is_out_of_range(tmp_path, capsys):
         assert "nondecreasing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_mcf_without_samples_is_usage_error(tmp_path, capsys, samples):
+    init = tmp_path / "gamma0.csv"
+    _write_gamma(init, np.zeros(8))
+    out = tmp_path / "traj.csv"
+    assert main(["mcf", "--init", str(init), "--c", "-0.2796", "--d", "-0.1466",
+                 "--samples", samples, "--out", str(out)]) == 2
+    assert "--samples must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mcf_reads_phase_output(snapshot_dir, wave_file, tmp_path):
     phases = tmp_path / "phase.csv"
     assert main(["phase", "--snapshot", str(snapshot_dir / "snap_000000.bin"),

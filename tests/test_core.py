@@ -7,8 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from acfront.core import (BistableNonlinearity, LatticeField, PhaseSequence,
-                          alpha, beta, d2, d_minus, d_plus,
-                          deviation_seminorm, discrete_laplacian)
+                          _flat_laplacian, alpha, d2, d_minus, d_plus,
+                          deviation_seminorm)
+
+
+def laplacian(u: LatticeField) -> np.ndarray:
+    """The whole-window five-point Laplacian: the flat stencil on the padded
+    field with its ghost columns dropped."""
+    return _flat_laplacian(u.padded())[0][:, 1:-1]
 
 
 def test_cubic_frozen_values():
@@ -72,32 +78,19 @@ def test_table_validation_rejects_broken_tables():
 
 def test_field_ghosts_pinned_to_equilibria():
     u = LatticeField(np.arange(12.0).reshape(4, 3) / 12.0, i_offset=-2)
-    assert u.at(-3, 0) == 0.0
-    assert u.at(-100, 2) == 0.0
-    assert u.at(2, 1) == 1.0
-    assert u.at(100, 0) == 1.0
-    assert u.at(-2, 0) == u.values[0, 0]
-    assert u.at(1, 2) == u.values[3, 2]
+    p = u.padded()
+    assert np.all(p[0] == 0.0) and np.all(p[-1] == 1.0)
+    assert np.array_equal(p[1:-1, 1:-1], u.values)
 
 
 def test_field_column_boundary_policies():
     vals = np.arange(12.0).reshape(4, 3)
-    per = LatticeField(vals, boundary_j="periodic")
-    ref = LatticeField(vals, boundary_j="reflect")
-    assert per.at(1, 3) == vals[1, 0]
-    assert per.at(1, -1) == vals[1, 2]
-    assert ref.at(1, 3) == vals[1, 2]
-    assert ref.at(1, -1) == vals[1, 0]
-
-
-@pytest.mark.parametrize("boundary_j", ["periodic", "reflect"])
-def test_field_at_raises_past_the_ghost_layer(boundary_j):
-    u = LatticeField(np.arange(12.0).reshape(4, 3), boundary_j=boundary_j)
-    for j in (-2, 4, 100):
-        with pytest.raises(ValueError, match="past the ghost layer"):
-            u.at(1, j)
-    # the i-ghost rows clip, whatever the distance
-    assert (u.at(-50, -1), u.at(50, 3)) == (0.0, 1.0)
+    per = LatticeField(vals, boundary_j="periodic").padded()[1:-1]
+    ref = LatticeField(vals, boundary_j="reflect").padded()[1:-1]
+    assert np.array_equal(per[:, -1], vals[:, 0])
+    assert np.array_equal(per[:, 0], vals[:, 2])
+    assert np.array_equal(ref[:, -1], vals[:, 2])
+    assert np.array_equal(ref[:, 0], vals[:, 0])
 
 
 @settings(max_examples=100)
@@ -115,24 +108,28 @@ def test_field_rows_and_phase_sequences_share_the_j_ghosts(data, width, height,
 
 def test_laplacian_matches_pointwise_stencil():
     """The whole-window Laplacian equals the scalar stencil bit for bit at
-    every site of every window up to 12x8, ghosts of both policies included."""
+    every site of every window up to 12x8, ghosts of both policies included:
+    the scalar stencil reads a window padded by ``np.pad`` (0 left, 1 right,
+    ``wrap`` or ``edge`` in j), summed in the same order."""
     rng = np.random.default_rng(5)
     for bc in ("periodic", "reflect"):
         for width in range(1, 13):
             for height in range(1, 9):
-                u = LatticeField(rng.uniform(size=(width, height)), i_offset=-3,
-                                 boundary_j=bc)
-                lap = discrete_laplacian(u)
+                vals = rng.uniform(size=(width, height))
+                lap = laplacian(LatticeField(vals, i_offset=-3, boundary_j=bc))
                 assert lap.shape == (width, height)
-                pointwise = [[discrete_laplacian(u, i, j) for j in range(height)]
-                             for i in u.lattice_i()]
+                q = np.pad(vals, ((0, 0), (1, 1)), mode="wrap" if bc == "periodic" else "edge")
+                q = np.pad(q, ((1, 1), (0, 0)), constant_values=((0.0, 1.0), (0.0, 0.0)))
+                pointwise = [[q[i + 2, j + 1] + q[i, j + 1] + q[i + 1, j + 2] + q[i + 1, j]
+                              - 4.0 * q[i + 1, j + 1] for j in range(height)]
+                             for i in range(width)]
                 assert np.array_equal(lap, pointwise)
 
 
 def test_laplacian_of_constant_vanishes_inside():
     # interior rows see only the constant; edge rows see the pinned ghosts
     u = LatticeField(np.full((5, 4), 0.25))
-    lap = discrete_laplacian(u)
+    lap = laplacian(u)
     assert np.all(lap[1:-1, :] == 0.0)
     assert np.all(lap[0, :] == -0.25)
     assert np.all(lap[-1, :] == 0.75)
@@ -154,12 +151,13 @@ def test_difference_operators_frozen_example():
 
 
 def test_beta_alpha_identity():
+    # β² - 1 = α = (|∂⁺s|² + |∂⁻s|²)/2 >= 0, so the slope factor β >= 1
     rng = np.random.default_rng(7)
     s = PhaseSequence(rng.normal(size=32))
-    b = beta(s)
-    assert np.all(b >= 1.0)
-    assert np.max(np.abs(b * b - 1.0 - alpha(s))) < 1e-12
+    dp, dm = d_plus(s), d_minus(s)
+    assert np.max(np.abs(alpha(s) - 0.5 * (dp * dp + dm * dm))) < 1e-12
     assert np.all(alpha(s) >= 0.0)
+    assert np.all(np.sqrt(1.0 + alpha(s)) >= 1.0)
 
 
 def test_deviation_seminorm_anchored_at_first_entry():

@@ -28,3 +28,18 @@ def test_sim_exports_no_test_only_builders():
     assert not [n for n in sim.__all__ if n.startswith("build_")]
     assert not hasattr(sim, "build_planar_supersub")
     assert not hasattr(sim, "build_curved_supersub")
+
+
+def test_test_only_api_stays_deleted():
+    """The Laplacian, the single-site read, the slope factor and the last
+    trajectory row have no caller in the package; tests read
+    ``core._flat_laplacian``, ``LatticeField.padded``, ``core.alpha`` and
+    ``FlowTrajectory.values`` instead."""
+    core = importlib.import_module("acfront.core")
+    flow = importlib.import_module("acfront.flow")
+    for module in (acfront, core):
+        assert not {"discrete_laplacian", "beta"} & set(module.__all__)
+        assert not hasattr(module, "discrete_laplacian")
+        assert not hasattr(module, "beta")
+    assert not hasattr(core.LatticeField, "at")
+    assert not hasattr(flow.FlowTrajectory, "final")

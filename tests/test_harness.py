@@ -161,6 +161,13 @@ def test_spec_rejects_unknown_or_non_numeric_tolerances_and_fractional_period():
     assert spec.tolerances["front_error"] == 1 and spec.kappa["P"] == 4
 
 
+def assert_spread_bounded_by_flatness(report, t0, fl0):
+    """The hand-off spread ``max γ - min γ`` is at least the flatness and, on
+    a periodic column of H rows, at most H/2 steps of it."""
+    (t, spread), = report.series["spread_handoff"]
+    assert t == t0 and 0.0 < fl0 <= spread <= report.config["height"] / 2 * fl0
+
+
 def test_thm22_fast_run_passes(wave03):
     report = run_thm22(fast_spec("thm22"), wave03)
     assert report.passed
@@ -176,6 +183,7 @@ def test_thm23_fast_run_passes(wave03):
     assert set(report.verdicts) == {"tracking_sup", "handoff_flatness", "mcf_vs_v"}
     (t0, fl0), = report.series["flatness_handoff"]
     assert t0 >= 10.0 and fl0 < 0.1
+    assert_spread_bounded_by_flatness(report, t0, fl0)
 
 
 def test_thm23_tracking_is_converged_in_dt(wave03):
@@ -219,6 +227,7 @@ def test_thm24_fast_run_passes(wave03):
     # the hand-off flatness shows whether the run tested a curved phase at all
     (t0, fl0), = report.series["flatness_handoff"]
     assert t0 == 10.0 and 0.0 < fl0 < 0.1
+    assert_spread_bounded_by_flatness(report, t0, fl0)
 
 
 def test_thm24_tau_after_t_end_is_preasymptotic(wave03):
@@ -268,12 +277,12 @@ REPORT_DIGESTS = [
     (fast_spec("thm22"),
      "e3c986f1abc435f40c4b1907232bfd35a393332094608942e251cd871438c0aa"),
     (fast_spec("thm23", t_end=40.0),
-     "1d6afc8a1e2df726b753ecf6c0c82ba77e124d127765c994dfc71ef4d866e201"),
+     "4bbb534725a748b41122dcc2f08a19d4b6274cce76589edf9b630207f87954de"),
     (fast_spec("thm24", t_end=40.0),
-     "40d586794ded253e2c27413e8550870a1116f65bfdf024ffde080f6c69430d6a"),
+     "b4bcea7a72336935d9ef3de3e4659baafa666987d506c1e7056144fc022a7716"),
     (ExperimentSpec(name="step_kappa", width=96, height=48, t_end=60.0, tau=30.0,
                     boundary_j="reflect", kappa={"kind": "step", "lo": 0.0, "hi": 2.0}),
-     "9ec81838bc401c52dab05b4980ef7588019f0852a415c4ce9b24d21178f616b9"),
+     "b993a544a02a95a98f7cca9845a79dfdd5a7a0ae40c02d436a333c303e5a9fca"),
 ]
 
 

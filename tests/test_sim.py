@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from acfront.core import BistableNonlinearity, LatticeField, PhaseSequence, discrete_laplacian
+from acfront.core import BistableNonlinearity, LatticeField, PhaseSequence, _flat_laplacian
 from acfront.errors import NonFinite, OutOfRange, VerificationFailed
 from acfront.flow import FlowParams, v_solve
 from acfront.harness import splitmix64_uniform
@@ -22,6 +22,12 @@ F03 = BistableNonlinearity(a=0.3)
 _TABLE_U = np.linspace(-1.0, 2.0, 61)
 F03_TABLE = BistableNonlinearity(a=0.3, kind="table", table_u=_TABLE_U,
                                  table_g=F03(_TABLE_U))
+
+
+def discrete_laplacian(u: LatticeField) -> np.ndarray:
+    """The whole-window five-point Laplacian: the flat stencil on the padded
+    field with its ghost columns dropped."""
+    return _flat_laplacian(u.padded())[0][:, 1:-1]
 
 
 def test_config_defaults_satisfy_monotonicity_bound():
@@ -320,7 +326,7 @@ def planar_fields(w, spec, t, width, height):
 
 def curved_fields(w, spec, t, width):
     """The curved pair at time ``t`` on the phase solved exactly from ``spec.V0``."""
-    V = v_solve(spec.V0, FlowParams(c=w.c, d=w.d), t_grid=[t]).final()
+    V = spec.V0.replace(v_solve(spec.V0, FlowParams(c=w.c, d=w.d), t_grid=[t]).values[-1])
     i_offset, up, um, _, _ = _curved_pair(w, spec, V, t, width)
     return tuple(LatticeField(u, i_offset=i_offset, boundary_j=V.boundary_j)
                  for u in (up, um))
@@ -513,7 +519,7 @@ def test_curved_residual_does_not_depend_on_the_window(wave03, boundary_j):
     spec = curved_spec(height=16)
     for t in (0.0, 5.0):
         V0 = PhaseSequence(spec.V0.values, boundary_j)
-        V = v_solve(V0, FlowParams(c=wave03.c, d=wave03.d), t_grid=[t]).final()
+        V = V0.replace(v_solve(V0, FlowParams(c=wave03.c, d=wave03.d), t_grid=[t]).values[-1])
         wide, narrow = (_curved_pair(wave03, spec, V, t, width) for width in (96, 6))
         k = narrow[0] - wide[0]
         for a, b in zip(wide[1:], narrow[1:]):
