@@ -296,8 +296,12 @@ def _v_rhs(q: np.ndarray, p: FlowParams) -> np.ndarray:
     """Right-hand side of the phase LDE at the padded sequence ``q``."""
     if p.variant == "linear_heat":
         return q[2:] - 2.0 * q[1:-1] + q[:-2] + p.c
-    return (np.exp(p.d * (q[2:] - q[1:-1])) - 2.0
-            + np.exp(-p.d * (q[1:-1] - q[:-2]))) / p.d + p.c
+    # one exponential per neighbour difference: e^{-d dV_j^-} = 1 / e^{d dV_{j-1}^+};
+    # an underflowed e is raised to the least subnormal, so 1/e overflows
+    # where e^{-d dV^-} did, instead of dividing by zero
+    e = np.exp(p.d * (q[1:] - q[:-1]))
+    np.maximum(e, 5e-324, out=e)
+    return (e[1:] - 2.0 + 1.0 / e[:-1]) / p.d + p.c
 
 
 def v_rhs(V: PhaseSequence, p: FlowParams) -> np.ndarray:

@@ -4,7 +4,8 @@ The phase of a front-like field is defined for each row ``j``: the unique
 lattice index ``i*`` with ``0 < u_{i*,j} <= 1/2 < u_{i*+1,j}`` anchors the
 interface and the profile inverse turns the value there into a sub-cell
 position, ``gamma_j = i* - Phi^{-1}(u_{i*,j})``.  All rows of a snapshot are
-extracted in one whole-array pass with one vector inverse call.  Rows
+extracted in one whole-array pass with one vector inverse call, which runs
+safeguarded Newton on the cubic pieces of the profile spline.  Rows
 without a unique crossing are recorded as undefined rather than guessed;
 convergence metrics that need every row defined raise instead of silently
 skipping data.

@@ -529,24 +529,45 @@ def dispersion(w: WaveProfile, theta: float) -> float:
 def phi_inverse(w: WaveProfile, v):
     """Inverse of the profile: the ``xi`` with ``phi(xi) = v``.
 
-    Bracketing bisection on the profile interpolant; the result satisfies
-    ``|phi(xi) - v| < 1e-12``.  Raises :class:`OutOfRange` unless ``v`` lies
-    strictly inside the represented range ``(phi(-L), phi(L))``.
+    Safeguarded Newton on the cubic piece of the profile spline whose knot
+    values bracket ``v``, evaluated by Horner steps from the spline's own
+    coefficients.  The iteration starts from linear interpolation in the
+    bracket; a step that leaves the bracket, or a slope that is not
+    positive, falls back to bisection of the bracket.  An entry stops once
+    its step moves ``xi`` by at most 1e-12, or after 64 rounds: the clamped
+    spline is flat at ``+-L``, where Newton converges only linearly.  Each
+    entry iterates on its own, so a vector call equals scalar calls bit for
+    bit.  The result satisfies ``|phi(xi) - v| < 1e-12``.  Raises
+    :class:`OutOfRange` unless ``v`` lies strictly inside the represented
+    range ``(phi(-L), phi(L))``.
     """
     v = np.asarray(v, dtype=float)
     scalar = v.ndim == 0
     v = np.atleast_1d(v)
     if not np.all((w.phi[0] < v) & (v < w.phi[-1])):
         raise OutOfRange("value outside the represented profile range")
-    hi_idx = np.searchsorted(w.phi, v)
-    lo = w.xi[hi_idx - 1].astype(float).copy()
-    hi = w.xi[hi_idx].astype(float).copy()
+    k = np.searchsorted(w.phi, v) - 1
+    c3, c2, c1, c0 = w._phi_spline.c[:, k]
+    d0 = c0 - v
+    lo, hi = np.zeros_like(v), w.xi[k + 1] - w.xi[k]
+    t = hi * (v - w.phi[k]) / (w.phi[k + 1] - w.phi[k])
+    out = np.empty_like(v)
+    active = np.arange(v.size)
     for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        below = w._phi_spline(mid) < v
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    out = 0.5 * (lo + hi)
+        val = ((c3 * t + c2) * t + c1) * t + d0
+        slope = (3.0 * c3 * t + 2.0 * c2) * t + c1
+        below = val < 0.0
+        lo = np.where(below, t, lo)
+        hi = np.where(below, hi, t)
+        new = t - np.divide(val, slope, out=np.full_like(t, np.inf), where=slope > 0.0)
+        new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+        out[active] = new
+        moving = np.abs(new - t) > 1e-12
+        if not moving.any():
+            break
+        active, t, lo, hi, c3, c2, c1, d0 = (
+            x[moving] for x in (active, new, lo, hi, c3, c2, c1, d0))
+    out += w.xi[k]
     return float(out[0]) if scalar else out
 
 

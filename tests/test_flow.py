@@ -251,6 +251,24 @@ def test_v_rhs_flat_data_reduces_to_drift():
     assert np.max(np.abs(v_rhs(V0, p) - p.c)) < 1e-15
 
 
+def test_v_rhs_matches_two_exponential_formula():
+    """One exponential per neighbour difference gives the two-exponential
+    right-hand side up to rounding: within 1e-14 of the sum of the terms'
+    magnitudes, the scale of the cancellation in ``e+ - 2 + e-``."""
+    rng = np.random.default_rng(7)
+    p = FlowParams(c=C_REF, d=D_REF)
+    for V in (rng.normal(size=64), 40.0 * rng.normal(size=512),
+              rng.uniform(-2000.0, 2000.0, size=256)):
+        for boundary_j in ("periodic", "reflect"):
+            q = PhaseSequence(V, boundary_j=boundary_j).padded()
+            ep = np.exp(p.d * (q[2:] - q[1:-1]))
+            em = np.exp(-p.d * (q[1:-1] - q[:-2]))
+            want = (ep - 2.0 + em) / p.d + p.c
+            scale = (ep + 2.0 + em) / abs(p.d) + abs(p.c)
+            got = v_rhs(PhaseSequence(V, boundary_j=boundary_j), p)
+            assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
 def test_v_gradient_report_decays():
     p = FlowParams(c=C_REF, d=D_REF)
     j = np.arange(32)

@@ -275,14 +275,14 @@ def test_report_ndjson_reproducible(tmp_path, wave03):
 # any BLAS thread count, since every wave solve is a sparse LU
 REPORT_DIGESTS = [
     (fast_spec("thm22"),
-     "e3c986f1abc435f40c4b1907232bfd35a393332094608942e251cd871438c0aa"),
+     "d49f5891c3d1224983e72702401ec59cc152c422b3861674d0b9b5cd49f7b7ed"),
     (fast_spec("thm23", t_end=40.0),
-     "4bbb534725a748b41122dcc2f08a19d4b6274cce76589edf9b630207f87954de"),
+     "9210fbd98144b80ebf3fd33e9bce879bbba18bfb5acdcb5531abc6b7a82d1ac4"),
     (fast_spec("thm24", t_end=40.0),
-     "b4bcea7a72336935d9ef3de3e4659baafa666987d506c1e7056144fc022a7716"),
+     "f8b7caf300842cf5f0c273fe4f32fab6a68c1871e75b2bb24d72e50c66717a06"),
     (ExperimentSpec(name="step_kappa", width=96, height=48, t_end=60.0, tau=30.0,
                     boundary_j="reflect", kappa={"kind": "step", "lo": 0.0, "hi": 2.0}),
-     "b993a544a02a95a98f7cca9845a79dfdd5a7a0ae40c02d436a333c303e5a9fca"),
+     "965719b08649ea188f9860759cf468f40b707126e7bc4e147eb4901f1e66a93d"),
 ]
 
 

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import acfront
 from acfront import wave
@@ -204,6 +206,48 @@ def test_profile_inverse_round_trip(wave03):
     for v in (0.0, 1.0, float("nan"), [0.5, float("nan")]):
         with pytest.raises(OutOfRange):
             phi_inverse(w, v)
+
+
+def phi_inverse_bisection(w, v):
+    """Oracle inverse: 64 rounds of bracketing bisection on the profile
+    spline, each round one spline call."""
+    hi_idx = np.searchsorted(w.phi, v)
+    lo, hi = w.xi[hi_idx - 1], w.xi[hi_idx]
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = w._phi_spline(mid) < v
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+# Both inverses leave a residual of ~1e-16 in Phi, so on the interior pieces
+# xi may differ by ~2e-16 / Phi'(xi); XI_TOL bounds that gap in Phi, and the
+# xi tolerance there is XI_TOL / Phi'(xi).  On the two end pieces the clamped
+# spline is flat (Phi' = 0 at +-L, |Phi''| >= 3.2e-5 at a = 0.3), and a
+# residual of 2.2e-16 holds on an interval ~4e-6 wide: XI_TOL_FLAT_ENDS.
+XI_TOL = 1e-15
+XI_TOL_FLAT_ENDS = 1e-5
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_phi_inverse_newton_property(wave03, data):
+    w = wave03
+    lo, hi = np.nextafter(w.phi[0], 1.0), np.nextafter(w.phi[-1], 0.0)
+    v = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from([lo, hi]), st.sampled_from(list(w.phi[1:-1])),
+                  st.floats(lo, hi)), min_size=1, max_size=32)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xi = phi_inverse(w, v)
+    k = np.searchsorted(w.phi, v) - 1
+    assert np.all((w.xi[k] <= xi) & (xi <= w.xi[k + 1]))
+    assert np.max(np.abs(w._phi_spline(xi) - v)) < 1e-12
+    tol = np.full(v.shape, XI_TOL_FLAT_ENDS)
+    inner = (k > 0) & (k < w.n - 2)
+    tol[inner] = XI_TOL / w._phi_spline(xi[inner], 1)
+    assert np.all(np.abs(xi - phi_inverse_bisection(w, v)) <= tol)
 
 
 def test_profile_tails_exponential_and_bounded(wave03):
