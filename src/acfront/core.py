@@ -1,9 +1,9 @@
 """Lattice containers, bistable nonlinearities and discrete difference operators.
 
 Everything here is binary64, and the public operators are side-effect free:
-they return fresh arrays and never mutate their inputs (the private stencil
-helpers write into buffers their caller owns).  Two boundary policies appear throughout
-the package and are fixed at this level:
+they return fresh arrays and never mutate their inputs (the private
+``_centre_into`` writes into a buffer its caller owns).  Two boundary
+policies appear throughout the package and are fixed at this level:
 
 * in the horizontal (``i``) direction fields always use ``dirichlet_equilibria``
   ghosts: reads left of the window give the equilibrium 0, reads right of it
@@ -103,21 +103,27 @@ class BistableNonlinearity:
                 raise ValueError("table nonlinearity violates the bistable sign pattern")
 
     def __call__(self, u):
-        """Evaluate ``g(u)`` elementwise."""
+        """Evaluate ``g(u)`` elementwise.  The cubic is factored as
+        ``((1 - u) u) (u - a)``, so its three zeros are exact."""
         u = np.asarray(u, dtype=float)
-        out = self._into(u, np.empty_like(u), np.empty_like(u))
+        if self.kind == "cubic":
+            out = (1.0 - u) * u * (u - self.a)
+        else:
+            out = self._spline(u)
         return float(out) if out.ndim == 0 else out
 
-    def _into(self, u: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-        """Write ``g(u)`` into ``out`` and return it; ``tmp`` is scratch of
-        the same shape.  The cubic is ``((1 - u) u) (u - a)``, all in place;
-        neither buffer may overlap ``u``."""
+    def _centre_into(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the centre term ``g(v) - 4 v`` of ``Δ⁺v + g(v)`` into ``out``
+        and return it; ``out`` must not overlap ``v``.  The cubic is the one
+        polynomial ``v (v ((1 + a) - v) - (a + 4))``, in place in four passes
+        with no scratch; the table is its spline minus ``4 v``."""
         if self.kind == "cubic":
-            np.subtract(1.0, u, out=out)
-            out *= u
-            out *= np.subtract(u, self.a, out=tmp)
+            np.subtract(1.0 + self.a, v, out=out)
+            out *= v
+            out -= self.a + 4.0
+            out *= v
         else:
-            out[...] = self._spline(u)
+            np.subtract(self._spline(v), 4.0 * v, out=out)
         return out
 
     def dg(self, u):
@@ -177,7 +183,7 @@ class LatticeField:
     def padded(self) -> np.ndarray:
         """Values with one ghost layer on every side, shape (W+2, H+2).  The
         i-ghost rows are 0 and 1 whole, corners included, as
-        ``_flat_laplacian`` reads the corners into entries it discards."""
+        ``_flat_runs`` reads the corners into entries it discards."""
         w, h = self.values.shape
         out = np.empty((w + 2, h + 2), dtype=float)
         out[0], out[1:-1, 1:-1], out[-1] = 0.0, self.values, 1.0
@@ -199,9 +205,8 @@ def _fill_ghosts(p: np.ndarray, boundary_j: str) -> np.ndarray:
     return p
 
 
-def _flat_laplacian(p: np.ndarray, out: Optional[np.ndarray] = None,
-                    tmp: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Five-point Laplacian and centre values on the flat padded layout.
+def _flat_runs(p: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Centre and neighbour values on the flat padded layout.
 
     ``p`` is a contiguous padded array (``LatticeField.padded``) and
     ``f = p.reshape(-1)`` holds its ``(W+2, S)`` entries row by row,
@@ -212,23 +217,27 @@ def _flat_laplacian(p: np.ndarray, out: Optional[np.ndarray] = None,
     streams faster than the strided ``(W, H)`` sub-blocks of the padded
     array.  The entries at the ghost columns (``j = -1`` and ``j = H``) mix
     neighbouring rows and the padding corners; they mean nothing, and every
-    caller drops them through ``[:, 1:-1]``.  Returns ``(lap, c)``, both
-    contiguous and shaped ``(W, S)``: ``lap`` is written into ``out`` (any
-    contiguous array of ``W*S`` entries that does not overlap ``p``) or a
-    fresh array, ``c`` is a view into ``p``.  ``tmp``, of the same kind as
-    ``out``, holds ``4c``; without it that is a fresh array too.
+    caller drops them through ``[:, 1:-1]``.  Returns the centre run and the
+    ``(i + 1, i - 1, j + 1, j - 1)`` runs, all flat views into ``p``.
     """
-    w = p.shape[0] - 2
     s = p.shape[1]
-    n = w * s
+    n = (p.shape[0] - 2) * s
     f = p.reshape(-1)
-    c = f[s:s + n]
+    return f[s:s + n], (f[2 * s:2 * s + n], f[:n], f[s + 1:s + 1 + n], f[s - 1:s - 1 + n])
+
+
+def _flat_laplacian(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Five-point Laplacian and centre values of the padded array ``p`` on
+    the flat layout of ``_flat_runs``: ``(lap, c)``, both shaped ``(W, S)``,
+    ``lap`` a fresh array and ``c`` a view into ``p``."""
+    c, (east, west, north, south) = _flat_runs(p)
     # same summation order as the pointwise stencil: ((E + W) + N) + S - 4c
-    lap = np.add(f[2 * s:2 * s + n], f[:n], out=None if out is None else out.reshape(-1))
-    lap += f[s + 1:s + 1 + n]
-    lap += f[s - 1:s - 1 + n]
-    lap -= np.multiply(c, 4.0, out=None if tmp is None else tmp.reshape(-1))
-    return lap.reshape(w, s), c.reshape(w, s)
+    lap = east + west
+    lap += north
+    lap += south
+    lap -= 4.0 * c
+    shape = (p.shape[0] - 2, p.shape[1])
+    return lap.reshape(shape), c.reshape(shape)
 
 
 def _ssprk104(p0: np.ndarray, euler, boundary_j: str) -> np.ndarray:

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import flow
 from .core import (BistableNonlinearity, LatticeField, PhaseSequence, _flat_laplacian,
-                   _ssprk104, alpha, d_minus, d_plus)
+                   _flat_runs, _ssprk104, alpha, d_minus, d_plus)
 from .errors import NonFinite, OutOfRange, SolveFailed, VerificationFailed
 from .wave import WaveProfile
 
@@ -114,25 +114,27 @@ def step(u: LatticeField, cfg: SimConfig) -> LatticeField:
     ``h = dt / 6``.
 
     Every Euler update works on the flat contiguous padded layout (see
-    ``core._flat_laplacian``) and writes straight into the interior rows of
-    the next stage's padded buffer, ghost columns included; ``g`` runs in
-    place in two scratch arrays.  All buffers are made afresh on each call,
-    and ``u`` is left untouched.
+    ``core._flat_runs``) and is one polynomial written straight into the
+    interior rows of the next stage's padded buffer, ghost columns
+    included: the centre term ``g(v) - 4 v``
+    (``BistableNonlinearity._centre_into``), plus the four neighbours, times
+    ``h``, plus ``v``.  No scratch array is made per substep; the stage
+    buffers are made afresh on each call, and ``u`` is left untouched.
 
     The one finiteness check is the result field's own: a non-finite stage
     value raises :class:`NonFinite`.  The overflow that made it warns.
     """
     h = cfg.dt / 6.0
-    p0 = u.padded()
-    s1, s2 = np.empty_like(p0[1:-1]), np.empty_like(p0[1:-1])
 
     def euler(p: np.ndarray, out: np.ndarray) -> None:
-        lap, c = _flat_laplacian(p, out, s1)
-        lap += cfg.f._into(c, s1, s2)
-        lap *= h
-        lap += c
+        c, neighbours = _flat_runs(p)
+        o = cfg.f._centre_into(c, out.reshape(-1))
+        for q in neighbours:
+            o += q
+        o *= h
+        o += c
 
-    p = _ssprk104(p0, euler, u.boundary_j)
+    p = _ssprk104(u.padded(), euler, u.boundary_j)
     try:
         return LatticeField(p[1:-1, 1:-1], i_offset=u.i_offset, boundary_j=u.boundary_j)
     except ValueError as exc:  # the field's own finiteness check
@@ -393,7 +395,10 @@ def save_snapshot(u: LatticeField, t: float, path: str) -> None:
 
 
 def load_snapshot(path: str) -> tuple[float, LatticeField]:
-    """``(t, field)`` of a :func:`save_snapshot` file, ``boundary_j`` included."""
+    """``(t, field)`` of a :func:`save_snapshot` file, ``boundary_j`` included.
+
+    Raises ``ValueError`` unless the header gives a width and height of at
+    least 1 and the body after it is exactly ``8 * width * height`` bytes."""
     with open(path, "rb") as fh:
         raw = fh.read(64)
         if raw[:4] == _OLD_MAGIC:
@@ -402,8 +407,14 @@ def load_snapshot(path: str) -> tuple[float, LatticeField]:
         if len(raw) < 64 or raw[:4] != _MAGIC:
             raise ValueError(f"{path} is not a snapshot file")
         _, width, height, i_offset, t, boundary_j = _HEADER.unpack(raw[:_HEADER.size])
-        data = np.frombuffer(fh.read(8 * width * height), dtype="<f8")
-    values = data.reshape(width, height).astype(float)
+        if width < 1 or height < 1:
+            raise ValueError(f"{path}: header gives a {width}x{height} window; "
+                             "width and height must be >= 1")
+        body = fh.read()
+    if len(body) != 8 * width * height:
+        raise ValueError(f"{path}: a {width}x{height} snapshot has a body of "
+                         f"{8 * width * height} bytes, the file has {len(body)}")
+    values = np.frombuffer(body, dtype="<f8").reshape(width, height).astype(float)
     return t, LatticeField(values, i_offset=int(i_offset),
                            boundary_j=boundary_j.rstrip(b"\0").decode("ascii"))
 

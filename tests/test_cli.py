@@ -91,6 +91,13 @@ def test_phase_rejects_old_snapshot_format(snapshot_dir, wave_file, tmp_path, ca
     assert "ACF1 snapshot" in capsys.readouterr().err
 
 
+def test_phase_truncated_snapshot_is_usage_error(snapshot_dir, wave_file, tmp_path, capsys):
+    short = tmp_path / "short.bin"
+    short.write_bytes((snapshot_dir / "snap_000000.bin").read_bytes()[:-1])
+    assert main(["phase", "--snapshot", str(short), "--wave", wave_file]) == 2
+    assert "the file has 12287" in capsys.readouterr().err
+
+
 def test_phase_missing_snapshot_is_usage_error(wave_file, capsys):
     assert main(["phase", "--snapshot", "/nonexistent.bin",
                  "--wave", wave_file]) == 2
@@ -419,6 +426,13 @@ def test_pinned_wave_is_numerical_failure(capsys):
 def test_wave_window_too_short_is_numerical_failure(capsys):
     assert main(["wave", "--a", "0.3", "--L", "2"]) == 3
     assert "does not reach the equilibria" in capsys.readouterr().err
+
+
+def test_wave_window_too_short_for_d_is_numerical_failure(capsys):
+    # Newton converges at L = 10, but the adjoint residual ratio is 3.1e-9
+    # and d is off by 1.7e-4
+    assert main(["wave", "--a", "0.3", "--L", "10"]) == 3
+    assert "adjoint residual ratio" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case, named", [("meta_without_c", "'c'"),

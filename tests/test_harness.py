@@ -275,14 +275,14 @@ def test_report_ndjson_reproducible(tmp_path, wave03):
 # any BLAS thread count, since every wave solve is a sparse LU
 REPORT_DIGESTS = [
     (fast_spec("thm22"),
-     "d49f5891c3d1224983e72702401ec59cc152c422b3861674d0b9b5cd49f7b7ed"),
+     "7c679e1616df0cdb02fccbebc1573b8f23162c41edfcbef35cc925cbb0218027"),
     (fast_spec("thm23", t_end=40.0),
-     "9210fbd98144b80ebf3fd33e9bce879bbba18bfb5acdcb5531abc6b7a82d1ac4"),
+     "88d3038b1516de3a1e6869cb31084b931f0973d1a16cbb41b509b459af9a13e5"),
     (fast_spec("thm24", t_end=40.0),
-     "f8b7caf300842cf5f0c273fe4f32fab6a68c1871e75b2bb24d72e50c66717a06"),
+     "a0bc7860086eec0fd26d757838b64398f2202119b5a7331618de9f7303dd3baf"),
     (ExperimentSpec(name="step_kappa", width=96, height=48, t_end=60.0, tau=30.0,
                     boundary_j="reflect", kappa={"kind": "step", "lo": 0.0, "hi": 2.0}),
-     "965719b08649ea188f9860759cf468f40b707126e7bc4e147eb4901f1e66a93d"),
+     "322be04edf49f2e6cc8b838696a8394fcf55ec691c63c0190150b25da02172d3"),
 ]
 
 

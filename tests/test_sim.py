@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -92,19 +93,49 @@ def test_config_rejects_bad_step_settings(kw, match):
         SimConfig(F03, **kw)
 
 
+# largest |step - textbook composition| over the windows below, seeds 0-4:
+# 4.4e-16, two ulps at 1
+_FUSED_VS_TEXTBOOK = 1e-15
+
+
 def test_step_is_ssprk104_update():
-    """Bitwise oracle for the flat-stencil indexing and the stage buffers: on
-    every window of width 1-12 and height 1-8, under both ``boundary_j``
-    policies and both nonlinearity kinds, ``discrete_laplacian`` equals the
-    strided whole-array stencil and ``step`` equals the SSPRK(10,4)
-    composition, in Shu-Osher form, of forward-Euler updates at ``dt / 6``
-    written on it."""
+    """Bitwise oracle for the flat-stencil indexing, the stage buffers and the
+    fused Euler substep: on every window of width 1-12 and height 1-8, under
+    both ``boundary_j`` policies and both nonlinearity kinds,
+    ``discrete_laplacian`` equals the strided whole-array stencil, and
+    ``step`` equals the SSPRK(10,4) composition, in Shu-Osher form, of
+    forward-Euler updates at ``h = dt / 6`` written as
+    ``v + h ((((centre + E) + W) + N) + S)``, with the centre term
+    ``v (v ((1 + a) - v) - (a + 4))`` for the cubic and ``g(v) - 4 v`` for
+    the table.  ``step`` also agrees with the textbook composition of
+    ``v + h (Δ⁺v + g(v))`` to ``_FUSED_VS_TEXTBOOK``."""
     rng = np.random.default_rng(0)
 
     def laplacian(vals, boundary_j):
         p = LatticeField(vals, boundary_j=boundary_j).padded()
         return (p[2:, 1:-1] + p[:-2, 1:-1] + p[1:-1, 2:] + p[1:-1, :-2]
                 - 4.0 * p[1:-1, 1:-1])
+
+    def fused(f, h, boundary_j):
+        def euler(v):
+            p = LatticeField(v, boundary_j=boundary_j).padded()
+            if f.kind == "cubic":
+                centre = v * (v * ((1.0 + f.a) - v) - (f.a + 4.0))
+            else:
+                centre = f(v) - 4.0 * v
+            return v + h * ((((centre + p[2:, 1:-1]) + p[:-2, 1:-1]) + p[1:-1, 2:])
+                            + p[1:-1, :-2])
+        return euler
+
+    def ssprk104(euler, vals):
+        y = vals
+        for _ in range(4):
+            y = euler(y)
+        e5 = euler(y)
+        y = (2 / 5) * e5 + (3 / 5) * vals
+        for _ in range(4):
+            y = euler(y)
+        return (3 / 5) * euler(y) + (9 / 25) * e5 + (1 / 25) * vals
 
     for boundary_j in ("periodic", "reflect"):
         for width in range(1, 13):
@@ -114,20 +145,13 @@ def test_step_is_ssprk104_update():
                 assert np.array_equal(discrete_laplacian(u), laplacian(vals, boundary_j))
                 for f in (F03, F03_TABLE):
                     cfg = SimConfig(f, width=width, height=height, boundary_j=boundary_j)
-
-                    def euler(v):
-                        return v + cfg.dt / 6.0 * (laplacian(v, boundary_j) + f(v))
-
-                    y = vals
-                    for _ in range(4):
-                        y = euler(y)
-                    e5 = euler(y)
-                    y = (2 / 5) * e5 + (3 / 5) * vals
-                    for _ in range(4):
-                        y = euler(y)
-                    want = (3 / 5) * euler(y) + (9 / 25) * e5 + (1 / 25) * vals
+                    h = cfg.dt / 6.0
                     out = step(u, cfg)
-                    assert np.array_equal(out.values, want)
+                    assert np.array_equal(out.values,
+                                          ssprk104(fused(f, h, boundary_j), vals))
+                    textbook = ssprk104(
+                        lambda v: v + h * (laplacian(v, boundary_j) + f(v)), vals)
+                    assert np.max(np.abs(out.values - textbook)) <= _FUSED_VS_TEXTBOOK
                     assert (out.i_offset, out.boundary_j) == (u.i_offset, boundary_j)
 
 
@@ -237,6 +261,28 @@ def test_step_comparison_principle(data, boundary_j):
     assert np.all(step(u, cfg).values <= step(v, cfg).values)
 
 
+_UNIT_VALUES = st.one_of(
+    st.floats(0.0, 1.0),  # arbitrary floats, subnormals included
+    st.sampled_from([0.0, 1.0]),  # 0/1 masks
+    st.integers(1, 64).map(lambda k: 1.0 - k * 2.0 ** -53),  # 1 - O(ulp)
+)
+
+
+@settings(max_examples=200)
+@given(data=st.data(), boundary_j=st.sampled_from(["periodic", "reflect"]),
+       a=st.floats(0.01, 0.99))
+def test_step_keeps_cubic_fields_in_the_unit_interval(data, boundary_j, a):
+    """[0, 1] is an invariant region of the monotone scheme for the cubic
+    ``g``: ``step`` maps a field with values in [0, 1] into [0, 1] exactly,
+    rounding included.  (A table ``g`` vanishes at 1 only to ~1e-9.)"""
+    width, height = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 8))
+    vals = data.draw(hnp.arrays(np.float64, (width, height), elements=_UNIT_VALUES))
+    cfg = SimConfig(BistableNonlinearity(a=a), width=width, height=height,
+                    boundary_j=boundary_j)
+    out = step(LatticeField(vals, i_offset=cfg.i_offset, boundary_j=boundary_j), cfg)
+    assert np.all((out.values >= 0.0) & (out.values <= 1.0))
+
+
 def test_snapshot_round_trip_and_header(tmp_path):
     vals = splitmix64_uniform(9, 12 * 5).reshape(12, 5)
     u = LatticeField(vals, i_offset=-6, boundary_j="reflect")
@@ -289,6 +335,28 @@ def test_snapshot_with_truncated_header_is_value_error(tmp_path):
     path.write_bytes(b"ACF2" + b"\0" * 20)
     with pytest.raises(ValueError, match="not a snapshot file"):
         load_snapshot(str(path))
+
+
+def _with_header_geometry(raw: bytes, width: int, height: int) -> bytes:
+    return raw[:4] + struct.pack("<qq", width, height) + raw[20:]
+
+
+@pytest.mark.parametrize("mangle, match", [
+    (lambda raw: raw[:-1], "has a body of 32 bytes, the file has 31"),
+    (lambda raw: raw + b"\0", "has a body of 32 bytes, the file has 33"),
+    (lambda raw: _with_header_geometry(raw, -1, 4), "-1x4 window"),
+    (lambda raw: _with_header_geometry(raw, 0, 4), "0x4 window"),
+    (lambda raw: _with_header_geometry(raw, 2, 0), "2x0 window"),
+], ids=["truncated_body", "trailing_byte", "negative_width", "zero_width", "zero_height"])
+def test_snapshot_with_bad_geometry_or_body_is_value_error(tmp_path, mangle, match):
+    """A 1x4 snapshot (32-byte body) with its body or header geometry
+    damaged: a named ``ValueError``, never numpy's reshape or read error."""
+    path = tmp_path / "snap.bin"
+    save_snapshot(LatticeField(np.full((1, 4), 0.5)), 1.0, str(path))
+    path.write_bytes(mangle(path.read_bytes()))
+    with pytest.raises(ValueError, match=match) as info:
+        load_snapshot(str(path))
+    assert str(path) in str(info.value)
 
 
 def test_snapshot_writer_index_and_read_back(tmp_path):

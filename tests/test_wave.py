@@ -133,6 +133,17 @@ def test_adjoint_rejects_degenerate_kernel(wave03, monkeypatch):
         adjoint_solve(dataclasses.replace(wave03, psi=None))
 
 
+def test_adjoint_rejects_window_too_short_for_its_tails():
+    """At a = 0.3, L = 10 Newton converges and the profile reaches its
+    equilibria, but the adjoint residual ratio is 3.1e-9 and d is off by
+    1.7e-4; L = 14 (2.3e-12) is refused too, L = 16 (6.3e-14) passes."""
+    f = BistableNonlinearity(a=0.3)
+    for L in (10.0, 14.0):
+        with pytest.raises(DegenerateKernel, match="adjoint residual ratio"):
+            adjoint_solve(solve_wave(f, L=L))
+    adjoint_solve(solve_wave(f, L=16.0))
+
+
 def test_bordered_solve_maps_exact_singularity_to_the_callers_error():
     col = row = np.ones(3)
     x = wave._bordered_solve(np.diag([1.0, 2.0, 4.0]), col, row,
