@@ -116,7 +116,7 @@ class ExperimentSpec:
             if not 0.0 < value < math.inf:
                 raise ValueError(f"tolerance {key} must be positive and finite, got {value}")
         self.tolerances = {**defaults, **self.tolerances}
-        sim._check_window(self.width, self.height)
+        sim._check_window(width=self.width, height=self.height)
         P = self.kappa.get("P", 1)
         if self.kappa.get("kind", "periodic") == "periodic" and (
                 isinstance(P, bool) or not isinstance(P, numbers.Integral) or P < 1):

@@ -60,8 +60,8 @@ _HEADER = struct.Struct("<4sqqqd8s")
 _SUPERSUB_TOL = 1e-6
 
 
-def _check_window(width, height) -> None:
-    for key, value in (("width", width), ("height", height)):
+def _check_window(**sizes) -> None:
+    for key, value in sizes.items():
         if not (isinstance(value, (int, np.integer)) and value >= 1):
             raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
 
@@ -85,7 +85,7 @@ class SimConfig:
     boundary_j: str = "periodic"
 
     def __post_init__(self):
-        _check_window(self.width, self.height)
+        _check_window(width=self.width, height=self.height)
         sup = self.f.dg_sup()
         if self.dt is None:
             self.dt = 1.0 / math.ceil(math.ceil(4.0 + sup) / 4)
@@ -307,10 +307,13 @@ def verify_supersub(spec: SuperSubSpec, w: WaveProfile, cfg: SimConfig,
     The residuals are evaluated with analytic time derivatives, so ``tol``
     only absorbs the interpolation floor of the profile splines.  Returns a
     report with the extremal residuals, their sites and the verdict.  An
-    empty ``t_grid`` would check nothing and raises :class:`OutOfRange`.
+    empty ``t_grid`` would check nothing and raises :class:`OutOfRange`; a
+    ``width`` that is not an integer >= 1 raises ``ValueError``.
     """
     if len(t_grid) == 0:
         raise OutOfRange("super/sub verification needs at least one time")
+    if width is not None:
+        _check_window(width=width)
     if spec.kind == "planar":
         ts = np.asarray(t_grid, dtype=float)
         i0, _, _, Jp, Jm = _planar_pair(w, spec, ts, cfg.width if width is None else width)

@@ -9,9 +9,10 @@ with ``Phi(-inf) = 0``, ``Phi(+inf) = 1`` and the phase fixed by
 ``Phi(0) = 1/2``.  The equation is discretized by collocation on a uniform
 grid over ``[-L, L]`` whose spacing divides 1, so the unit shifts are exact
 index offsets, and the joint system in ``(Phi, c)`` is solved by damped
-Newton.  ``Phi'`` uses central differences.  Every linear solve of the
-module (Newton steps, ``psi`` and ``r``) is one sparse LU of a matrix
-bordered by one row and one column.
+Newton.  ``Phi'`` uses central differences.  Every stencil operator is a
+banded ``scipy.sparse`` CSR matrix and stays sparse: no n x n dense array
+is formed.  Every linear solve of the module (Newton steps, ``psi`` and
+``r``) is one sparse LU of such a matrix bordered by one row and one column.
 
 Reads beyond the grid are closed with the linearized tail recurrence: a ghost
 at distance ``m`` past an edge reads ``equilibrium + (edge - equilibrium) *
@@ -40,9 +41,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse
 import scipy.sparse.linalg
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
@@ -95,19 +98,13 @@ def _check_grid(L: float, h: float) -> int:
 
 
 def _deriv_pieces(h: float) -> list[tuple[int, float]]:
-    pieces = []
-    for off, coef in enumerate(_D1_COEF, start=1):
-        pieces.append((off, coef / h))
-        pieces.append((-off, -coef / h))
-    return pieces
+    return [(s * off, s * coef / h)
+            for off, coef in enumerate(_D1_COEF, start=1) for s in (1, -1)]
 
 
 def _second_deriv_pieces(h: float) -> list[tuple[int, float]]:
-    pieces = [(0, _D2_DIAG / (h * h))]
-    for off, coef in enumerate(_D2_COEF, start=1):
-        pieces.append((off, coef / (h * h)))
-        pieces.append((-off, coef / (h * h)))
-    return pieces
+    return [(0, _D2_DIAG / (h * h))] + [
+        (s * off, coef / (h * h)) for off, coef in enumerate(_D2_COEF, start=1) for s in (1, -1)]
 
 
 def _interp_pieces(offset: float, h: float) -> list[tuple[int, float]]:
@@ -132,12 +129,13 @@ def _interp_pieces(offset: float, h: float) -> list[tuple[int, float]]:
 
 def _stencil_affine(n: int, pieces: Sequence[tuple[int, float]],
                     rho_l: float, rho_r: float,
-                    right_target: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix and constant part of an affine stencil with tail closure.
+                    right_target: float = 1.0) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
+    """CSR matrix and constant part of an affine stencil with tail closure.
 
     A read at column ``-m`` (left ghost) resolves to ``Phi_0 * rho_l^m``; a
     read at ``n-1+m`` resolves to ``e + (Phi_{n-1} - e) * rho_r^m`` where
     ``e`` is the right equilibrium (1 for the profile, 0 for the adjoint).
+    Each entry sums its reads in piece order, as one dense pass per piece would.
     """
     offs, wgts = zip(*pieces)
     wgt = np.array(wgts, dtype=float)[:, None]
@@ -145,13 +143,14 @@ def _stencil_affine(n: int, pieces: Sequence[tuple[int, float]],
     rows = np.broadcast_to(np.arange(n), cols.shape)
     edge = np.clip(cols, 0, n - 1)
     # the distance past the edge is 0 inside the grid, where rho^0 = 1 (also
-    # for rho = 0); np.add.at sums each entry in piece order
+    # for rho = 0); np.bincount sums each entry in piece order
     decay = np.where(cols < 0, rho_l, rho_r) ** np.abs(cols - edge)
-    M = np.zeros((n, n))
-    np.add.at(M, (rows, edge), wgt * decay)
+    keys, entry = np.unique((rows * n + edge).ravel(), return_inverse=True)
+    vals = np.bincount(entry, weights=(wgt * decay).ravel())
+    M = scipy.sparse.csr_matrix((vals, (keys // n, keys % n)), shape=(n, n))
     right = cols > n - 1
-    b = np.zeros(n)
-    np.add.at(b, rows[right], (wgt * right_target * (1.0 - decay))[right])
+    b = np.bincount(rows[right], weights=(wgt * right_target * (1.0 - decay))[right],
+                    minlength=n)
     return M, b
 
 
@@ -196,36 +195,26 @@ class _System:
         self.h = h
         self.shifts = tuple(shifts)
         self.right_target = right_target
-        self.shift_pieces = []
-        for alpha in self.shifts:
-            self.shift_pieces.extend(_interp_pieces(alpha, h))
+        self.shift_pieces = [piece for alpha in self.shifts for piece in _interp_pieces(alpha, h)]
         self.shift_pieces.append((0, -float(len(self.shifts))))
-        self._built_for = None
-        self.rho = (0.0, 0.0)
-        self.D = self.bD = self.S = self.bS = None
 
     def build(self, c: float, rho: Optional[tuple[float, float]] = None):
         if rho is None:
             rho = (_tail_rate(self.f, c, self.shifts, self.h, "left"),
                    _tail_rate(self.f, c, self.shifts, self.h, "right"))
-        if self._built_for == rho:
-            return
         self.rho = rho
         tails = (*rho, self.right_target)
         self.D, self.bD = _stencil_affine(self.n, _deriv_pieces(self.h), *tails)
         self.S, self.bS = _stencil_affine(self.n, self.shift_pieces, *tails)
-        self._built_for = rho
 
     def residual(self, phi: np.ndarray, c: float) -> np.ndarray:
         return c * (self.D @ phi + self.bD) + self.S @ phi + self.bS + self.f(phi)
 
-    def jacobian(self, phi: np.ndarray, c: float) -> np.ndarray:
-        J = c * self.D + self.S
-        J[np.diag_indices(self.n)] += self.f.dg(phi)
-        return J
+    def jacobian(self, phi: np.ndarray, c: float) -> scipy.sparse.csr_matrix:
+        return c * self.D + self.S + scipy.sparse.diags(self.f.dg(phi))
 
 
-def _bordered_solve(A: np.ndarray, col: np.ndarray, row: np.ndarray,
+def _bordered_solve(A: scipy.sparse.csr_matrix, col: np.ndarray, row: np.ndarray,
                     rhs: np.ndarray, singular: Exception) -> np.ndarray:
     """Solution of ``[[A, col], [row, 0]] x = rhs`` by one sparse LU; raises
     ``singular`` when the bordered matrix is exactly singular."""
@@ -247,8 +236,7 @@ def _newton(sys: _System, k0: int, phi0: np.ndarray, c0: float):
     phi = phi0.copy()
     c = float(c0)
     n = phi.size
-    phase_row = np.zeros(n)
-    phase_row[k0] = 1.0
+    phase_row = (np.arange(n) == k0).astype(float)
     freeze = False
     sys.build(c)
     F = sys.residual(phi, c)
@@ -277,11 +265,8 @@ def _newton(sys: _System, k0: int, phi0: np.ndarray, c0: float):
             lam *= 0.5
         if not improved:
             break
-        if not freeze and norm < 1e-6:
-            freeze = True
-            sys.build(c)
-            F = sys.residual(phi, c)
-            norm = max(np.max(np.abs(F)), abs(phase))
+        # the system last built, at the accepted speed, is the one frozen
+        freeze = freeze or norm < 1e-6
     return phi, c, norm
 
 
@@ -332,8 +317,9 @@ class WaveProfile:
         D2, b2 = _stencil_affine(self.n, _second_deriv_pieces(self.h), *self.rho)
         return D2 @ self.phi + b2
 
-    def linearization(self) -> np.ndarray:
-        """Forward linearization around the profile (tail closure included)."""
+    def linearization(self) -> scipy.sparse.csr_matrix:
+        """Forward linearization around the profile (tail closure included),
+        as a banded sparse CSR matrix."""
         return self._system().jacobian(self.phi, self.c)
 
     def _weights(self) -> np.ndarray:
@@ -461,7 +447,7 @@ def adjoint_solve(w: WaveProfile) -> np.ndarray:
     dphi = w.phi_prime_grid()
     psi = _bordered_solve(A, dphi, w._weights() * dphi, np.append(np.zeros(w.n), 1.0),
                           DegenerateKernel("kernel is not simple or not transverse"))[:w.n]
-    ratio = np.max(np.abs(A @ psi)) / (np.max(np.abs(A).sum(axis=1)) * np.max(np.abs(psi)))
+    ratio = np.max(np.abs(A @ psi)) / (abs(A).sum(axis=1).max() * np.max(np.abs(psi)))
     if not ratio <= 1e-12:
         raise DegenerateKernel(f"adjoint residual ratio {ratio:.3e} is above 1e-12; "
                                "psi is not a kernel element, or L is too short "
@@ -607,53 +593,64 @@ def save_wave(w: WaveProfile, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _field(record: dict, key: str, path: str):
+def _field(record: dict, key: str, convert=lambda value: value):
+    """``convert(record[key])``; a ``ValueError`` naming ``key`` when the key
+    is missing or ``convert`` refuses its value."""
     if key not in record:
-        raise ValueError(f"{path}: wave file has no field {key!r}")
-    return record[key]
+        raise ValueError(f"wave file has no field {key!r}")
+    try:
+        return convert(record[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"wave field {key!r} is not numeric") from None
 
 
 def load_wave(path: str) -> WaveProfile:
     """Read a profile written by :func:`save_wave`.
 
-    Raises ``ValueError``, naming the file, for a record that is not a JSON
-    object and for a missing or non-numeric field or a missing array.
+    Raises ``ValueError`` naming the file for any defect of its content, such
+    as a grid array (``phi``, ``psi``, ``r``) without ``2 L / h + 1`` entries.
     """
-    arrays = {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _parse_wave(fh)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_wave(lines) -> WaveProfile:
+    raw = {}
     meta = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if not isinstance(rec, dict):
-                raise ValueError(f"{path}: record {line[:40]!r} is not a JSON object")
-            if rec.get("type") == "wave_profile":
-                meta = rec
-            elif rec.get("type") == "array":
-                arrays[_field(rec, "name", path)] = np.asarray(
-                    _field(rec, "values", path), dtype=float)
-    if meta is None or "phi" not in arrays:
-        raise ValueError(f"{path} does not contain a wave profile")
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        rec = json.loads(line)
+        if not isinstance(rec, dict):
+            raise ValueError(f"record {line[:40]!r} is not a JSON object")
+        if rec.get("type") == "wave_profile":
+            meta = rec
+        elif rec.get("type") == "array":
+            raw[_field(rec, "name", str)] = _field(rec, "values")
+    if meta is None or "phi" not in raw:
+        raise ValueError("file does not contain a wave profile")
+    arrays = {key: _field(raw, key, partial(np.asarray, dtype=float)) for key in raw}
 
-    def number(key: str) -> float:
-        try:
-            return float(_field(meta, key, path))
-        except TypeError:
-            raise ValueError(f"{path}: wave field {key!r} is not a number") from None
-
+    number = partial(_field, meta, convert=float)
     if meta.get("kind", "cubic") == "table":
         f = BistableNonlinearity(a=number("a"), kind="table",
-                                 table_u=_field(arrays, "table_u", path),
-                                 table_g=_field(arrays, "table_g", path))
+                                 table_u=_field(arrays, "table_u"),
+                                 table_g=_field(arrays, "table_g"))
     else:
         f = BistableNonlinearity(a=number("a"))
     L = number("L")
     h = number("h")
     n_half = _check_grid(L, h)
-    xi = (np.arange(2 * n_half + 1) - n_half) * h
-    return WaveProfile(f=f, L=L, h=h, xi=xi, phi=arrays["phi"], c=number("c"),
-                       rho=(number("rho_l"), number("rho_r")),
+    n = 2 * n_half + 1
+    for name in ("phi", "psi", "r"):
+        if name in arrays and arrays[name].shape != (n,):
+            raise ValueError(f"wave array {name!r} has shape {arrays[name].shape}, "
+                             f"not ({n},) = 2 L / h + 1 entries")
+    return WaveProfile(f=f, L=L, h=h, xi=(np.arange(n) - n_half) * h, phi=arrays["phi"],
+                       c=number("c"), rho=(number("rho_l"), number("rho_r")),
                        psi=arrays.get("psi"), d=number("d") if "d" in meta else None,
                        r=arrays.get("r"))

@@ -435,31 +435,42 @@ def test_wave_window_too_short_for_d_is_numerical_failure(capsys):
     assert "adjoint residual ratio" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case, named", [("meta_without_c", "'c'"),
-                                         ("null_c", "'c'"),
-                                         ("table_without_table_u", "'table_u'"),
-                                         ("list_record", "not a JSON object")],
-                         ids=["meta_without_c", "null_c", "table_without_table_u",
-                              "list_record"])
+MALFORMED_WAVE_CASES = {"meta_without_c": "'c'", "null_c": "'c'", "text_c": "'c'",
+                        "table_without_table_u": "'table_u'",
+                        "list_record": "not a JSON object", "text_in_phi": "'phi'",
+                        "short_phi": "'phi'", "short_psi": "'psi'", "short_r": "'r'"}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_WAVE_CASES))
 def test_malformed_wave_file_is_usage_error(snapshot_dir, wave_file, tmp_path, capsys,
-                                            case, named):
+                                            case):
     with open(wave_file, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     meta = json.loads(lines[0])
+    arrays = {json.loads(line)["name"]: k for k, line in enumerate(lines) if k > 0}
     if case == "meta_without_c":
         del meta["c"]
     elif case == "null_c":
         meta["c"] = None
+    elif case == "text_c":
+        meta["c"] = "x" + meta["c"]
     elif case == "table_without_table_u":
         meta["kind"] = "table"
-    else:
+    elif case == "list_record":
         lines.append("[1, 2, 3]")
+    else:
+        name = case.split("_", 2)[-1]
+        rec = json.loads(lines[arrays[name]])
+        # text_in_phi: one entry a string; short_*: 3 of 641 entries cut
+        rec["values"] = (["x"] + rec["values"][1:] if case.startswith("text")
+                         else rec["values"][:-3])
+        lines[arrays[name]] = json.dumps(rec)
     bad = tmp_path / "bad.ndjson"
     bad.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n", encoding="utf-8")
     assert main(["phase", "--snapshot", str(snapshot_dir / "snap_000000.bin"),
                  "--wave", str(bad)]) == 2
     err = capsys.readouterr().err
-    assert str(bad) in err and named in err
+    assert str(bad) in err and MALFORMED_WAVE_CASES[case] in err
 
 
 def test_usage_errors_exit_two():

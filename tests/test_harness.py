@@ -272,17 +272,18 @@ def test_report_ndjson_reproducible(tmp_path, wave03):
 
 # SHA-256 of the NDJSON report of each fast spec above, with the meta
 # record's provenance (package and numpy versions) removed; the same under
-# any BLAS thread count, since every wave solve is a sparse LU
+# any BLAS thread count, since every wave operator is a sparse matrix: no
+# wave matvec or solve goes through BLAS
 REPORT_DIGESTS = [
     (fast_spec("thm22"),
-     "7c679e1616df0cdb02fccbebc1573b8f23162c41edfcbef35cc925cbb0218027"),
+     "a21e13e7149556a2a733b313fc8cfa2a073be66a7932a068526ac00fdcc1bf27"),
     (fast_spec("thm23", t_end=40.0),
-     "88d3038b1516de3a1e6869cb31084b931f0973d1a16cbb41b509b459af9a13e5"),
+     "76c3914499a82123e5da72fa3f8ba4247313d00ff7e797cb455d6db0e4870701"),
     (fast_spec("thm24", t_end=40.0),
-     "a0bc7860086eec0fd26d757838b64398f2202119b5a7331618de9f7303dd3baf"),
+     "a459c2451172b296f67d3a77376116fea1d3ae338463d1692f3a8845d15f1cd2"),
     (ExperimentSpec(name="step_kappa", width=96, height=48, t_end=60.0, tau=30.0,
                     boundary_j="reflect", kappa={"kind": "step", "lo": 0.0, "hi": 2.0}),
-     "322be04edf49f2e6cc8b838696a8394fcf55ec691c63c0190150b25da02172d3"),
+     "21f2bc627431d7dffc754db83e12b05355490752bea25333986d8b118de8d965"),
 ]
 
 

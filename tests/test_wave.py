@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -146,12 +147,12 @@ def test_adjoint_rejects_window_too_short_for_its_tails():
 
 def test_bordered_solve_maps_exact_singularity_to_the_callers_error():
     col = row = np.ones(3)
-    x = wave._bordered_solve(np.diag([1.0, 2.0, 4.0]), col, row,
+    x = wave._bordered_solve(scipy.sparse.diags([1.0, 2.0, 4.0]), col, row,
                              np.array([1.0, 2.0, 4.0, 0.0]), SolveFailed("singular"))
     assert x == pytest.approx([-5.0 / 7.0, 1.0 / 7.0, 4.0 / 7.0, 12.0 / 7.0], abs=1e-15)
     # diag(1, 0, 0) has a two-dimensional kernel; one border cannot close it
     with pytest.raises(SolveFailed, match="^singular$"):
-        wave._bordered_solve(np.diag([1.0, 0.0, 0.0]), col, row, np.ones(4),
+        wave._bordered_solve(scipy.sparse.diags([1.0, 0.0, 0.0]), col, row, np.ones(4),
                              SolveFailed("singular"))
 
 
@@ -313,9 +314,29 @@ def test_stencil_affine_matches_loop_bitwise(rho_l, rho_r, right_target):
               + _interp_pieces(-2.6, h) + [(0, -2.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _stencil_affine(12, pieces, rho_l, rho_r, right_target)
-    for a, b in zip(got, stencil_affine_loop(12, pieces, rho_l, rho_r, right_target)):
-        assert a.tobytes() == b.tobytes()
+        M, b = _stencil_affine(12, pieces, rho_l, rho_r, right_target)
+    M_ref, b_ref = stencil_affine_loop(12, pieces, rho_l, rho_r, right_target)
+    assert scipy.sparse.issparse(M) and M.format == "csr"
+    assert M.toarray().tobytes() == M_ref.tobytes()
+    assert b.tobytes() == b_ref.tobytes()
+
+
+def test_wave_operators_are_banded_sparse(wave03, monkeypatch):
+    """The linearization and the adjoint operator reach the LU as sparse
+    matrices with at most one entry per stencil piece in each row: six of
+    the derivative, the two unit shifts and the diagonal."""
+    seen = []
+    solve = wave._bordered_solve
+
+    def spy(A, *args):
+        seen.append(A)
+        return solve(A, *args)
+
+    monkeypatch.setattr(wave, "_bordered_solve", spy)
+    adjoint_solve(dataclasses.replace(wave03, psi=None))
+    for A in (seen[0], wave03.linearization()):
+        assert scipy.sparse.issparse(A) and A.shape == (wave03.n, wave03.n)
+        assert np.diff(A.tocsr().indptr).max() <= 9
 
 
 def test_save_load_round_trip(tmp_path, wave03):
