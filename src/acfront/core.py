@@ -16,7 +16,11 @@ The j-policy is a field of each container, and one ghost rule applies it:
 ``PhaseSequence.padded`` and the stage buffers of ``_ssprk104``, the one
 time step of the lattice and of the phase flows; the difference operators
 read those arrays.  Outside this module only ``flow.heat_solve`` reads the
-policy, to extend a reflecting sequence evenly.
+policy: it pads the sequence by the kernel's nonzero half-width K, wrapped
+(``periodic``) or mirrored (``reflect``, the even extension this ghost rule
+implies), and forms the P outputs as direct sums, P·min(2K + 1, period)
+products with period P or 2P; no FFT, whose round-off would swamp the
+e^{-500}-scale Cole-Hopf values.
 """
 
 from __future__ import annotations

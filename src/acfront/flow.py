@@ -6,7 +6,8 @@ for per-row phases.  This module provides:
 * the discrete heat kernel ``G_k(t) = e^{-2t} I_k(2t)`` from the scaled
   modified Bessel function ``scipy.special.ive``; it solves
   ``\\dot G = G_{k+1} + G_{k-1} - 2 G_k`` with a unit mass delta at ``t = 0``;
-* ``heat_solve``: exact convolution of a phase sequence with the kernel;
+* ``heat_solve``: exact convolution of a phase sequence with the kernel, by
+  direct sums over its nonzero taps;
 * the exponential heat LDE ``V̇ = (1/d)(e^{d ∂⁺V} - 2 + e^{-d ∂⁻V}) + c``
   linearized through the Cole-Hopf substitution ``h = e^{d (V - c t)}``, with
   a direct explicit route for cross-checking, falling back to the linear
@@ -94,19 +95,26 @@ def _periodized_kernel(table: HeatKernelTable, period: int) -> np.ndarray:
 def heat_solve(h0: PhaseSequence, t: float) -> PhaseSequence:
     """Solution of the discrete heat LDE at time ``t``: kernel convolution.
 
-    Periodic sequences convolve with the periodized kernel; reflecting
-    sequences are evenly extended (matching the edge-replicating ghost
-    policy) and solved on the doubled period.
+    The P outputs are direct sums ``out[j] = sum_k G_k vals[j - k]`` over the
+    kernel's nonzero taps ``|k| <= K`` (its tails past K underflow to exact
+    zeros), on the sequence padded by K: wrapped for ``periodic``, mirrored
+    for ``reflect`` (the even extension the edge-replicating ghost implies).
+    A kernel wider than the period (P, or 2P for ``reflect``) is folded onto
+    it first.  So a call costs P·min(2K + 1, period) products.  There is no
+    FFT: its round-off, relative to the largest value, would swamp the
+    e^{-500}-scale Cole-Hopf values.
     """
     vals = h0.values
-    if h0.boundary_j == "reflect":
-        ext = PhaseSequence(np.concatenate([vals, vals[::-1]]), boundary_j="periodic")
-        return h0.replace(heat_solve(ext, t).values[: vals.size])
-    # direct circulant product out[j] = sum_m g[m] vals[(j - m) mod P]: no FFT,
-    # whose round-off would swamp the e^{-500}-scale Cole-Hopf values
-    P = vals.size
-    g = _periodized_kernel(heat_kernel(t), P)
-    return h0.replace(np.convolve(np.concatenate([vals, vals]), g)[P:2 * P])
+    period, mode = ((2 * vals.size, "symmetric") if h0.boundary_j == "reflect"
+                    else (vals.size, "wrap"))
+    table = heat_kernel(t)
+    g = table.values[table.values > 0.0]
+    if g.size > period:
+        g = _periodized_kernel(table, period)
+        pad = (period - 1, 0)
+    else:
+        pad = (g.size // 2, g.size // 2)
+    return h0.replace(np.convolve(np.pad(vals, pad, mode=mode), g, "valid"))
 
 
 def _loglog_slope(ts: np.ndarray, ys: np.ndarray) -> float:

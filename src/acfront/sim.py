@@ -62,7 +62,8 @@ _SUPERSUB_TOL = 1e-6
 
 def _check_window(**sizes) -> None:
     for key, value in sizes.items():
-        if not (isinstance(value, (int, np.integer)) and value >= 1):
+        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                or value < 1):
             raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
 
 

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,18 +113,16 @@ def test_heat_solve_delta_reproduces_kernel():
     assert np.max(np.abs(out - folded)) < 1e-15
 
 
-def test_heat_solve_matches_euler_oracle():
+def test_heat_solve_matches_matrix_exponential():
+    # the heat LDE is h' = L h with L the discrete Laplacian under the
+    # sequence's own ghost rule, so h(t) = expm(t L) h0
     rng = np.random.default_rng(3)
     for bc in ("periodic", "reflect"):
         h0 = PhaseSequence(rng.uniform(-1.0, 1.0, size=24), boundary_j=bc)
-        t_end, dt = 0.5, 1e-5
-        vals = h0.values.copy()
-        seq = PhaseSequence(vals, boundary_j=bc)
-        for _ in range(int(round(t_end / dt))):
-            seq = seq.replace(seq.values + dt * d2(seq))
-        want = seq.values
-        got = heat_solve(h0, t_end).values
-        assert np.max(np.abs(got - want)) < 1e-4
+        lap = np.column_stack([d2(PhaseSequence(e, boundary_j=bc)) for e in np.eye(24)])
+        want = scipy.linalg.expm(0.5 * lap) @ h0.values
+        got = heat_solve(h0, 0.5).values
+        assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_heat_solve_conserves_mass_and_contracts():
@@ -158,6 +157,29 @@ def test_heat_solve_property_against_explicit_sum(vals, t, boundary_j):
     scale = max(1.0, float(np.max(np.abs(vals))))
     assert np.max(np.abs(got - heat_solve_oracle(vals, t, boundary_j))) <= 1e-12 * scale
     assert abs(np.sum(got) - np.sum(vals)) <= 1e-11 * scale * vals.size
+
+
+@pytest.mark.parametrize("boundary_j", ["periodic", "reflect"])
+@pytest.mark.parametrize("P, t", [(512, 3.0), (512, 40.0), (64, 200.0)])
+def test_heat_solve_relative_accuracy_over_450_e_folds(P, t, boundary_j):
+    # Cole-Hopf data e^{d (V - c t)} spans many orders of magnitude; a direct
+    # sum of positive terms keeps each output to a few ulps of itself, where
+    # an FFT's round-off, relative to the largest value, would not.  Kernels
+    # both narrower (t = 3) and wider (t = 40 under periodic, t = 200) than
+    # the period are covered.
+    vals = np.exp(-450.0 * np.linspace(0.0, 1.0, P))
+    got = heat_solve(PhaseSequence(vals, boundary_j=boundary_j), t).values
+    want = heat_solve_oracle(vals, t, boundary_j)
+    assert np.all(want > 0.0)
+    assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
+@pytest.mark.parametrize("boundary_j", ["periodic", "reflect"])
+@pytest.mark.parametrize("P", [1, 2, 7, 300])
+def test_heat_solve_at_time_zero_is_identity(P, boundary_j):
+    vals = 2.0 * splitmix64_uniform(P, P) - 1.0
+    got = heat_solve(PhaseSequence(vals, boundary_j=boundary_j), 0.0).values
+    assert got.tobytes() == vals.tobytes()
 
 
 def test_gradient_norm_decay_is_monotone_exactly():

@@ -156,6 +156,9 @@ def test_spec_rejects_unknown_or_non_numeric_tolerances_and_fractional_period():
     for P in (2.5, 8.0, True, 0, "8"):
         with pytest.raises(ValueError, match="kappa period P must be an integer >= 1"):
             ExperimentSpec(name="thm22", kappa={"kind": "periodic", "P": P})
+    for key in ("width", "height"):
+        with pytest.raises(ValueError, match=f"{key} must be an integer >= 1, got True"):
+            ExperimentSpec(name="thm22", **{key: True})
     spec = ExperimentSpec(name="thm22", tolerances={"front_error": 1},
                           kappa={"P": np.int64(4)})
     assert spec.tolerances["front_error"] == 1 and spec.kappa["P"] == 4

@@ -87,6 +87,8 @@ def test_config_rejects_unstable_step():
     ({"width": 0}, "width must be an integer >= 1"),
     ({"height": -4}, "height must be an integer >= 1"),
     ({"width": 2.5}, "width must be an integer >= 1"),
+    ({"width": True}, "width must be an integer >= 1, got True"),
+    ({"height": True}, "height must be an integer >= 1, got True"),
 ])
 def test_config_rejects_bad_step_settings(kw, match):
     with pytest.raises(ValueError, match=match):
@@ -661,7 +663,7 @@ def test_verify_supersub_rejects_empty_time_grid(wave03, kind):
 
 
 @pytest.mark.parametrize("kind", ["planar", "curved"])
-@pytest.mark.parametrize("width", [0, -3, 2.5])
+@pytest.mark.parametrize("width", [0, -3, 2.5, True])
 def test_verify_supersub_rejects_bad_width(wave03, kind, width):
     spec = (SuperSubSpec(kind="planar", mu=MU_REF, C=C_BIG) if kind == "planar"
             else curved_spec())
