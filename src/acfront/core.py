@@ -21,6 +21,12 @@ policy: it pads the sequence by the kernel's nonzero half-width K, wrapped
 implies), and forms the P outputs as direct sums, P·min(2K + 1, period)
 products with period P or 2P; no FFT, whose round-off would swamp the
 e^{-500}-scale Cole-Hopf values.
+
+``CubicSpline`` is the package's one interpolating spline: the profile and
+corrector of ``wave`` and the tabulated nonlinearity use it.  It reproduces
+``scipy.interpolate.CubicSpline`` bit for bit without importing
+``scipy.interpolate``, whose import alone costs more than the whole
+travelling-wave set-up.
 """
 
 from __future__ import annotations
@@ -29,10 +35,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 __all__ = [
     "BistableNonlinearity",
+    "CubicSpline",
     "LatticeField",
     "PhaseSequence",
     "d_plus",
@@ -46,15 +53,102 @@ BOUNDARY_J = ("periodic", "reflect")
 _DG_SUP_LO, _DG_SUP_HI = -1.0, 2.0
 
 
+class CubicSpline:
+    """C² cubic spline through ``(x, y)`` with ``clamped`` (zero end slopes)
+    or ``not-a-knot`` end conditions, on at least 4 strictly increasing,
+    finite knots.
+
+    It is ``scipy.interpolate.CubicSpline`` restricted to 1-d data and these
+    two end conditions, bit for bit: the knot slopes solve scipy's banded
+    system with ``scipy.linalg.solve_banded``, ``c`` holds its piecewise
+    coefficients (``c[m, k]`` multiplies ``(x - x[k])**(3 - m)``), and a call
+    sums the terms in scipy's order.  Points outside ``[x[0], x[-1]]``
+    extrapolate the end pieces.
+    """
+
+    def __init__(self, x, y, bc_type: str = "not-a-knot"):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape or x.size < 4:
+            raise ValueError("x and y must be equal-length 1d arrays of at least 4 points")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("x and y must contain only finite values")
+        dx = np.diff(x)
+        if np.any(dx <= 0.0):
+            raise ValueError("x must be strictly increasing")
+        slope = np.diff(y) / dx
+        # rows of the tridiagonal system for the knot slopes s, scipy's layout
+        A = np.zeros((3, x.size))
+        b = np.empty(x.size)
+        A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        A[0, 2:] = dx[:-1]
+        A[-1, :-2] = dx[1:]
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        if bc_type == "clamped":
+            A[1, 0] = A[1, -1] = 1.0
+            b[0] = b[-1] = 0.0
+        elif bc_type == "not-a-knot":
+            d = x[2] - x[0]
+            A[1, 0], A[0, 1] = dx[1], d
+            b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+            d = x[-1] - x[-3]
+            A[1, -1], A[-1, -2] = dx[-2], d
+            b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        else:
+            raise ValueError(f"bc_type must be 'clamped' or 'not-a-knot', got {bc_type!r}")
+        s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
+                         check_finite=False)
+        # Hermite data (y, s) to power-basis coefficients per interval
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+    def __call__(self, x, nu: int = 0):
+        """Value (``nu=0``) or first derivative (``nu=1``) at ``x``, any shape.
+
+        A point lies in the interval ``x[k] <= x < x[k+1]``, the last one
+        closed and the end ones extended.  With ``s = x - x[k]`` the value
+        is ``c3 + c2 s + c1 s² + c0 s³`` and the derivative
+        ``c2 + (c1 s) 2 + (c0 s²) 3``, summed left to right; the closing
+        ``+ 0.0`` turns ``-0.0`` into ``+0.0``, as scipy sums from ``+0.0``.
+        """
+        if nu not in (0, 1):
+            raise ValueError(f"derivative order nu must be 0 or 1, got {nu!r}")
+        x = np.asarray(x, dtype=float)
+        # interval index: the number of interior knots at or left of x
+        k = np.searchsorted(self.x[1:-1], x, side="right")
+        c0, c1, c2, c3 = self.c.take(k, axis=1)
+        s = x - self.x.take(k)
+        if nu == 0:
+            out = c2 * s
+            out += c3
+            s2 = s * s
+            c1 *= s2
+            out += c1
+            s2 *= s
+            s2 *= c0
+            out += s2
+        else:
+            out = c1 * s
+            out *= 2.0
+            out += c2
+            s *= s
+            s *= c0
+            s *= 3.0
+            out += s
+        out += 0.0
+        return out
+
+
 @dataclass(frozen=True)
 class BistableNonlinearity:
     """Bistable reaction term ``g`` with stable zeros 0, 1 and unstable zero ``a``.
 
     The default is the cubic ``g(u) = u (1 - u) (u - a)``.  A sampled table
     ``(table_u, table_g)`` may be supplied instead; it is interpolated with a
-    cubic spline and validated against the bistability hypotheses on
-    construction (zeros at 0, ``a``, 1 with the correct sign pattern and
-    negative slopes at 0 and 1).
+    not-a-knot :class:`CubicSpline` and validated against the bistability
+    hypotheses on construction (zeros at 0, ``a``, 1 with the correct sign
+    pattern and negative slopes at 0 and 1).
     """
 
     a: float

@@ -5,7 +5,9 @@ for per-row phases.  This module provides:
 
 * the discrete heat kernel ``G_k(t) = e^{-2t} I_k(2t)`` from the scaled
   modified Bessel function ``scipy.special.ive``; it solves
-  ``\\dot G = G_{k+1} + G_{k-1} - 2 G_k`` with a unit mass delta at ``t = 0``;
+  ``\\dot G = G_{k+1} + G_{k-1} - 2 G_k`` with a unit mass delta at ``t = 0``.
+  ``scipy.special`` is imported where a kernel is first formed, so importing
+  the package does not load it;
 * ``heat_solve``: exact convolution of a phase sequence with the kernel, by
   direct sums over its nonzero taps;
 * the exponential heat LDE ``V̇ = (1/d)(e^{d ∂⁺V} - 2 + e^{-d ∂⁻V}) + c``
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ive
 
 from .core import PhaseSequence, _ssprk104, d2, d_plus, deviation_seminorm
 from .errors import FlatnessViolated, NonFinite, OutOfRange, OverflowGuard
@@ -78,6 +79,8 @@ def heat_kernel(t: float) -> HeatKernelTable:
 
     The range ``|k| <= _auto_kmax(t)`` keeps the truncated mass within 1e-12 of 1.
     """
+    from scipy.special import ive
+
     kmax = _auto_kmax(t)
     half = ive(np.arange(kmax + 1), 2.0 * t)
     values = np.concatenate([half[:0:-1], half])
@@ -176,7 +179,12 @@ def bessel_bounds_report(t_grid: Sequence[float]) -> dict:
     boundedness of ``sqrt(t) e^{-t} sum |I_{k+1} - I_k|`` and
     ``t e^{-t} sum |∂⁽²⁾I|``, and that the second difference
     ``k -> I_{k+1} - 2 I_k + I_{k-1}`` changes sign exactly once on ``k >= 0``.
+    Raises :class:`OutOfRange` for an empty ``t_grid``.
     """
+    from scipy.special import ive
+
+    if len(t_grid) == 0:
+        raise OutOfRange("Bessel bounds need at least one time")
     rows = []
     floor = 1e-280
     for t in t_grid:

@@ -47,10 +47,8 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
-from .core import BistableNonlinearity
+from .core import BistableNonlinearity, CubicSpline
 from .errors import (
     DegenerateKernel,
     NewtonDiverged,
@@ -159,28 +157,52 @@ def _tail_rate(f: BistableNonlinearity, c: float, shifts: Sequence[float],
     """Per-index decay ratio ``rho = exp(-lambda h)`` of the dominant tail mode.
 
     ``lambda`` is the smallest positive root of the linearized characteristic
-    equation at the approached equilibrium (0 on the left, 1 on the right).
-    Falls back to a hard clamp (``rho = 0``) if no root is bracketed.
+    equation ``chi(lambda) = 0`` at the approached equilibrium (0 on the
+    left, 1 on the right).  Falls back to a hard clamp (``rho = 0``) when
+    ``chi(1e-8) >= 0`` or no sign change is bracketed below 64.  Otherwise
+    Newton with the analytic ``chi'`` runs inside the bracket ``[lo, hi]``
+    with ``chi(lo) < 0 <= chi(hi)``: a step that leaves it, or a slope that
+    is not positive, bisects it instead.  It stops once a step moves
+    ``lambda`` by at most 4 ulp or the bracket is that narrow.
     """
     gp = f.dg(0.0) if side == "left" else f.dg(1.0)
     sgn = 1.0 if side == "left" else -1.0
 
-    def chi(lam: float) -> float:
+    offs = range(1, len(_D1_COEF) + 1)
+
+    def chi(lam: float) -> tuple[float, float]:
+        """``chi(lam)`` and ``chi'(lam)``."""
         mu = sgn * lam
-        deriv = sum(coef * (math.exp(mu * h * off) - math.exp(-mu * h * off))
-                    for off, coef in enumerate(_D1_COEF, start=1)) * c / h
-        shift = sum(math.exp(mu * alpha) for alpha in shifts) - len(shifts)
-        return deriv + shift + gp
+        ep = [math.exp(mu * h * off) for off in offs]
+        em = [math.exp(-mu * h * off) for off in offs]
+        es = [math.exp(mu * alpha) for alpha in shifts]
+        deriv = sum(coef * (p - m) for coef, p, m in zip(_D1_COEF, ep, em)) * c / h
+        slope = (c * sum(coef * off * (p + m) for coef, off, p, m in zip(_D1_COEF, offs, ep, em))
+                 + sum(alpha * e for alpha, e in zip(shifts, es)))
+        return deriv + (sum(es) - len(shifts)) + gp, sgn * slope
 
     lo = 1e-8
-    if chi(lo) >= 0.0:
+    if chi(lo)[0] >= 0.0:
         return 0.0
     hi = 0.25
-    while chi(hi) < 0.0:
-        hi *= 2.0
+    while chi(hi)[0] < 0.0:
+        lo, hi = hi, 2.0 * hi
         if hi > 64.0:
             return 0.0
-    lam = brentq(chi, lo, hi, xtol=1e-14, rtol=1e-14)
+    lam = hi
+    for _ in range(100):
+        val, slope = chi(lam)
+        if val < 0.0:
+            lo = lam
+        else:
+            hi = lam
+        new = lam - val / slope if slope > 0.0 else math.nan
+        if not lo <= new <= hi:  # NaN included
+            new = 0.5 * (lo + hi)
+        done = abs(new - lam) <= 4.0 * math.ulp(lam) or hi - lo <= 4.0 * math.ulp(hi)
+        lam = new
+        if done:
+            break
     return math.exp(-lam * h)
 
 
@@ -284,17 +306,17 @@ class WaveProfile:
     psi: Optional[np.ndarray] = None
     d: Optional[float] = None
     r: Optional[np.ndarray] = None
-    _phi_spline: CubicSpline = field(default=None, repr=False, compare=False)
-    _r_spline: CubicSpline = field(default=None, repr=False, compare=False)
     _c_theta_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # built from phi and r on every construction, dataclasses.replace included
+    _phi_spline: CubicSpline = field(init=False, repr=False, compare=False)
+    _r_spline: Optional[CubicSpline] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.xi = np.asarray(self.xi, dtype=float)
         self.phi = np.asarray(self.phi, dtype=float)
-        if self._phi_spline is None:
-            self._phi_spline = CubicSpline(self.xi, self.phi, bc_type="clamped")
-        if self.r is not None and self._r_spline is None:
-            self._r_spline = CubicSpline(self.xi, self.r, bc_type="clamped")
+        self._phi_spline = CubicSpline(self.xi, self.phi, bc_type="clamped")
+        self._r_spline = (None if self.r is None
+                          else CubicSpline(self.xi, self.r, bc_type="clamped"))
 
     @property
     def a(self) -> float:
@@ -335,27 +357,25 @@ class WaveProfile:
     def _evaluate(self, spline: CubicSpline, x, nu: int, tails):
         """Derivative ``nu`` (0 or 1) of a grid function: ``spline`` on the grid,
         past each edge the tail ``eq + amp * exp(-lam * distance)`` of ``tails``
-        (left then right, ``sign = -d distance/dx``); zero when ``tails`` is None.
-        ``lam = inf`` is a hard clamp: the value is ``eq`` and the derivative 0."""
-        if nu not in (0, 1):
-            raise ValueError(f"derivative order nu must be 0 or 1, got {nu!r}")
+        (left then right, ``sign = -d distance/dx``, so the exponent is
+        ``sign * lam * (x - edge)``); zero when ``tails`` is None.
+        ``lam = inf`` is a hard clamp: the value is ``eq`` and the derivative 0.
+        The spline call, made for every ``x``, refuses any other ``nu``."""
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x).astype(float)
-        out = np.zeros_like(x)
+        out = np.zeros(x.shape)
         left = x < self.xi[0]
         right = x > self.xi[-1]
-        mid = ~(left | right)
-        for side, dist, tail in zip((left, right), (self.xi[0] - x, x - self.xi[-1]),
-                                    tails or ()):
-            if np.any(side):
+        for side, edge, tail in zip((left, right), (self.xi[0], self.xi[-1]), tails or ()):
+            if side.any():
                 eq, amp, lam, sign = tail
+                tail_val = 0.0
                 if math.isfinite(lam):
-                    out[side] = (sign * lam) ** nu * amp * np.exp(-lam * dist[side])
-                if nu == 0:
-                    out[side] += eq
+                    rate = sign * lam
+                    tail_val = rate ** nu * amp * np.exp(rate * (x[side] - edge))
+                out[side] = tail_val + eq if nu == 0 else tail_val
+        mid = ~(left | right)
         out[mid] = spline(x[mid], nu)
-        return float(out[0]) if scalar else out
+        return float(out) if out.ndim == 0 else out
 
     def phi_at(self, x, nu: int = 0):
         """Profile ``Phi`` (``nu=0``) or ``Phi'`` (``nu=1``) at arbitrary points.
@@ -527,13 +547,13 @@ def phi_inverse(w: WaveProfile, v):
     its step moves ``xi`` by at most 1e-12, or after 64 rounds: the clamped
     spline is flat at ``+-L``, where Newton converges only linearly.  Each
     entry iterates on its own, so a vector call equals scalar calls bit for
-    bit.  The result satisfies ``|phi(xi) - v| < 1e-12``.  Raises
-    :class:`OutOfRange` unless ``v`` lies strictly inside the represented
-    range ``(phi(-L), phi(L))``.
+    bit.  The result satisfies ``|phi(xi) - v| < 1e-12`` and has the shape
+    of ``v``.  Raises :class:`OutOfRange` unless ``v`` lies strictly inside
+    the represented range ``(phi(-L), phi(L))``.
     """
     v = np.asarray(v, dtype=float)
-    scalar = v.ndim == 0
-    v = np.atleast_1d(v)
+    shape = v.shape
+    v = v.ravel()
     if not np.all((w.phi[0] < v) & (v < w.phi[-1])):
         raise OutOfRange("value outside the represented profile range")
     k = np.searchsorted(w.phi, v) - 1
@@ -558,7 +578,7 @@ def phi_inverse(w: WaveProfile, v):
         active, t, lo, hi, c3, c2, c1, d0 = (
             x[moving] for x in (active, new, lo, hi, c3, c2, c1, d0))
     out += w.xi[k]
-    return float(out[0]) if scalar else out
+    return float(out[0]) if not shape else out.reshape(shape)
 
 
 def _fmt(values) -> str:

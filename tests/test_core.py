@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import interpolate
 
-from acfront.core import (BistableNonlinearity, LatticeField, PhaseSequence,
-                          _flat_laplacian, alpha, d2, d_minus, d_plus,
-                          deviation_seminorm)
+from acfront.core import (BistableNonlinearity, CubicSpline, LatticeField,
+                          PhaseSequence, _flat_laplacian, alpha, d2, d_minus,
+                          d_plus, deviation_seminorm)
 
 
 def laplacian(u: LatticeField) -> np.ndarray:
@@ -81,6 +82,48 @@ def test_field_ghosts_pinned_to_equilibria():
     p = u.padded()
     assert np.all(p[0] == 0.0) and np.all(p[-1] == 1.0)
     assert np.array_equal(p[1:-1, 1:-1], u.values)
+
+
+@settings(max_examples=100)
+@given(data=st.data(), n=st.integers(4, 40), uniform=st.booleans(),
+       bc=st.sampled_from(["clamped", "not-a-knot"]))
+def test_cubic_spline_matches_scipy_bit_for_bit(data, n, uniform, bc):
+    """Coefficients, values and first derivatives equal
+    ``scipy.interpolate.CubicSpline``'s byte for byte: at the knots, at their
+    float neighbours, at both ends, between and beyond them, and at 0-d
+    points."""
+    x0 = data.draw(st.floats(-100.0, 100.0))
+    if uniform:
+        x = x0 + data.draw(st.sampled_from([1.0 / 16.0, 0.1, 1.0, 3.0])) * np.arange(n)
+    else:
+        gaps = data.draw(hnp.arrays(float, n - 1, elements=st.floats(1e-3, 1e2)))
+        x = x0 + np.concatenate([[0.0], np.cumsum(gaps)])
+    y = data.draw(hnp.arrays(float, n, elements=st.floats(-1e6, 1e6)))
+    mine = CubicSpline(x, y, bc)
+    ref = interpolate.CubicSpline(x, y, bc_type=bc)
+    assert mine.c.tobytes() == ref.c.tobytes()
+    span = x[-1] - x[0]
+    between = data.draw(hnp.arrays(float, 16, elements=st.floats(x[0] - span, x[-1] + span)))
+    pts = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf), between])
+    for nu in (0, 1):
+        got = mine(pts, nu)
+        assert got.shape == pts.shape and got.tobytes() == ref(pts, nu).tobytes()
+        for p in (x[0], x[-1], between[0]):
+            got = np.asarray(mine(np.float64(p), nu))
+            want = ref(np.float64(p), nu)
+            assert got.shape == want.shape == () and got.tobytes() == want.tobytes()
+
+
+def test_cubic_spline_rejects_bad_input():
+    x = np.arange(6.0)
+    for xs, ys in ((np.where(x == 2.0, np.nan, x), x), (x, np.where(x == 3.0, np.inf, x)),
+                   (x[::-1], x), (x[:3], x[:3]), (x, x[:5])):
+        with pytest.raises(ValueError):
+            CubicSpline(xs, ys)
+    with pytest.raises(ValueError, match="bc_type"):
+        CubicSpline(x, x, "natural")
+    with pytest.raises(ValueError, match="derivative order"):
+        CubicSpline(x, x)(1.0, 2)
 
 
 def test_field_column_boundary_policies():

@@ -87,6 +87,8 @@ def test_bessel_guards():
                  lambda: decay_report(h0, [nan])):
         with pytest.raises(OutOfRange, match="finite and nonnegative"):
             call()
+    with pytest.raises(OutOfRange, match="at least one time"):
+        bessel_bounds_report([])
 
 
 def test_kernel_mass_exact():

@@ -1,9 +1,11 @@
 """Travelling-wave solver: independent speed oracle, frozen values, structure."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -18,8 +20,9 @@ from acfront.core import BistableNonlinearity, PhaseSequence
 from acfront.errors import (DegenerateKernel, NewtonDiverged, OutOfRange,
                             PinningDetected, SolveFailed)
 from acfront.sim import SimConfig, SuperSubSpec, verify_supersub
-from acfront.wave import (WaveProfile, _deriv_pieces, _interp_pieces,
-                          _second_deriv_pieces, _stencil_affine, adjoint_solve,
+from acfront.wave import (_D1_COEF, WaveProfile, _deriv_pieces, _interp_pieces,
+                          _second_deriv_pieces, _stencil_affine, _tail_rate,
+                          adjoint_solve,
                           c_theta, compute_d, dispersion, load_wave,
                           mfde_residual, phi_inverse, save_wave, solve_r,
                           solve_wave)
@@ -118,13 +121,12 @@ def test_adjoint_rejects_degenerate_kernel(wave03, monkeypatch):
     # returns a vector that is not a kernel element
     ramp = np.linspace(0.0, 1.0, wave03.n)
     for phi in (ramp, ramp[::-1]):
-        w = dataclasses.replace(wave03, phi=phi, _phi_spline=None)
+        w = dataclasses.replace(wave03, phi=phi)
         with pytest.raises(DegenerateKernel, match="not a kernel element"):
             adjoint_solve(w)
     # a flat profile with unit tail ratios has Phi' = 0 exactly, so the
     # border vanishes and the bordered matrix is singular
-    w = dataclasses.replace(wave03, phi=np.zeros(wave03.n), rho=(1.0, 1.0),
-                            _phi_spline=None)
+    w = dataclasses.replace(wave03, phi=np.zeros(wave03.n), rho=(1.0, 1.0))
     assert not np.any(w.phi_prime_grid())
     with pytest.raises(DegenerateKernel, match="not simple or not transverse"):
         adjoint_solve(w)
@@ -260,6 +262,74 @@ def test_phi_inverse_newton_property(wave03, data):
     inner = (k > 0) & (k < w.n - 2)
     tol[inner] = XI_TOL / w._phi_spline(xi[inner], 1)
     assert np.all(np.abs(xi - phi_inverse_bisection(w, v)) <= tol)
+
+
+def test_phi_inverse_keeps_the_input_shape(wave03):
+    v = np.array([[0.2, 0.4], [0.6, 0.8]])
+    xi = phi_inverse(wave03, v)
+    assert xi.shape == v.shape
+    scalars = np.array([[phi_inverse(wave03, float(x)) for x in row] for row in v])
+    assert xi.tobytes() == scalars.tobytes() == phi_inverse(wave03, v.ravel()).tobytes()
+    assert phi_inverse(wave03, np.empty((0, 3))).shape == (0, 3)
+
+
+def test_replace_rebuilds_the_splines(wave03):
+    """``dataclasses.replace`` builds both splines from the new ``phi`` and
+    ``r``, not the ones of the profile it copies."""
+    ramp = np.linspace(0.0, 1.0, wave03.n)
+    w = dataclasses.replace(wave03, phi=ramp, r=2.0 * wave03.r)
+    assert w.phi_at(5.0) == pytest.approx(0.625, abs=1e-12)
+    assert phi_inverse(w, 0.6) == pytest.approx(4.0, abs=1e-12)
+    assert w.r_at(1.3) == 2.0 * wave03.r_at(1.3)
+    with pytest.raises(SolveFailed, match="has not been solved"):
+        dataclasses.replace(wave03, r=None).r_at(0.0)
+
+
+def tail_rate_brentq(f, c, shifts, h, side):
+    """Reference tail exponent: ``scipy.optimize.brentq`` on the
+    characteristic function, bracketed as ``_tail_rate`` brackets it."""
+    from scipy.optimize import brentq
+
+    gp = f.dg(0.0) if side == "left" else f.dg(1.0)
+    sgn = 1.0 if side == "left" else -1.0
+
+    def chi(lam):
+        mu = sgn * lam
+        deriv = sum(coef * (math.exp(mu * h * off) - math.exp(-mu * h * off))
+                    for off, coef in enumerate(_D1_COEF, start=1)) * c / h
+        shift = sum(math.exp(mu * alpha) for alpha in shifts) - len(shifts)
+        return deriv + shift + gp
+
+    hi = 0.25
+    while chi(hi) < 0.0:
+        hi *= 2.0
+    return brentq(chi, 1e-8, hi, xtol=1e-14, rtol=1e-14)
+
+
+@pytest.mark.parametrize("shifts", [(1.0, -1.0),
+                                    (math.cos(0.2), math.sin(0.2),
+                                     -math.cos(0.2), -math.sin(0.2))])
+def test_tail_rate_matches_brentq(shifts):
+    h = 1.0 / 16.0
+    for a in np.linspace(0.05, 0.95, 19):
+        f = BistableNonlinearity(a=float(a))
+        c = math.sqrt(2.0) * (a - 0.5)
+        for side in ("left", "right"):
+            lam = -math.log(_tail_rate(f, c, shifts, h, side)) / h
+            assert abs(lam - tail_rate_brentq(f, c, shifts, h, side)) <= 1e-14
+
+
+def test_tail_rate_falls_back_to_a_hard_clamp():
+    h = 1.0 / 16.0
+    # chi(1e-8) >= 0: the equilibrium is not linearly stable
+    unstable = types.SimpleNamespace(dg=lambda u: 0.1)
+    for side in ("left", "right"):
+        assert _tail_rate(unstable, 0.5, (1.0, -1.0), h, side) == 0.0
+    # without shifts, a speed against the tail keeps chi < 0 past 64
+    f = BistableNonlinearity(a=0.3)
+    assert _tail_rate(f, -1.0, (), h, "left") == 0.0
+    assert _tail_rate(f, 1.0, (), h, "right") == 0.0
+    assert _tail_rate(f, 1.0, (), h, "left") > 0.0
 
 
 def test_profile_tails_exponential_and_bounded(wave03):
