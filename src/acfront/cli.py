@@ -77,9 +77,8 @@ def _cmd_heat(args) -> int:
               f"telescope_error={report['max_telescope_error']:.3e}")
     else:
         height = 2048
-        jj = np.arange(height)
         noise = 0.5 * (2.0 * harness.splitmix64_uniform(2, height) - 1.0)
-        h0 = PhaseSequence(np.where(jj < height // 2, 0.0, 4.0) + noise,
+        h0 = PhaseSequence(np.repeat([0.0, 4.0], height // 2) + noise,
                            boundary_j="reflect")
         report = flow.decay_report(h0, np.geomspace(10.0, 1000.0, 13))
         ok = (abs(report["slope_first"] + 0.5) <= 0.1
@@ -179,12 +178,11 @@ def _cmd_verify_subsuper(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    cfg = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = harness.parse_config(fh.read())
-        spec = harness.spec_from_config(cfg, name=args.name)
-    else:
-        spec = harness.default_spec(args.name)
+    spec = harness.spec_from_config(cfg, name=args.name)
     report = harness.run_experiment(spec)
     for key, v in report.verdicts.items():
         print(f"{key}: value={v['value']:.6g} tolerance={v['tolerance']:g} "
@@ -252,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_subsuper)
 
     p = sub.add_parser("experiment", help="run a named experiment pipeline")
-    p.add_argument("name", choices=["thm22", "thm23", "thm24", "step"])
+    short = {name: alias for alias, name in harness._ALIASES.items()}
+    p.add_argument("name", choices=[short.get(n, n) for n in harness._EXPERIMENTS])
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_experiment)

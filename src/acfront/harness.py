@@ -17,11 +17,12 @@ seed 1 gives ``0x910A2DEC89025CC1``, ``0xBEEB8DA1658EEC67``,
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,7 +31,7 @@ from . import __version__ as _pkg_version
 from . import flow, phase, sim
 from .core import BistableNonlinearity, LatticeField, PhaseSequence
 from .errors import FlatnessViolated, H0Violated, OutOfRange, PreAsymptotic
-from .wave import WaveProfile, solve_r, solve_wave
+from .wave import WaveProfile, _check_grid, solve_r, solve_wave
 
 __all__ = [
     "ExperimentSpec",
@@ -80,6 +81,16 @@ def splitmix64_uniform(seed: int, n: int) -> np.ndarray:
 _GENERATOR_KEYS = {"kappa": {"kind", "P", "amplitude", "offset", "lo", "hi", "seed"},
                    "v0": {"kind", "amp", "width", "center_i", "center_j", "decay", "seed"}}
 
+# the scalar spec fields a config may set, with the type each must have
+_SCALAR_KEYS = {"a": numbers.Real, "width": numbers.Integral, "height": numbers.Integral,
+                "dt": numbers.Real, "t_end": numbers.Real, "tau": numbers.Real,
+                "record_every": numbers.Integral, "boundary_j": str,
+                "seed": numbers.Integral, "L": numbers.Real, "h": numbers.Real}
+
+# the verdict criteria and their default tolerances
+_TOLERANCES = {"front_error": 0.02, "tracking": 0.1, "mu_stable": 0.01, "mu_pred": 0.05,
+               "edge_phase": 0.1, "flatness_handoff": 0.1, "mcf_delta": 0.2}
+
 
 @dataclass
 class ExperimentSpec:
@@ -103,20 +114,16 @@ class ExperimentSpec:
     h: float = 0.0625
 
     def __post_init__(self):
-        if self.name not in ("thm22", "thm23", "thm24", "step_kappa"):
+        if self.name not in _EXPERIMENTS:
             raise ValueError(f"unknown experiment name {self.name!r}")
-        defaults = {"front_error": 0.02, "tracking": 0.1, "mu_stable": 0.01,
-                    "mu_pred": 0.05, "edge_phase": 0.1, "flatness_handoff": 0.1,
-                    "mcf_delta": 0.2}
         for key, value in self.tolerances.items():
-            if key not in defaults:
-                raise ValueError(f"unknown tolerance {key!r}; known: {sorted(defaults)}")
+            if key not in _TOLERANCES:
+                raise ValueError(f"unknown tolerance {key!r}; known: {sorted(_TOLERANCES)}")
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"tolerance {key} must be a number, got {value!r}")
             if not 0.0 < value < math.inf:
                 raise ValueError(f"tolerance {key} must be positive and finite, got {value}")
-        self.tolerances = {**defaults, **self.tolerances}
-        sim._check_window(width=self.width, height=self.height)
+        self.tolerances = {**_TOLERANCES, **self.tolerances}
         P = self.kappa.get("P", 1)
         if self.kappa.get("kind", "periodic") == "periodic" and (
                 isinstance(P, bool) or not isinstance(P, numbers.Integral) or P < 1):
@@ -125,6 +132,17 @@ class ExperimentSpec:
             unknown = sorted(set(getattr(self, gen)) - known)
             if unknown:
                 raise ValueError(f"unknown {gen} keys: {unknown}")
+        for key, kind in _SCALAR_KEYS.items():
+            value = getattr(self, key)
+            # SimConfig checks the window sizes and fills a dt or record_every of None
+            if key in ("width", "height") or (value is None and key in ("dt", "record_every")):
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{key} must be {kind.__name__.lower()}, got {value!r}")
+        if not 0.0 <= self.tau < math.inf:
+            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
+        _check_grid(self.L, self.h)
+        self.sim_config(BistableNonlinearity(a=self.a))  # checks a and the lattice run
 
     def config_dict(self) -> dict:
         return asdict(self)
@@ -170,10 +188,8 @@ class ExperimentReport:
                 fh.write(json.dumps({"record": "verdict", "criterion": key, **v}) + "\n")
 
 
-def _verdict(value: float, tolerance: float, ok: Optional[bool] = None) -> dict:
-    if ok is None:
-        ok = value < tolerance
-    return {"value": value, "tolerance": tolerance, "pass": bool(ok)}
+def _verdict(value: float, tolerance: float) -> dict:
+    return {"value": value, "tolerance": tolerance, "pass": bool(value < tolerance)}
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +282,8 @@ def _report(spec: ExperimentSpec, series: dict, verdicts: dict, **kw) -> Experim
 def _trajectory(spec: ExperimentSpec, w: Optional[WaveProfile], need_d: bool):
     """Solve the wave (with ``need_d``, also its adjoint, ``d`` and ``r``)
     unless given, run the lattice from :func:`make_initial` and extract the
-    phase of every snapshot: ``(w, [(t, u, PhaseExtract), ...], k0)``.
+    phase of every snapshot: ``(w, [(t, u, PhaseExtract), ...], k0)``.  A
+    given wave must be the spec's own (nonlinearity, ``a``, ``L``, ``h``).
 
     ``k0`` indexes the hand-off snapshot, the first at ``t >= tau``; its
     phase must be defined on every row, else :class:`PreAsymptotic`.  The
@@ -274,8 +291,12 @@ def _trajectory(spec: ExperimentSpec, w: Optional[WaveProfile], need_d: bool):
     comes within ``ceil(L)`` cells of either i-edge, so the window always
     holds the resolved profile.
     """
+    f = BistableNonlinearity(a=spec.a)
     if w is None:
-        w = solve_wave(BistableNonlinearity(a=spec.a), L=spec.L, h=spec.h)
+        w = solve_wave(f, L=spec.L, h=spec.h)
+    elif (w.f.kind, w.a, w.L, w.h) != (f.kind, spec.a, spec.L, spec.h):
+        raise ValueError(f"the wave ({w.f.kind}, a={w.a}, L={w.L}, h={w.h}) is not the "
+                         f"spec's ({f.kind}, a={spec.a}, L={spec.L}, h={spec.h})")
     if need_d and w.d is None:
         solve_r(w)
     cfg = spec.sim_config(w.f)
@@ -412,17 +433,13 @@ def run_step_kappa(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Exp
 
     # diffusive spreading of the transition zone, measured on the phase LDE
     # proxy over a long window so late times stay uncontaminated by edges
-    proxy_h = 512
-    jj = np.arange(proxy_h)
-    proxy0 = PhaseSequence(np.where(jj < proxy_h // 2, lo, hi), boundary_j="reflect")
+    proxy0 = PhaseSequence(np.repeat([lo, hi], 256), boundary_j="reflect")  # 512 rows
     t_probe = np.geomspace(10.0, 1000.0, 13)
     proxy = flow.v_solve(proxy0, params, t_grid=t_probe)
-    widths = []
-    for row in proxy.values:
-        rel = (row - row[0]) / (row[-1] - row[0])
-        j10 = int(np.searchsorted(rel, 0.1))
-        j90 = int(np.searchsorted(rel, 0.9))
-        widths.append(float(j90 - j10))
+    # the rows rise monotonically, so the 10-90 % width is a difference of counts
+    rel = (proxy.values - proxy.values[:, :1]) / (proxy.values[:, -1:] - proxy.values[:, :1])
+    widths = (np.count_nonzero(rel < 0.9, axis=1)
+              - np.count_nonzero(rel < 0.1, axis=1)).astype(float).tolist()
     slope = float(np.polyfit(np.log(t_probe), np.log(widths), 1)[0])
 
     tols = spec.tolerances
@@ -433,29 +450,30 @@ def run_step_kappa(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Exp
                     "width_slope": _verdict(abs(slope - 0.5), 0.1)})
 
 
-_RUNNERS = {"thm22": run_thm22, "thm23": run_thm23, "thm24": run_thm24,
-            "step_kappa": run_step_kappa}
+# every experiment: its runner and the fields of its default spec
+_EXPERIMENTS = {
+    "thm22": (run_thm22, {"t_end": 150.0}),
+    "thm23": (run_thm23, {"t_end": 200.0, "tau": 60.0}),
+    "thm24": (run_thm24, {"t_end": 150.0, "tau": 30.0,
+                          "kappa": {"kind": "periodic", "P": 8, "amplitude": 1.0,
+                                    "offset": 0.0}}),
+    "step_kappa": (run_step_kappa, {"t_end": 150.0, "tau": 60.0, "height": 128,
+                                    "boundary_j": "reflect",
+                                    "kappa": {"kind": "step", "lo": 0.0, "hi": 4.0}}),
+}
+_ALIASES = {"step": "step_kappa"}
 
 
 def run_experiment(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> ExperimentReport:
-    return _RUNNERS[spec.name](spec, w)
+    return _EXPERIMENTS[spec.name][0](spec, w)
 
 
 def default_spec(name: str) -> ExperimentSpec:
     """Built-in experiment parameters reproducing the headline checks."""
-    if name == "thm22":
-        return ExperimentSpec(name="thm22", t_end=150.0)
-    if name == "thm23":
-        return ExperimentSpec(name="thm23", t_end=200.0, tau=60.0)
-    if name == "thm24":
-        return ExperimentSpec(
-            name="thm24", t_end=150.0, tau=30.0,
-            kappa={"kind": "periodic", "P": 8, "amplitude": 1.0, "offset": 0.0})
-    if name in ("step", "step_kappa"):
-        return ExperimentSpec(
-            name="step_kappa", t_end=150.0, tau=60.0, boundary_j="reflect",
-            height=128, kappa={"kind": "step", "lo": 0.0, "hi": 4.0})
-    raise ValueError(f"unknown experiment name {name!r}")
+    name = _ALIASES.get(name, name)
+    if name not in _EXPERIMENTS:
+        raise ValueError(f"unknown experiment name {name!r}; known: {list(_EXPERIMENTS)}")
+    return ExperimentSpec(name=name, **copy.deepcopy(_EXPERIMENTS[name][1]))
 
 
 # ---------------------------------------------------------------------------
@@ -480,21 +498,12 @@ def _coerce(value: str):
     low = value.lower()
     if low in ("true", "false"):
         return low == "true"
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        return value
-
-
-# the scalar spec fields a config may set, with the type each must parse to
-# (an integer also passes as a float)
-_SCALAR_KEYS = {"a": float, "width": int, "height": int, "dt": float, "t_end": float,
-                "tau": float, "record_every": int, "boundary_j": str, "seed": int,
-                "L": float, "h": float}
+    for kind in (int, float):
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    return value
 
 
 def spec_from_config(cfg: dict, name: Optional[str] = None) -> ExperimentSpec:
@@ -503,36 +512,25 @@ def spec_from_config(cfg: dict, name: Optional[str] = None) -> ExperimentSpec:
     Scalar spec fields map directly (``a``, ``width``, ``height``, ``dt``,
     ``t_end``, ``tau``, ``seed``, ``boundary_j``, ``L``, ``h``,
     ``record_every``); generator fields use prefixes ``kappa_*`` and
-    ``v0_*``; tolerance overrides use ``tol_<criterion>``.  A scalar value
-    of the wrong type, or a config ``name`` naming another experiment than
-    ``name`` (``step`` and ``step_kappa`` are one), is a ``ValueError``.
+    ``v0_*``; tolerance overrides use ``tol_<criterion>``.  An unknown key,
+    or a config ``name`` naming another experiment than ``name`` (aliases
+    resolved), is a ``ValueError``; the spec checks every value as it is
+    built.
     """
     values = {k: _coerce(v) for k, v in cfg.items()}
     given = values.pop("name", None)
     if name is None and given is None:
-        raise ValueError("config must set name= (thm22|thm23|thm24|step_kappa)")
+        raise ValueError(f"config must set name= ({'|'.join(_EXPERIMENTS)})")
     spec = default_spec(str(name or given))
-    if given is not None and default_spec(str(given)).name != spec.name:
+    if given is not None and _ALIASES.get(str(given), str(given)) != spec.name:
         raise ValueError(f"config name {given} conflicts with experiment {name}")
-    for key, kind in _SCALAR_KEYS.items():
-        if key in values:
-            value = values.pop(key)
-            allowed = (int, float) if kind is float else kind
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                raise ValueError(f"config key {key} must be {kind.__name__}, got {value!r}")
-            setattr(spec, key, value)
-    kappa = dict(spec.kappa)
-    v0 = dict(spec.v0)
+    scalars = {key: values.pop(key) for key in _SCALAR_KEYS if key in values}
+    nested = {"kappa": dict(spec.kappa), "v0": dict(spec.v0),
+              "tolerances": dict(spec.tolerances)}
     for key in list(values):
-        if key.startswith("kappa_"):
-            kappa[key[len("kappa_"):]] = values.pop(key)
-        elif key.startswith("v0_"):
-            v0[key[len("v0_"):]] = values.pop(key)
-        elif key.startswith("tol_"):
-            spec.tolerances[key[len("tol_"):]] = values.pop(key)
+        for prefix, target in (("kappa_", "kappa"), ("v0_", "v0"), ("tol_", "tolerances")):
+            if key.startswith(prefix):
+                nested[target][key[len(prefix):]] = values.pop(key)
     if values:
         raise ValueError(f"unknown config keys: {sorted(values)}")
-    spec.kappa = kappa
-    spec.v0 = v0
-    spec.__post_init__()
-    return spec
+    return replace(spec, **scalars, **nested)

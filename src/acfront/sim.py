@@ -36,8 +36,8 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import flow
-from .core import (BistableNonlinearity, LatticeField, PhaseSequence, _flat_laplacian,
-                   _flat_runs, _ssprk104, alpha, d_minus, d_plus)
+from .core import (BOUNDARY_J, BistableNonlinearity, LatticeField, PhaseSequence,
+                   _flat_laplacian, _flat_runs, _ssprk104, alpha, d_minus, d_plus)
 from .errors import NonFinite, OutOfRange, SolveFailed, VerificationFailed
 from .wave import WaveProfile
 
@@ -87,6 +87,8 @@ class SimConfig:
 
     def __post_init__(self):
         _check_window(width=self.width, height=self.height)
+        if self.boundary_j not in BOUNDARY_J:
+            raise ValueError(f"boundary_j must be one of {BOUNDARY_J}")
         sup = self.f.dg_sup()
         if self.dt is None:
             self.dt = 1.0 / math.ceil(math.ceil(4.0 + sup) / 4)

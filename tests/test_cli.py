@@ -361,6 +361,49 @@ def test_experiment_bad_tolerance_or_period_fails_before_the_wave_solve(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("dt = -0.01", "dt must be positive and finite, got -0.01"),
+    ("t_end = -1", "t_end must be finite and >= 0, got -1"),
+    ("record_every = 0", "record_every must be >= 1, got 0"),
+    ("tau = nan", "tau must be finite and >= 0, got nan"),
+    ("h = 0.3", "1/h must be an integer, got h=0.3"),
+    ("L = 20.03", "L must be a multiple of h, got L=20.03, h=0.0625"),
+    ("L = 1", "half-width L must be at least 2"),
+    ("a = abc", "a must be real, got 'abc'"),
+    ("a = 1.5", "detuning a must lie in (0, 1), got 1.5"),
+    ("boundary_j = reflct", "boundary_j must be one of ('periodic', 'reflect')"),
+])
+def test_experiment_bad_setting_fails_before_the_wave_solve(
+        tmp_path, capsys, monkeypatch, line, message):
+    def no_solve(*args, **kw):
+        raise AssertionError("the wave was solved")
+
+    monkeypatch.setattr(harness, "solve_wave", no_solve)
+    monkeypatch.setattr(harness, "solve_r", no_solve)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(FAST_CONFIG.replace("thm22", "thm23") + line + "\n")
+    assert main(["experiment", "thm23", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_experiment_thm24_prints_its_offsets(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("name = thm24\nwidth = 96\nheight = 16\nt_end = 20\ntau = 10\n")
+    out = tmp_path / "report.ndjson"
+    main(["experiment", "thm24", "--config", str(cfg), "--out", str(out)])
+    meta = json.loads(out.read_text(encoding="utf-8").splitlines()[0])
+    assert (f"mu_hat={meta['mu_hat']:.6g} mu_pred={meta['mu_pred']:.6g}\n"
+            in capsys.readouterr().out)
+
+
+def test_verify_subsuper_planar_search_failure_exit_code(capsys):
+    code = main(["verify-subsuper", "--kind", "planar", "--q0", "0.29", "--q1", "0.69"])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "verdict=fail (no (mu, C) pair certified; best margin -4.762e-03 "
+        "at mu=0.01, C=316.228)\n")
+
+
 @pytest.mark.parametrize("h", ["0", "-0.0625"])
 def test_wave_nonpositive_spacing_is_usage_error(h, capsys):
     assert main(["wave", "--a", "0.3", "--h", h]) == 2
@@ -378,7 +421,7 @@ def test_experiment_wrongly_typed_key_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(FAST_CONFIG + "width = abc\n")
     assert main(["experiment", "thm22", "--config", str(cfg)]) == 2
-    assert "config key width must be int" in capsys.readouterr().err
+    assert "error: width must be an integer >= 1, got 'abc'" in capsys.readouterr().err
 
 
 def test_experiment_tau_after_t_end_exit_code(tmp_path, capsys):

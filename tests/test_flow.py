@@ -15,7 +15,7 @@ from mpmath import mp
 
 from acfront.core import PhaseSequence, alpha, d2, d_minus, d_plus
 from acfront.errors import FlatnessViolated, NonFinite, OutOfRange, OverflowGuard
-from acfront.flow import (FlowParams, bessel_bounds_report, decay_report,
+from acfront.flow import (FlowParams, _decay_norms, bessel_bounds_report, decay_report,
                           heat_kernel, heat_solve, mcf_rhs, mcf_solve,
                           report_to_ndjson, trajectory_to_csv, v_gradient_report,
                           v_rhs, v_solve)
@@ -260,6 +260,33 @@ def test_v_solve_linear_heat_variant():
     traj = v_solve(V0, p, t_grid=[0.0, 2.0])
     want = heat_solve(V0, 2.0).values + 0.5 * 2.0
     assert np.max(np.abs(traj.values[-1] - want)) < 1e-14
+
+
+@pytest.mark.parametrize("boundary_j", ["periodic", "reflect"])
+def test_linear_heat_rhs_and_marcher_match_the_heat_route(boundary_j):
+    """At d = 0 the phase LDE is the linear heat LDE: its right-hand side is
+    ``∂⁽²⁾V + c`` bit for bit, and the explicit marcher converges to the
+    heat-kernel route at fourth order in its substep."""
+    p = FlowParams(c=0.5, d=0.0)
+    j = np.arange(16)
+    V0 = PhaseSequence(np.sin(2.0 * np.pi * j / 16.0) + 0.3 * np.cos(6.0 * np.pi * j / 16.0),
+                       boundary_j=boundary_j)
+    assert np.array_equal(v_rhs(V0, p), d2(V0) + 0.5)
+    t_grid = [0.0, 1.0, 5.0]
+    heat = v_solve(V0, p, t_grid=t_grid).values
+    errs = [np.max(np.abs(v_solve(V0, FlowParams(c=0.5, d=0.0, dt=dt), t_grid=t_grid,
+                                  method="euler").values - heat))
+            for dt in (p.dt, p.dt / 2)]
+    assert errs[0] < 1e-5 and errs[0] / errs[1] > 12.0
+
+
+@pytest.mark.parametrize("boundary_j", ["periodic", "reflect"])
+def test_decay_norms_equal_the_per_sequence_operators(boundary_j):
+    rows = np.random.default_rng(3).normal(size=(5, 24))
+    d1, d2n = _decay_norms(rows, boundary_j)
+    seqs = [PhaseSequence(row, boundary_j=boundary_j) for row in rows]
+    assert np.array_equal(d1, [np.max(np.abs(d_plus(s))) for s in seqs])
+    assert np.array_equal(d2n, [np.max(np.abs(d2(s))) for s in seqs])
 
 
 def test_v_solve_overflow_guard():

@@ -1,7 +1,10 @@
 """Seeded experiment pipelines, generators, and config parsing."""
 
+import dataclasses
 import hashlib
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acfront import harness
+from acfront.core import BistableNonlinearity
 from acfront.errors import FlatnessViolated, H0Violated, OutOfRange, PreAsymptotic
 from acfront.harness import (ExperimentSpec, default_spec, make_initial,
                              make_kappa, make_v0, parse_config, run_experiment,
@@ -162,6 +166,57 @@ def test_spec_rejects_unknown_or_non_numeric_tolerances_and_fractional_period():
     spec = ExperimentSpec(name="thm22", tolerances={"front_error": 1},
                           kappa={"P": np.int64(4)})
     assert spec.tolerances["front_error"] == 1 and spec.kappa["P"] == 4
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("a", "0.3", "a must be real, got '0.3'"),
+    ("seed", 1.5, "seed must be integral, got 1.5"),
+    ("boundary_j", "reflct", "boundary_j must be one of ('periodic', 'reflect')"),
+    ("dt", -0.01, "dt must be positive and finite, got -0.01"),
+    ("t_end", -1.0, "t_end must be finite and >= 0, got -1.0"),
+    ("record_every", 0, "record_every must be >= 1, got 0"),
+    ("tau", math.nan, "tau must be finite and >= 0, got nan"),
+    ("h", 0.3, "1/h must be an integer, got h=0.3"),
+    ("L", 20.03, "L must be a multiple of h, got L=20.03, h=0.0625"),
+    ("L", 1.0, "half-width L must be at least 2"),
+])
+def test_spec_checks_every_setting_when_built(key, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentSpec(name="thm23", **{key: value})
+
+
+def test_spec_accepts_numpy_scalars_and_default_steps():
+    spec = ExperimentSpec(name="thm22", a=np.float64(0.3), width=np.int64(96),
+                          seed=np.int64(3))
+    assert spec.dt is None and spec.record_every is None
+    assert spec.sim_config(BistableNonlinearity(a=0.3)).record_every == 3
+
+
+def _table_cubic(a):
+    u = np.linspace(-0.5, 1.5, 41)
+    return BistableNonlinearity(a=a, kind="table", table_u=u, table_g=u * (1 - u) * (u - a))
+
+
+@pytest.mark.parametrize("spec, wave_f, message", [
+    (ExperimentSpec(name="thm22", a=0.45, L=12.0, t_end=10.0, tau=5.0), None,
+     "the wave (cubic, a=0.3, L=20.0, h=0.0625) is not the spec's "
+     "(cubic, a=0.45, L=12.0, h=0.0625)"),
+    (ExperimentSpec(name="thm23", h=0.125), None,
+     "the wave (cubic, a=0.3, L=20.0, h=0.0625) is not the spec's "
+     "(cubic, a=0.3, L=20.0, h=0.125)"),
+    (ExperimentSpec(name="thm24"), _table_cubic(0.3),
+     "the wave (table, a=0.3, L=20.0, h=0.0625) is not the spec's "
+     "(cubic, a=0.3, L=20.0, h=0.0625)"),
+], ids=["a_and_L", "h", "nonlinearity"])
+def test_pipeline_refuses_a_wave_that_is_not_the_specs(wave03, monkeypatch, spec, wave_f,
+                                                      message):
+    def no_run(*args, **kw):
+        raise AssertionError("the lattice ran")
+
+    monkeypatch.setattr(harness.sim, "run", no_run)
+    w = wave03 if wave_f is None else dataclasses.replace(wave03, f=wave_f)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_experiment(spec, w)
 
 
 def assert_spread_bounded_by_flatness(report, t0, fl0):
@@ -384,7 +439,7 @@ def test_spec_from_config_rejects_unknown_keys():
     ("seed", "1.5"), ("record_every", "x"), ("boundary_j", "3"), ("L", "wide"),
 ])
 def test_spec_from_config_rejects_wrongly_typed_scalar(key, value):
-    with pytest.raises(ValueError, match=f"config key {key} must be"):
+    with pytest.raises(ValueError, match=f"^{key} must be .+, got "):
         spec_from_config({"name": "thm22", key: value})
 
 

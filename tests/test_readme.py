@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 from acfront.cli import build_parser
-from acfront.harness import _SCALAR_KEYS, ExperimentSpec
+from acfront.harness import _EXPERIMENTS, _SCALAR_KEYS, ExperimentSpec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -57,3 +57,13 @@ def test_readme_tolerance_defaults_match_the_spec():
     listed = re.split(r"\.\s", listed, maxsplit=1)[0]
     tolerances = {k: float(v) for k, v in re.findall(r"`(\w+)` = ([\d.]+)", listed)}
     assert tolerances == ExperimentSpec(name="thm22").tolerances
+
+
+def test_readme_experiment_names_match_the_cli_and_the_table():
+    experiment = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices["experiment"]
+    choices = next(a for a in experiment._actions if a.dest == "name").choices
+    usage = next(c for c in readme_commands() if c.startswith("acfront experiment "))
+    assert usage.split()[2].split("|") == list(choices)
+    listed = readme_config_text().split("`name` (", 1)[1].split(")", 1)[0]
+    assert listed.split("|") == list(_EXPERIMENTS)

@@ -435,6 +435,16 @@ def test_planar_search_returns_certified_pair(wave03):
     assert C == pytest.approx(C_BIG, rel=1e-12)
 
 
+def test_planar_search_reports_its_best_margin_when_the_grid_fails(wave03):
+    # offsets near their limits (a and 1 - a) leave no (mu, C) on the grid
+    cfg = SimConfig(wave03.f, t_end=50.0, height=64)
+    seed = SuperSubSpec(kind="planar", q0=0.29, q1=0.69, mu=1.0, C=1.0)
+    with pytest.raises(VerificationFailed,
+                       match=r"best margin -4\.762e-03 at mu=0\.01, C=316\.228$") as exc:
+        search_planar_constants(wave03, seed, cfg, np.linspace(0.0, 50.0, 26))
+    assert exc.value.value == pytest.approx(-4.7616e-3, rel=1e-4)
+
+
 def test_planar_residual_matches_time_difference_oracle(wave03):
     w = wave03
     spec = SuperSubSpec(kind="planar", q0=0.1, q1=0.1, mu=MU_REF, C=C_BIG)
