@@ -45,8 +45,9 @@ def _cmd_simulate(args) -> int:
     w = solve_wave(BistableNonlinearity(a=spec.a), L=spec.L, h=spec.h)
     sim_cfg = spec.sim_config(w.f)
     writer = sim.SnapshotWriter(args.out)
-    snaps = sim.run(harness.make_initial(spec, w), sim_cfg, writer=writer)
-    print(f"{len(snaps)} snapshots written to {args.out} "
+    for t, u in sim.snapshots(harness.make_initial(spec, w), sim_cfg):
+        writer.write(u, t)
+    print(f"{writer.count} snapshots written to {args.out} "
           f"(index {writer.index_path})")
     return 0
 

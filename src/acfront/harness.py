@@ -18,12 +18,13 @@ seed 1 gives ``0x910A2DEC89025CC1``, ``0xBEEB8DA1658EEC67``,
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -76,6 +77,10 @@ def splitmix64_uniform(seed: int, n: int) -> np.ndarray:
     return np.minimum(_splitmix64_array(seed, n) / 2.0 ** 64, np.nextafter(1.0, 0.0))
 
 
+# the kinds each generator makes, the default first
+_GENERATOR_KINDS = {"kappa": ("periodic", "step", "random"),
+                    "v0": ("none", "gaussian_bump", "random_l1")}
+
 # every key some kappa or v0 generator reads, whatever the kind: spec_from_config
 # layers config keys over the default spec's kappa, which may be of another kind
 _GENERATOR_KEYS = {"kappa": {"kind", "P", "amplitude", "offset", "lo", "hi", "seed"},
@@ -124,14 +129,15 @@ class ExperimentSpec:
             if not 0.0 < value < math.inf:
                 raise ValueError(f"tolerance {key} must be positive and finite, got {value}")
         self.tolerances = {**_TOLERANCES, **self.tolerances}
-        P = self.kappa.get("P", 1)
-        if self.kappa.get("kind", "periodic") == "periodic" and (
-                isinstance(P, bool) or not isinstance(P, numbers.Integral) or P < 1):
-            raise ValueError(f"kappa period P must be an integer >= 1, got {P!r}")
         for gen, known in _GENERATOR_KEYS.items():
             unknown = sorted(set(getattr(self, gen)) - known)
             if unknown:
                 raise ValueError(f"unknown {gen} keys: {unknown}")
+            _kind(gen, getattr(self, gen))
+        P = self.kappa.get("P", 1)
+        if _kind("kappa", self.kappa) == "periodic" and (
+                isinstance(P, bool) or not isinstance(P, numbers.Integral) or P < 1):
+            raise ValueError(f"kappa period P must be an integer >= 1, got {P!r}")
         for key, kind in _SCALAR_KEYS.items():
             value = getattr(self, key)
             # SimConfig checks the window sizes and fills a dt or record_every of None
@@ -196,10 +202,20 @@ def _verdict(value: float, tolerance: float) -> dict:
 # initial data generators
 
 
+def _kind(gen: str, cfg: dict) -> str:
+    """The kind of generator ``gen`` that ``cfg`` asks for, the default
+    without a ``kind`` key; ``ValueError`` for a kind ``gen`` does not make."""
+    kinds = _GENERATOR_KINDS[gen]
+    kind = cfg.get("kind", kinds[0])
+    if kind not in kinds:
+        raise ValueError(f"unknown {gen} kind {kind!r}; known: {list(kinds)}")
+    return kind
+
+
 def make_kappa(spec: ExperimentSpec) -> PhaseSequence:
     """Initial phase modulation sequence from the configured generator."""
     cfg = spec.kappa
-    kind = cfg.get("kind", "periodic")
+    kind = _kind("kappa", cfg)
     j = np.arange(spec.height)
     offset = float(cfg.get("offset", 0.0))
     if kind == "periodic":
@@ -210,19 +226,17 @@ def make_kappa(spec: ExperimentSpec) -> PhaseSequence:
         lo = float(cfg.get("lo", 0.0))
         hi = float(cfg.get("hi", 4.0))
         vals = np.where(j < spec.height // 2, lo, hi) + offset
-    elif kind == "random":
+    else:  # random
         amp = float(cfg.get("amplitude", 1.0))
         seed = int(cfg.get("seed", spec.seed))
         vals = amp * (2.0 * splitmix64_uniform(seed, spec.height) - 1.0) + offset
-    else:
-        raise ValueError(f"unknown kappa kind {kind!r}")
     return PhaseSequence(vals, boundary_j=spec.boundary_j)
 
 
 def make_v0(spec: ExperimentSpec) -> np.ndarray:
     """Localized perturbation v0 on the window (zero, bump, or summable noise)."""
     cfg = spec.v0
-    kind = cfg.get("kind", "none")
+    kind = _kind("v0", cfg)
     shape = (spec.width, spec.height)
     if kind == "none":
         return np.zeros(shape)
@@ -234,14 +248,13 @@ def make_v0(spec: ExperimentSpec) -> np.ndarray:
         amp = float(cfg.get("amp", 0.5))
         width = float(cfg.get("width", 3.0))
         return amp * np.exp(-((i - ci) ** 2 + (j - cj) ** 2) / (2.0 * width * width))
-    if kind == "random_l1":
-        amp = float(cfg.get("amp", 0.5))
-        decay = float(cfg.get("decay", 4.0))
-        seed = int(cfg.get("seed", spec.seed))
-        noise = 2.0 * splitmix64_uniform(seed, spec.width * spec.height) - 1.0
-        envelope = np.exp(-(np.abs(i - ci) + np.abs(j - cj)) / decay)
-        return amp * noise.reshape(shape) * envelope
-    raise ValueError(f"unknown v0 kind {kind!r}")
+    # random_l1
+    amp = float(cfg.get("amp", 0.5))
+    decay = float(cfg.get("decay", 4.0))
+    seed = int(cfg.get("seed", spec.seed))
+    noise = 2.0 * splitmix64_uniform(seed, spec.width * spec.height) - 1.0
+    envelope = np.exp(-(np.abs(i - ci) + np.abs(j - cj)) / decay)
+    return amp * noise.reshape(shape) * envelope
 
 
 def make_initial(spec: ExperimentSpec, w: WaveProfile) -> LatticeField:
@@ -279,11 +292,23 @@ def _report(spec: ExperimentSpec, series: dict, verdicts: dict, **kw) -> Experim
                             verdicts=verdicts, provenance=provenance, **kw)
 
 
-def _trajectory(spec: ExperimentSpec, w: Optional[WaveProfile], need_d: bool):
+def _pipeline(runner):
+    """``runner`` on its spec built anew (``__post_init__`` is idempotent),
+    so a field assigned after construction is checked before any solve."""
+    @functools.wraps(runner)
+    def checked(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> ExperimentReport:
+        return runner(replace(spec), w)
+    return checked
+
+
+def _trajectory(spec: ExperimentSpec, w: Optional[WaveProfile], need_d: bool,
+                observe: Optional[Callable[..., None]] = None):
     """Solve the wave (with ``need_d``, also its adjoint, ``d`` and ``r``)
-    unless given, run the lattice from :func:`make_initial` and extract the
-    phase of every snapshot: ``(w, [(t, u, PhaseExtract), ...], k0)``.  A
-    given wave must be the spec's own (nonlinearity, ``a``, ``L``, ``h``).
+    unless given, run the lattice from :func:`make_initial` and reduce each
+    snapshot as it is made: its phase, and whatever ``observe(w, t, u, g)``
+    keeps.  Returns ``(w, [(t, PhaseExtract), ...], k0, u_end)``: no field
+    but the last outlives the run.  A given wave must be the spec's own
+    (nonlinearity, ``a``, ``L``, ``h``).
 
     ``k0`` indexes the hand-off snapshot, the first at ``t >= tau``; its
     phase must be defined on every row, else :class:`PreAsymptotic`.  The
@@ -299,58 +324,62 @@ def _trajectory(spec: ExperimentSpec, w: Optional[WaveProfile], need_d: bool):
                          f"spec's ({f.kind}, a={spec.a}, L={spec.L}, h={spec.h})")
     if need_d and w.d is None:
         solve_r(w)
-    cfg = spec.sim_config(w.f)
     margin = math.ceil(spec.L)
     traj = []
-
-    def observe(t: float, u: LatticeField) -> None:
+    for t, u in sim.snapshots(make_initial(spec, w), spec.sim_config(w.f)):
         g = phase.extract(u, w)
         k = g.i_star[g.defined_mask] - u.i_offset
         if k.size and min(k.min(), u.width - 2 - k.max()) < margin:
             raise OutOfRange(f"front anchor within {margin} cells of a window edge "
                              f"at t={t:g}")
-        traj.append((t, u, g))
-
-    sim.run(make_initial(spec, w), cfg, observers=[observe])
-    k0 = next((k for k, (t, _, _) in enumerate(traj) if t >= spec.tau), None)
+        if observe is not None:
+            observe(w, t, u, g)
+        traj.append((t, g))
+    k0 = next((k for k, (t, _) in enumerate(traj) if t >= spec.tau), None)
     if k0 is None:
         raise PreAsymptotic(f"no snapshot at or after tau={spec.tau:g}")
-    t0, _, g0 = traj[k0]
+    t0, g0 = traj[k0]
     if not g0.all_defined:
         raise PreAsymptotic(f"phase undefined on some rows at tau={t0:g}")
-    return w, traj, k0
+    return w, traj, k0, u
 
 
 def _track_mcf(w: WaveProfile, traj, k0: int, **kw):
     """Curvature flow from the phase at ``traj[k0]`` over the later
     snapshot times (``kw`` goes to :func:`flow.mcf_solve`), its parameters,
     and its sup gap to every later phase defined on every row."""
-    t0, _, g0 = traj[k0]
+    t0, g0 = traj[k0]
     params = flow.FlowParams(c=w.c, d=w.d)
-    mcf = flow.mcf_solve(g0.gamma, params, t_grid=[t - t0 for t, _, _ in traj[k0:]], **kw)
+    mcf = flow.mcf_solve(g0.gamma, params, t_grid=[t - t0 for t, _ in traj[k0:]], **kw)
     gap_series = [(t, float(np.max(np.abs(g.gamma.values - mcf.values[k]))))
-                  for k, (t, _, g) in enumerate(traj[k0:]) if g.all_defined]
+                  for k, (t, g) in enumerate(traj[k0:]) if g.all_defined]
     return mcf, params, gap_series
 
 
+@_pipeline
 def run_thm22(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> ExperimentReport:
     """Front convergence: sup distance to the fitted profile falls below
     tolerance by ``t_end``."""
-    w, traj, _ = _trajectory(spec, w, need_d=False)
-    defined = [(t, u, g) for t, u, g in traj if g.all_defined]
-    fe_series = [(t, phase.front_error(u, w, g)) for t, u, g in defined]
-    fl_series = [(t, phase.flatness(g)) for t, _, g in defined]
+    fe_series = []
+
+    def front_error(w: WaveProfile, t: float, u: LatticeField, g: phase.PhaseExtract):
+        if g.all_defined:
+            fe_series.append((t, phase.front_error(u, w, g)))
+
+    _, traj, _, _ = _trajectory(spec, w, need_d=False, observe=front_error)
+    fl_series = [(t, phase.flatness(g)) for t, g in traj if g.all_defined]
     final = fe_series[-1][1]
     return _report(spec, {"front_error": fe_series, "flatness": fl_series},
                    {"front_error_final": _verdict(final, spec.tolerances["front_error"])})
 
 
+@_pipeline
 def run_thm23(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> ExperimentReport:
     """Curvature-flow tracking: hand the extracted phase at ``tau`` to the
     discrete curvature flow and bound the gap up to ``t_end``."""
-    w, traj, k0 = _trajectory(spec, w, need_d=True)
+    w, traj, k0, _ = _trajectory(spec, w, need_d=True)
     handoff_tol = spec.tolerances["flatness_handoff"]
-    t0, _, g0 = traj[k0]
+    t0, g0 = traj[k0]
     fl0 = phase.flatness(g0)
     if fl0 > handoff_tol:
         raise FlatnessViolated(
@@ -358,7 +387,7 @@ def run_thm23(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Experime
     mcf, params, gap_series = _track_mcf(w, traj, k0)
     vtr = flow.v_solve(g0.gamma, params, t_grid=mcf.times)
     v_gap_series = [(t, float(np.max(np.abs(mcf.values[k] - vtr.values[k]))))
-                    for k, (t, _, g) in enumerate(traj[k0:]) if g.all_defined]
+                    for k, (t, g) in enumerate(traj[k0:]) if g.all_defined]
     sup_gap = max(v for _, v in gap_series)
     sup_v_gap = max(v for _, v in v_gap_series)
     tol = spec.tolerances["tracking"]
@@ -377,22 +406,23 @@ def _mu_prediction(w: WaveProfile, g: phase.PhaseExtract, tau: float) -> float:
     return float(np.log(np.mean(np.exp(w.d * rel))) / w.d)
 
 
+@_pipeline
 def run_thm24(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> ExperimentReport:
     """Limiting offset of a periodically modulated front: fit ``mu`` from
     late snapshots, check stability, the final profile fit, and the
     averaging prediction."""
-    w, traj, k0 = _trajectory(spec, w, need_d=True)
+    w, traj, k0, u_end = _trajectory(spec, w, need_d=True)
     mu_series = [(t, float(np.mean(g.gamma.values)) - w.c * t)
-                 for t, _, g in traj if g.all_defined]
+                 for t, g in traj if g.all_defined]
     n = len(mu_series)
     tail10 = [v for _, v in mu_series[max(0, n - max(1, n // 10)):]]
     tail20 = [v for _, v in mu_series[max(0, n - max(1, n // 5)):]]
     mu_hat = float(np.mean(tail10))
     mu_spread = float(max(tail20) - min(tail20))
-    t_end, u_end, _ = traj[-1]
+    t_end = traj[-1][0]
     i = u_end.lattice_i().astype(float)[:, None]
     final_err = float(np.max(np.abs(u_end.values - w.phi_at(i - w.c * t_end - mu_hat))))
-    t_tau, _, g_tau = traj[k0]
+    t_tau, g_tau = traj[k0]
     mu_pred = _mu_prediction(w, g_tau, t_tau)
     tols = spec.tolerances
     return _report(spec, {"mu_of_t": mu_series,
@@ -404,6 +434,7 @@ def run_thm24(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Experime
                    mu_hat=mu_hat, mu_pred=mu_pred)
 
 
+@_pipeline
 def run_step_kappa(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> ExperimentReport:
     """Step-shaped phase: edge rows settle at the two plateau offsets while
     the transition zone is tracked by the curvature flow and spreads like
@@ -415,8 +446,8 @@ def run_step_kappa(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Exp
     hi = float(kappa.values[-1])
     if lo == hi:
         raise ValueError(f"step_kappa needs two distinct plateaus, got both at {lo:g}")
-    w, traj, k0 = _trajectory(spec, w, need_d=True)
-    t_end, _, g_end = traj[-1]
+    w, traj, k0, _ = _trajectory(spec, w, need_d=True)
+    t_end, g_end = traj[-1]
     if not g_end.all_defined:
         raise PreAsymptotic("phase undefined on some rows at t_end")
     rows = 3

@@ -31,7 +31,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
     "SimConfig",
     "SuperSubSpec",
     "step",
+    "snapshots",
     "run",
     "verify_supersub",
     "search_planar_constants",
@@ -144,37 +145,42 @@ def step(u: LatticeField, cfg: SimConfig) -> LatticeField:
         raise NonFinite("simulation step produced non-finite values") from exc
 
 
-def run(u0: LatticeField, cfg: SimConfig,
-        observers: Iterable[Callable[[float, LatticeField], None]] = (),
-        writer: Optional["SnapshotWriter"] = None) -> list[tuple[float, LatticeField]]:
+def snapshots(u0: LatticeField, cfg: SimConfig) -> Iterator[tuple[float, LatticeField]]:
     """Integrate from ``u0`` in the fewest steps that reach ``t_end`` (to
     within 1e-9 of a step, so a ``t_end`` on the step grid is hit exactly),
-    recording every ``record_every`` steps (the initial and final states are
-    always included).
+    yielding ``(t, u)`` every ``record_every`` steps (the initial state, a
+    copy of ``u0``, and the final state are always included).
 
-    ``u0`` must have the window size and ``boundary_j`` of ``cfg``; its
-    ``i_offset`` is free."""
+    The one stepping loop: it keeps no snapshot, so a caller that reduces
+    each field as it arrives holds at most the field in hand and the one
+    being stepped.  ``u0`` must have the window size and ``boundary_j`` of
+    ``cfg`` (else ``ValueError`` before any step); its ``i_offset`` is free."""
     if u0.values.shape != (cfg.width, cfg.height) or u0.boundary_j != cfg.boundary_j:
         raise ValueError(
             f"initial field is {u0.width}x{u0.height} {u0.boundary_j}, config is "
             f"{cfg.width}x{cfg.height} {cfg.boundary_j}")
-    observers = tuple(observers)
     n_steps = int(math.ceil(cfg.t_end / cfg.dt - 1e-9))
-    snaps: list[tuple[float, LatticeField]] = []
+    u = u0.copy()
+    yield 0.0, u
+    for k in range(1, n_steps + 1):
+        u = step(u, cfg)
+        if k % cfg.record_every == 0 or k == n_steps:
+            yield k * cfg.dt, u
 
-    def emit(t: float, u: LatticeField) -> None:
+
+def run(u0: LatticeField, cfg: SimConfig,
+        observers: Iterable[Callable[[float, LatticeField], None]] = (),
+        writer: Optional["SnapshotWriter"] = None) -> list[tuple[float, LatticeField]]:
+    """Every record of :func:`snapshots`, as a list; each is handed to the
+    ``observers`` and the ``writer`` as it is made."""
+    observers = tuple(observers)
+    snaps = []
+    for t, u in snapshots(u0, cfg):
         snaps.append((t, u))
         for obs in observers:
             obs(t, u)
         if writer is not None:
             writer.write(u, t)
-
-    u = u0.copy()
-    emit(0.0, u)
-    for k in range(1, n_steps + 1):
-        u = step(u, cfg)
-        if k % cfg.record_every == 0 or k == n_steps:
-            emit(k * cfg.dt, u)
     return snaps
 
 

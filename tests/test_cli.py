@@ -372,6 +372,9 @@ def test_experiment_bad_tolerance_or_period_fails_before_the_wave_solve(
     ("a = abc", "a must be real, got 'abc'"),
     ("a = 1.5", "detuning a must lie in (0, 1), got 1.5"),
     ("boundary_j = reflct", "boundary_j must be one of ('periodic', 'reflect')"),
+    ("kappa_kind = sawtooth",
+     "unknown kappa kind 'sawtooth'; known: ['periodic', 'step', 'random']"),
+    ("v0_kind = bump", "unknown v0 kind 'bump'; known: ['none', 'gaussian_bump', 'random_l1']"),
 ])
 def test_experiment_bad_setting_fails_before_the_wave_solve(
         tmp_path, capsys, monkeypatch, line, message):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -179,10 +180,44 @@ def test_spec_rejects_unknown_or_non_numeric_tolerances_and_fractional_period():
     ("h", 0.3, "1/h must be an integer, got h=0.3"),
     ("L", 20.03, "L must be a multiple of h, got L=20.03, h=0.0625"),
     ("L", 1.0, "half-width L must be at least 2"),
+    ("kappa", {"kind": "sawtooth"},
+     "unknown kappa kind 'sawtooth'; known: ['periodic', 'step', 'random']"),
+    ("v0", {"kind": "bump"},
+     "unknown v0 kind 'bump'; known: ['none', 'gaussian_bump', 'random_l1']"),
 ])
 def test_spec_checks_every_setting_when_built(key, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ExperimentSpec(name="thm23", **{key: value})
+
+
+@pytest.mark.parametrize("runner", [run_thm22, run_thm23, run_thm24, run_step_kappa])
+@pytest.mark.parametrize("key, value, message", [
+    ("dt", -1.0, "dt must be positive and finite, got -1.0"),
+    ("v0", {"kind": "bump"},
+     "unknown v0 kind 'bump'; known: ['none', 'gaussian_bump', 'random_l1']"),
+    ("kappa", {"kind": "sawtooth"},
+     "unknown kappa kind 'sawtooth'; known: ['periodic', 'step', 'random']"),
+], ids=["dt", "v0_kind", "kappa_kind"])
+def test_pipeline_checks_fields_assigned_after_the_spec_was_built(monkeypatch, runner, key,
+                                                                  value, message):
+    def no_solve(*args, **kw):
+        raise AssertionError("the wave was solved")
+
+    monkeypatch.setattr(harness, "solve_wave", no_solve)
+    spec = default_spec(runner.__name__.removeprefix("run_"))
+    setattr(spec, key, value)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        runner(spec)
+
+
+def test_pipeline_runs_a_spec_reseeded_after_it_was_built(wave03):
+    """The benchmark's pattern: a built spec given a new seed and v0."""
+    spec = fast_spec("thm22")
+    spec.seed = 5
+    spec.v0 = {"kind": "random_l1", "amp": 0.1, "decay": 4.0}
+    report = run_experiment(spec, wave03)
+    assert report.config["seed"] == 5 and report.config["v0"]["kind"] == "random_l1"
+    assert report.config == spec.config_dict()
 
 
 def test_spec_accepts_numpy_scalars_and_default_steps():
@@ -213,7 +248,7 @@ def test_pipeline_refuses_a_wave_that_is_not_the_specs(wave03, monkeypatch, spec
     def no_run(*args, **kw):
         raise AssertionError("the lattice ran")
 
-    monkeypatch.setattr(harness.sim, "run", no_run)
+    monkeypatch.setattr(harness.sim, "snapshots", no_run)
     w = wave03 if wave_f is None else dataclasses.replace(wave03, f=wave_f)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_experiment(spec, w)
@@ -310,6 +345,26 @@ def test_step_kappa_requires_reflect(wave03):
         run_step_kappa(spec, wave03)
 
 
+@pytest.mark.parametrize("runner", [run_thm22, run_thm24])
+def test_pipeline_keeps_at_most_two_stepped_fields(wave03, monkeypatch, runner):
+    """Each snapshot is reduced as it is made: when ``sim.step`` is called,
+    at most two fields it returned before are alive (the one being stepped
+    and the pipeline's last snapshot)."""
+    stepped, alive_at_call = [], []
+    step = harness.sim.step
+
+    def counting_step(u, cfg):
+        alive_at_call.append(sum(ref() is not None for ref in stepped))
+        out = step(u, cfg)
+        stepped.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(harness.sim, "step", counting_step)
+    report = runner(fast_spec(runner.__name__.removeprefix("run_"), t_end=30.0), wave03)
+    assert report.passed
+    assert len(stepped) == 90 and max(alive_at_call) == 2
+
+
 def test_report_ndjson_reproducible(tmp_path, wave03):
     spec = fast_spec("thm22")
     paths = []
@@ -361,7 +416,7 @@ def test_step_kappa_with_equal_plateaus_fails_before_the_lattice_runs(wave03, mo
     def no_run(*args, **kw):
         raise AssertionError("the lattice ran")
 
-    monkeypatch.setattr(harness.sim, "run", no_run)
+    monkeypatch.setattr(harness.sim, "snapshots", no_run)
     spec = ExperimentSpec(name="step_kappa", width=96, height=32, t_end=40.0, tau=20.0,
                           boundary_j="reflect", kappa={"kind": "step", "lo": 2.0, "hi": 2.0})
     with pytest.raises(ValueError, match="two distinct plateaus"):

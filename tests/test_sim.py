@@ -15,9 +15,10 @@ from acfront.core import BistableNonlinearity, LatticeField, PhaseSequence, _fla
 from acfront.errors import NonFinite, OutOfRange, VerificationFailed
 from acfront.flow import FlowParams, v_solve
 from acfront.harness import splitmix64_uniform
+from acfront import sim
 from acfront.sim import (SimConfig, SuperSubSpec, _curved_pair, _planar_pair, load_snapshot,
-                         read_snapshots, run, save_snapshot, search_planar_constants, step,
-                         verify_supersub, SnapshotWriter)
+                         read_snapshots, run, save_snapshot, search_planar_constants,
+                         snapshots, step, verify_supersub, SnapshotWriter)
 
 F03 = BistableNonlinearity(a=0.3)
 _TABLE_U = np.linspace(-1.0, 2.0, 61)
@@ -202,6 +203,34 @@ def test_run_rejects_field_of_another_geometry():
     # the window position is free
     snaps = run(LatticeField(np.zeros((16, 8)), i_offset=5, boundary_j="reflect"), cfg)
     assert snaps[-1][1].i_offset == 5
+
+
+@pytest.mark.parametrize("boundary_j", ["periodic", "reflect"])
+def test_snapshots_yield_the_records_of_run(boundary_j):
+    """``run`` lists what the ``snapshots`` loop yields: the same times and
+    bit-identical fields, the last one off the record grid included."""
+    cfg = SimConfig(F03, t_end=2.5, record_every=3, width=12, height=6,
+                    boundary_j=boundary_j)
+    u0 = LatticeField(splitmix64_uniform(5, 12 * 6).reshape(12, 6), i_offset=-3,
+                      boundary_j=boundary_j)
+    listed = run(u0, cfg)
+    streamed = [(t, u.values.copy()) for t, u in snapshots(u0, cfg)]
+    assert ([t for t, _ in streamed] == [t for t, _ in listed]
+            == [k * cfg.dt for k in (0, 3, 6, 8)])
+    for (_, v), (_, u) in zip(streamed, listed):
+        assert v.tobytes() == u.values.tobytes()
+    assert all(u.i_offset == -3 for _, u in listed)
+
+
+def test_snapshots_reject_field_of_another_geometry_before_any_step(monkeypatch):
+    def no_step(*args, **kw):
+        raise AssertionError("the lattice stepped")
+
+    monkeypatch.setattr(sim, "step", no_step)
+    cfg = SimConfig(F03, t_end=1.0, width=16, height=8, boundary_j="reflect")
+    with pytest.raises(ValueError, match="^initial field is 16x8 periodic, config is "
+                                         "16x8 reflect$"):
+        next(snapshots(LatticeField(np.zeros((16, 8))), cfg))
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
