@@ -24,9 +24,10 @@ e^{-500}-scale Cole-Hopf values.
 
 ``CubicSpline`` is the package's one interpolating spline: the profile and
 corrector of ``wave`` and the tabulated nonlinearity use it.  It reproduces
-``scipy.interpolate.CubicSpline`` bit for bit without importing
-``scipy.interpolate``, whose import alone costs more than the whole
-travelling-wave set-up.
+``scipy.interpolate.CubicSpline`` bit for bit on numpy alone: its tridiagonal
+solve ``_gtsv`` transcribes reference LAPACK ``dgtsv``, the routine behind
+``scipy.linalg.solve_banded((1, 1), ...)``.  Importing scipy costs more than
+the whole travelling-wave set-up.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 __all__ = [
     "BistableNonlinearity",
@@ -59,8 +59,8 @@ class CubicSpline:
     finite knots.
 
     It is ``scipy.interpolate.CubicSpline`` restricted to 1-d data and these
-    two end conditions, bit for bit: the knot slopes solve scipy's banded
-    system with ``scipy.linalg.solve_banded``, ``c`` holds its piecewise
+    two end conditions, bit for bit: the knot slopes solve scipy's tridiagonal
+    system with ``_gtsv``, as scipy does with LAPACK, ``c`` holds its piecewise
     coefficients (``c[m, k]`` multiplies ``(x - x[k])**(3 - m)``), and a call
     sums the terms in scipy's order.  Points outside ``[x[0], x[-1]]``
     extrapolate the end pieces.
@@ -77,27 +77,27 @@ class CubicSpline:
         if np.any(dx <= 0.0):
             raise ValueError("x must be strictly increasing")
         slope = np.diff(y) / dx
-        # rows of the tridiagonal system for the knot slopes s, scipy's layout
-        A = np.zeros((3, x.size))
+        # the tridiagonal system for the knot slopes s, scipy's rows:
+        # sub-, main and superdiagonal
+        dl = np.append(dx[1:], 0.0)
+        d = np.empty(x.size)
+        du = np.insert(dx[:-1], 0, 0.0)
         b = np.empty(x.size)
-        A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-        A[0, 2:] = dx[:-1]
-        A[-1, :-2] = dx[1:]
+        d[1:-1] = 2 * (dx[:-1] + dx[1:])
         b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
         if bc_type == "clamped":
-            A[1, 0] = A[1, -1] = 1.0
+            d[0] = d[-1] = 1.0
             b[0] = b[-1] = 0.0
         elif bc_type == "not-a-knot":
-            d = x[2] - x[0]
-            A[1, 0], A[0, 1] = dx[1], d
-            b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-            d = x[-1] - x[-3]
-            A[1, -1], A[-1, -2] = dx[-2], d
-            b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+            span = x[2] - x[0]
+            d[0], du[0] = dx[1], span
+            b[0] = ((dx[0] + 2 * span) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / span
+            span = x[-1] - x[-3]
+            d[-1], dl[-1] = dx[-2], span
+            b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * span + dx[-1]) * dx[-2] * slope[-1]) / span
         else:
             raise ValueError(f"bc_type must be 'clamped' or 'not-a-knot', got {bc_type!r}")
-        s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
-                         check_finite=False)
+        s = _gtsv(dl, d, du, b)
         # Hermite data (y, s) to power-basis coefficients per interval
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         self.x = x
@@ -138,6 +138,52 @@ class CubicSpline:
             out += s
         out += 0.0
         return out
+
+
+def _gtsv(dl, d, du, b) -> np.ndarray:
+    """Solution of the n x n tridiagonal system with main diagonal ``d``,
+    subdiagonal ``dl`` and superdiagonal ``du`` (``n - 1`` entries each;
+    ``dl[i]`` lies in row ``i + 1``, ``du[i]`` in row ``i``) and right-hand
+    side ``b``.
+
+    A transcription of reference LAPACK ``dgtsv`` for one right-hand side,
+    operation for operation, so the result equals
+    ``scipy.linalg.solve_banded((1, 1), ...)`` byte for byte: Gaussian
+    elimination that swaps rows ``i`` and ``i + 1`` when ``|d[i]| < |dl[i]|``
+    (the swapped row's fill-in is a second superdiagonal, kept in ``dl``),
+    then back substitution.  Raises ``numpy.linalg.LinAlgError`` at an
+    exactly zero pivot.  The inputs are left untouched.
+    """
+    dl, d, du, b = (np.asarray(v, dtype=float).tolist() for v in (dl, d, du, b))
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise np.linalg.LinAlgError("singular matrix")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            temp = b[i]
+            b[i] = b[i + 1]
+            b[i + 1] = temp - fact * b[i + 1]
+    if d[n - 1] == 0.0:
+        raise np.linalg.LinAlgError("singular matrix")
+    b[n - 1] = b[n - 1] / d[n - 1]
+    if n > 1:
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return np.array(b)
 
 
 @dataclass(frozen=True)
@@ -278,12 +324,14 @@ class LatticeField:
         """Lattice coordinates of the rows, ``i_offset .. i_offset+width-1``."""
         return self.i_offset + np.arange(self.width)
 
-    def padded(self) -> np.ndarray:
-        """Values with one ghost layer on every side, shape (W+2, H+2).  The
-        i-ghost rows are 0 and 1 whole, corners included, as
-        ``_flat_runs`` reads the corners into entries it discards."""
+    def padded(self, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Values with one ghost layer on every side, shape (W+2, H+2),
+        written into ``out`` when given.  The i-ghost rows are 0 and 1
+        whole, corners included, as ``_flat_runs`` reads the corners into
+        entries it discards."""
         w, h = self.values.shape
-        out = np.empty((w + 2, h + 2), dtype=float)
+        if out is None:
+            out = np.empty((w + 2, h + 2), dtype=float)
         out[0], out[1:-1, 1:-1], out[-1] = 0.0, self.values, 1.0
         return _fill_ghosts(out, self.boundary_j)
 
@@ -338,7 +386,8 @@ def _flat_laplacian(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lap.reshape(shape), c.reshape(shape)
 
 
-def _ssprk104(p0: np.ndarray, euler, boundary_j: str) -> np.ndarray:
+def _ssprk104(p0: np.ndarray, euler, boundary_j: str,
+              work: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None) -> np.ndarray:
     """One SSPRK(10,4) step (Ketcheson, SIAM J. Sci. Comput. 30, 2008) from
     the padded array ``p0``, last axis ``j``; returns the padded result.
 
@@ -351,12 +400,14 @@ def _ssprk104(p0: np.ndarray, euler, boundary_j: str) -> np.ndarray:
     Two padded buffers take turns as the stages, with ``p0[[0, -1]]`` (a
     lattice array's i-ghost rows) pinned in both and the j-ghosts filled by
     ``_fill_ghosts``; the combinations run in place in dead stage buffers.
-    Invalid operations (``inf - inf``) on non-finite stage values do not warn.
+    ``work``, if given, lends the two stage buffers and the buffer of
+    ``E(y5)``, none of them overlapping ``p0``; the result is the first.
+    Else they are made afresh.  Invalid operations (``inf - inf``) on
+    non-finite stage values do not warn.
     """
     u = p0[1:-1]
-    pa, pb = np.empty_like(p0), np.empty_like(p0)
+    pa, pb, e5 = (np.empty_like(p0), np.empty_like(p0), np.empty_like(u)) if work is None else work
     pa[[0, -1]] = pb[[0, -1]] = p0[[0, -1]]
-    e5 = np.empty_like(u)
     with np.errstate(invalid="ignore"):
         p = p0
         for q in (pa, pb, pa, pb):  # y2 .. y5

@@ -31,7 +31,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -112,7 +112,8 @@ class SimConfig:
         return _window_origin(self.width)
 
 
-def step(u: LatticeField, cfg: SimConfig) -> LatticeField:
+def step(u: LatticeField, cfg: SimConfig,
+         work: Optional[tuple[np.ndarray, ...]] = None) -> LatticeField:
     """One SSPRK(10,4) step (``core._ssprk104``) of ``u̇ = Δ⁺u + g(u)``,
     made of forward-Euler substeps ``E(v) = v + h (Δ⁺v + g(v))`` at
     ``h = dt / 6``.
@@ -122,8 +123,10 @@ def step(u: LatticeField, cfg: SimConfig) -> LatticeField:
     interior rows of the next stage's padded buffer, ghost columns
     included: the centre term ``g(v) - 4 v``
     (``BistableNonlinearity._centre_into``), plus the four neighbours, times
-    ``h``, plus ``v``.  No scratch array is made per substep; the stage
-    buffers are made afresh on each call, and ``u`` is left untouched.
+    ``h``, plus ``v``.  No scratch array is made per substep, and ``u`` is
+    left untouched.  The padded input, the two stage buffers and ``E(y5)``
+    are made afresh on each call, unless ``work`` lends them, in that
+    order; the result is a view into the first stage buffer.
 
     The one finiteness check is the result field's own: a non-finite stage
     value raises :class:`NonFinite`.  The overflow that made it warns.
@@ -138,7 +141,10 @@ def step(u: LatticeField, cfg: SimConfig) -> LatticeField:
         o *= h
         o += c
 
-    p = _ssprk104(u.padded(), euler, u.boundary_j)
+    if work is None:
+        p = _ssprk104(u.padded(), euler, u.boundary_j)
+    else:
+        p = _ssprk104(u.padded(work[0]), euler, u.boundary_j, work[1:])
     try:
         return LatticeField(p[1:-1, 1:-1], i_offset=u.i_offset, boundary_j=u.boundary_j)
     except ValueError as exc:  # the field's own finiteness check
@@ -153,8 +159,11 @@ def snapshots(u0: LatticeField, cfg: SimConfig) -> Iterator[tuple[float, Lattice
 
     The one stepping loop: it keeps no snapshot, so a caller that reduces
     each field as it arrives holds at most the field in hand and the one
-    being stepped.  ``u0`` must have the window size and ``boundary_j`` of
-    ``cfg`` (else ``ValueError`` before any step); its ``i_offset`` is free."""
+    being stepped.  Every step works in the same lent buffers, and only a
+    step that is yielded writes its result into a fresh array, so a run
+    allocates per snapshot, not per step.  ``u0`` must have the window size
+    and ``boundary_j`` of ``cfg`` (else ``ValueError`` before any step); its
+    ``i_offset`` is free."""
     if u0.values.shape != (cfg.width, cfg.height) or u0.boundary_j != cfg.boundary_j:
         raise ValueError(
             f"initial field is {u0.width}x{u0.height} {u0.boundary_j}, config is "
@@ -162,23 +171,25 @@ def snapshots(u0: LatticeField, cfg: SimConfig) -> Iterator[tuple[float, Lattice
     n_steps = int(math.ceil(cfg.t_end / cfg.dt - 1e-9))
     u = u0.copy()
     yield 0.0, u
+    padded = np.empty((cfg.width + 2, cfg.height + 2))
+    spare, stage = np.empty_like(padded), np.empty_like(padded)
+    e5 = np.empty((cfg.width, cfg.height + 2))
     for k in range(1, n_steps + 1):
-        u = step(u, cfg)
-        if k % cfg.record_every == 0 or k == n_steps:
+        record = k % cfg.record_every == 0 or k == n_steps
+        # ``step`` copies ``u`` into ``padded`` first, so ``spare`` may back it
+        out = np.empty_like(spare) if record else spare
+        u = step(u, cfg, (padded, out, stage, e5))
+        if record:
             yield k * cfg.dt, u
 
 
 def run(u0: LatticeField, cfg: SimConfig,
-        observers: Iterable[Callable[[float, LatticeField], None]] = (),
         writer: Optional["SnapshotWriter"] = None) -> list[tuple[float, LatticeField]]:
     """Every record of :func:`snapshots`, as a list; each is handed to the
-    ``observers`` and the ``writer`` as it is made."""
-    observers = tuple(observers)
+    ``writer`` as it is made."""
     snaps = []
     for t, u in snapshots(u0, cfg):
         snaps.append((t, u))
-        for obs in observers:
-            obs(t, u)
         if writer is not None:
             writer.write(u, t)
     return snaps

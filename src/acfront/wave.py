@@ -10,9 +10,11 @@ with ``Phi(-inf) = 0``, ``Phi(+inf) = 1`` and the phase fixed by
 grid over ``[-L, L]`` whose spacing divides 1, so the unit shifts are exact
 index offsets, and the joint system in ``(Phi, c)`` is solved by damped
 Newton.  ``Phi'`` uses central differences.  Every stencil operator is a
-banded ``scipy.sparse`` CSR matrix and stays sparse: no n x n dense array
-is formed.  Every linear solve of the module (Newton steps, ``psi`` and
-``r``) is one sparse LU of such a matrix bordered by one row and one column.
+banded matrix stored by diagonals (``_Band``): no n x n dense array is
+formed.  Every linear solve of the module (Newton steps, ``psi``, ``r`` and
+``c_theta``) is such a matrix bordered by one row and one column (Keller
+1977), solved on numpy alone by ``_bordered_solve``: block-tridiagonal
+elimination with iterative refinement to a backward error at round-off.
 
 Reads beyond the grid are closed with the linearized tail recurrence: a ghost
 at distance ``m`` past an edge reads ``equilibrium + (edge - equilibrium) *
@@ -45,8 +47,6 @@ from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .core import BistableNonlinearity, CubicSpline
 from .errors import (
@@ -125,17 +125,43 @@ def _interp_pieces(offset: float, h: float) -> list[tuple[int, float]]:
     ]
 
 
+class _Band:
+    """Square matrix stored by diagonals: ``data[k, i]`` is the entry in row
+    ``i`` and column ``i + k - width``, for ``width = (len(data) - 1) // 2``.
+    Slots whose column lies off the matrix hold 0."""
+
+    def __init__(self, data: np.ndarray):
+        self.data = data
+        self.width = (data.shape[0] - 1) // 2
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The product with the vector ``x``; each row sums its slots in
+        column order."""
+        n, w = self.data.shape[1], self.width
+        xp = np.zeros(n + 2 * w)
+        xp[w:w + n] = x
+        out = self.data[0] * xp[:n]
+        for k in range(1, 2 * w + 1):
+            out += self.data[k] * xp[k:k + n]
+        return out
+
+
 def _stencil_affine(n: int, pieces: Sequence[tuple[int, float]],
-                    rho_l: float, rho_r: float,
-                    right_target: float = 1.0) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
-    """CSR matrix and constant part of an affine stencil with tail closure.
+                    rho_l: float, rho_r: float, right_target: float = 1.0,
+                    width: Optional[int] = None) -> tuple[_Band, np.ndarray]:
+    """Banded matrix and constant part of an affine stencil with tail closure.
 
     A read at column ``-m`` (left ghost) resolves to ``Phi_0 * rho_l^m``; a
     read at ``n-1+m`` resolves to ``e + (Phi_{n-1} - e) * rho_r^m`` where
     ``e`` is the right equilibrium (1 for the profile, 0 for the adjoint).
-    Each entry sums its reads in piece order, as one dense pass per piece would.
+    Every resolved read stays within the largest piece offset of its row, so
+    the matrix has that bandwidth; ``width`` (at least it) sets the stored
+    one.  Each entry sums its reads in piece order, as one dense pass per
+    piece would.
     """
     offs, wgts = zip(*pieces)
+    if width is None:
+        width = max(abs(off) for off in offs)
     wgt = np.array(wgts, dtype=float)[:, None]
     cols = np.arange(n) + np.array(offs)[:, None]
     rows = np.broadcast_to(np.arange(n), cols.shape)
@@ -143,13 +169,13 @@ def _stencil_affine(n: int, pieces: Sequence[tuple[int, float]],
     # the distance past the edge is 0 inside the grid, where rho^0 = 1 (also
     # for rho = 0); np.bincount sums each entry in piece order
     decay = np.where(cols < 0, rho_l, rho_r) ** np.abs(cols - edge)
-    keys, entry = np.unique((rows * n + edge).ravel(), return_inverse=True)
-    vals = np.bincount(entry, weights=(wgt * decay).ravel())
-    M = scipy.sparse.csr_matrix((vals, (keys // n, keys % n)), shape=(n, n))
+    slot = (edge - rows + width) * n + rows
+    data = np.bincount(slot.ravel(), weights=(wgt * decay).ravel(),
+                       minlength=(2 * width + 1) * n).reshape(2 * width + 1, n)
     right = cols > n - 1
     b = np.bincount(rows[right], weights=(wgt * right_target * (1.0 - decay))[right],
                     minlength=n)
-    return M, b
+    return _Band(data), b
 
 
 def _tail_rate(f: BistableNonlinearity, c: float, shifts: Sequence[float],
@@ -208,7 +234,8 @@ def _tail_rate(f: BistableNonlinearity, c: float, shifts: Sequence[float],
 
 class _System:
     """Discretized travelling-wave system for a fixed shift set and right
-    tail target (1 for the profile, 0 for the adjoint)."""
+    tail target (1 for the profile, 0 for the adjoint).  Its operators share
+    one stored bandwidth, the largest offset of their pieces."""
 
     def __init__(self, f: BistableNonlinearity, n: int, h: float,
                  shifts: Sequence[float], right_target: float = 1.0):
@@ -219,32 +246,130 @@ class _System:
         self.right_target = right_target
         self.shift_pieces = [piece for alpha in self.shifts for piece in _interp_pieces(alpha, h)]
         self.shift_pieces.append((0, -float(len(self.shifts))))
+        self.width = max(abs(off) for off, _ in self.shift_pieces + _deriv_pieces(h))
 
     def build(self, c: float, rho: Optional[tuple[float, float]] = None):
         if rho is None:
             rho = (_tail_rate(self.f, c, self.shifts, self.h, "left"),
                    _tail_rate(self.f, c, self.shifts, self.h, "right"))
         self.rho = rho
-        tails = (*rho, self.right_target)
+        tails = (*rho, self.right_target, self.width)
         self.D, self.bD = _stencil_affine(self.n, _deriv_pieces(self.h), *tails)
         self.S, self.bS = _stencil_affine(self.n, self.shift_pieces, *tails)
 
     def residual(self, phi: np.ndarray, c: float) -> np.ndarray:
         return c * (self.D @ phi + self.bD) + self.S @ phi + self.bS + self.f(phi)
 
-    def jacobian(self, phi: np.ndarray, c: float) -> scipy.sparse.csr_matrix:
-        return c * self.D + self.S + scipy.sparse.diags(self.f.dg(phi))
+    def jacobian(self, phi: np.ndarray, c: float) -> _Band:
+        data = c * self.D.data + self.S.data
+        data[self.width] += self.f.dg(phi)
+        return _Band(data)
 
 
-def _bordered_solve(A: scipy.sparse.csr_matrix, col: np.ndarray, row: np.ndarray,
+_EPS = np.finfo(float).eps
+
+
+def _bordered_solve(A: _Band, col: np.ndarray, row: np.ndarray,
                     rhs: np.ndarray, singular: Exception) -> np.ndarray:
-    """Solution of ``[[A, col], [row, 0]] x = rhs`` by one sparse LU; raises
-    ``singular`` when the bordered matrix is exactly singular."""
-    B = scipy.sparse.bmat([[A, col[:, None]], [row[None, :], None]], format="csc")
-    try:
-        return scipy.sparse.linalg.splu(B).solve(rhs)
-    except RuntimeError:
-        raise singular from None
+    """Solution of the bordered system ``B x = [[A, col], [row, 0]] x = rhs``.
+
+    Block-tridiagonal elimination with blocks as wide as the bandwidth of
+    ``A`` (``_BorderedBand``), then iterative refinement on the banded
+    residual, since the elimination does not pivot between blocks (Skeel,
+    Math. Comp. 35, 1980).  It follows LAPACK ``dgerfs``'s stopping rule:
+    ``x`` is corrected while the normwise backward error
+    ``|rhs - B x| / (|B| |x| + |rhs|)`` (sup-norms) is above eps and at most
+    half the previous one, at most 5 times.  Raises ``singular`` when a
+    pivot block is exactly singular or the backward error ends above 8 eps.
+    """
+    norm_b = max((np.abs(A.data).sum(axis=0) + np.abs(col)).max(), np.abs(row).sum())
+    norm_rhs = np.abs(rhs).max()
+    # a non-finite solution fails the backward-error gate; it need not warn
+    with np.errstate(all="ignore"):
+        try:
+            solver = _BorderedBand(A, col, row)
+            x = solver.solve(rhs)
+            previous = math.inf
+            for step in range(6):
+                res = np.append(rhs[:-1] - (A @ x[:-1] + col * x[-1]), rhs[-1] - row @ x[:-1])
+                err = np.abs(res).max()
+                omega = err / (norm_b * np.abs(x).max() + norm_rhs) if err else 0.0
+                if not (omega > _EPS and 2.0 * omega <= previous and step < 5):
+                    break
+                x = x + solver.solve(res)
+                previous = omega
+        except np.linalg.LinAlgError:
+            raise singular from None
+    if not omega <= 8.0 * _EPS:
+        raise singular
+    return x
+
+
+class _BorderedBand:
+    """The block elimination of ``[[A, col], [row, 0]]`` for
+    :func:`_bordered_solve`, kept to solve one right-hand side after another.
+
+    Identity rows pad ``A`` to ``K`` whole blocks of ``m`` rows, ``m`` no less
+    than its bandwidth, so block row ``k`` couples only to its neighbours:
+    ``A_k,k-1``, ``A_k,k`` and ``A_k,k+1``.  The elimination meets the Schur
+    complements ``S_k = A_k,k - A_k,k-1 S_k-1^-1 A_k-1,k`` as its diagonal
+    blocks; one ``np.linalg.solve`` with each gives ``S_k^-1`` applied to
+    ``A_k,k+1``, to the border column and to the identity.  The border row
+    is eliminated alongside, and the last block with the border forms one
+    pivoted dense system.
+    """
+
+    def __init__(self, A: _Band, col: np.ndarray, row: np.ndarray):
+        n, w = col.size, A.width
+        m = max(w, 1)
+        K = -(-n // m)
+        data = np.zeros((2 * w + 1, K * m))
+        data[:, :n] = A.data
+        data[w, n:] = 1.0
+        # the rows of block k over the columns of blocks k - 1 .. k + 1:
+        # entry (k, i, i + j + m - w) of ``strips`` is entry (k, i, j) of ``skew``
+        strips = np.zeros((K, m, 3 * m))
+        st = strips.strides
+        skew = np.lib.stride_tricks.as_strided(strips[:, :, m - w:], shape=(K, m, 2 * w + 1),
+                                               strides=(st[0], st[1] + st[2], st[2]))
+        skew[...] = data.T.reshape(K, m, 2 * w + 1)
+        col, row = (np.append(v, np.zeros(K * m - n)).reshape(K, m) for v in (col, row))
+        self.n, self.low = n, strips[1:, :, :m]
+        self.inv, self.up, self.col, self.row = [], [], [], []
+        eye = np.eye(m)
+        col_k, row_k, corner = col[0], row[0], 0.0
+        for k in range(K):
+            block = strips[k, :, m:2 * m]
+            if k > 0:
+                block -= self.low[k - 1] @ self.up[-1]
+                col_k = col[k] - self.low[k - 1] @ self.col[-1]
+                row_k = row[k] - self.row[-1] @ self.up[-1]
+                corner -= self.row[-1] @ self.col[-1]
+            if k == K - 1:
+                break
+            solved = np.linalg.solve(block, np.column_stack((strips[k, :, 2 * m:], col_k, eye)))
+            self.up.append(solved[:, :m])
+            self.col.append(solved[:, m])
+            self.inv.append(solved[:, m + 1:])
+            self.row.append(row_k)
+        self.last = np.block([[block, col_k[:, None]], [row_k[None, :], np.array([[corner]])]])
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solution for the right-hand side ``rhs`` (``n + 1`` entries)."""
+        K, m = self.low.shape[0] + 1, self.last.shape[0] - 1
+        b = np.append(rhs[:-1], np.zeros(K * m - self.n)).reshape(K, m)
+        ys = []
+        b_k, beta = b[0], rhs[-1]
+        for k, inv in enumerate(self.inv):
+            ys.append(inv @ b_k)
+            beta = beta - self.row[k] @ ys[k]
+            b_k = b[k + 1] - self.low[k] @ ys[k]
+        x = np.empty((K, m))
+        tail = np.linalg.solve(self.last, np.append(b_k, beta))
+        x[-1], xb = tail[:-1], tail[-1]
+        for k in range(K - 2, -1, -1):
+            x[k] = ys[k] - self.up[k] @ x[k + 1] - self.col[k] * xb
+        return np.append(x.ravel()[:self.n], xb)
 
 
 def _newton(sys: _System, k0: int, phi0: np.ndarray, c0: float):
@@ -339,9 +464,9 @@ class WaveProfile:
         D2, b2 = _stencil_affine(self.n, _second_deriv_pieces(self.h), *self.rho)
         return D2 @ self.phi + b2
 
-    def linearization(self) -> scipy.sparse.csr_matrix:
+    def linearization(self) -> _Band:
         """Forward linearization around the profile (tail closure included),
-        as a banded sparse CSR matrix."""
+        as a banded matrix stored by diagonals."""
         return self._system().jacobian(self.phi, self.c)
 
     def _weights(self) -> np.ndarray:
@@ -467,7 +592,7 @@ def adjoint_solve(w: WaveProfile) -> np.ndarray:
     dphi = w.phi_prime_grid()
     psi = _bordered_solve(A, dphi, w._weights() * dphi, np.append(np.zeros(w.n), 1.0),
                           DegenerateKernel("kernel is not simple or not transverse"))[:w.n]
-    ratio = np.max(np.abs(A @ psi)) / (abs(A).sum(axis=1).max() * np.max(np.abs(psi)))
+    ratio = np.max(np.abs(A @ psi)) / (np.abs(A.data).sum(axis=0).max() * np.max(np.abs(psi)))
     if not ratio <= 1e-12:
         raise DegenerateKernel(f"adjoint residual ratio {ratio:.3e} is above 1e-12; "
                                "psi is not a kernel element, or L is too short "

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import interpolate
+from scipy.linalg import solve_banded
 
 from acfront.core import (BistableNonlinearity, CubicSpline, LatticeField,
-                          PhaseSequence, _flat_laplacian, alpha, d2, d_minus,
-                          d_plus, deviation_seminorm)
+                          PhaseSequence, _flat_laplacian, _gtsv, alpha, d2,
+                          d_minus, d_plus, deviation_seminorm)
 
 
 def laplacian(u: LatticeField) -> np.ndarray:
@@ -112,6 +113,33 @@ def test_cubic_spline_matches_scipy_bit_for_bit(data, n, uniform, bc):
             got = np.asarray(mine(np.float64(p), nu))
             want = ref(np.float64(p), nu)
             assert got.shape == want.shape == () and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300)
+@given(data=st.data(), n=st.integers(2, 30), scale=st.sampled_from([0.0, 1e-3, 1.0, 1e3]))
+def test_gtsv_matches_scipy_solve_banded_byte_for_byte(data, n, scale):
+    """``_gtsv`` equals ``scipy.linalg.solve_banded((1, 1), ...)`` byte for
+    byte, or both refuse the system as singular (scipy divides a 1 x 1
+    system itself, so ``n >= 2`` reaches LAPACK).  The main diagonal is
+    drawn at ``scale`` times the off-diagonals, so the row-interchange branch
+    (``|d[i]| < |dl[i]|``) is taken in most rows at small scales and in few
+    at large ones; spline systems on uniform knots never reach it."""
+    entries = st.floats(-10.0, 10.0)
+    dl, du = (data.draw(hnp.arrays(float, n - 1, elements=entries)) for _ in range(2))
+    d = scale * data.draw(hnp.arrays(float, n, elements=entries))
+    b = data.draw(hnp.arrays(float, n, elements=st.floats(-1e3, 1e3)))
+    ab = np.zeros((3, n))
+    ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+    args = [v.copy() for v in (dl, d, du, b)]
+    try:
+        want = solve_banded((1, 1), ab, b)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            _gtsv(*args)
+        return
+    assert _gtsv(*args).tobytes() == want.tobytes()
+    for got, given_ in zip(args, (dl, d, du, b)):
+        assert got.tobytes() == given_.tobytes()
 
 
 def test_cubic_spline_rejects_bad_input():

@@ -353,9 +353,9 @@ def test_pipeline_keeps_at_most_two_stepped_fields(wave03, monkeypatch, runner):
     stepped, alive_at_call = [], []
     step = harness.sim.step
 
-    def counting_step(u, cfg):
+    def counting_step(u, cfg, *work):
         alive_at_call.append(sum(ref() is not None for ref in stepped))
-        out = step(u, cfg)
+        out = step(u, cfg, *work)
         stepped.append(weakref.ref(out))
         return out
 
@@ -385,18 +385,18 @@ def test_report_ndjson_reproducible(tmp_path, wave03):
 
 # SHA-256 of the NDJSON report of each fast spec above, with the meta
 # record's provenance (package and numpy versions) removed; the same under
-# any BLAS thread count, since every wave operator is a sparse matrix: no
-# wave matvec or solve goes through BLAS
+# any BLAS thread count, since the wave solves reach BLAS and LAPACK only
+# with blocks as wide as the operators' bandwidth, which run on one thread
 REPORT_DIGESTS = [
     (fast_spec("thm22"),
-     "a21e13e7149556a2a733b313fc8cfa2a073be66a7932a068526ac00fdcc1bf27"),
+     "6a273fa7d5aa0d4d9f9fc80310bf2e2822a1c2899668abf32279956782f368c8"),
     (fast_spec("thm23", t_end=40.0),
-     "76c3914499a82123e5da72fa3f8ba4247313d00ff7e797cb455d6db0e4870701"),
+     "04f32c72c04e97eecf7a67a168554f7f52e4379f6bb3f9b4aa54bda3dc01a1f8"),
     (fast_spec("thm24", t_end=40.0),
-     "a459c2451172b296f67d3a77376116fea1d3ae338463d1692f3a8845d15f1cd2"),
+     "7e8b36c76148fe0a4fd128f0450c802abd0fb3c0c4ec622aa81f44221cdb94f5"),
     (ExperimentSpec(name="step_kappa", width=96, height=48, t_end=60.0, tau=30.0,
                     boundary_j="reflect", kappa={"kind": "step", "lo": 0.0, "hi": 2.0}),
-     "21f2bc627431d7dffc754db83e12b05355490752bea25333986d8b118de8d965"),
+     "47a7e1a926aba0981ddfd5e94e802b39a6ac1ff68815b3a8532dddf768a2d957"),
 ]
 
 

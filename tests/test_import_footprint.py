@@ -1,8 +1,9 @@
-"""Importing the package leaves scipy's slow-to-import subpackages unloaded.
+"""Importing the package and setting up the wave load no scipy module.
 
-``scipy.interpolate`` and ``scipy.optimize`` together cost more than the whole
-travelling-wave set-up; ``scipy.special`` loads only when a heat kernel is
-first formed.  Each check runs in a fresh interpreter.
+Importing scipy costs more than the whole travelling-wave set-up, so the
+package, its CLI and the set-up solves run on numpy alone; ``scipy.special``
+loads only when a heat kernel is first formed.  Each check runs in a fresh
+interpreter.
 """
 
 import os
@@ -30,6 +31,27 @@ def run_fresh(code: str) -> list[str]:
 def test_import_leaves_slow_scipy_subpackages_unloaded(module, absent):
     assert run_fresh(f"import sys, {module}\n"
                      f"print(*(m for m in {absent!r} if m in sys.modules))\n") == []
+
+
+def test_import_and_wave_set_up_load_no_scipy_module():
+    """No ``scipy*`` module after ``import acfront``, after ``import
+    acfront.cli``, after the four set-up solves at a = 0.3 and after a
+    tilted-wave speed."""
+    assert run_fresh("import sys\n"
+                     "def report(stage):\n"
+                     "    print(stage, *sorted(m for m in sys.modules\n"
+                     "                         if m.partition('.')[0] == 'scipy'))\n"
+                     "import acfront\n"
+                     "report('import')\n"
+                     "import acfront.cli\n"
+                     "report('cli')\n"
+                     "w = acfront.solve_wave(acfront.BistableNonlinearity(a=0.3))\n"
+                     "acfront.adjoint_solve(w)\n"
+                     "acfront.compute_d(w)\n"
+                     "acfront.solve_r(w)\n"
+                     "report('set-up')\n"
+                     "acfront.c_theta(w, 0.1)\n"
+                     "report('c_theta')\n") == ["import", "cli", "set-up", "c_theta"]
 
 
 def test_heat_kernel_loads_scipy_special():

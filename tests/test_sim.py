@@ -179,18 +179,25 @@ def test_step_is_fourth_order_in_time(boundary_j):
 
 
 def test_step_and_run_leave_emitted_fields_untouched():
-    """``step`` does not write into its input, and every snapshot ``run``
-    hands out keeps the values it had when it was emitted."""
+    """``step`` does not write into its input, and every snapshot that
+    ``snapshots`` yields, and so every one ``run`` lists, keeps the values it
+    had when it was yielded."""
     cfg = SimConfig(F03, t_end=2.0, record_every=3, width=8, height=4)
     u = LatticeField(splitmix64_uniform(7, 8 * 4).reshape(8, 4), i_offset=cfg.i_offset)
     before = u.values.copy()
     step(u, cfg)
     assert np.array_equal(u.values, before)
-    at_emit = []
-    snaps = run(u, cfg, observers=[lambda t, v: at_emit.append(v.values.copy())])
+    snaps, at_emit = [], []
+    for t, v in snapshots(u, cfg):
+        snaps.append((t, v))
+        at_emit.append(v.values.copy())
     assert np.array_equal(u.values, before)
     assert len(snaps) == len(at_emit) > 2
     for (_, v), frozen in zip(snaps, at_emit):
+        assert np.array_equal(v.values, frozen)
+    listed = run(u, cfg)
+    assert len(listed) == len(at_emit)
+    for (_, v), frozen in zip(listed, at_emit):
         assert np.array_equal(v.values, frozen)
 
 
@@ -222,6 +229,43 @@ def test_snapshots_yield_the_records_of_run(boundary_j):
     assert all(u.i_offset == -3 for _, u in listed)
 
 
+@pytest.mark.parametrize("boundary_j", ["periodic", "reflect"])
+def test_snapshots_step_in_lent_buffers(monkeypatch, boundary_j):
+    """Every step of a run works in the same padded input, stage and
+    ``E(y5)`` buffers, and the results of steps that are not yielded share
+    one more; only a yielded step writes into a fresh array, which its field
+    keeps.  The records equal those of a plain ``step`` loop bit for bit."""
+    cfg = SimConfig(F03, t_end=2.5, record_every=3, width=12, height=6,
+                    boundary_j=boundary_j)
+    u0 = LatticeField(splitmix64_uniform(6, 12 * 6).reshape(12, 6), i_offset=-3,
+                      boundary_j=boundary_j)
+    lent = []
+
+    def lending_step(u, cfg, work=None):
+        lent.append(work)
+        return step(u, cfg, work)
+
+    monkeypatch.setattr(sim, "step", lending_step)
+    records = list(snapshots(u0, cfg))
+    assert len(lent) == 8 and [t for t, _ in records] == [k * cfg.dt for k in (0, 3, 6, 8)]
+    padded, _, stage, e5 = lent[0]
+    assert all(w[0] is padded and w[2] is stage and w[3] is e5 for w in lent)
+    outs = [w[1] for w in lent]
+    spare = outs[0]
+    assert all(outs[k - 1] is spare for k in (1, 2, 4, 5, 7))
+    fresh = [outs[k - 1] for k in (3, 6, 8)]
+    assert len({id(out) for out in fresh + [spare]}) == 4
+    for out, (_, u) in zip(fresh, records[1:]):
+        assert np.shares_memory(u.values, out)
+    u, plain = u0, [u0.values]
+    for k in range(1, 9):
+        u = step(u, cfg)
+        if k in (3, 6, 8):
+            plain.append(u.values)
+    for (_, u), want in zip(records, plain):
+        assert u.values.tobytes() == want.tobytes()
+
+
 def test_snapshots_reject_field_of_another_geometry_before_any_step(monkeypatch):
     def no_step(*args, **kw):
         raise AssertionError("the lattice stepped")
@@ -251,14 +295,6 @@ def test_run_records_requested_times():
     assert [t for t, _ in snaps] == want
     # the initial snapshot is a copy, not an alias
     assert snaps[0][1].values is not u0.values
-
-
-def test_run_observers_see_every_snapshot():
-    cfg = SimConfig(F03, t_end=0.2, record_every=5, width=8, height=4)
-    seen = []
-    u0 = LatticeField(np.full((8, 4), 0.4))
-    run(u0, cfg, observers=[lambda t, u: seen.append(t)])
-    assert seen == [t for t, _ in run(u0, cfg)]
 
 
 def test_ordered_data_stays_ordered():
@@ -533,13 +569,15 @@ FROZEN_REPORTS = {
     "planar_pass": (0.0019923660758787674, -0.003972943097132711,
                     (-22, 0, 48.0), (-6, 0, 46.0), "pass"),
     # j = 5 and j = 27 are mirror sites of sin(2 pi j / 64), whose residuals
-    # are equal in exact arithmetic; rounding picks one of them
+    # are equal in exact arithmetic; rounding picks one of them.  So are
+    # j = 40 and 56 (super) and j = 3 and 29 (sub) of curved_small_C_eps,
+    # whose residuals are 2.4e-16 and 2.8e-16 apart
     "curved_periodic": (0.0007531711199552377, -0.0007740347359166331,
                         (-37, 38, 50.0), (-31, 5, 50.0), "pass"),
     "curved_reflect": (0.0007531514706290358, -0.0007740344922397713,
                        (-36, 17, 50.0), (-31, 27, 50.0), "pass"),
     "curved_small_C_eps": (-0.007042124197559722, 0.007043017860226888,
-                           (-5, 56, 14.0), (-4, 29, 14.0), "fail"),
+                           (-5, 40, 14.0), (-4, 3, 14.0), "fail"),
 }
 
 
