@@ -386,6 +386,13 @@ def _flat_laplacian(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lap.reshape(shape), c.reshape(shape)
 
 
+# How far one ``_ssprk104`` step of a nearest-neighbour ``euler`` reaches along
+# the first axis: ten forward-Euler substeps, each reading one row either
+# side, combined pointwise.  Output row ``c`` reads input rows ``c - 10 ..
+# c + 10`` only.
+_SSPRK104_REACH = 10
+
+
 def _ssprk104(p0: np.ndarray, euler, boundary_j: str,
               work: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None) -> np.ndarray:
     """One SSPRK(10,4) step (Ketcheson, SIAM J. Sci. Comput. 30, 2008) from

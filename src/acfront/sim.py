@@ -37,7 +37,8 @@ import numpy as np
 
 from . import flow
 from .core import (BOUNDARY_J, BistableNonlinearity, LatticeField, PhaseSequence,
-                   _flat_laplacian, _flat_runs, _ssprk104, alpha, d_minus, d_plus)
+                   _SSPRK104_REACH, _flat_laplacian, _flat_runs, _ssprk104, alpha,
+                   d_minus, d_plus)
 from .errors import NonFinite, OutOfRange, SolveFailed, VerificationFailed
 from .wave import WaveProfile
 
@@ -159,11 +160,28 @@ def snapshots(u0: LatticeField, cfg: SimConfig) -> Iterator[tuple[float, Lattice
 
     The one stepping loop: it keeps no snapshot, so a caller that reduces
     each field as it arrives holds at most the field in hand and the one
-    being stepped.  Every step works in the same lent buffers, and only a
-    step that is yielded writes its result into a fresh array, so a run
-    allocates per snapshot, not per step.  ``u0`` must have the window size
-    and ``boundary_j`` of ``cfg`` (else ``ValueError`` before any step); its
-    ``i_offset`` is free."""
+    being stepped.  Every step works in prefix views of the same lent
+    buffers, and only a step that is yielded writes its result into a fresh
+    array, so a run allocates per snapshot, not per step.  ``u0`` must have
+    the window size and ``boundary_j`` of ``cfg`` (else ``ValueError``
+    before any step); its ``i_offset`` is free.
+
+    Each step passes to :func:`step` only the live columns, with the same
+    bits as a full-width step.  The settled tail is kept as it is.  The rule
+    rests on the step's reach, ``R = core._SSPRK104_REACH``: output column
+    ``c`` reads input columns ``c - R .. c + R`` only, and the right i-ghost
+    is pinned to 1 at every stage.  So if the last step left every column
+    ``>= s - R`` unchanged bit for bit, every column ``>= s`` reads only
+    unchanged bits, so the next step leaves it unchanged too.  The loop keeps
+    that settled index ``s``, ``W`` at first, and steps the prefix of width
+    ``e = min(W, s + R)``.  Its pinned ghost at column ``e`` reaches only
+    columns ``>= e - R = s``, so columns ``[0, s)`` take the new values and
+    ``[s, W)`` keep the old ones, which the step has overwritten in the lent
+    buffers: columns ``[s, e)`` are copied back from the padded input, and
+    ``[e, W)`` are parked before the step in its rows past the prefix.  Then
+    ``s = min(W, c0 + R)``, with ``c0`` the first column of the unchanged
+    suffix, found by comparing the bits of the new and old values on
+    ``[0, s)``."""
     if u0.values.shape != (cfg.width, cfg.height) or u0.boundary_j != cfg.boundary_j:
         raise ValueError(
             f"initial field is {u0.width}x{u0.height} {u0.boundary_j}, config is "
@@ -171,14 +189,30 @@ def snapshots(u0: LatticeField, cfg: SimConfig) -> Iterator[tuple[float, Lattice
     n_steps = int(math.ceil(cfg.t_end / cfg.dt - 1e-9))
     u = u0.copy()
     yield 0.0, u
-    padded = np.empty((cfg.width + 2, cfg.height + 2))
+    width = cfg.width
+    padded = np.empty((width + 2, cfg.height + 2))
     spare, stage = np.empty_like(padded), np.empty_like(padded)
-    e5 = np.empty((cfg.width, cfg.height + 2))
+    e5 = np.empty((width, cfg.height + 2))
+    settled = width
     for k in range(1, n_steps + 1):
         record = k % cfg.record_every == 0 or k == n_steps
-        # ``step`` copies ``u`` into ``padded`` first, so ``spare`` may back it
+        # ``step`` copies its field into ``padded`` first, so ``spare`` may back it
         out = np.empty_like(spare) if record else spare
-        u = step(u, cfg, (padded, out, stage, e5))
+        e = min(width, settled + _SSPRK104_REACH)
+        live = u
+        if e < width:  # park the settled columns [e, W) past the prefix's ghost row
+            padded[e + 2:, 1:-1] = u.values[e:]
+            live = LatticeField(u.values[:e], u.i_offset, u.boundary_j)
+        new = step(live, cfg, (padded[:e + 2], out[:e + 2], stage[:e + 2], e5[:e]))
+        moved = np.flatnonzero(np.any(out[1:settled + 1].view(np.int64)
+                                      != padded[1:settled + 1].view(np.int64), axis=1))
+        if e < width:
+            out[settled + 1:e + 1] = padded[settled + 1:e + 1]
+            out[e + 1:-1, 1:-1] = padded[e + 2:, 1:-1]
+            # widen to the window: the kept columns were checked finite when made
+            new.values = out[1:-1, 1:-1]
+        settled = min(width, (int(moved[-1]) + 1 if moved.size else 0) + _SSPRK104_REACH)
+        u = new
         if record:
             yield k * cfg.dt, u
 

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from acfront.core import BistableNonlinearity, LatticeField, PhaseSequence, _flat_laplacian
+from acfront.core import (BistableNonlinearity, LatticeField, PhaseSequence, _SSPRK104_REACH,
+                          _flat_laplacian)
 from acfront.errors import NonFinite, OutOfRange, VerificationFailed
 from acfront.flow import FlowParams, v_solve
 from acfront.harness import splitmix64_uniform
@@ -231,14 +232,18 @@ def test_snapshots_yield_the_records_of_run(boundary_j):
 
 @pytest.mark.parametrize("boundary_j", ["periodic", "reflect"])
 def test_snapshots_step_in_lent_buffers(monkeypatch, boundary_j):
-    """Every step of a run works in the same padded input, stage and
-    ``E(y5)`` buffers, and the results of steps that are not yielded share
-    one more; only a yielded step writes into a fresh array, which its field
-    keeps.  The records equal those of a plain ``step`` loop bit for bit."""
-    cfg = SimConfig(F03, t_end=2.5, record_every=3, width=12, height=6,
+    """Every step of a run works in prefix views of the same padded input,
+    stage and ``E(y5)`` buffers, and the results of steps that are not
+    yielded share one more, so such a step lends no new buffer; only a
+    yielded step writes into a fresh array, which its field keeps.  Once the
+    right tail settles the prefixes are narrower than the window, and the
+    records still equal those of a plain ``step`` loop bit for bit."""
+    width, height = 48, 6
+    cfg = SimConfig(F03, t_end=2.5, record_every=3, width=width, height=height,
                     boundary_j=boundary_j)
-    u0 = LatticeField(splitmix64_uniform(6, 12 * 6).reshape(12, 6), i_offset=-3,
-                      boundary_j=boundary_j)
+    values = np.ones((width, height))
+    values[:12] = splitmix64_uniform(6, 12 * height).reshape(12, height)
+    u0 = LatticeField(values, i_offset=-3, boundary_j=boundary_j)
     lent = []
 
     def lending_step(u, cfg, work=None):
@@ -248,13 +253,21 @@ def test_snapshots_step_in_lent_buffers(monkeypatch, boundary_j):
     monkeypatch.setattr(sim, "step", lending_step)
     records = list(snapshots(u0, cfg))
     assert len(lent) == 8 and [t for t, _ in records] == [k * cfg.dt for k in (0, 3, 6, 8)]
-    padded, _, stage, e5 = lent[0]
-    assert all(w[0] is padded and w[2] is stage and w[3] is e5 for w in lent)
+    prefixes = [w[0].shape[0] - 2 for w in lent]
+    assert prefixes[0] == width and min(prefixes) < width
+    for e, w in zip(prefixes, lent):
+        assert [b.shape for b in w] == [(e + 2, height + 2)] * 3 + [(e, height + 2)]
+
+    def address(a):
+        return a.__array_interface__["data"][0]
+
+    padded, spare, stage, e5 = (address(b) for b in lent[0])
+    assert all((address(w[0]), address(w[2]), address(w[3])) == (padded, stage, e5)
+               for w in lent)
     outs = [w[1] for w in lent]
-    spare = outs[0]
-    assert all(outs[k - 1] is spare for k in (1, 2, 4, 5, 7))
+    assert all(address(outs[k - 1]) == spare for k in (1, 2, 4, 5, 7))
     fresh = [outs[k - 1] for k in (3, 6, 8)]
-    assert len({id(out) for out in fresh + [spare]}) == 4
+    assert len({address(out) for out in fresh} | {spare}) == 4
     for out, (_, u) in zip(fresh, records[1:]):
         assert np.shares_memory(u.values, out)
     u, plain = u0, [u0.values]
@@ -264,6 +277,101 @@ def test_snapshots_step_in_lent_buffers(monkeypatch, boundary_j):
             plain.append(u.values)
     for (_, u), want in zip(records, plain):
         assert u.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("boundary_j", ["periodic", "reflect"])
+def test_step_reach_is_the_crop_halo(boundary_j):
+    """A one-column change of the input changes the step's output on exactly
+    the columns within ``_SSPRK104_REACH = 10`` of it, and on none at 11:
+    ten forward-Euler substeps, each reading one column either side.  A
+    scheme with more substeps fails here before ``snapshots`` crops on a
+    halo that is too narrow."""
+    reach = _SSPRK104_REACH
+    assert reach == 10
+    width, height, col = 4 * reach + 3, 3, 2 * reach + 1
+    cfg = SimConfig(F03, width=width, height=height, boundary_j=boundary_j)
+    values = 0.5 * splitmix64_uniform(8, width * height).reshape(width, height)
+    nudged = values.copy()
+    nudged[col] += 0.25
+    a, b = (step(LatticeField(v, boundary_j=boundary_j), cfg).values
+            for v in (values, nudged))
+    changed = np.flatnonzero(np.any(a != b, axis=1))
+    assert changed.tolist() == list(range(col - reach, col + reach + 1))
+
+
+def test_snapshots_crop_beside_a_pinned_front(monkeypatch):
+    """A crop beside a settled front, not a settled plateau at 1.  A steep
+    nonlinearity (10x the a = 1/2 cubic) pins a front, relaxed until a step
+    leaves it unchanged bit for bit; a disturbance at the left edge then
+    unsettles the columns before it.  The pinned ghost of a cropped step
+    stands in for a column of the front, far from 1, so a prefix one column
+    too narrow or a settled column not copied back would show.
+    ``snapshots`` crops and yields what a plain ``step`` loop makes, byte
+    for byte."""
+    f = BistableNonlinearity(a=0.5)
+    steep = BistableNonlinearity(a=0.5, kind="table", table_u=_TABLE_U,
+                                 table_g=10.0 * f(_TABLE_U))
+    width, height = 64, 2
+    cfg = SimConfig(steep, width=width, height=height, record_every=1)
+    values = np.zeros((width, height))
+    values[50:] = 1.0
+    u = LatticeField(values)
+    for _ in range(1000):
+        v = step(u, cfg)
+        if v.values.tobytes() == u.values.tobytes():
+            break
+        u = v
+    assert v.values.tobytes() == u.values.tobytes()
+    values = u.values.copy()
+    values[:2] = 0.5
+    u = LatticeField(values)
+    cfg.t_end = 8 * cfg.dt
+    prefixes = []
+
+    def recording_step(u, cfg, work=None):
+        prefixes.append(u.width)
+        return step(u, cfg, work)
+
+    monkeypatch.setattr(sim, "step", recording_step)
+    records = list(snapshots(u, cfg))
+    assert prefixes[0] == width and min(prefixes) < width
+    for _, v in records:
+        assert v.values.tobytes() == u.values.tobytes()
+        u = step(u, cfg)
+
+
+_TAIL_VALUES = (1.0, 1.0 - 2.0 ** -53, 1.0 - 2.0 ** -52, 1.0 - 3 * 2.0 ** -53,
+                1.0 + 2.0 ** -52)
+
+
+@settings(max_examples=60)
+@given(width=st.integers(1, 80), height=st.integers(1, 4),
+       boundary_j=st.sampled_from(["periodic", "reflect"]),
+       a=st.sampled_from([0.2, 0.4, 0.6, 0.8]), steepness=st.sampled_from([1.0, 4.0]),
+       steps=st.integers(1, 30), data=st.data())
+def test_snapshots_equal_a_full_width_step_loop(width, height, boundary_j, a, steepness,
+                                                steps, data):
+    """With ``record_every=1``, ``snapshots`` yields, byte for byte, what a
+    plain full-width ``step`` loop makes, whatever it crops.  The fields are
+    a noisy front left of a right tail of values 0-3 ulp from 1.  With
+    a < 1/2 the front moves left and the tail settles; with a > 1/2 it moves
+    right into the settled tail."""
+    front = data.draw(st.integers(0, width // 2), label="front")
+    cfg = SimConfig(BistableNonlinearity(a=a), width=width, height=height,
+                    boundary_j=boundary_j, record_every=1)
+    cfg.t_end = steps * cfg.dt
+    i = steepness * (np.arange(front)[:, None] - front + 6)
+    noise = data.draw(hnp.arrays(float, (front, height), elements=st.floats(0.0, 0.1)),
+                      label="noise")
+    tail = data.draw(hnp.arrays(float, (width - front, height),
+                                elements=st.sampled_from(_TAIL_VALUES)), label="tail")
+    values = np.concatenate([(1.0 - noise) / (1.0 + np.exp(-i)), tail])
+    u = LatticeField(values, i_offset=-(width // 2), boundary_j=boundary_j)
+    records = list(snapshots(u, cfg))
+    assert len(records) == steps + 1
+    for k, (t, v) in enumerate(records):
+        assert t == k * cfg.dt and v.values.tobytes() == u.values.tobytes()
+        u = step(u, cfg)
 
 
 def test_snapshots_reject_field_of_another_geometry_before_any_step(monkeypatch):
@@ -568,10 +676,7 @@ FROZEN_REPORTS = {
                     (-1, 0, 0.0), (0, 0, 0.0), "fail"),
     "planar_pass": (0.0019923660758787674, -0.003972943097132711,
                     (-22, 0, 48.0), (-6, 0, 46.0), "pass"),
-    # j = 5 and j = 27 are mirror sites of sin(2 pi j / 64), whose residuals
-    # are equal in exact arithmetic; rounding picks one of them.  So are
-    # j = 40 and 56 (super) and j = 3 and 29 (sub) of curved_small_C_eps,
-    # whose residuals are 2.4e-16 and 2.8e-16 apart
+    # a curved site may be read up to the mirror j <-> 32 - j (mod 64)
     "curved_periodic": (0.0007531711199552377, -0.0007740347359166331,
                         (-37, 38, 50.0), (-31, 5, 50.0), "pass"),
     "curved_reflect": (0.0007531514706290358, -0.0007740344922397713,
@@ -579,6 +684,18 @@ FROZEN_REPORTS = {
     "curved_small_C_eps": (-0.007042124197559722, 0.007043017860226888,
                            (-5, 40, 14.0), (-4, 3, 14.0), "fail"),
 }
+
+
+def _sites_up_to_mirror(case: str, site: tuple) -> tuple:
+    """The frozen site, and for a curved case its mirror ``j <-> 32 - j (mod
+    64)``.  ``V0 = sin(2 pi j / 64)`` is even about ``j = 16``, so mirror
+    sites have residuals equal in exact arithmetic, and rounding picks one
+    of them: 2.4e-16 and 2.8e-16 apart at j = 40/56 (super) and 3/29 (sub)
+    of curved_small_C_eps, and a change of r by 7.5e-12 flipped both."""
+    if not case.startswith("curved"):
+        return (site,)
+    i, j, t = site
+    return site, (i, (32 - j) % 64, t)
 
 
 @pytest.mark.parametrize("case", sorted(FROZEN_REPORTS))
@@ -604,8 +721,8 @@ def test_verify_supersub_reports_frozen(wave03, case):
     assert report["tol"] == 1e-6
     assert report["min_residual_super"] == pytest.approx(lo, rel=1e-9)
     assert report["max_residual_sub"] == pytest.approx(hi, rel=1e-9)
-    assert report["site_super"] == site_super
-    assert report["site_sub"] == site_sub
+    assert report["site_super"] in _sites_up_to_mirror(case, site_super)
+    assert report["site_sub"] in _sites_up_to_mirror(case, site_sub)
 
 
 @pytest.mark.parametrize("case", ["planar_pass", "planar_fail", "curved"])
