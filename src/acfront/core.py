@@ -324,19 +324,15 @@ class LatticeField:
         """Lattice coordinates of the rows, ``i_offset .. i_offset+width-1``."""
         return self.i_offset + np.arange(self.width)
 
-    def padded(self, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Values with one ghost layer on every side, shape (W+2, H+2),
-        written into ``out`` when given.  The i-ghost rows are 0 and 1
-        whole, corners included, as ``_flat_runs`` reads the corners into
-        entries it discards."""
+    def padded(self) -> np.ndarray:
+        """Values with one ghost layer on every side, a fresh contiguous
+        array of shape (W+2, H+2).  The i-ghost rows are 0 and 1 whole,
+        corners included, as ``_flat_runs`` reads the corners into entries
+        it discards."""
         w, h = self.values.shape
-        if out is None:
-            out = np.empty((w + 2, h + 2), dtype=float)
+        out = np.empty((w + 2, h + 2), dtype=float)
         out[0], out[1:-1, 1:-1], out[-1] = 0.0, self.values, 1.0
         return _fill_ghosts(out, self.boundary_j)
-
-    def copy(self) -> "LatticeField":
-        return LatticeField(self.values.copy(), self.i_offset, self.boundary_j)
 
 
 def _fill_ghosts(p: np.ndarray, boundary_j: str) -> np.ndarray:

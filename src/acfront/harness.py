@@ -86,6 +86,13 @@ _GENERATOR_KINDS = {"kappa": ("periodic", "step", "random"),
 _GENERATOR_KEYS = {"kappa": {"kind", "P", "amplitude", "offset", "lo", "hi", "seed"},
                    "v0": {"kind", "amp", "width", "center_i", "center_j", "decay", "seed"}}
 
+# what a kappa or v0 value must be: (wording, type, exclusive lower bound), each
+# below inf; a finite real unless listed (kind and P are checked apart)
+_FINITE_REAL = ("a finite real", numbers.Real, -math.inf)
+_GENERATOR_VALUES = {"seed": ("an integer", numbers.Integral, -math.inf),
+                     "width": ("a positive finite real", numbers.Real, 0.0),
+                     "decay": ("a positive finite real", numbers.Real, 0.0)}
+
 # the scalar spec fields a config may set, with the type each must have
 _SCALAR_KEYS = {"a": numbers.Real, "width": numbers.Integral, "height": numbers.Integral,
                 "dt": numbers.Real, "t_end": numbers.Real, "tau": numbers.Real,
@@ -134,6 +141,12 @@ class ExperimentSpec:
             if unknown:
                 raise ValueError(f"unknown {gen} keys: {unknown}")
             _kind(gen, getattr(self, gen))
+            for key, value in getattr(self, gen).items():
+                want, kind, low = _GENERATOR_VALUES.get(key, _FINITE_REAL)
+                if key not in ("kind", "P") and (isinstance(value, bool)
+                                                 or not isinstance(value, kind)
+                                                 or not low < value < math.inf):
+                    raise ValueError(f"{gen} {key} must be {want}, got {value!r}")
         P = self.kappa.get("P", 1)
         if _kind("kappa", self.kappa) == "periodic" and (
                 isinstance(P, bool) or not isinstance(P, numbers.Integral) or P < 1):

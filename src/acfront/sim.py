@@ -125,9 +125,9 @@ def step(u: LatticeField, cfg: SimConfig,
     included: the centre term ``g(v) - 4 v``
     (``BistableNonlinearity._centre_into``), plus the four neighbours, times
     ``h``, plus ``v``.  No scratch array is made per substep, and ``u`` is
-    left untouched.  The padded input, the two stage buffers and ``E(y5)``
-    are made afresh on each call, unless ``work`` lends them, in that
-    order; the result is a view into the first stage buffer.
+    left untouched.  ``work`` may lend, in order, the padded array holding
+    ``u`` (read, not written), the two stage buffers and ``E(y5)``, else
+    they are made afresh; the result is a view into the first stage buffer.
 
     The one finiteness check is the result field's own: a non-finite stage
     value raises :class:`NonFinite`.  The overflow that made it warns.
@@ -142,10 +142,8 @@ def step(u: LatticeField, cfg: SimConfig,
         o *= h
         o += c
 
-    if work is None:
-        p = _ssprk104(u.padded(), euler, u.boundary_j)
-    else:
-        p = _ssprk104(u.padded(work[0]), euler, u.boundary_j, work[1:])
+    p0, stages = (u.padded(), None) if work is None else (work[0], work[1:])
+    p = _ssprk104(p0, euler, u.boundary_j, stages)
     try:
         return LatticeField(p[1:-1, 1:-1], i_offset=u.i_offset, boundary_j=u.boundary_j)
     except ValueError as exc:  # the field's own finiteness check
@@ -155,30 +153,26 @@ def step(u: LatticeField, cfg: SimConfig,
 def snapshots(u0: LatticeField, cfg: SimConfig) -> Iterator[tuple[float, LatticeField]]:
     """Integrate from ``u0`` in the fewest steps that reach ``t_end`` (to
     within 1e-9 of a step, so a ``t_end`` on the step grid is hit exactly),
-    yielding ``(t, u)`` every ``record_every`` steps (the initial state, a
-    copy of ``u0``, and the final state are always included).
+    yielding ``(t, u)`` every ``record_every`` steps (the initial and the
+    final state are always included).
 
-    The one stepping loop: it keeps no snapshot, so a caller that reduces
-    each field as it arrives holds at most the field in hand and the one
-    being stepped.  Every step works in prefix views of the same lent
-    buffers, and only a step that is yielded writes its result into a fresh
-    array, so a run allocates per snapshot, not per step.  ``u0`` must have
-    the window size and ``boundary_j`` of ``cfg`` (else ``ValueError``
-    before any step); its ``i_offset`` is free.
+    The one stepping loop.  Its state is one padded array, and a second one
+    takes each step's result before the two swap, so a run allocates per
+    record, not per step.  Each record is a fresh compact copy that nothing
+    writes again, and the loop keeps none.  ``u0`` must have the window size
+    and ``boundary_j`` of ``cfg`` (else ``ValueError`` before any step); its
+    ``i_offset`` is free.
 
     Each step passes to :func:`step` only the live columns, with the same
-    bits as a full-width step.  The settled tail is kept as it is.  The rule
-    rests on the step's reach, ``R = core._SSPRK104_REACH``: output column
-    ``c`` reads input columns ``c - R .. c + R`` only, and the right i-ghost
-    is pinned to 1 at every stage.  So if the last step left every column
-    ``>= s - R`` unchanged bit for bit, every column ``>= s`` reads only
-    unchanged bits, so the next step leaves it unchanged too.  The loop keeps
-    that settled index ``s``, ``W`` at first, and steps the prefix of width
-    ``e = min(W, s + R)``.  Its pinned ghost at column ``e`` reaches only
-    columns ``>= e - R = s``, so columns ``[0, s)`` take the new values and
-    ``[s, W)`` keep the old ones, which the step has overwritten in the lent
-    buffers: columns ``[s, e)`` are copied back from the padded input, and
-    ``[e, W)`` are parked before the step in its rows past the prefix.  Then
+    bits as a full-width step.  The rule rests on the step's reach,
+    ``R = core._SSPRK104_REACH``: output column ``c`` reads input columns
+    ``c - R .. c + R`` only, and the right i-ghost is pinned to 1.  So if the
+    last step left every column ``>= s - R`` unchanged bit for bit, the next
+    leaves every column ``>= s`` unchanged.  The loop keeps that settled
+    index ``s``, ``W`` at first, and steps the prefix of width
+    ``e = min(W, s + R)``, whose ghost row holds the state's column ``e``
+    fixed.  That stand-in reaches only columns ``>= e - R = s``, so
+    ``[0, s)`` take the new values and ``[s, W)`` keep the old ones.  Then
     ``s = min(W, c0 + R)``, with ``c0`` the first column of the unchanged
     suffix, found by comparing the bits of the new and old values on
     ``[0, s)``."""
@@ -187,34 +181,23 @@ def snapshots(u0: LatticeField, cfg: SimConfig) -> Iterator[tuple[float, Lattice
             f"initial field is {u0.width}x{u0.height} {u0.boundary_j}, config is "
             f"{cfg.width}x{cfg.height} {cfg.boundary_j}")
     n_steps = int(math.ceil(cfg.t_end / cfg.dt - 1e-9))
-    u = u0.copy()
-    yield 0.0, u
-    width = cfg.width
-    padded = np.empty((width + 2, cfg.height + 2))
-    spare, stage = np.empty_like(padded), np.empty_like(padded)
+    width, i_offset, boundary_j = cfg.width, u0.i_offset, u0.boundary_j
+    cur = u0.padded()
+    spare, stage = np.empty_like(cur), np.empty_like(cur)
     e5 = np.empty((width, cfg.height + 2))
     settled = width
-    for k in range(1, n_steps + 1):
-        record = k % cfg.record_every == 0 or k == n_steps
-        # ``step`` copies its field into ``padded`` first, so ``spare`` may back it
-        out = np.empty_like(spare) if record else spare
-        e = min(width, settled + _SSPRK104_REACH)
-        live = u
-        if e < width:  # park the settled columns [e, W) past the prefix's ghost row
-            padded[e + 2:, 1:-1] = u.values[e:]
-            live = LatticeField(u.values[:e], u.i_offset, u.boundary_j)
-        new = step(live, cfg, (padded[:e + 2], out[:e + 2], stage[:e + 2], e5[:e]))
-        moved = np.flatnonzero(np.any(out[1:settled + 1].view(np.int64)
-                                      != padded[1:settled + 1].view(np.int64), axis=1))
-        if e < width:
-            out[settled + 1:e + 1] = padded[settled + 1:e + 1]
-            out[e + 1:-1, 1:-1] = padded[e + 2:, 1:-1]
-            # widen to the window: the kept columns were checked finite when made
-            new.values = out[1:-1, 1:-1]
-        settled = min(width, (int(moved[-1]) + 1 if moved.size else 0) + _SSPRK104_REACH)
-        u = new
-        if record:
-            yield k * cfg.dt, u
+    for k in range(n_steps + 1):
+        if k:
+            e = min(width, settled + _SSPRK104_REACH)
+            step(LatticeField(cur[1:e + 1, 1:-1], i_offset, boundary_j), cfg,
+                 (cur[:e + 2], spare[:e + 2], stage[:e + 2], e5[:e]))
+            moved = np.flatnonzero(np.any(spare[1:settled + 1].view(np.int64)
+                                          != cur[1:settled + 1].view(np.int64), axis=1))
+            spare[settled + 1:] = cur[settled + 1:]
+            settled = min(width, (int(moved[-1]) + 1 if moved.size else 0) + _SSPRK104_REACH)
+            cur, spare = spare, cur
+        if k % cfg.record_every == 0 or k == n_steps:
+            yield k * cfg.dt, LatticeField(cur[1:-1, 1:-1].copy(), i_offset, boundary_j)
 
 
 def run(u0: LatticeField, cfg: SimConfig,
@@ -501,14 +484,19 @@ class SnapshotWriter:
 
 
 def read_snapshots(index_path: str) -> list[tuple[float, LatticeField]]:
-    """The snapshots an index lists, read whole from the files it names."""
+    """The snapshots an index lists, read whole from the files it names; a
+    line that is not a JSON object with a string ``file`` is a ``ValueError``."""
     base = os.path.dirname(index_path)
     out = []
     with open(index_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError:
+                rec = None
+            if not (isinstance(rec, dict) and isinstance(rec.get("file"), str)):
+                raise ValueError(f"{index_path} line {n}: not a JSON object with a string 'file'")
             out.append(load_snapshot(os.path.join(base, rec["file"])))
     return out

@@ -375,6 +375,13 @@ def test_experiment_bad_tolerance_or_period_fails_before_the_wave_solve(
     ("kappa_kind = sawtooth",
      "unknown kappa kind 'sawtooth'; known: ['periodic', 'step', 'random']"),
     ("v0_kind = bump", "unknown v0 kind 'bump'; known: ['none', 'gaussian_bump', 'random_l1']"),
+    ("kappa_amplitude = abc", "kappa amplitude must be a finite real, got 'abc'"),
+    ("kappa_kind = step\nkappa_hi = inf", "kappa hi must be a finite real, got inf"),
+    ("kappa_kind = random\nkappa_seed = 1.5", "kappa seed must be an integer, got 1.5"),
+    ("v0_kind = random_l1\nv0_decay = 0", "v0 decay must be a positive finite real, got 0"),
+    ("v0_kind = gaussian_bump\nv0_width = -2", "v0 width must be a positive finite real, got -2"),
+    ("v0_kind = random_l1\nv0_seed = true", "v0 seed must be an integer, got True"),
+    ("v0_center_i = nan", "v0 center_i must be a finite real, got nan"),
 ])
 def test_experiment_bad_setting_fails_before_the_wave_solve(
         tmp_path, capsys, monkeypatch, line, message):

@@ -184,6 +184,23 @@ def test_spec_rejects_unknown_or_non_numeric_tolerances_and_fractional_period():
      "unknown kappa kind 'sawtooth'; known: ['periodic', 'step', 'random']"),
     ("v0", {"kind": "bump"},
      "unknown v0 kind 'bump'; known: ['none', 'gaussian_bump', 'random_l1']"),
+    ("kappa", {"amplitude": "abc"}, "kappa amplitude must be a finite real, got 'abc'"),
+    ("kappa", {"offset": math.inf}, "kappa offset must be a finite real, got inf"),
+    ("kappa", {"kind": "step", "lo": None}, "kappa lo must be a finite real, got None"),
+    ("kappa", {"kind": "step", "hi": True}, "kappa hi must be a finite real, got True"),
+    ("kappa", {"kind": "random", "seed": True}, "kappa seed must be an integer, got True"),
+    ("kappa", {"kind": "random", "seed": 2.0}, "kappa seed must be an integer, got 2.0"),
+    ("v0", {"kind": "random_l1", "amp": "0.1"}, "v0 amp must be a finite real, got '0.1'"),
+    ("v0", {"kind": "random_l1", "decay": 0}, "v0 decay must be a positive finite real, got 0"),
+    ("v0", {"kind": "random_l1", "decay": math.inf},
+     "v0 decay must be a positive finite real, got inf"),
+    ("v0", {"kind": "random_l1", "seed": "7"}, "v0 seed must be an integer, got '7'"),
+    ("v0", {"kind": "gaussian_bump", "width": -3.0},
+     "v0 width must be a positive finite real, got -3.0"),
+    ("v0", {"kind": "gaussian_bump", "center_i": math.nan},
+     "v0 center_i must be a finite real, got nan"),
+    ("v0", {"kind": "gaussian_bump", "center_j": "up"},
+     "v0 center_j must be a finite real, got 'up'"),
 ])
 def test_spec_checks_every_setting_when_built(key, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -222,7 +239,8 @@ def test_pipeline_runs_a_spec_reseeded_after_it_was_built(wave03):
 
 def test_spec_accepts_numpy_scalars_and_default_steps():
     spec = ExperimentSpec(name="thm22", a=np.float64(0.3), width=np.int64(96),
-                          seed=np.int64(3))
+                          seed=np.int64(3), v0={"kind": "random_l1", "seed": np.int64(2),
+                                                "decay": np.float64(3.0)})
     assert spec.dt is None and spec.record_every is None
     assert spec.sim_config(BistableNonlinearity(a=0.3)).record_every == 3
 
@@ -347,22 +365,22 @@ def test_step_kappa_requires_reflect(wave03):
 
 @pytest.mark.parametrize("runner", [run_thm22, run_thm24])
 def test_pipeline_keeps_at_most_two_stepped_fields(wave03, monkeypatch, runner):
-    """Each snapshot is reduced as it is made: when ``sim.step`` is called,
-    at most two fields it returned before are alive (the one being stepped
-    and the pipeline's last snapshot)."""
-    stepped, alive_at_call = [], []
-    step = harness.sim.step
+    """Each snapshot is reduced as it is made: when ``sim.snapshots`` yields
+    a record, at most two of its records are alive (the new one and the
+    pipeline's last snapshot)."""
+    yielded, alive_at_yield = [], []
+    snapshots = harness.sim.snapshots
 
-    def counting_step(u, cfg, *work):
-        alive_at_call.append(sum(ref() is not None for ref in stepped))
-        out = step(u, cfg, *work)
-        stepped.append(weakref.ref(out))
-        return out
+    def counting_snapshots(u0, cfg):
+        for t, u in snapshots(u0, cfg):
+            yielded.append(weakref.ref(u))
+            alive_at_yield.append(sum(ref() is not None for ref in yielded))
+            yield t, u
 
-    monkeypatch.setattr(harness.sim, "step", counting_step)
+    monkeypatch.setattr(harness.sim, "snapshots", counting_snapshots)
     report = runner(fast_spec(runner.__name__.removeprefix("run_"), t_end=30.0), wave03)
     assert report.passed
-    assert len(stepped) == 90 and max(alive_at_call) == 2
+    assert len(yielded) == 31 and max(alive_at_yield) == 2
 
 
 def test_report_ndjson_reproducible(tmp_path, wave03):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import struct
 
 import numpy as np
@@ -232,12 +233,15 @@ def test_snapshots_yield_the_records_of_run(boundary_j):
 
 @pytest.mark.parametrize("boundary_j", ["periodic", "reflect"])
 def test_snapshots_step_in_lent_buffers(monkeypatch, boundary_j):
-    """Every step of a run works in prefix views of the same padded input,
-    stage and ``E(y5)`` buffers, and the results of steps that are not
-    yielded share one more, so such a step lends no new buffer; only a
-    yielded step writes into a fresh array, which its field keeps.  Once the
-    right tail settles the prefixes are narrower than the window, and the
-    records still equal those of a plain ``step`` loop bit for bit."""
+    """Every step of a run works in prefix views of two padded state buffers
+    that alternate, one stage buffer and one ``E(y5)`` buffer, so a step
+    allocates no array.  The first buffer lent to a step already holds the
+    field it steps, ghosts included, and the step leaves it as it was; the
+    second takes the result and is the first of the next step.  Each record
+    is a fresh compact array that shares memory with no buffer and no other
+    record.  Once the right tail settles the prefixes are narrower than the
+    window, and the records still equal those of a plain ``step`` loop bit
+    for bit."""
     width, height = 48, 6
     cfg = SimConfig(F03, t_end=2.5, record_every=3, width=width, height=height,
                     boundary_j=boundary_j)
@@ -247,8 +251,15 @@ def test_snapshots_step_in_lent_buffers(monkeypatch, boundary_j):
     lent = []
 
     def lending_step(u, cfg, work=None):
+        state = work[0].copy()
+        # the padded field, but on a cropped step its last row is the next column
+        assert np.array_equal(state[:-1], u.padded()[:-1])
+        assert u.width < width or np.array_equal(state, u.padded())
+        assert np.shares_memory(u.values, work[0])
+        out = step(u, cfg, work)
+        assert work[0].tobytes() == state.tobytes()
         lent.append(work)
-        return step(u, cfg, work)
+        return out
 
     monkeypatch.setattr(sim, "step", lending_step)
     records = list(snapshots(u0, cfg))
@@ -261,15 +272,17 @@ def test_snapshots_step_in_lent_buffers(monkeypatch, boundary_j):
     def address(a):
         return a.__array_interface__["data"][0]
 
-    padded, spare, stage, e5 = (address(b) for b in lent[0])
-    assert all((address(w[0]), address(w[2]), address(w[3])) == (padded, stage, e5)
-               for w in lent)
-    outs = [w[1] for w in lent]
-    assert all(address(outs[k - 1]) == spare for k in (1, 2, 4, 5, 7))
-    fresh = [outs[k - 1] for k in (3, 6, 8)]
-    assert len({address(out) for out in fresh} | {spare}) == 4
-    for out, (_, u) in zip(fresh, records[1:]):
-        assert np.shares_memory(u.values, out)
+    first, second, stage, e5 = (address(b) for b in lent[0])
+    assert len({first, second, stage, e5}) == 4
+    for k, w in enumerate(lent):
+        state, out = (first, second) if k % 2 == 0 else (second, first)
+        assert [address(b) for b in w] == [state, out, stage, e5]
+    buffers = [b.base for b in lent[0]]
+    for k, (_, u) in enumerate(records):
+        assert u.values.shape == (width, height) and u.values.flags.c_contiguous
+        assert u.i_offset == -3 and u.boundary_j == boundary_j
+        assert not any(np.shares_memory(u.values, b) for b in buffers)
+        assert not any(np.shares_memory(u.values, v.values) for _, v in records[:k])
     u, plain = u0, [u0.values]
     for k in range(1, 9):
         u = step(u, cfg)
@@ -299,15 +312,29 @@ def test_step_reach_is_the_crop_halo(boundary_j):
     assert changed.tolist() == list(range(col - reach, col + reach + 1))
 
 
+def _halo_poisoning_step(prefixes):
+    """A ``sim.step`` that records each prefix width and, on a cropped step,
+    fills with nan the output rows the loop must discard: the prefix's last
+    ``R`` columns, which its ghost row reaches, and that row.  The ghost
+    holds the next column of the state, so those rows are nearly right, and
+    only the poison shows a prefix one column too narrow or a settled column
+    not copied back."""
+    def poisoning_step(u, cfg, work=None):
+        prefixes.append(u.width)
+        new = step(u, cfg, work)
+        if u.width < cfg.width:
+            work[1][u.width + 1 - _SSPRK104_REACH:] = np.nan
+        return new
+    return poisoning_step
+
+
 def test_snapshots_crop_beside_a_pinned_front(monkeypatch):
     """A crop beside a settled front, not a settled plateau at 1.  A steep
     nonlinearity (10x the a = 1/2 cubic) pins a front, relaxed until a step
     leaves it unchanged bit for bit; a disturbance at the left edge then
-    unsettles the columns before it.  The pinned ghost of a cropped step
-    stands in for a column of the front, far from 1, so a prefix one column
-    too narrow or a settled column not copied back would show.
-    ``snapshots`` crops and yields what a plain ``step`` loop makes, byte
-    for byte."""
+    unsettles the columns before it.  With the halo of every cropped step
+    poisoned, ``snapshots`` crops and yields what a plain ``step`` loop
+    makes, byte for byte."""
     f = BistableNonlinearity(a=0.5)
     steep = BistableNonlinearity(a=0.5, kind="table", table_u=_TABLE_U,
                                  table_g=10.0 * f(_TABLE_U))
@@ -327,12 +354,7 @@ def test_snapshots_crop_beside_a_pinned_front(monkeypatch):
     u = LatticeField(values)
     cfg.t_end = 8 * cfg.dt
     prefixes = []
-
-    def recording_step(u, cfg, work=None):
-        prefixes.append(u.width)
-        return step(u, cfg, work)
-
-    monkeypatch.setattr(sim, "step", recording_step)
+    monkeypatch.setattr(sim, "step", _halo_poisoning_step(prefixes))
     records = list(snapshots(u, cfg))
     assert prefixes[0] == width and min(prefixes) < width
     for _, v in records:
@@ -348,17 +370,20 @@ _TAIL_VALUES = (1.0, 1.0 - 2.0 ** -53, 1.0 - 2.0 ** -52, 1.0 - 3 * 2.0 ** -53,
 @given(width=st.integers(1, 80), height=st.integers(1, 4),
        boundary_j=st.sampled_from(["periodic", "reflect"]),
        a=st.sampled_from([0.2, 0.4, 0.6, 0.8]), steepness=st.sampled_from([1.0, 4.0]),
-       steps=st.integers(1, 30), data=st.data())
+       steps=st.integers(1, 30), record_every=st.integers(1, 4), data=st.data())
 def test_snapshots_equal_a_full_width_step_loop(width, height, boundary_j, a, steepness,
-                                                steps, data):
-    """With ``record_every=1``, ``snapshots`` yields, byte for byte, what a
-    plain full-width ``step`` loop makes, whatever it crops.  The fields are
-    a noisy front left of a right tail of values 0-3 ulp from 1.  With
-    a < 1/2 the front moves left and the tail settles; with a > 1/2 it moves
-    right into the settled tail."""
+                                                steps, record_every, data):
+    """``snapshots`` yields, byte for byte, what a plain full-width ``step``
+    loop makes at the record steps, whatever it crops, with the halo of
+    every cropped step poisoned.  The records are compared only once the run
+    has ended, and no two share memory, so a loop that writes into a field
+    it yielded fails here, at any ``record_every``.  The fields are a noisy
+    front left of a right tail of values 0-3 ulp from 1.  With a < 1/2 the
+    front moves left and the tail settles; with a > 1/2 it moves right into
+    the settled tail."""
     front = data.draw(st.integers(0, width // 2), label="front")
     cfg = SimConfig(BistableNonlinearity(a=a), width=width, height=height,
-                    boundary_j=boundary_j, record_every=1)
+                    boundary_j=boundary_j, record_every=record_every)
     cfg.t_end = steps * cfg.dt
     i = steepness * (np.arange(front)[:, None] - front + 6)
     noise = data.draw(hnp.arrays(float, (front, height), elements=st.floats(0.0, 0.1)),
@@ -367,11 +392,20 @@ def test_snapshots_equal_a_full_width_step_loop(width, height, boundary_j, a, st
                                 elements=st.sampled_from(_TAIL_VALUES)), label="tail")
     values = np.concatenate([(1.0 - noise) / (1.0 + np.exp(-i)), tail])
     u = LatticeField(values, i_offset=-(width // 2), boundary_j=boundary_j)
-    records = list(snapshots(u, cfg))
-    assert len(records) == steps + 1
-    for k, (t, v) in enumerate(records):
-        assert t == k * cfg.dt and v.values.tobytes() == u.values.tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "step", _halo_poisoning_step([]))
+        records = list(snapshots(u, cfg))
+    kept = [k for k in range(steps + 1) if k % record_every == 0 or k == steps]
+    assert [t for t, _ in records] == [k * cfg.dt for k in kept]
+    for n, (_, v) in enumerate(records):
+        assert not any(np.shares_memory(v.values, w.values) for _, w in records[:n])
+    plain = [u.values]
+    for k in range(1, steps + 1):
         u = step(u, cfg)
+        if k in kept:
+            plain.append(u.values)
+    for (_, v), want in zip(records, plain):
+        assert v.values.tobytes() == want.tobytes()
 
 
 def test_snapshots_reject_field_of_another_geometry_before_any_step(monkeypatch):
@@ -532,6 +566,20 @@ def test_snapshot_with_bad_geometry_or_body_is_value_error(tmp_path, mangle, mat
     with pytest.raises(ValueError, match=match) as info:
         load_snapshot(str(path))
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("line", ['{"t": 0.0}', "[1, 2]", '{"file": 3}', "snap_000000.bin"])
+def test_read_snapshots_rejects_an_index_line_without_a_file(tmp_path, line):
+    """A line that is not a JSON object with a string ``file`` is a
+    ``ValueError`` naming the index and the line, not a raw ``KeyError`` or
+    ``TypeError``."""
+    writer = SnapshotWriter(str(tmp_path / "out"))
+    writer.write(LatticeField(np.full((3, 2), 0.5)), 0.0)
+    with open(writer.index_path, "a") as fh:
+        fh.write("\n" + line + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(writer.index_path)} line 3: not a "
+                                         "JSON object with a string 'file'$"):
+        read_snapshots(writer.index_path)
 
 
 def test_snapshot_writer_index_and_read_back(tmp_path):
