@@ -1,8 +1,9 @@
 """Discrete heat kernel: Bessel evaluation, structural bounds, decay rates.
 
 The kernel of the 1D lattice heat semigroup is G_k(t) = e^{-2t} I_k(2t) with
-I_k the modified Bessel function. The scaled ladder comes from
-scipy.special.ive, so the kernel's mass is 1 within rounding. Front-like
+I_k the modified Bessel function. The scaled ladder comes from Miller's
+backward recurrence for the ratios I_k / I_{k-1}, normalised so that the
+kernel's mass is 1 by construction. Front-like
 initial data then shows the |d+ h|_inf ~ t^{-1/2} and |d2 h|_inf ~ t^{-1}
 decay rates.
 """

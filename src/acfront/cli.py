@@ -151,6 +151,8 @@ def _cmd_mcf(args) -> int:
 
 
 def _cmd_verify_subsuper(args) -> int:
+    if args.t_samples < 1:
+        raise ValueError(f"--t-samples must be >= 1, got {args.t_samples}")
     w = _solved_wave(args.a, 20.0, 0.0625)
     cfg = sim.SimConfig(w.f, t_end=args.t_end, height=64)
     t_grid = np.linspace(0.0, args.t_end, args.t_samples)

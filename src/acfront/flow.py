@@ -3,11 +3,9 @@
 The interface dynamics of a nearly flat lattice front reduce to scalar LDEs
 for per-row phases.  This module provides:
 
-* the discrete heat kernel ``G_k(t) = e^{-2t} I_k(2t)`` from the scaled
-  modified Bessel function ``scipy.special.ive``; it solves
-  ``\\dot G = G_{k+1} + G_{k-1} - 2 G_k`` with a unit mass delta at ``t = 0``.
-  ``scipy.special`` is imported where a kernel is first formed, so importing
-  the package does not load it;
+* the discrete heat kernel ``G_k(t) = e^{-2t} I_k(2t)``, of unit mass by
+  construction; it solves ``\\dot G = G_{k+1} + G_{k-1} - 2 G_k`` with a
+  unit mass delta at ``t = 0``;
 * ``heat_solve``: exact convolution of a phase sequence with the kernel, by
   direct sums over its nonzero taps;
 * the exponential heat LDE ``V̇ = (1/d)(e^{d ∂⁺V} - 2 + e^{-d ∂⁻V}) + c``
@@ -49,6 +47,8 @@ __all__ = [
     "report_to_ndjson",
 ]
 
+_MILLER_MARGIN = 16  # the Bessel ratios start this far past kmax: the last taps are exact
+
 
 @dataclass(frozen=True)
 class HeatKernelTable:
@@ -75,10 +75,17 @@ def _auto_kmax(t: float) -> int:
 
 
 def _bessel_table(kmax: int, x: float) -> np.ndarray:
-    """``e^{-x} I_k(x)`` for ``|k| <= kmax``: ``scipy.special.ive``, mirrored."""
-    from scipy.special import ive
-
-    half = ive(np.arange(kmax + 1), x)
+    """``e^{-x} I_k(x)`` for ``|k| <= kmax``.  The ratios ``q_k = I_k / I_{k-1}
+    = x / (2k + x q_{k+1})``, run back from ``q = 0`` ``_MILLER_MARGIN``
+    orders past ``kmax`` (Miller's recurrence in Gautschi's ratio form), are
+    at most 1, so nothing overflows, and multiply up to ``I_k / I_0``.  Unit
+    mass fixes ``e^{-x} I_0``, and ``x = 0`` gives the unit delta unbranched."""
+    q, r = [], 0.0
+    for k in range(kmax + _MILLER_MARGIN, 0, -1):
+        r = x / (2.0 * k + x * r)
+        q.append(r)
+    ratios = np.cumprod(q[::-1][:kmax])
+    half = np.concatenate(([1.0], ratios)) / (1.0 + 2.0 * ratios.sum())
     return np.concatenate([half[:0:-1], half])
 
 
@@ -90,13 +97,6 @@ def heat_kernel(t: float) -> HeatKernelTable:
     kmax = _auto_kmax(t)
     return HeatKernelTable(t=float(t), k=np.arange(-kmax, kmax + 1),
                            values=_bessel_table(kmax, 2.0 * t))
-
-
-def _periodized_kernel(table: HeatKernelTable, period: int) -> np.ndarray:
-    """Fold the kernel onto one period: ``G_per[m] = sum_q G[m + q P]``."""
-    folded = np.zeros(period)
-    np.add.at(folded, np.mod(table.k, period), table.values)
-    return folded
 
 
 def heat_solve(h0: PhaseSequence, t: float) -> PhaseSequence:
@@ -117,7 +117,7 @@ def heat_solve(h0: PhaseSequence, t: float) -> PhaseSequence:
     table = heat_kernel(t)
     g = table.values[table.values > 0.0]
     if g.size > period:
-        g = _periodized_kernel(table, period)
+        g = np.bincount(np.mod(table.k, period), weights=table.values, minlength=period)
         pad = (period - 1, 0)
     else:
         pad = (g.size // 2, g.size // 2)
@@ -393,8 +393,11 @@ def mcf_solve(G0: PhaseSequence, p: FlowParams, t_grid: Sequence[float], *,
 
     Raises :class:`FlatnessViolated` once ``sup|∂⁺Γ|`` exceeds ``delta``; the
     local comparison structure of the flow is only guaranteed for flat
-    interfaces.
+    interfaces.  ``delta = inf`` turns the guard off; a NaN or nonpositive
+    ``delta`` raises ``ValueError``.
     """
+    if not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
     return _march(G0, lambda q: _mcf_rhs(q, p), t_grid, p, "curvature flow", delta)
 
 

@@ -243,6 +243,10 @@ class SuperSubSpec:
     def __post_init__(self):
         if self.kind not in ("planar", "curved"):
             raise ValueError(f"unknown kind {self.kind!r}")
+        for name in ("mu", "C", "M", "delta", "m", "C_eps"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.kind == "planar":
             if self.mu is not None and self.mu <= 0.0:
                 raise ValueError("mu must be positive")

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from acfront import harness
+from acfront import cli, harness
 from acfront.cli import main
 from acfront.flow import FlowParams, mcf_solve
 from acfront.phase import extract, flatness
@@ -179,6 +179,17 @@ def test_mcf_negative_end_time_is_out_of_range(tmp_path, capsys):
         assert "nondecreasing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delta", ["nan", "0", "-1"])
+def test_mcf_nan_or_nonpositive_delta_is_usage_error(tmp_path, capsys, delta):
+    init = tmp_path / "gamma0.csv"
+    _write_gamma(init, [0.0, 5.0, 10.0, 15.0])
+    out = tmp_path / "traj.csv"
+    assert main(["mcf", "--init", str(init), "--c", "-0.2796", "--d", "-0.1466",
+                 "--delta", delta, "--out", str(out)]) == 2
+    assert "delta must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("samples", ["0", "-1"])
 def test_mcf_without_samples_is_usage_error(tmp_path, capsys, samples):
     init = tmp_path / "gamma0.csv"
@@ -287,11 +298,16 @@ def test_verify_subsuper_offsets_only_bind_planar(capsys):
 
 
 @pytest.mark.parametrize("kind", ["planar", "curved"])
-def test_verify_subsuper_empty_time_grid_is_out_of_range(kind, capsys):
-    assert main(["verify-subsuper", "--kind", kind, "--t-samples", "0"]) == 1
-    captured = capsys.readouterr()
-    assert "verdict=pass" not in captured.out
-    assert "at least one time" in captured.err
+def test_verify_subsuper_without_t_samples_is_usage_error(kind, capsys, monkeypatch):
+    def no_wave(*args):
+        raise AssertionError("the wave was solved before the usage check")
+
+    monkeypatch.setattr(cli, "_solved_wave", no_wave)
+    for samples in ("0", "-1"):
+        assert main(["verify-subsuper", "--kind", kind, "--t-samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert "verdict=" not in captured.out
+        assert "--t-samples must be >= 1" in captured.err
 
 
 def test_experiment_step_with_equal_plateaus_is_usage_error(tmp_path, capsys):

@@ -27,7 +27,7 @@ D_REF = -0.146568639309
 
 def bessel_series_oracle(k: int, t: float) -> float:
     """High-precision power series for e^{-t} I_k(t), independent of the
-    scipy routine behind the heat kernel."""
+    backward recurrence behind the heat kernel."""
     mp.dps = 40
     x = mp.mpf(t) / 2
     total = mp.mpf(0)
@@ -63,6 +63,25 @@ def test_bessel_matches_scipy_scaled():
         assert np.max(np.abs(kernel_bessel(-ks, t) - want)) < 1e-12
 
 
+def test_kernel_tail_taps_match_mpmath_relative():
+    """The taps keep their relative accuracy down to ~1e-300, the scale
+    Cole-Hopf reads: G_k(t) = e^{-2t} I_k(2t) against mpmath's Bessel
+    function at 50 digits, at every fifth order up to the last tap above 1e-300
+    (``scipy.special.ive`` misses this bound on some of them)."""
+    smallest = 1.0
+    for t in (5.0, 100.0, 200.0):
+        table = heat_kernel(t)
+        half = table.values[table.kmax:]
+        last = int(np.flatnonzero(half > 1e-300)[-1])
+        with mp.workdps(50):
+            x = mp.mpf(2.0 * t)
+            for k in [*range(0, last, 5), last]:
+                want = mp.besseli(k, x) * mp.exp(-x)
+                assert abs(mp.mpf(half[k]) - want) <= 1e-13 * want, (t, k)
+        smallest = min(smallest, half[last])
+    assert smallest < 1e-299
+
+
 def test_bessel_recurrence_identity_by_central_difference():
     # I_{k-1} + I_{k+1} = 2 I_k' on the scaled ladder s_k = e^{-t} I_k(t):
     # s_{k-1} + s_{k+1} = 2 (s_k' + s_k), at t=2, k=3
@@ -93,7 +112,7 @@ def test_bessel_guards():
 
 def test_kernel_mass_exact():
     for t in (0.0, 0.1, 0.5, 1.0, 5.0, 20.0, 100.0):
-        assert abs(heat_kernel(t).mass() - 1.0) < 1e-12
+        assert abs(heat_kernel(t).mass() - 1.0) <= 4.5e-16
 
 
 def test_kernel_symmetric_and_positive():
@@ -398,6 +417,17 @@ def test_mcf_flatness_guard():
     steep = PhaseSequence(np.array([0.0, 1.0, 0.0, 1.0]))
     with pytest.raises(FlatnessViolated):
         mcf_solve(steep, p, [1.0])
+
+
+def test_mcf_refuses_a_nan_or_nonpositive_delta():
+    """A NaN delta would compare false and silently disable the guard; inf
+    is the one way to turn it off."""
+    p = FlowParams(c=C_REF, d=D_REF)
+    steep = PhaseSequence(np.array([0.0, 1.0, 0.0, 1.0]))
+    for delta in (float("nan"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            mcf_solve(steep, p, [1.0], delta=delta)
+    assert len(mcf_solve(steep, p, [0.0, 1.0], delta=float("inf"))) == 2
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -409,7 +409,7 @@ REPORT_DIGESTS = [
     (fast_spec("thm22"),
      "6a273fa7d5aa0d4d9f9fc80310bf2e2822a1c2899668abf32279956782f368c8"),
     (fast_spec("thm23", t_end=40.0),
-     "04f32c72c04e97eecf7a67a168554f7f52e4379f6bb3f9b4aa54bda3dc01a1f8"),
+     "9159b8ffa10345fce74933a68e30d451f2fae6c2c65b5ca7da4fb93de4721ff7"),
     (fast_spec("thm24", t_end=40.0),
      "7e8b36c76148fe0a4fd128f0450c802abd0fb3c0c4ec622aa81f44221cdb94f5"),
     (ExperimentSpec(name="step_kappa", width=96, height=48, t_end=60.0, tau=30.0,

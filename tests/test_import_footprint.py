@@ -1,12 +1,16 @@
-"""Importing the package and setting up the wave load no scipy module.
+"""The package runs on numpy alone: no scipy import, at run time or in the
+declared dependencies.
 
 Importing scipy costs more than the whole travelling-wave set-up, so the
-package, its CLI and the set-up solves run on numpy alone; ``scipy.special``
-loads only when a heat kernel is first formed.  Each check runs in a fresh
-interpreter.
+package, its CLI, the set-up solves, the heat kernel and the default
+pipelines load no scipy module; scipy stays a test-only oracle.  The import
+checks run in a fresh interpreter.
 """
 
+import ast
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -14,6 +18,7 @@ import pytest
 
 import acfront
 
+REPO = pathlib.Path(__file__).resolve().parents[1]
 SLOW = ("scipy.interpolate", "scipy.optimize")
 
 
@@ -54,9 +59,43 @@ def test_import_and_wave_set_up_load_no_scipy_module():
                      "report('c_theta')\n") == ["import", "cli", "set-up", "c_theta"]
 
 
-def test_heat_kernel_loads_scipy_special():
+def test_heat_kernel_and_thm23_load_no_scipy_module():
+    """No ``scipy*`` module after a heat kernel, nor after a default thm23
+    run, the pipeline that forms kernels through Cole-Hopf."""
     assert run_fresh("import sys\n"
-                     "from acfront import flow\n"
-                     "loaded = 'scipy.special' in sys.modules\n"
+                     "def report(stage):\n"
+                     "    print(stage, *sorted(m for m in sys.modules\n"
+                     "                         if m.partition('.')[0] == 'scipy'))\n"
+                     "from acfront import flow, harness\n"
                      "flow.heat_kernel(1.0)\n"
-                     "print(loaded, 'scipy.special' in sys.modules)\n") == ["False", "True"]
+                     "report('kernel')\n"
+                     "assert harness.run_experiment(harness.default_spec('thm23')).passed\n"
+                     "report('thm23')\n") == ["kernel", "thm23"]
+
+
+def requirement_names(requirements: list[str]) -> list[str]:
+    return [re.match(r"[A-Za-z0-9_.-]+", req).group(0) for req in requirements]
+
+
+def test_source_imports_no_scipy():
+    """No ``import scipy…`` or ``from scipy… import`` in any module of the
+    package, lazy imports inside functions included."""
+    found = []
+    for path in sorted((REPO / "src" / "acfront").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.name, n) for n in names if n.partition(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_declared_runtime_dependencies_are_numpy_alone():
+    """``[project].dependencies`` names numpy only; scipy is a test extra."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((REPO / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert requirement_names(project["dependencies"]) == ["numpy"]
+    assert "scipy" in requirement_names(project["optional-dependencies"]["test"])

@@ -878,6 +878,17 @@ def test_supersub_spec_validation():
         SuperSubSpec(kind="planar", q1=0.8, mu=0.1, C=2.0).check_offsets(0.3)
 
 
+@pytest.mark.parametrize("name", ["mu", "C", "M", "delta", "m", "C_eps"])
+def test_supersub_spec_refuses_non_finite_constants(name):
+    """NaN slips through every ``<= 0`` check, so it is refused by name, before a run
+    could blame the certificate for it."""
+    V0 = PhaseSequence(np.zeros(4))
+    for value in (math.nan, math.inf, -math.inf):
+        for kind in ("planar", "curved"):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                SuperSubSpec(kind=kind, V0=V0, **{name: value})
+
+
 def test_offsets_bind_only_the_planar_pair(wave03):
     w = wave03
     cfg = SimConfig(w.f)
