@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import flow, harness, phase, sim
-from .core import BistableNonlinearity, PhaseSequence
+from .core import BOUNDARY_J, BistableNonlinearity, PhaseSequence
 from .errors import AcFrontError, NumericalError, VerificationFailed
 from .wave import load_wave, mfde_residual, solve_r, solve_wave
 
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=float, default=None)
     p.add_argument("--t-end", type=float, default=50.0)
     p.add_argument("--samples", type=int, default=51)
-    p.add_argument("--boundary", choices=["periodic", "reflect"], default=None,
+    p.add_argument("--boundary", choices=BOUNDARY_J, default=None,
                    help="j-boundary policy; default the CSV's boundary_j column, "
                    "else periodic")
     p.add_argument("--delta", type=float, default=0.1,

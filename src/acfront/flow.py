@@ -167,9 +167,11 @@ def decay_report(h0: PhaseSequence, t_grid: Sequence[float]) -> dict:
     ``sup|∂⁽²⁾h|``, the fitted constants of the bounds ``sup|∂⁺h(t)| <=
     K min(sup|∂⁺h⁰|, t^{-1/2})`` (and the ``t^{-1}`` analogue) over ``t > 0``,
     whether the initial gradient bound holds at every time, and log-log slope
-    estimates over ``t >= 1``.
+    estimates over ``t >= 1``.  Raises :class:`OutOfRange` for an empty ``t_grid``.
     """
     ts = np.asarray(list(t_grid), dtype=float)
+    if ts.size == 0:
+        raise OutOfRange("decay report needs at least one time")
     rows = np.array([heat_solve(h0, float(t)).values for t in ts]).reshape(ts.size, len(h0))
     d1, d2n = _decay_norms(rows, h0.boundary_j)
     (g0,), (l0,) = _decay_norms(h0.values[None, :], h0.boundary_j)

@@ -77,19 +77,23 @@ def splitmix64_uniform(seed: int, n: int) -> np.ndarray:
     return np.minimum(_splitmix64_array(seed, n) / 2.0 ** 64, np.nextafter(1.0, 0.0))
 
 
-# the kinds each generator makes, the default first
-_GENERATOR_KINDS = {"kappa": ("periodic", "step", "random"),
-                    "v0": ("none", "gaussian_bump", "random_l1")}
-
-# every key some kappa or v0 generator reads, whatever the kind: spec_from_config
-# layers config keys over the default spec's kappa, which may be of another kind
-_GENERATOR_KEYS = {"kappa": {"kind", "P", "amplitude", "offset", "lo", "hi", "seed"},
-                   "v0": {"kind", "amp", "width", "center_i", "center_j", "decay", "seed"}}
+# the kinds each generator makes, the default first, each with the keys it
+# reads and their defaults; a seed of None is the spec's seed
+_GENERATORS = {
+    "kappa": {"periodic": {"P": 8, "amplitude": 2.0, "offset": 0.0},
+              "step": {"lo": 0.0, "hi": 4.0, "offset": 0.0},
+              "random": {"amplitude": 1.0, "offset": 0.0, "seed": None}},
+    "v0": {"none": {},
+           "gaussian_bump": {"amp": 0.5, "width": 3.0, "center_i": 0.0, "center_j": 0.0},
+           "random_l1": {"amp": 0.5, "decay": 4.0, "center_i": 0.0, "center_j": 0.0,
+                         "seed": None}},
+}
 
 # what a kappa or v0 value must be: (wording, type, exclusive lower bound), each
-# below inf; a finite real unless listed (kind and P are checked apart)
+# below inf; a finite real unless listed (kind is checked apart)
 _FINITE_REAL = ("a finite real", numbers.Real, -math.inf)
-_GENERATOR_VALUES = {"seed": ("an integer", numbers.Integral, -math.inf),
+_GENERATOR_VALUES = {"P": ("an integer >= 1", numbers.Integral, 0),
+                     "seed": ("an integer", numbers.Integral, -math.inf),
                      "width": ("a positive finite real", numbers.Real, 0.0),
                      "decay": ("a positive finite real", numbers.Real, 0.0)}
 
@@ -118,8 +122,8 @@ class ExperimentSpec:
     record_every: Optional[int] = None
     boundary_j: str = "periodic"
     seed: int = 1
-    kappa: dict = field(default_factory=lambda: {"kind": "periodic", "P": 8,
-                                                 "amplitude": 2.0, "offset": 0.0})
+    kappa: dict = field(default_factory=lambda: {"kind": "periodic",
+                                                 **_GENERATORS["kappa"]["periodic"]})
     v0: dict = field(default_factory=lambda: {"kind": "none"})
     tolerances: dict = field(default_factory=dict)
     L: float = 20.0
@@ -136,21 +140,18 @@ class ExperimentSpec:
             if not 0.0 < value < math.inf:
                 raise ValueError(f"tolerance {key} must be positive and finite, got {value}")
         self.tolerances = {**_TOLERANCES, **self.tolerances}
-        for gen, known in _GENERATOR_KEYS.items():
-            unknown = sorted(set(getattr(self, gen)) - known)
+        for gen, kinds in _GENERATORS.items():
+            # any kind's keys: spec_from_config layers them over the default kind's
+            unknown = sorted(set(getattr(self, gen)) - {"kind"}.union(*kinds.values()))
             if unknown:
                 raise ValueError(f"unknown {gen} keys: {unknown}")
-            _kind(gen, getattr(self, gen))
+            _generator(gen, self)
             for key, value in getattr(self, gen).items():
                 want, kind, low = _GENERATOR_VALUES.get(key, _FINITE_REAL)
-                if key not in ("kind", "P") and (isinstance(value, bool)
-                                                 or not isinstance(value, kind)
-                                                 or not low < value < math.inf):
-                    raise ValueError(f"{gen} {key} must be {want}, got {value!r}")
-        P = self.kappa.get("P", 1)
-        if _kind("kappa", self.kappa) == "periodic" and (
-                isinstance(P, bool) or not isinstance(P, numbers.Integral) or P < 1):
-            raise ValueError(f"kappa period P must be an integer >= 1, got {P!r}")
+                if key != "kind" and (isinstance(value, bool) or not isinstance(value, kind)
+                                      or not low < value < math.inf):
+                    name = "period P" if key == "P" else key
+                    raise ValueError(f"{gen} {name} must be {want}, got {value!r}")
         for key, kind in _SCALAR_KEYS.items():
             value = getattr(self, key)
             # SimConfig checks the window sizes and fills a dt or record_every of None
@@ -215,58 +216,49 @@ def _verdict(value: float, tolerance: float) -> dict:
 # initial data generators
 
 
-def _kind(gen: str, cfg: dict) -> str:
-    """The kind of generator ``gen`` that ``cfg`` asks for, the default
-    without a ``kind`` key; ``ValueError`` for a kind ``gen`` does not make."""
-    kinds = _GENERATOR_KINDS[gen]
-    kind = cfg.get("kind", kinds[0])
+def _generator(gen: str, spec: ExperimentSpec) -> tuple[str, dict]:
+    """The kind of generator ``gen`` that ``spec`` asks for (the default without
+    a ``kind`` key) and ``spec``'s keys over that kind's defaults, where a default
+    of None is the spec's seed; ``ValueError`` for a kind ``gen`` does not make."""
+    cfg = getattr(spec, gen)
+    kinds = _GENERATORS[gen]
+    kind = cfg.get("kind", next(iter(kinds)))
     if kind not in kinds:
         raise ValueError(f"unknown {gen} kind {kind!r}; known: {list(kinds)}")
-    return kind
+    defaults = {key: spec.seed if v is None else v for key, v in kinds[kind].items()}
+    return kind, {**defaults, **cfg}
 
 
 def make_kappa(spec: ExperimentSpec) -> PhaseSequence:
     """Initial phase modulation sequence from the configured generator."""
-    cfg = spec.kappa
-    kind = _kind("kappa", cfg)
+    kind, p = _generator("kappa", spec)
     j = np.arange(spec.height)
-    offset = float(cfg.get("offset", 0.0))
     if kind == "periodic":
-        P = int(cfg.get("P", 8))
-        amp = float(cfg.get("amplitude", 2.0))
-        vals = amp * np.sin(2.0 * np.pi * j / P) + offset
+        vals = float(p["amplitude"]) * np.sin(2.0 * np.pi * j / int(p["P"]))
     elif kind == "step":
-        lo = float(cfg.get("lo", 0.0))
-        hi = float(cfg.get("hi", 4.0))
-        vals = np.where(j < spec.height // 2, lo, hi) + offset
+        vals = np.where(j < spec.height // 2, float(p["lo"]), float(p["hi"]))
     else:  # random
-        amp = float(cfg.get("amplitude", 1.0))
-        seed = int(cfg.get("seed", spec.seed))
-        vals = amp * (2.0 * splitmix64_uniform(seed, spec.height) - 1.0) + offset
-    return PhaseSequence(vals, boundary_j=spec.boundary_j)
+        noise = 2.0 * splitmix64_uniform(int(p["seed"]), spec.height) - 1.0
+        vals = float(p["amplitude"]) * noise
+    return PhaseSequence(vals + float(p["offset"]), boundary_j=spec.boundary_j)
 
 
 def make_v0(spec: ExperimentSpec) -> np.ndarray:
     """Localized perturbation v0 on the window (zero, bump, or summable noise)."""
-    cfg = spec.v0
-    kind = _kind("v0", cfg)
+    kind, p = _generator("v0", spec)
     shape = (spec.width, spec.height)
     if kind == "none":
         return np.zeros(shape)
     i = (np.arange(spec.width) + sim._window_origin(spec.width)).astype(float)[:, None]
     j = (np.arange(spec.height) - spec.height // 2).astype(float)[None, :]
-    ci = float(cfg.get("center_i", 0.0))
-    cj = float(cfg.get("center_j", 0.0))
+    ci, cj = float(p["center_i"]), float(p["center_j"])
+    amp = float(p["amp"])
     if kind == "gaussian_bump":
-        amp = float(cfg.get("amp", 0.5))
-        width = float(cfg.get("width", 3.0))
+        width = float(p["width"])
         return amp * np.exp(-((i - ci) ** 2 + (j - cj) ** 2) / (2.0 * width * width))
     # random_l1
-    amp = float(cfg.get("amp", 0.5))
-    decay = float(cfg.get("decay", 4.0))
-    seed = int(cfg.get("seed", spec.seed))
-    noise = 2.0 * splitmix64_uniform(seed, spec.width * spec.height) - 1.0
-    envelope = np.exp(-(np.abs(i - ci) + np.abs(j - cj)) / decay)
+    noise = 2.0 * splitmix64_uniform(int(p["seed"]), spec.width * spec.height) - 1.0
+    envelope = np.exp(-(np.abs(i - ci) + np.abs(j - cj)) / float(p["decay"]))
     return amp * noise.reshape(shape) * envelope
 
 
@@ -499,8 +491,8 @@ _EXPERIMENTS = {
     "thm22": (run_thm22, {"t_end": 150.0}),
     "thm23": (run_thm23, {"t_end": 200.0, "tau": 60.0}),
     "thm24": (run_thm24, {"t_end": 150.0, "tau": 30.0,
-                          "kappa": {"kind": "periodic", "P": 8, "amplitude": 1.0,
-                                    "offset": 0.0}}),
+                          "kappa": {"kind": "periodic", **_GENERATORS["kappa"]["periodic"],
+                                    "amplitude": 1.0}}),
     "step_kappa": (run_step_kappa, {"t_end": 150.0, "tau": 60.0, "height": 128,
                                     "boundary_j": "reflect",
                                     "kappa": {"kind": "step", "lo": 0.0, "hi": 4.0}}),

@@ -106,6 +106,7 @@ class SimConfig:
             self.record_every = max(1, int(round(1.0 / self.dt)))
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        _check_window(record_every=self.record_every)
 
     @property
     def i_offset(self) -> int:

@@ -108,6 +108,8 @@ def test_bessel_guards():
             call()
     with pytest.raises(OutOfRange, match="at least one time"):
         bessel_bounds_report([])
+    with pytest.raises(OutOfRange, match="at least one time"):
+        decay_report(h0, [])
 
 
 def test_kernel_mass_exact():

@@ -116,6 +116,42 @@ def test_make_v0_generators():
     assert abs(v[0, 0]) < 0.2 * np.exp(-40.0 / 4.0)
 
 
+GENERATOR_KINDS = [(gen, kind) for gen, kinds in harness._GENERATORS.items() for kind in kinds]
+MAKE = {"kappa": lambda spec: make_kappa(spec).values, "v0": make_v0}
+
+
+@pytest.mark.parametrize("gen, kind", GENERATOR_KINDS,
+                         ids=[kind for _, kind in GENERATOR_KINDS])
+def test_generator_reads_exactly_its_table_row(gen, kind):
+    """A kind named alone makes the same bits as its table row spelled out
+    (a seed of None being the spec's), and every key of the row is read."""
+    spec = fast_spec("thm22", height=8, seed=5)
+    defaults = {key: spec.seed if value is None else value
+                for key, value in harness._GENERATORS[gen][kind].items()}
+    bare = MAKE[gen](dataclasses.replace(spec, **{gen: {"kind": kind}}))
+    spelled = MAKE[gen](dataclasses.replace(spec, **{gen: {"kind": kind, **defaults}}))
+    assert bare.tobytes() == spelled.tobytes()
+    for key, value in defaults.items():
+        moved = {"kind": kind, key: value + 1}
+        assert not np.array_equal(MAKE[gen](dataclasses.replace(spec, **{gen: moved})), bare)
+
+
+@pytest.mark.parametrize("gen, kind", [("kappa", "random"), ("v0", "random_l1")])
+def test_generator_seed_of_zero_is_used_as_zero(gen, kind):
+    spec = fast_spec("thm22", height=8, seed=5, **{gen: {"kind": kind}})
+    zero = MAKE[gen](dataclasses.replace(spec, **{gen: {"kind": kind, "seed": 0}}))
+    assert np.array_equal(zero, MAKE[gen](dataclasses.replace(spec, seed=0)))
+    assert not np.array_equal(zero, MAKE[gen](spec))
+
+
+def test_kappa_period_is_checked_whatever_the_kind():
+    message = "kappa period P must be an integer >= 1, got 2.5"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentSpec(name="thm22", kappa={"kind": "step", "P": 2.5})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        spec_from_config({"name": "step", "kappa_P": "2.5"})
+
+
 def test_make_initial_exact_profile_composition(wave03):
     spec = fast_spec("thm22", height=8)
     u0 = make_initial(spec, wave03)

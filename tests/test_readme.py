@@ -4,8 +4,10 @@ import argparse
 import re
 from pathlib import Path
 
+import pytest
+
 from acfront.cli import build_parser
-from acfront.harness import _EXPERIMENTS, _SCALAR_KEYS, ExperimentSpec
+from acfront.harness import _EXPERIMENTS, _GENERATORS, _SCALAR_KEYS, ExperimentSpec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -67,3 +69,20 @@ def test_readme_experiment_names_match_the_cli_and_the_table():
     assert usage.split()[2].split("|") == list(choices)
     listed = readme_config_text().split("`name` (", 1)[1].split(")", 1)[0]
     assert listed.split("|") == list(_EXPERIMENTS)
+
+
+@pytest.mark.parametrize("gen", list(_GENERATORS))
+def test_readme_generator_kinds_keys_and_defaults_match_the_table(gen):
+    text = readme_config_text()
+    listed = text.split(f"`{gen}_kind` (", 1)[1]
+    kinds, sentence = listed.split(")", 1)
+    assert kinds.split("|") == list(_GENERATORS[gen])
+    sentence = re.split(r"\.\s", sentence, maxsplit=1)[0]
+    rows = {}
+    for kind, clause in re.findall(r"(\w+) reads ([^;]*)", sentence):
+        pairs = re.findall(rf"`{gen}_(\w+)` = (the spec's `seed`|[\d.]+)", clause)
+        rows[kind] = {key: None if value.startswith("the") else float(value)
+                      for key, value in pairs}
+    assert rows == _GENERATORS[gen]
+    keys = set(re.findall(rf"`{gen}_(\w+)`", text))
+    assert keys == {"kind"}.union(*_GENERATORS[gen].values())

@@ -92,6 +92,8 @@ def test_config_rejects_unstable_step():
     ({"width": 2.5}, "width must be an integer >= 1"),
     ({"width": True}, "width must be an integer >= 1, got True"),
     ({"height": True}, "height must be an integer >= 1, got True"),
+    ({"record_every": 2.5}, "record_every must be an integer >= 1, got 2.5"),
+    ({"record_every": True}, "record_every must be an integer >= 1, got True"),
 ])
 def test_config_rejects_bad_step_settings(kw, match):
     with pytest.raises(ValueError, match=match):
