@@ -163,6 +163,9 @@ class ExperimentSpec:
             raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
         _check_grid(self.L, self.h)
         self.sim_config(BistableNonlinearity(a=self.a))  # checks a and the lattice run
+        if self.name in _HANDOFF and self.tau > self.t_end:
+            raise PreAsymptotic(f"no snapshot at or after tau={self.tau:g}: the run ends "
+                                f"at t_end={self.t_end:g}")
 
     def config_dict(self) -> dict:
         return asdict(self)
@@ -311,13 +314,11 @@ def _trajectory(spec: ExperimentSpec, w: Optional[WaveProfile], need_d: bool,
     """Solve the wave (with ``need_d``, also its adjoint, ``d`` and ``r``)
     unless given, run the lattice from :func:`make_initial` and reduce each
     snapshot as it is made: its phase, and whatever ``observe(w, t, u, g)``
-    keeps.  Returns ``(w, [(t, PhaseExtract), ...], k0, u_end)``: no field
-    but the last outlives the run.  A given wave must be the spec's own
+    keeps.  Returns ``(w, [(t, PhaseExtract), ...], u_end)``: no field but
+    the last outlives the run.  A given wave must be the spec's own
     (nonlinearity, ``a``, ``L``, ``h``).
 
-    ``k0`` indexes the hand-off snapshot, the first at ``t >= tau``; its
-    phase must be defined on every row, else :class:`PreAsymptotic`.  The
-    run stops with :class:`OutOfRange` as soon as a defined row's anchor
+    The run stops with :class:`OutOfRange` as soon as a defined row's anchor
     comes within ``ceil(L)`` cells of either i-edge, so the window always
     holds the resolved profile.
     """
@@ -340,13 +341,21 @@ def _trajectory(spec: ExperimentSpec, w: Optional[WaveProfile], need_d: bool,
         if observe is not None:
             observe(w, t, u, g)
         traj.append((t, g))
+    return w, traj, u
+
+
+def _handoff(spec: ExperimentSpec, traj) -> int:
+    """Index of the hand-off snapshot, the first at ``t >= tau``; its phase
+    must be defined on every row, else :class:`PreAsymptotic`.  The spec
+    has refused ``tau > t_end``, so only a ``tau`` within rounding of the
+    last step can find none."""
     k0 = next((k for k, (t, _) in enumerate(traj) if t >= spec.tau), None)
     if k0 is None:
         raise PreAsymptotic(f"no snapshot at or after tau={spec.tau:g}")
     t0, g0 = traj[k0]
     if not g0.all_defined:
         raise PreAsymptotic(f"phase undefined on some rows at tau={t0:g}")
-    return w, traj, k0, u
+    return k0
 
 
 def _track_mcf(w: WaveProfile, traj, k0: int, **kw):
@@ -371,7 +380,9 @@ def run_thm22(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Experime
         if g.all_defined:
             fe_series.append((t, phase.front_error(u, w, g)))
 
-    _, traj, _, _ = _trajectory(spec, w, need_d=False, observe=front_error)
+    _, traj, _ = _trajectory(spec, w, need_d=False, observe=front_error)
+    if not fe_series:
+        raise PreAsymptotic("phase undefined on some rows at every snapshot")
     fl_series = [(t, phase.flatness(g)) for t, g in traj if g.all_defined]
     final = fe_series[-1][1]
     return _report(spec, {"front_error": fe_series, "flatness": fl_series},
@@ -382,7 +393,8 @@ def run_thm22(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Experime
 def run_thm23(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> ExperimentReport:
     """Curvature-flow tracking: hand the extracted phase at ``tau`` to the
     discrete curvature flow and bound the gap up to ``t_end``."""
-    w, traj, k0, _ = _trajectory(spec, w, need_d=True)
+    w, traj, _ = _trajectory(spec, w, need_d=True)
+    k0 = _handoff(spec, traj)
     handoff_tol = spec.tolerances["flatness_handoff"]
     t0, g0 = traj[k0]
     fl0 = phase.flatness(g0)
@@ -416,7 +428,8 @@ def run_thm24(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Experime
     """Limiting offset of a periodically modulated front: fit ``mu`` from
     late snapshots, check stability, the final profile fit, and the
     averaging prediction."""
-    w, traj, k0, u_end = _trajectory(spec, w, need_d=True)
+    w, traj, u_end = _trajectory(spec, w, need_d=True)
+    k0 = _handoff(spec, traj)
     mu_series = [(t, float(np.mean(g.gamma.values)) - w.c * t)
                  for t, g in traj if g.all_defined]
     n = len(mu_series)
@@ -451,7 +464,8 @@ def run_step_kappa(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Exp
     hi = float(kappa.values[-1])
     if lo == hi:
         raise ValueError(f"step_kappa needs two distinct plateaus, got both at {lo:g}")
-    w, traj, k0, _ = _trajectory(spec, w, need_d=True)
+    w, traj, _ = _trajectory(spec, w, need_d=True)
+    k0 = _handoff(spec, traj)
     t_end, g_end = traj[-1]
     if not g_end.all_defined:
         raise PreAsymptotic("phase undefined on some rows at t_end")
@@ -498,6 +512,8 @@ _EXPERIMENTS = {
                                     "kappa": {"kind": "step", "lo": 0.0, "hi": 4.0}}),
 }
 _ALIASES = {"step": "step_kappa"}
+# the experiments that hand the phase at tau on, so need tau <= t_end
+_HANDOFF = ("thm23", "thm24", "step_kappa")
 
 
 def run_experiment(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> ExperimentReport:

@@ -28,8 +28,12 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
+import numbers
 import os
 import struct
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -91,6 +95,10 @@ class SimConfig:
         _check_window(width=self.width, height=self.height)
         if self.boundary_j not in BOUNDARY_J:
             raise ValueError(f"boundary_j must be one of {BOUNDARY_J}")
+        for key, value in (("dt", self.dt), ("t_end", self.t_end)):
+            if (value is not None or key == "t_end") and (
+                    isinstance(value, bool) or not isinstance(value, numbers.Real)):
+                raise ValueError(f"{key} must be a real number, got {value!r}")
         sup = self.f.dg_sup()
         if self.dt is None:
             self.dt = 1.0 / math.ceil(math.ceil(4.0 + sup) / 4)
@@ -104,7 +112,7 @@ class SimConfig:
                 f"(dt/6)*(4+sup|g'|) <= 1 (sup|g'|={sup:g})")
         if self.record_every is None:
             self.record_every = max(1, int(round(1.0 / self.dt)))
-        if self.record_every < 1:
+        if isinstance(self.record_every, numbers.Integral) and self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
         _check_window(record_every=self.record_every)
 
@@ -114,41 +122,193 @@ class SimConfig:
         return _window_origin(self.width)
 
 
-def step(u: LatticeField, cfg: SimConfig,
-         work: Optional[tuple[np.ndarray, ...]] = None) -> LatticeField:
-    """One SSPRK(10,4) step (``core._ssprk104``) of ``u̇ = Δ⁺u + g(u)``,
-    made of forward-Euler substeps ``E(v) = v + h (Δ⁺v + g(v))`` at
-    ``h = dt / 6``.
+def _euler(cfg: SimConfig):
+    """The forward-Euler substep ``E(v) = v + h (Δ⁺v + g(v))`` at
+    ``h = dt / 6`` as ``euler(p, out)`` for ``core._ssprk104``.
 
-    Every Euler update works on the flat contiguous padded layout (see
-    ``core._flat_runs``) and is one polynomial written straight into the
-    interior rows of the next stage's padded buffer, ghost columns
-    included: the centre term ``g(v) - 4 v``
-    (``BistableNonlinearity._centre_into``), plus the four neighbours, times
-    ``h``, plus ``v``.  No scratch array is made per substep, and ``u`` is
-    left untouched.  ``work`` may lend, in order, the padded array holding
-    ``u`` (read, not written), the two stage buffers and ``E(y5)``, else
-    they are made afresh; the result is a view into the first stage buffer.
-
-    The one finiteness check is the result field's own: a non-finite stage
-    value raises :class:`NonFinite`.  The overflow that made it warns.
-    """
-    h = cfg.dt / 6.0
+    It works on the flat contiguous padded layout (see ``core._flat_runs``)
+    and is one polynomial written straight into ``out``, the interior rows of
+    the next stage's padded buffer, ghost columns included: the centre term
+    ``g(v) - 4 v`` (``BistableNonlinearity._centre_into``), plus the four
+    neighbours, times ``h``, plus ``v``.  No scratch array is made."""
+    f, h = cfg.f, cfg.dt / 6.0
 
     def euler(p: np.ndarray, out: np.ndarray) -> None:
         c, neighbours = _flat_runs(p)
-        o = cfg.f._centre_into(c, out.reshape(-1))
+        o = f._centre_into(c, out.reshape(-1))
         for q in neighbours:
             o += q
         o *= h
         o += c
 
-    p0, stages = (u.padded(), None) if work is None else (work[0], work[1:])
-    p = _ssprk104(p0, euler, u.boundary_j, stages)
+    return euler
+
+
+def _advance(p0: np.ndarray, euler, boundary_j: str,
+             work: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None) -> np.ndarray:
+    """One SSPRK(10,4) step (``core._ssprk104``) of the padded array ``p0``,
+    which is read and not written; returns the padded result, in ``work[0]``
+    when ``work`` lends the stage buffers.  The one finiteness check of a
+    step is this one, on the result: a non-finite value raises
+    :class:`NonFinite`, and the overflow that made it warns."""
+    p = _ssprk104(p0, euler, boundary_j, work)
+    if not np.isfinite(p[1:-1]).all():
+        raise NonFinite("simulation step produced non-finite values")
+    return p
+
+
+def step(u: LatticeField, cfg: SimConfig) -> LatticeField:
+    """One SSPRK(10,4) step of ``u̇ = Δ⁺u + g(u)``, made of forward-Euler
+    substeps at ``h = dt / 6`` (see ``_euler``), as a new field; ``u`` is
+    left untouched.  A non-finite result raises :class:`NonFinite`."""
+    p = _advance(u.padded(), _euler(cfg), u.boundary_j)
+    return LatticeField(p[1:-1, 1:-1], i_offset=u.i_offset, boundary_j=u.boundary_j)
+
+
+# The fewest live sites, ``e (H + 2)``, of a step that ``snapshots`` splits
+# with a forked worker.  On a 2-vCPU Xeon (KVM) the split stepped 256x256
+# (66048 sites) and 256x192 about 25 % faster, 256x128 and 512x64 (33000)
+# 0-20 % faster, and 256x64 (16896) no faster: below about 30000 sites a step
+# fits one core's L2 and halving it saves less than the pipe round trip, the
+# copy and the 2R rows stepped twice.  A fork also makes every page this
+# process writes later a copy-on-write fault while the worker lives: 30 ms
+# more phase extraction in a default thm22 split at 9000 sites.
+_SPLIT_MIN_SITES = 32768
+_TASK = struct.Struct("<3q")  # a far half for the worker: (lo, e, which)
+
+
+def _can_fork() -> bool:
+    """Whether ``snapshots`` may split steps: ``os.fork`` exists, at least
+    two CPUs are in this process's affinity set, and, on Python >= 3.12
+    (where ``fork`` in a process with other OS threads warns), no other
+    thread runs."""
+    if not hasattr(os, "fork"):
+        return False
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if cpus < 2:
+        return False
+    if sys.version_info < (3, 12):
+        return True
     try:
-        return LatticeField(p[1:-1, 1:-1], i_offset=u.i_offset, boundary_j=u.boundary_j)
-    except ValueError as exc:  # the field's own finiteness check
-        raise NonFinite("simulation step produced non-finite values") from exc
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return threading.active_count() == 1
+
+
+class _Halves:
+    """The buffers of a run, and the forked worker that steps the far half
+    of each step split in two (see :func:`snapshots`).
+
+    One anonymous shared ``mmap`` holds the two padded state buffers, this
+    process's stage buffer and ``E(y5)`` buffer, and the worker's three
+    buffers of a far half, so both processes see every write.  The worker is
+    forked at the first split step and serves ``_TASK`` messages on one pipe,
+    answering each with one status byte on another, until it reads EOF."""
+
+    def __init__(self, p0: np.ndarray, euler, boundary_j: str):
+        rows, s = p0.shape
+        far = (rows - 1) // 2 + _SSPRK104_REACH  # interior rows of the widest far half
+        shapes = [(rows, s)] * 3 + [(rows - 2, s), (far + 2, s), (far + 2, s), (far, s)]
+        self._map = mmap.mmap(-1, 8 * sum(r * c for r, c in shapes))
+        views, offset = [], 0
+        for shape in shapes:
+            views.append(np.ndarray(shape, buffer=self._map, offset=offset))
+            offset += 8 * shape[0] * shape[1]
+        self.states, (self.stage, self.e5), self._far = views[:2], views[2:4], views[4:]
+        self.states[0][...] = p0
+        self._euler, self._boundary_j = euler, boundary_j
+        self._pid = self._task = self._done = None
+        self._live = True
+
+    def step(self, which: int, e: int) -> bool:
+        """Step the prefix of ``e`` columns of ``states[which]`` into
+        ``states[1 - which]``, this process taking padded rows ``[0, m + R
+        + 2)`` and the worker ``[m - R, e + 2)``, ``m = e // 2``, and keep
+        rows ``1 .. m`` of the first and ``m + 1 .. e`` of the second.
+        Returns False, with the output buffers in any state, if the step
+        must be made serially instead: the fork failed, the worker died, or
+        either half failed (a non-finite value, an overflow, a division by
+        zero), so that the serial step raises and warns as it would have."""
+        if not self._live or (self._pid is None and not self._fork()):
+            return False
+        reach, m = _SSPRK104_REACH, e // 2
+        cur, new = self.states[which], self.states[1 - which]
+        try:
+            os.write(self._task, _TASK.pack(m - reach, e, which))
+        except OSError:  # the worker is gone
+            self.close()
+            return False
+        near = m + reach + 2
+        try:
+            with np.errstate(over="raise", divide="raise"):
+                _advance(cur[:near], self._euler, self._boundary_j,
+                         (new[:near], self.stage[:near], self.e5[:near - 2]))
+            ok = True
+        except (NonFinite, FloatingPointError):
+            ok = False
+        status = os.read(self._done, 1)
+        if not status:  # the worker is gone
+            self.close()
+        if not (ok and status == b"\1"):
+            return False
+        new[m + 1:e + 1] = self._far[0][reach + 1:e - m + reach + 1]
+        return True
+
+    def _fork(self) -> bool:
+        task_r, task_w = os.pipe()
+        done_r, done_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            pid = None
+        if pid == 0:
+            try:
+                self._serve(task_r, done_w)
+            finally:
+                os._exit(0)
+        for fd in (task_r, done_w) if pid else (task_r, task_w, done_r, done_w):
+            os.close(fd)
+        if pid is None:
+            self._live = False
+            return False
+        self._pid, self._task, self._done = pid, task_w, done_r
+        return True
+
+    def _serve(self, task_r: int, done_w: int) -> None:
+        """The worker's loop.  It first closes every descriptor it inherited
+        but the standard three and its two pipe ends, the parent's ends of
+        these pipes and of any other run's among them, so that closing them
+        in the parent is an EOF here."""
+        low, high = sorted((task_r, done_w))
+        os.closerange(3, low)
+        os.closerange(low + 1, high)
+        os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
+        while len(task := os.read(task_r, _TASK.size)) == _TASK.size:
+            lo, e, which = _TASK.unpack(task)
+            p0 = self.states[which][lo:e + 2]
+            n = p0.shape[0]
+            try:
+                with np.errstate(over="raise", divide="raise"):
+                    _advance(p0, self._euler, self._boundary_j,
+                             (self._far[0][:n], self._far[1][:n], self._far[2][:n - 2]))
+                status = b"\1"
+            except Exception:
+                status = b"\0"
+            os.write(done_w, status)
+
+    def close(self) -> None:
+        """Close this process's pipe ends, which the worker reads as EOF and
+        leaves, and reap it; no step splits after."""
+        self._live = False
+        if self._pid is not None:
+            os.close(self._task)
+            os.close(self._done)
+            try:
+                os.waitpid(self._pid, 0)
+            except ChildProcessError:  # reaped elsewhere
+                pass
+            self._pid = None
 
 
 def snapshots(u0: LatticeField, cfg: SimConfig) -> Iterator[tuple[float, LatticeField]]:
@@ -164,7 +324,7 @@ def snapshots(u0: LatticeField, cfg: SimConfig) -> Iterator[tuple[float, Lattice
     and ``boundary_j`` of ``cfg`` (else ``ValueError`` before any step); its
     ``i_offset`` is free.
 
-    Each step passes to :func:`step` only the live columns, with the same
+    Each step passes to ``_advance`` only the live columns, with the same
     bits as a full-width step.  The rule rests on the step's reach,
     ``R = core._SSPRK104_REACH``: output column ``c`` reads input columns
     ``c - R .. c + R`` only, and the right i-ghost is pinned to 1.  So if the
@@ -176,29 +336,52 @@ def snapshots(u0: LatticeField, cfg: SimConfig) -> Iterator[tuple[float, Lattice
     ``[0, s)`` take the new values and ``[s, W)`` keep the old ones.  Then
     ``s = min(W, c0 + R)``, with ``c0`` the first column of the unchanged
     suffix, found by comparing the bits of the new and old values on
-    ``[0, s)``."""
+    ``[0, s)``.
+
+    A wide prefix is split in two at ``m = e // 2``, by the same reach
+    argument applied to a cut in the middle: this process steps columns
+    ``[0, m + R)``, whose ghost row holds column ``m + R`` fixed, and keeps
+    ``[0, m)``; a forked worker steps columns ``[m - R, e)``, whose ghost row
+    holds column ``m - R - 1`` fixed, and this process copies its ``[m, e)``.
+    Both halves run at once on two CPUs, with the same bits as one step.  A
+    step splits only if ``os.fork`` exists, at least two CPUs are in this
+    process's affinity set (and, on Python >= 3.12, no other thread runs),
+    ``e >= 2 R`` and ``e (H + 2) >= _SPLIT_MIN_SITES``; else, and whenever a
+    half fails or the worker dies, it is made serially from the state,
+    which no step writes, so every error and warning is the serial step's.
+    The worker is forked at the first split step and ends with the
+    generator: exhausted, closed or left by an exception, it closes its
+    pipe ends, the worker leaves at their EOF, and it is reaped."""
     if u0.values.shape != (cfg.width, cfg.height) or u0.boundary_j != cfg.boundary_j:
         raise ValueError(
             f"initial field is {u0.width}x{u0.height} {u0.boundary_j}, config is "
             f"{cfg.width}x{cfg.height} {cfg.boundary_j}")
     n_steps = int(math.ceil(cfg.t_end / cfg.dt - 1e-9))
     width, i_offset, boundary_j = cfg.width, u0.i_offset, u0.boundary_j
-    cur = u0.padded()
-    spare, stage = np.empty_like(cur), np.empty_like(cur)
-    e5 = np.empty((width, cfg.height + 2))
-    settled = width
-    for k in range(n_steps + 1):
-        if k:
-            e = min(width, settled + _SSPRK104_REACH)
-            step(LatticeField(cur[1:e + 1, 1:-1], i_offset, boundary_j), cfg,
-                 (cur[:e + 2], spare[:e + 2], stage[:e + 2], e5[:e]))
-            moved = np.flatnonzero(np.any(spare[1:settled + 1].view(np.int64)
-                                          != cur[1:settled + 1].view(np.int64), axis=1))
-            spare[settled + 1:] = cur[settled + 1:]
-            settled = min(width, (int(moved[-1]) + 1 if moved.size else 0) + _SSPRK104_REACH)
-            cur, spare = spare, cur
-        if k % cfg.record_every == 0 or k == n_steps:
-            yield k * cfg.dt, LatticeField(cur[1:-1, 1:-1].copy(), i_offset, boundary_j)
+    sites, reach, euler = cfg.height + 2, _SSPRK104_REACH, _euler(cfg)
+    halves = _Halves(u0.padded(), euler, boundary_j)
+    states, stage, e5 = halves.states, halves.stage, halves.e5
+    split = _can_fork()
+    which, settled = 0, width
+    try:
+        for k in range(n_steps + 1):
+            if k:
+                cur, new = states[which], states[1 - which]
+                e = min(width, settled + reach)
+                if not (split and e >= 2 * reach and e * sites >= _SPLIT_MIN_SITES
+                        and halves.step(which, e)):
+                    _advance(cur[:e + 2], euler, boundary_j,
+                             (new[:e + 2], stage[:e + 2], e5[:e]))
+                moved = np.flatnonzero(np.any(new[1:settled + 1].view(np.int64)
+                                              != cur[1:settled + 1].view(np.int64), axis=1))
+                new[settled + 1:] = cur[settled + 1:]
+                settled = min(width, (int(moved[-1]) + 1 if moved.size else 0) + reach)
+                which = 1 - which
+            if k % cfg.record_every == 0 or k == n_steps:
+                yield k * cfg.dt, LatticeField(states[which][1:-1, 1:-1].copy(),
+                                               i_offset, boundary_j)
+    finally:
+        halves.close()
 
 
 def run(u0: LatticeField, cfg: SimConfig,

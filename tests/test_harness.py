@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import weakref
 from pathlib import Path
@@ -419,6 +420,33 @@ def test_pipeline_keeps_at_most_two_stepped_fields(wave03, monkeypatch, runner):
     assert len(yielded) == 31 and max(alive_at_yield) == 2
 
 
+def _child_pids() -> set:
+    """The processes whose parent is this one, zombies included."""
+    me, out = os.getpid(), set()
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, ValueError, IndexError):
+            continue
+        if ppid == me:
+            out.add(int(entry))
+    return out
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("split_min_sites", [None, 0], ids=["default", "split"])
+def test_default_thm22_leaves_no_descriptor_or_child(wave03, monkeypatch, split_min_sites):
+    """A default thm22 run leaves the open file descriptors and the child
+    processes as they were, also with every step split with a worker."""
+    if split_min_sites is not None:
+        monkeypatch.setattr(harness.sim, "_SPLIT_MIN_SITES", split_min_sites)
+    fds, children = sorted(os.listdir("/proc/self/fd")), _child_pids()
+    assert run_thm22(default_spec("thm22"), wave03).passed
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    assert _child_pids() == children
+
+
 def test_report_ndjson_reproducible(tmp_path, wave03):
     spec = fast_spec("thm22")
     paths = []
@@ -477,9 +505,26 @@ def test_step_kappa_with_equal_plateaus_fails_before_the_lattice_runs(wave03, mo
         run_step_kappa(spec, wave03)
 
 
-def test_thm22_needs_a_handoff(wave03):
-    with pytest.raises(PreAsymptotic, match="tau=10"):
-        run_thm22(fast_spec("thm22", t_end=5.0), wave03)
+def test_thm22_runs_without_a_handoff(wave03):
+    """thm22 never reads tau: a spec whose run ends before it is built and
+    run to its verdict at t_end."""
+    ExperimentSpec(name="thm22", t_end=50.0)  # the default tau is 60
+    report = run_thm22(fast_spec("thm22", t_end=5.0), wave03)
+    assert report.series["front_error"][-1][0] == 5.0
+
+
+@pytest.mark.parametrize("name", ["thm23", "thm24", "step_kappa"])
+def test_handoff_after_t_end_fails_at_spec_time(monkeypatch, name):
+    """A pipeline that hands the phase at tau on refuses tau > t_end when the
+    spec is built, before any solve or lattice step; tau = t_end is taken."""
+    def no_run(*args, **kw):
+        raise AssertionError("the lattice ran")
+
+    monkeypatch.setattr(harness.sim, "snapshots", no_run)
+    with pytest.raises(PreAsymptotic, match="^no snapshot at or after tau=20: the run ends "
+                                            "at t_end=6$"):
+        dataclasses.replace(default_spec(name), t_end=6.0, tau=20.0)
+    assert dataclasses.replace(default_spec(name), t_end=20.0, tau=20.0).tau == 20.0
 
 
 def test_front_near_window_edge_is_out_of_range(wave03):

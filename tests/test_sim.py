@@ -5,6 +5,8 @@ import math
 import os
 import re
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -94,6 +96,9 @@ def test_config_rejects_unstable_step():
     ({"height": True}, "height must be an integer >= 1, got True"),
     ({"record_every": 2.5}, "record_every must be an integer >= 1, got 2.5"),
     ({"record_every": True}, "record_every must be an integer >= 1, got True"),
+    ({"dt": "x"}, "^dt must be a real number, got 'x'$"),
+    ({"t_end": "x"}, "^t_end must be a real number, got 'x'$"),
+    ({"record_every": 0.5}, "^record_every must be an integer >= 1, got 0.5$"),
 ])
 def test_config_rejects_bad_step_settings(kw, match):
     with pytest.raises(ValueError, match=match):
@@ -250,20 +255,23 @@ def test_snapshots_step_in_lent_buffers(monkeypatch, boundary_j):
     values = np.ones((width, height))
     values[:12] = splitmix64_uniform(6, 12 * height).reshape(12, height)
     u0 = LatticeField(values, i_offset=-3, boundary_j=boundary_j)
-    lent = []
+    lent, advance = [], sim._advance
 
-    def lending_step(u, cfg, work=None):
-        state = work[0].copy()
+    def lending_advance(p0, euler, bj, work=None):
+        if work is None:  # a plain ``step``
+            return advance(p0, euler, bj)
+        state = p0.copy()
+        e = p0.shape[0] - 2
         # the padded field, but on a cropped step its last row is the next column
+        u = LatticeField(p0[1:-1, 1:-1], boundary_j=bj)
         assert np.array_equal(state[:-1], u.padded()[:-1])
-        assert u.width < width or np.array_equal(state, u.padded())
-        assert np.shares_memory(u.values, work[0])
-        out = step(u, cfg, work)
-        assert work[0].tobytes() == state.tobytes()
-        lent.append(work)
+        assert e < width or np.array_equal(state, u.padded())
+        out = advance(p0, euler, bj, work)
+        assert p0.tobytes() == state.tobytes()
+        lent.append((p0, *work))
         return out
 
-    monkeypatch.setattr(sim, "step", lending_step)
+    monkeypatch.setattr(sim, "_advance", lending_advance)
     records = list(snapshots(u0, cfg))
     assert len(lent) == 8 and [t for t, _ in records] == [k * cfg.dt for k in (0, 3, 6, 8)]
     prefixes = [w[0].shape[0] - 2 for w in lent]
@@ -314,20 +322,30 @@ def test_step_reach_is_the_crop_halo(boundary_j):
     assert changed.tolist() == list(range(col - reach, col + reach + 1))
 
 
-def _halo_poisoning_step(prefixes):
-    """A ``sim.step`` that records each prefix width and, on a cropped step,
-    fills with nan the output rows the loop must discard: the prefix's last
-    ``R`` columns, which its ghost row reaches, and that row.  The ghost
-    holds the next column of the state, so those rows are nearly right, and
-    only the poison shows a prefix one column too narrow or a settled column
-    not copied back."""
-    def poisoning_step(u, cfg, work=None):
-        prefixes.append(u.width)
-        new = step(u, cfg, work)
-        if u.width < cfg.width:
-            work[1][u.width + 1 - _SSPRK104_REACH:] = np.nan
-        return new
-    return poisoning_step
+def _halo_poisoning_advance(prefixes):
+    """A ``sim._advance`` that records each stepped width and fills with nan
+    the output rows the loop must discard: beside a cut edge of the padded
+    array it is given (a right edge short of its state buffer's, as on a
+    cropped step or a near half, or a left edge past the buffer's start, as
+    on a far half), the ``R`` output columns that the fixed ghost row
+    reaches, and that row.  The ghost holds the next column of the state, so
+    those rows are nearly right, and only the poison shows a prefix one
+    column too narrow, a cut in the wrong place or a settled column not
+    copied back.  In a forked worker it poisons the far halves alike."""
+    advance = sim._advance
+
+    def poisoning_advance(p0, euler, bj, work=None):
+        prefixes.append(p0.shape[0] - 2)
+        out = advance(p0, euler, bj, work)
+        state = p0 if p0.base is None else p0.base  # a plain ``step`` pads afresh
+        lo = (p0.__array_interface__["data"][0]
+              - state.__array_interface__["data"][0]) // p0.strides[0]
+        if lo + p0.shape[0] < state.shape[0]:
+            out[-1 - _SSPRK104_REACH:] = np.nan
+        if lo > 0:
+            out[:_SSPRK104_REACH + 1] = np.nan
+        return out
+    return poisoning_advance
 
 
 def test_snapshots_crop_beside_a_pinned_front(monkeypatch):
@@ -356,7 +374,7 @@ def test_snapshots_crop_beside_a_pinned_front(monkeypatch):
     u = LatticeField(values)
     cfg.t_end = 8 * cfg.dt
     prefixes = []
-    monkeypatch.setattr(sim, "step", _halo_poisoning_step(prefixes))
+    monkeypatch.setattr(sim, "_advance", _halo_poisoning_advance(prefixes))
     records = list(snapshots(u, cfg))
     assert prefixes[0] == width and min(prefixes) < width
     for _, v in records:
@@ -395,7 +413,7 @@ def test_snapshots_equal_a_full_width_step_loop(width, height, boundary_j, a, st
     values = np.concatenate([(1.0 - noise) / (1.0 + np.exp(-i)), tail])
     u = LatticeField(values, i_offset=-(width // 2), boundary_j=boundary_j)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "step", _halo_poisoning_step([]))
+        mp.setattr(sim, "_advance", _halo_poisoning_advance([]))
         records = list(snapshots(u, cfg))
     kept = [k for k in range(steps + 1) if k % record_every == 0 or k == steps]
     assert [t for t, _ in records] == [k * cfg.dt for k in kept]
@@ -410,11 +428,155 @@ def test_snapshots_equal_a_full_width_step_loop(width, height, boundary_j, a, st
         assert v.values.tobytes() == want.tobytes()
 
 
+needs_fork = pytest.mark.skipif(not sim._can_fork(), reason="needs os.fork and two CPUs")
+
+
+def _recorded_forks(mp) -> list:
+    """Patch ``os.fork`` to record the pid of every worker it makes."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    mp.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _assert_reaped(pids) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@needs_fork
+@settings(max_examples=40)
+@given(width=st.integers(2 * _SSPRK104_REACH, 90), height=st.integers(1, 4),
+       boundary_j=st.sampled_from(["periodic", "reflect"]),
+       a=st.sampled_from([0.2, 0.8]), steps=st.integers(1, 12),
+       record_every=st.integers(1, 4), data=st.data())
+def test_split_steps_equal_a_plain_step_loop(width, height, boundary_j, a, steps,
+                                             record_every, data):
+    """With every step of ``e >= 2R`` columns split with a forked worker, and
+    the discarded halo of each half poisoned (the near half's last ``R``
+    columns, the far half's first ``R``, in the worker too), ``snapshots``
+    yields byte for byte what a plain ``step`` loop makes, and reaps its one
+    worker."""
+    front = data.draw(st.integers(0, width // 2), label="front")
+    cfg = SimConfig(BistableNonlinearity(a=a), width=width, height=height,
+                    boundary_j=boundary_j, record_every=record_every)
+    cfg.t_end = steps * cfg.dt
+    i = np.arange(front)[:, None] - front + 6
+    noise = data.draw(hnp.arrays(float, (front, height), elements=st.floats(0.0, 0.1)),
+                      label="noise")
+    tail = data.draw(hnp.arrays(float, (width - front, height),
+                                elements=st.sampled_from(_TAIL_VALUES)), label="tail")
+    values = np.concatenate([(1.0 - noise) / (1.0 + np.exp(-i)), tail])
+    u = LatticeField(values, i_offset=-(width // 2), boundary_j=boundary_j)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_SPLIT_MIN_SITES", 0)
+        mp.setattr(sim, "_advance", _halo_poisoning_advance([]))
+        pids = _recorded_forks(mp)
+        records = list(snapshots(u, cfg))
+    assert len(pids) == 1
+    _assert_reaped(pids)
+    kept = [k for k in range(steps + 1) if k % record_every == 0 or k == steps]
+    assert [t for t, _ in records] == [k * cfg.dt for k in kept]
+    plain = [u.values]
+    for k in range(1, steps + 1):
+        u = step(u, cfg)
+        if k in kept:
+            plain.append(u.values)
+    for (_, v), want in zip(records, plain):
+        assert v.values.tobytes() == want.tobytes()
+
+
+@needs_fork
+def test_split_blowup_in_the_far_half_raises_as_the_serial_step(monkeypatch):
+    """An overflow in the worker's half only makes the step run serially, so
+    it raises the serial step's :class:`NonFinite` with its overflow
+    warnings, and no more of them; the worker is reaped."""
+    width, height = 60, 2
+    cfg = SimConfig(F03, width=width, height=height)
+    values = np.full((width, height), 0.5)
+    values[-8:] = 1e160  # beyond the near half's columns [0, 40)
+    u = LatticeField(values)
+    with pytest.warns(RuntimeWarning, match="overflow") as serial:
+        with pytest.raises(NonFinite):
+            step(u, cfg)
+    monkeypatch.setattr(sim, "_SPLIT_MIN_SITES", 0)
+    pids = _recorded_forks(monkeypatch)
+    with pytest.warns(RuntimeWarning, match="overflow") as split:
+        with pytest.raises(NonFinite, match="simulation step produced non-finite values"):
+            list(snapshots(u, cfg))
+    assert len(pids) == 1
+    _assert_reaped(pids)
+    assert [str(w.message) for w in split] == [str(w.message) for w in serial]
+
+
+@needs_fork
+@pytest.mark.parametrize("end", ["exhausted", "closed", "consumer_raised"])
+def test_split_worker_does_not_outlive_the_generator(monkeypatch, end):
+    """The worker is forked at the first split step and reaped when the
+    generator ends: exhausted, closed after two records, or left by an
+    exception in the consumer."""
+    cfg = SimConfig(F03, t_end=5.0, record_every=1, width=48, height=4)
+    u0 = LatticeField(splitmix64_uniform(9, 48 * 4).reshape(48, 4))
+    monkeypatch.setattr(sim, "_SPLIT_MIN_SITES", 0)
+    pids = _recorded_forks(monkeypatch)
+    gen = snapshots(u0, cfg)
+    next(gen)
+    assert pids == []  # nothing forks before the first step
+    next(gen)
+    assert len(pids) == 1 and os.waitpid(pids[0], os.WNOHANG) == (0, 0)
+    if end == "exhausted":
+        list(gen)
+    elif end == "closed":
+        gen.close()
+    else:
+        with pytest.raises(KeyError):
+            for _ in gen:
+                raise KeyError("consumer")
+        del gen
+    _assert_reaped(pids)
+
+
+@pytest.mark.parametrize("host", ["no_fork", "one_cpu", "other_thread_on_3_12"])
+def test_split_steps_serially_where_it_cannot_fork(monkeypatch, host):
+    """No worker is forked where ``os.fork`` is absent, where one CPU is in
+    the affinity set, or on Python >= 3.12 while another thread runs (fork
+    there warns); the run steps serially, with the same records."""
+    cfg = SimConfig(F03, t_end=2.0, record_every=2, width=48, height=4)
+    u0 = LatticeField(splitmix64_uniform(9, 48 * 4).reshape(48, 4))
+    want = [u.values.tobytes() for _, u in snapshots(u0, cfg)]
+    monkeypatch.setattr(sim, "_SPLIT_MIN_SITES", 0)
+    if host == "no_fork":
+        monkeypatch.delattr(os, "fork", raising=False)
+    else:
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    if host == "one_cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if host == "other_thread_on_3_12":
+        monkeypatch.setattr(sys, "version_info", (3, 12, 0))
+        thread.start()
+    try:
+        got = [u.values.tobytes() for _, u in snapshots(u0, cfg)]
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join()
+    assert got == want
+
+
 def test_snapshots_reject_field_of_another_geometry_before_any_step(monkeypatch):
     def no_step(*args, **kw):
         raise AssertionError("the lattice stepped")
 
-    monkeypatch.setattr(sim, "step", no_step)
+    monkeypatch.setattr(sim, "_advance", no_step)
     cfg = SimConfig(F03, t_end=1.0, width=16, height=8, boundary_j="reflect")
     with pytest.raises(ValueError, match="^initial field is 16x8 periodic, config is "
                                          "16x8 reflect$"):
