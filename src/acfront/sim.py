@@ -32,7 +32,6 @@ import mmap
 import numbers
 import os
 import struct
-import sys
 import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -179,21 +178,15 @@ _TASK = struct.Struct("<3q")  # a far half for the worker: (lo, e, which)
 
 def _can_fork() -> bool:
     """Whether ``snapshots`` may split steps: ``os.fork`` exists, at least
-    two CPUs are in this process's affinity set, and, on Python >= 3.12
-    (where ``fork`` in a process with other OS threads warns), no other
-    thread runs."""
+    two CPUs are in this process's affinity set, and no other Python thread
+    runs, on every Python version.  OpenBLAS's thread pool does not count:
+    OpenBLAS stops it in its own ``pthread_atfork`` handler, before the fork,
+    and starts it again at the next BLAS call."""
     if not hasattr(os, "fork"):
         return False
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    if cpus < 2:
-        return False
-    if sys.version_info < (3, 12):
-        return True
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return threading.active_count() == 1
+    return cpus >= 2 and threading.active_count() == 1
 
 
 class _Halves:
@@ -345,13 +338,17 @@ def snapshots(u0: LatticeField, cfg: SimConfig) -> Iterator[tuple[float, Lattice
     holds column ``m - R - 1`` fixed, and this process copies its ``[m, e)``.
     Both halves run at once on two CPUs, with the same bits as one step.  A
     step splits only if ``os.fork`` exists, at least two CPUs are in this
-    process's affinity set (and, on Python >= 3.12, no other thread runs),
+    process's affinity set, no other Python thread runs (see ``_can_fork``),
     ``e >= 2 R`` and ``e (H + 2) >= _SPLIT_MIN_SITES``; else, and whenever a
     half fails or the worker dies, it is made serially from the state,
     which no step writes, so every error and warning is the serial step's.
-    The worker is forked at the first split step and ends with the
-    generator: exhausted, closed or left by an exception, it closes its
-    pipe ends, the worker leaves at their EOF, and it is reaped."""
+    The worker is forked at the first split step.  It ends at the first
+    step too narrow to split, after which the run stays serial, so a run
+    whose prefix narrows early (the 256x128 step_kappa default) keeps no
+    worker, nor its copy-on-write faults, for its serial steps.  Else it
+    ends with the generator: exhausted, closed or left by an exception, it
+    closes its pipe ends, the worker leaves at their EOF, and it is
+    reaped."""
     if u0.values.shape != (cfg.width, cfg.height) or u0.boundary_j != cfg.boundary_j:
         raise ValueError(
             f"initial field is {u0.width}x{u0.height} {u0.boundary_j}, config is "
@@ -368,8 +365,10 @@ def snapshots(u0: LatticeField, cfg: SimConfig) -> Iterator[tuple[float, Lattice
             if k:
                 cur, new = states[which], states[1 - which]
                 e = min(width, settled + reach)
-                if not (split and e >= 2 * reach and e * sites >= _SPLIT_MIN_SITES
-                        and halves.step(which, e)):
+                if split and not (e >= 2 * reach and e * sites >= _SPLIT_MIN_SITES):
+                    split = False  # the first narrow step ends the worker
+                    halves.close()
+                if not (split and halves.step(which, e)):
                     _advance(cur[:e + 2], euler, boundary_j,
                              (new[:e + 2], stage[:e + 2], e5[:e]))
                 moved = np.flatnonzero(np.any(new[1:settled + 1].view(np.int64)

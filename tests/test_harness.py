@@ -527,6 +527,14 @@ def test_handoff_after_t_end_fails_at_spec_time(monkeypatch, name):
     assert dataclasses.replace(default_spec(name), t_end=20.0, tau=20.0).tau == 20.0
 
 
+def test_handoff_names_the_pipelines_that_hand_off():
+    """``_HANDOFF``, which the spec reads to refuse ``tau > t_end``, names
+    exactly the pipelines whose bodies call ``_handoff``."""
+    calls = {name for name, (run, _) in harness._EXPERIMENTS.items()
+             if "_handoff" in run.__wrapped__.__code__.co_names}
+    assert calls and set(harness._HANDOFF) == calls
+
+
 def test_front_near_window_edge_is_out_of_range(wave03):
     # the front moves left at |c| ~ 0.28 and reaches ceil(L) = 20 cells from
     # the left edge of the 64-wide window near t = 40

@@ -5,7 +5,6 @@ import math
 import os
 import re
 import struct
-import sys
 import threading
 
 import numpy as np
@@ -428,7 +427,8 @@ def test_snapshots_equal_a_full_width_step_loop(width, height, boundary_j, a, st
         assert v.values.tobytes() == want.tobytes()
 
 
-needs_fork = pytest.mark.skipif(not sim._can_fork(), reason="needs os.fork and two CPUs")
+needs_fork = pytest.mark.skipif(not sim._can_fork(),
+                                reason="needs os.fork, two CPUs and no other thread")
 
 
 def _recorded_forks(mp) -> list:
@@ -543,11 +543,33 @@ def test_split_worker_does_not_outlive_the_generator(monkeypatch, end):
     _assert_reaped(pids)
 
 
-@pytest.mark.parametrize("host", ["no_fork", "one_cpu", "other_thread_on_3_12"])
+@needs_fork
+def test_split_worker_ends_at_the_first_narrow_step(monkeypatch):
+    """A run whose live prefix narrows below the threshold reaps its worker
+    at that step, while the generator lives on, and steps serially after,
+    with the records of a serial run."""
+    width, height = 48, 4
+    cfg = SimConfig(F03, t_end=6.0, record_every=1, width=width, height=height)
+    values = np.ones((width, height))
+    values[:12] = splitmix64_uniform(6, 12 * height).reshape(12, height)
+    u0 = LatticeField(values)
+    want = [u.values.tobytes() for _, u in snapshots(u0, cfg)]
+    monkeypatch.setattr(sim, "_SPLIT_MIN_SITES", width * (height + 2))  # the full width
+    pids = _recorded_forks(monkeypatch)
+    gen = snapshots(u0, cfg)
+    got = [next(gen)[1].values.tobytes(), next(gen)[1].values.tobytes()]
+    assert len(pids) == 1 and os.waitpid(pids[0], os.WNOHANG) == (0, 0)
+    got.append(next(gen)[1].values.tobytes())  # the second step is narrower
+    _assert_reaped(pids)
+    got.extend(u.values.tobytes() for _, u in gen)
+    assert len(pids) == 1 and got == want
+
+
+@pytest.mark.parametrize("host", ["no_fork", "one_cpu", "other_thread"])
 def test_split_steps_serially_where_it_cannot_fork(monkeypatch, host):
     """No worker is forked where ``os.fork`` is absent, where one CPU is in
-    the affinity set, or on Python >= 3.12 while another thread runs (fork
-    there warns); the run steps serially, with the same records."""
+    the affinity set, or while another Python thread runs, on any Python
+    version; the run steps serially, with the same records."""
     cfg = SimConfig(F03, t_end=2.0, record_every=2, width=48, height=4)
     u0 = LatticeField(splitmix64_uniform(9, 48 * 4).reshape(48, 4))
     want = [u.values.tobytes() for _, u in snapshots(u0, cfg)]
@@ -560,8 +582,7 @@ def test_split_steps_serially_where_it_cannot_fork(monkeypatch, host):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
-    if host == "other_thread_on_3_12":
-        monkeypatch.setattr(sys, "version_info", (3, 12, 0))
+    if host == "other_thread":
         thread.start()
     try:
         got = [u.values.tobytes() for _, u in snapshots(u0, cfg)]
