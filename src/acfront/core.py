@@ -1,4 +1,4 @@
-"""Lattice containers, bistable nonlinearities and discrete difference operators.
+"""Lattice containers, the bistable cubic and discrete difference operators.
 
 Everything here is binary64, and the public operators are side-effect free:
 they return fresh arrays and never mutate their inputs (the private
@@ -22,17 +22,19 @@ implies), and forms the P outputs as direct sums, P·min(2K + 1, period)
 products with period P or 2P; no FFT, whose round-off would swamp the
 e^{-500}-scale Cole-Hopf values.
 
-``CubicSpline`` is the package's one interpolating spline: the profile and
-corrector of ``wave`` and the tabulated nonlinearity use it.  It reproduces
-``scipy.interpolate.CubicSpline`` bit for bit on numpy alone: its tridiagonal
-solve ``_gtsv`` transcribes reference LAPACK ``dgtsv``, the routine behind
+``BistableNonlinearity`` is the cubic ``g(u) = u (1 - u) (u - a)``, the
+package's one reaction term.  ``CubicSpline`` is the package's one
+interpolating spline, clamped at both ends: the profile and corrector of
+``wave`` use it.  It reproduces the clamped ``scipy.interpolate.CubicSpline``
+bit for bit on numpy alone: its tridiagonal solve ``_gtsv`` transcribes
+reference LAPACK ``dgtsv``, the routine behind
 ``scipy.linalg.solve_banded((1, 1), ...)``.  Importing scipy costs more than
 the whole travelling-wave set-up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -50,23 +52,21 @@ __all__ = [
 ]
 
 BOUNDARY_J = ("periodic", "reflect")
-_DG_SUP_LO, _DG_SUP_HI = -1.0, 2.0
 
 
 class CubicSpline:
-    """C² cubic spline through ``(x, y)`` with ``clamped`` (zero end slopes)
-    or ``not-a-knot`` end conditions, on at least 4 strictly increasing,
-    finite knots.
+    """C² cubic spline through ``(x, y)`` with clamped ends (zero end
+    slopes), on at least 4 strictly increasing, finite knots.
 
-    It is ``scipy.interpolate.CubicSpline`` restricted to 1-d data and these
-    two end conditions, bit for bit: the knot slopes solve scipy's tridiagonal
+    It is ``scipy.interpolate.CubicSpline`` restricted to 1-d data and
+    clamped ends, bit for bit: the knot slopes solve scipy's tridiagonal
     system with ``_gtsv``, as scipy does with LAPACK, ``c`` holds its piecewise
     coefficients (``c[m, k]`` multiplies ``(x - x[k])**(3 - m)``), and a call
     sums the terms in scipy's order.  Points outside ``[x[0], x[-1]]``
     extrapolate the end pieces.
     """
 
-    def __init__(self, x, y, bc_type: str = "not-a-knot"):
+    def __init__(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.ndim != 1 or x.shape != y.shape or x.size < 4:
@@ -78,25 +78,13 @@ class CubicSpline:
             raise ValueError("x must be strictly increasing")
         slope = np.diff(y) / dx
         # the tridiagonal system for the knot slopes s, scipy's rows:
-        # sub-, main and superdiagonal
+        # sub-, main and superdiagonal; the end rows clamp s to 0
         dl = np.append(dx[1:], 0.0)
-        d = np.empty(x.size)
+        d = np.ones(x.size)
         du = np.insert(dx[:-1], 0, 0.0)
-        b = np.empty(x.size)
+        b = np.zeros(x.size)
         d[1:-1] = 2 * (dx[:-1] + dx[1:])
         b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        if bc_type == "clamped":
-            d[0] = d[-1] = 1.0
-            b[0] = b[-1] = 0.0
-        elif bc_type == "not-a-knot":
-            span = x[2] - x[0]
-            d[0], du[0] = dx[1], span
-            b[0] = ((dx[0] + 2 * span) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / span
-            span = x[-1] - x[-3]
-            d[-1], dl[-1] = dx[-2], span
-            b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * span + dx[-1]) * dx[-2] * slope[-1]) / span
-        else:
-            raise ValueError(f"bc_type must be 'clamped' or 'not-a-knot', got {bc_type!r}")
         s = _gtsv(dl, d, du, b)
         # Hermite data (y, s) to power-basis coefficients per interval
         t = (s[:-1] + s[1:] - 2 * slope) / dx
@@ -188,105 +176,44 @@ def _gtsv(dl, d, du, b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BistableNonlinearity:
-    """Bistable reaction term ``g`` with stable zeros 0, 1 and unstable zero ``a``.
-
-    The default is the cubic ``g(u) = u (1 - u) (u - a)``.  A sampled table
-    ``(table_u, table_g)`` may be supplied instead; it is interpolated with a
-    not-a-knot :class:`CubicSpline` and validated against the bistability
-    hypotheses on construction (zeros at 0, ``a``, 1 with the correct sign
-    pattern and negative slopes at 0 and 1).
-    """
+    """The bistable cubic ``g(u) = u (1 - u) (u - a)``: stable zeros 0 and 1,
+    unstable zero ``a`` in (0, 1)."""
 
     a: float
-    kind: str = "cubic"
-    table_u: Optional[np.ndarray] = None
-    table_g: Optional[np.ndarray] = None
-    _spline: CubicSpline = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not 0.0 < self.a < 1.0:
             raise ValueError(f"detuning a must lie in (0, 1), got {self.a}")
-        if self.kind == "cubic":
-            return
-        if self.kind != "table":
-            raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
-        if self.table_u is None or self.table_g is None:
-            raise ValueError("table nonlinearity needs table_u and table_g")
-        u = np.asarray(self.table_u, dtype=float)
-        g = np.asarray(self.table_g, dtype=float)
-        if u.ndim != 1 or u.shape != g.shape or u.size < 8:
-            raise ValueError("table_u/table_g must be equal-length 1d arrays")
-        if np.any(np.diff(u) <= 0):
-            raise ValueError("table_u must be strictly increasing")
-        if u[0] > -0.5 or u[-1] < 1.5:
-            raise ValueError("table must cover at least [-0.5, 1.5]")
-        object.__setattr__(self, "table_u", u)
-        object.__setattr__(self, "table_g", g)
-        object.__setattr__(self, "_spline", CubicSpline(u, g))
-        self._validate_table()
-
-    def _validate_table(self):
-        tol = 1e-8
-        for root in (0.0, self.a, 1.0):
-            if abs(float(self._spline(root))) > tol:
-                raise ValueError(f"table nonlinearity must vanish at u={root}")
-        if self.dg(0.0) >= 0.0 or self.dg(1.0) >= 0.0:
-            raise ValueError("table nonlinearity must have negative slope at 0 and 1")
-        lo, hi = float(self.table_u[0]), float(self.table_u[-1])
-        margin = 1e-4
-        for a_, b_, sign in (
-            (lo, -margin, +1.0),
-            (margin, self.a - margin, -1.0),
-            (self.a + margin, 1.0 - margin, +1.0),
-            (1.0 + margin, hi, -1.0),
-        ):
-            if a_ >= b_:
-                continue
-            s = np.linspace(a_, b_, 257)
-            if np.any(sign * self._spline(s) <= 0.0):
-                raise ValueError("table nonlinearity violates the bistable sign pattern")
 
     def __call__(self, u):
-        """Evaluate ``g(u)`` elementwise.  The cubic is factored as
-        ``((1 - u) u) (u - a)``, so its three zeros are exact."""
+        """Evaluate ``g(u)`` elementwise, factored as ``((1 - u) u) (u - a)``
+        so its three zeros are exact."""
         u = np.asarray(u, dtype=float)
-        if self.kind == "cubic":
-            out = (1.0 - u) * u * (u - self.a)
-        else:
-            out = self._spline(u)
+        out = (1.0 - u) * u * (u - self.a)
         return float(out) if out.ndim == 0 else out
 
     def _centre_into(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the centre term ``g(v) - 4 v`` of ``Δ⁺v + g(v)`` into ``out``
-        and return it; ``out`` must not overlap ``v``.  The cubic is the one
+        and return it; ``out`` must not overlap ``v``.  It is the one
         polynomial ``v (v ((1 + a) - v) - (a + 4))``, in place in four passes
-        with no scratch; the table is its spline minus ``4 v``."""
-        if self.kind == "cubic":
-            np.subtract(1.0 + self.a, v, out=out)
-            out *= v
-            out -= self.a + 4.0
-            out *= v
-        else:
-            np.subtract(self._spline(v), 4.0 * v, out=out)
+        with no scratch."""
+        np.subtract(1.0 + self.a, v, out=out)
+        out *= v
+        out -= self.a + 4.0
+        out *= v
         return out
 
     def dg(self, u):
         """Evaluate ``g'(u)`` elementwise."""
-        if self.kind == "cubic":
-            u = np.asarray(u, dtype=float)
-            out = -3.0 * u * u + 2.0 * (1.0 + self.a) * u - self.a
-            return float(out) if out.ndim == 0 else out
-        out = self._spline(u, 1)
-        return float(out) if np.ndim(u) == 0 else np.asarray(out, dtype=float)
+        u = np.asarray(u, dtype=float)
+        out = -3.0 * u * u + 2.0 * (1.0 + self.a) * u - self.a
+        return float(out) if out.ndim == 0 else out
 
     def dg_sup(self) -> float:
         """Supremum of ``|g'|`` over ``[-1, 2]``, used by step-size bounds."""
-        if self.kind == "cubic":
-            # quadratic in u: extremum at an endpoint or the vertex, in (1/3, 2/3)
-            cand = (_DG_SUP_LO, _DG_SUP_HI, (1.0 + self.a) / 3.0)
-            return max(abs(self.dg(u)) for u in cand)
-        s = np.linspace(_DG_SUP_LO, _DG_SUP_HI, 4097)
-        return float(np.max(np.abs(self.dg(s))))
+        # quadratic in u: extremum at an endpoint or the vertex, in (1/3, 2/3)
+        cand = (-1.0, 2.0, (1.0 + self.a) / 3.0)
+        return max(abs(self.dg(u)) for u in cand)
 
 
 @dataclass

@@ -316,18 +316,17 @@ def _trajectory(spec: ExperimentSpec, w: Optional[WaveProfile], need_d: bool,
     snapshot as it is made: its phase, and whatever ``observe(w, t, u, g)``
     keeps.  Returns ``(w, [(t, PhaseExtract), ...], u_end)``: no field but
     the last outlives the run.  A given wave must be the spec's own
-    (nonlinearity, ``a``, ``L``, ``h``).
+    (``a``, ``L``, ``h``).
 
     The run stops with :class:`OutOfRange` as soon as a defined row's anchor
     comes within ``ceil(L)`` cells of either i-edge, so the window always
     holds the resolved profile.
     """
-    f = BistableNonlinearity(a=spec.a)
     if w is None:
-        w = solve_wave(f, L=spec.L, h=spec.h)
-    elif (w.f.kind, w.a, w.L, w.h) != (f.kind, spec.a, spec.L, spec.h):
-        raise ValueError(f"the wave ({w.f.kind}, a={w.a}, L={w.L}, h={w.h}) is not the "
-                         f"spec's ({f.kind}, a={spec.a}, L={spec.L}, h={spec.h})")
+        w = solve_wave(BistableNonlinearity(a=spec.a), L=spec.L, h=spec.h)
+    elif (w.a, w.L, w.h) != (spec.a, spec.L, spec.h):
+        raise ValueError(f"the wave (a={w.a}, L={w.L}, h={w.h}) is not the "
+                         f"spec's (a={spec.a}, L={spec.L}, h={spec.h})")
     if need_d and w.d is None:
         solve_r(w)
     margin = math.ceil(spec.L)
@@ -509,7 +508,7 @@ _EXPERIMENTS = {
                                     "amplitude": 1.0}}),
     "step_kappa": (run_step_kappa, {"t_end": 150.0, "tau": 60.0, "height": 128,
                                     "boundary_j": "reflect",
-                                    "kappa": {"kind": "step", "lo": 0.0, "hi": 4.0}}),
+                                    "kappa": {"kind": "step", **_GENERATORS["kappa"]["step"]}}),
 }
 _ALIASES = {"step": "step_kappa"}
 # the experiments that hand the phase at tau on, so need tau <= t_end

@@ -439,9 +439,8 @@ class WaveProfile:
     def __post_init__(self):
         self.xi = np.asarray(self.xi, dtype=float)
         self.phi = np.asarray(self.phi, dtype=float)
-        self._phi_spline = CubicSpline(self.xi, self.phi, bc_type="clamped")
-        self._r_spline = (None if self.r is None
-                          else CubicSpline(self.xi, self.r, bc_type="clamped"))
+        self._phi_spline = CubicSpline(self.xi, self.phi)
+        self._r_spline = None if self.r is None else CubicSpline(self.xi, self.r)
 
     @property
     def a(self) -> float:
@@ -631,7 +630,7 @@ def solve_r(w: WaveProfile) -> np.ndarray:
     if not res < 1e-7:
         raise SolveFailed(f"corrector residual {res:.3e} above 1e-07")
     w.r = r
-    w._r_spline = CubicSpline(w.xi, r, bc_type="clamped")
+    w._r_spline = CubicSpline(w.xi, r)
     return r
 
 
@@ -715,7 +714,6 @@ def save_wave(w: WaveProfile, path: str) -> None:
     array, with values rendered at 17 significant digits (round-trip exact)."""
     meta = {
         "type": "wave_profile",
-        "kind": w.f.kind,
         "a": format(w.a, ".17g"),
         "L": format(w.L, ".17g"),
         "h": format(w.h, ".17g"),
@@ -726,9 +724,6 @@ def save_wave(w: WaveProfile, path: str) -> None:
     if w.d is not None:
         meta["d"] = format(w.d, ".17g")
     lines = [json.dumps(meta)]
-    if w.f.kind == "table":
-        lines.append('{"type": "array", "name": "table_u", "values": %s}' % _fmt(w.f.table_u))
-        lines.append('{"type": "array", "name": "table_g", "values": %s}' % _fmt(w.f.table_g))
     lines.append('{"type": "array", "name": "phi", "values": %s}' % _fmt(w.phi))
     if w.psi is not None:
         lines.append('{"type": "array", "name": "psi", "values": %s}' % _fmt(w.psi))
@@ -753,7 +748,9 @@ def load_wave(path: str) -> WaveProfile:
     """Read a profile written by :func:`save_wave`.
 
     Raises ``ValueError`` naming the file for any defect of its content, such
-    as a grid array (``phi``, ``psi``, ``r``) without ``2 L / h + 1`` entries.
+    as a grid array (``phi``, ``psi``, ``r``) without ``2 L / h + 1`` entries,
+    a ``kind`` other than ``"cubic"`` (files of the retired tabulated
+    nonlinearity) or a decay ratio ``rho_l``/``rho_r`` outside [0, 1).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -780,13 +777,14 @@ def _parse_wave(lines) -> WaveProfile:
         raise ValueError("file does not contain a wave profile")
     arrays = {key: _field(raw, key, partial(np.asarray, dtype=float)) for key in raw}
 
+    if meta.get("kind", "cubic") != "cubic":
+        raise ValueError(f"wave field 'kind' must be 'cubic', got {meta['kind']!r}")
     number = partial(_field, meta, convert=float)
-    if meta.get("kind", "cubic") == "table":
-        f = BistableNonlinearity(a=number("a"), kind="table",
-                                 table_u=_field(arrays, "table_u"),
-                                 table_g=_field(arrays, "table_g"))
-    else:
-        f = BistableNonlinearity(a=number("a"))
+    f = BistableNonlinearity(number("a"))
+    rho = (number("rho_l"), number("rho_r"))
+    for key, value in zip(("rho_l", "rho_r"), rho):
+        if not 0.0 <= value < 1.0:
+            raise ValueError(f"wave field {key!r} must lie in [0, 1), got {value!r}")
     L = number("L")
     h = number("h")
     n_half = _check_grid(L, h)
@@ -796,6 +794,6 @@ def _parse_wave(lines) -> WaveProfile:
             raise ValueError(f"wave array {name!r} has shape {arrays[name].shape}, "
                              f"not ({n},) = 2 L / h + 1 entries")
     return WaveProfile(f=f, L=L, h=h, xi=(np.arange(n) - n_half) * h, phi=arrays["phi"],
-                       c=number("c"), rho=(number("rho_l"), number("rho_r")),
+                       c=number("c"), rho=rho,
                        psi=arrays.get("psi"), d=number("d") if "d" in meta else None,
                        r=arrays.get("r"))

@@ -508,14 +508,15 @@ def test_wave_window_too_short_for_d_is_numerical_failure(capsys):
 
 
 MALFORMED_WAVE_CASES = {"meta_without_c": "'c'", "null_c": "'c'", "text_c": "'c'",
-                        "table_without_table_u": "'table_u'",
+                        "kind_table": "'kind'", "rho_above_one": "'rho_l'",
+                        "nan_rho": "'rho_r'",
                         "list_record": "not a JSON object", "text_in_phi": "'phi'",
                         "short_phi": "'phi'", "short_psi": "'psi'", "short_r": "'r'"}
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_WAVE_CASES))
-def test_malformed_wave_file_is_usage_error(snapshot_dir, wave_file, tmp_path, capsys,
-                                            case):
+def _malformed_wave(wave_file, tmp_path, case):
+    """A copy of ``wave_file`` with the defect ``case`` of
+    ``MALFORMED_WAVE_CASES``; returns its path."""
     with open(wave_file, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     meta = json.loads(lines[0])
@@ -526,8 +527,12 @@ def test_malformed_wave_file_is_usage_error(snapshot_dir, wave_file, tmp_path, c
         meta["c"] = None
     elif case == "text_c":
         meta["c"] = "x" + meta["c"]
-    elif case == "table_without_table_u":
+    elif case == "kind_table":
         meta["kind"] = "table"
+    elif case == "rho_above_one":
+        meta["rho_l"] = "1.5"
+    elif case == "nan_rho":
+        meta["rho_r"] = "nan"
     elif case == "list_record":
         lines.append("[1, 2, 3]")
     else:
@@ -539,8 +544,26 @@ def test_malformed_wave_file_is_usage_error(snapshot_dir, wave_file, tmp_path, c
         lines[arrays[name]] = json.dumps(rec)
     bad = tmp_path / "bad.ndjson"
     bad.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n", encoding="utf-8")
+    return bad
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_WAVE_CASES))
+def test_malformed_wave_file_is_usage_error(snapshot_dir, wave_file, tmp_path, capsys,
+                                            case):
+    bad = _malformed_wave(wave_file, tmp_path, case)
     assert main(["phase", "--snapshot", str(snapshot_dir / "snap_000000.bin"),
                  "--wave", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and MALFORMED_WAVE_CASES[case] in err
+
+
+@pytest.mark.parametrize("case", ["kind_table", "rho_above_one", "nan_rho"])
+def test_mcf_refuses_a_malformed_wave_file(wave_file, tmp_path, capsys, case):
+    init = tmp_path / "gamma0.csv"
+    _write_gamma(init, np.zeros(8))
+    bad = _malformed_wave(wave_file, tmp_path, case)
+    assert main(["mcf", "--init", str(init), "--wave", str(bad),
+                 "--out", str(tmp_path / "traj.csv")]) == 2
     err = capsys.readouterr().err
     assert str(bad) in err and MALFORMED_WAVE_CASES[case] in err
 

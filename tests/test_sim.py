@@ -24,9 +24,27 @@ from acfront.sim import (SimConfig, SuperSubSpec, _curved_pair, _planar_pair, lo
                          snapshots, step, verify_supersub, SnapshotWriter)
 
 F03 = BistableNonlinearity(a=0.3)
-_TABLE_U = np.linspace(-1.0, 2.0, 61)
-F03_TABLE = BistableNonlinearity(a=0.3, kind="table", table_u=_TABLE_U,
-                                 table_g=F03(_TABLE_U))
+
+
+class SteepCubic:
+    """``k`` times the cubic of detuning ``a``: a g steeper than any cubic,
+    whose default dt is below the cubic's 1/3.  It has what ``SimConfig`` and
+    the step read of a nonlinearity."""
+
+    def __init__(self, a, k):
+        self.a, self.k, self._cubic = a, k, BistableNonlinearity(a)
+
+    def __call__(self, u):
+        return self.k * self._cubic(u)
+
+    def dg(self, u):
+        return self.k * self._cubic.dg(u)
+
+    def dg_sup(self):
+        return self.k * self._cubic.dg_sup()
+
+    def _centre_into(self, v, out):
+        return np.subtract(self(v), 4.0 * v, out=out)
 
 
 def discrete_laplacian(u: LatticeField) -> np.ndarray:
@@ -45,14 +63,12 @@ def test_config_defaults_satisfy_monotonicity_bound():
 
 
 @settings(max_examples=200)
-@given(a=st.floats(0.01, 0.99), kind=st.sampled_from(["cubic", "table"]))
-def test_default_dt_is_monotone_and_divides_unit_time(a, kind):
+@given(a=st.floats(0.01, 0.99))
+def test_default_dt_is_monotone_and_divides_unit_time(a):
     """The default step keeps its Euler substep inside the monotone bound,
     ``(dt/6) (4 + sup|g'|) <= 1``, and takes a whole number of steps per
     unit time, so recorded times are exact integers."""
     f = BistableNonlinearity(a=a)
-    if kind == "table":
-        f = BistableNonlinearity(a=a, kind="table", table_u=_TABLE_U, table_g=f(_TABLE_U))
     cfg = SimConfig(f)
     assert cfg.dt / 6.0 * (4.0 + f.dg_sup()) <= 1.0
     assert cfg.record_every * cfg.dt == 1.0
@@ -64,12 +80,10 @@ def test_run_records_exact_integer_times():
     assert [t for t, _ in run(u0, cfg)] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
 
-def test_table_nonlinearity_with_n_49_records_exact_integer_times():
+def test_steep_nonlinearity_with_n_49_records_exact_integer_times():
     """N = ceil(4 + sup|g'|) = 49 gives dt = 1/13, and 13 steps reach t = 1
     exactly, where a step of 1/49 would record 0.9999999999999999."""
-    k = 44.5 / F03.dg_sup()
-    f = BistableNonlinearity(a=0.3, kind="table", table_u=_TABLE_U,
-                             table_g=k * F03(_TABLE_U))
+    f = SteepCubic(0.3, 44.5 / F03.dg_sup())
     assert math.ceil(4.0 + f.dg_sup()) == 49 and 49 * (1.0 / 49) != 1.0
     cfg = SimConfig(f, t_end=3.0, width=8, height=4)
     assert (cfg.dt, cfg.record_every) == (1.0 / 13, 13)
@@ -112,14 +126,13 @@ _FUSED_VS_TEXTBOOK = 1e-15
 def test_step_is_ssprk104_update():
     """Bitwise oracle for the flat-stencil indexing, the stage buffers and the
     fused Euler substep: on every window of width 1-12 and height 1-8, under
-    both ``boundary_j`` policies and both nonlinearity kinds,
-    ``discrete_laplacian`` equals the strided whole-array stencil, and
-    ``step`` equals the SSPRK(10,4) composition, in Shu-Osher form, of
-    forward-Euler updates at ``h = dt / 6`` written as
+    both ``boundary_j`` policies, ``discrete_laplacian`` equals the strided
+    whole-array stencil, and ``step`` equals the SSPRK(10,4) composition, in
+    Shu-Osher form, of forward-Euler updates at ``h = dt / 6`` written as
     ``v + h ((((centre + E) + W) + N) + S)``, with the centre term
-    ``v (v ((1 + a) - v) - (a + 4))`` for the cubic and ``g(v) - 4 v`` for
-    the table.  ``step`` also agrees with the textbook composition of
-    ``v + h (Δ⁺v + g(v))`` to ``_FUSED_VS_TEXTBOOK``."""
+    ``v (v ((1 + a) - v) - (a + 4))``.  ``step`` also agrees with the
+    textbook composition of ``v + h (Δ⁺v + g(v))`` to
+    ``_FUSED_VS_TEXTBOOK``."""
     rng = np.random.default_rng(0)
 
     def laplacian(vals, boundary_j):
@@ -130,10 +143,7 @@ def test_step_is_ssprk104_update():
     def fused(f, h, boundary_j):
         def euler(v):
             p = LatticeField(v, boundary_j=boundary_j).padded()
-            if f.kind == "cubic":
-                centre = v * (v * ((1.0 + f.a) - v) - (f.a + 4.0))
-            else:
-                centre = f(v) - 4.0 * v
+            centre = v * (v * ((1.0 + f.a) - v) - (f.a + 4.0))
             return v + h * ((((centre + p[2:, 1:-1]) + p[:-2, 1:-1]) + p[1:-1, 2:])
                             + p[1:-1, :-2])
         return euler
@@ -154,16 +164,14 @@ def test_step_is_ssprk104_update():
                 vals = rng.uniform(-0.5, 1.5, size=(width, height))
                 u = LatticeField(vals, i_offset=-(width // 2), boundary_j=boundary_j)
                 assert np.array_equal(discrete_laplacian(u), laplacian(vals, boundary_j))
-                for f in (F03, F03_TABLE):
-                    cfg = SimConfig(f, width=width, height=height, boundary_j=boundary_j)
-                    h = cfg.dt / 6.0
-                    out = step(u, cfg)
-                    assert np.array_equal(out.values,
-                                          ssprk104(fused(f, h, boundary_j), vals))
-                    textbook = ssprk104(
-                        lambda v: v + h * (laplacian(v, boundary_j) + f(v)), vals)
-                    assert np.max(np.abs(out.values - textbook)) <= _FUSED_VS_TEXTBOOK
-                    assert (out.i_offset, out.boundary_j) == (u.i_offset, boundary_j)
+                cfg = SimConfig(F03, width=width, height=height, boundary_j=boundary_j)
+                h = cfg.dt / 6.0
+                out = step(u, cfg)
+                assert np.array_equal(out.values, ssprk104(fused(F03, h, boundary_j), vals))
+                textbook = ssprk104(
+                    lambda v: v + h * (laplacian(v, boundary_j) + F03(v)), vals)
+                assert np.max(np.abs(out.values - textbook)) <= _FUSED_VS_TEXTBOOK
+                assert (out.i_offset, out.boundary_j) == (u.i_offset, boundary_j)
 
 
 @pytest.mark.parametrize("boundary_j", ["periodic", "reflect"])
@@ -354,11 +362,8 @@ def test_snapshots_crop_beside_a_pinned_front(monkeypatch):
     unsettles the columns before it.  With the halo of every cropped step
     poisoned, ``snapshots`` crops and yields what a plain ``step`` loop
     makes, byte for byte."""
-    f = BistableNonlinearity(a=0.5)
-    steep = BistableNonlinearity(a=0.5, kind="table", table_u=_TABLE_U,
-                                 table_g=10.0 * f(_TABLE_U))
     width, height = 64, 2
-    cfg = SimConfig(steep, width=width, height=height, record_every=1)
+    cfg = SimConfig(SteepCubic(0.5, 10.0), width=width, height=height, record_every=1)
     values = np.zeros((width, height))
     values[50:] = 1.0
     u = LatticeField(values)
