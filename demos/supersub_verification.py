@@ -10,15 +10,13 @@ p(t) that plateaus and then decays like t^{-3/2}.
 
 import numpy as np
 
-from acfront import BistableNonlinearity, adjoint_solve, compute_d, solve_r, solve_wave
+from acfront import BistableNonlinearity, solve_r, solve_wave
 from acfront.core import PhaseSequence
 from acfront.errors import VerificationFailed
 from acfront.sim import SimConfig, SuperSubSpec, search_planar_constants, verify_supersub
 
 w = solve_wave(BistableNonlinearity(a=0.3))
-w.psi = adjoint_solve(w)
-w.d = compute_d(w)
-w.r = solve_r(w)
+solve_r(w)  # fills psi, d and r
 cfg = SimConfig(f=w.f)
 
 t_grid = np.linspace(0.0, 50.0, 26)

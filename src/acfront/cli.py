@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from typing import Optional
 
@@ -273,7 +272,7 @@ def main(argv: Optional[list] = None) -> int:
     except AcFrontError as exc:
         print(f"verdict failure: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -309,25 +309,27 @@ def _pipeline(runner):
     return checked
 
 
-def _trajectory(spec: ExperimentSpec, w: Optional[WaveProfile], need_d: bool,
+def _trajectory(spec: ExperimentSpec, w: Optional[WaveProfile],
                 observe: Optional[Callable[..., None]] = None):
-    """Solve the wave (with ``need_d``, also its adjoint, ``d`` and ``r``)
-    unless given, run the lattice from :func:`make_initial` and reduce each
-    snapshot as it is made: its phase, and whatever ``observe(w, t, u, g)``
-    keeps.  Returns ``(w, [(t, PhaseExtract), ...], u_end)``: no field but
-    the last outlives the run.  A given wave must be the spec's own
+    """Solve the wave unless given (for a spec in ``_HANDOFF``, also its
+    missing ``d`` and ``r``), run the lattice from :func:`make_initial` and
+    reduce each snapshot as it is made: its phase, and whatever ``observe(w,
+    t, u, g)`` keeps.  Returns ``(w, [(t, PhaseExtract), ...], u_end, k0)``,
+    ``k0`` the :func:`_handoff` index in ``_HANDOFF`` and None else: no field
+    but the last outlives the run.  A given wave must be the spec's own
     (``a``, ``L``, ``h``).
 
     The run stops with :class:`OutOfRange` as soon as a defined row's anchor
     comes within ``ceil(L)`` cells of either i-edge, so the window always
     holds the resolved profile.
     """
+    hands_off = spec.name in _HANDOFF
     if w is None:
         w = solve_wave(BistableNonlinearity(a=spec.a), L=spec.L, h=spec.h)
     elif (w.a, w.L, w.h) != (spec.a, spec.L, spec.h):
         raise ValueError(f"the wave (a={w.a}, L={w.L}, h={w.h}) is not the "
                          f"spec's (a={spec.a}, L={spec.L}, h={spec.h})")
-    if need_d and w.d is None:
+    if hands_off and w.d is None:
         solve_r(w)
     margin = math.ceil(spec.L)
     traj = []
@@ -340,7 +342,7 @@ def _trajectory(spec: ExperimentSpec, w: Optional[WaveProfile], need_d: bool,
         if observe is not None:
             observe(w, t, u, g)
         traj.append((t, g))
-    return w, traj, u
+    return w, traj, u, _handoff(spec, traj) if hands_off else None
 
 
 def _handoff(spec: ExperimentSpec, traj) -> int:
@@ -379,7 +381,7 @@ def run_thm22(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Experime
         if g.all_defined:
             fe_series.append((t, phase.front_error(u, w, g)))
 
-    _, traj, _ = _trajectory(spec, w, need_d=False, observe=front_error)
+    _, traj, _, _ = _trajectory(spec, w, observe=front_error)
     if not fe_series:
         raise PreAsymptotic("phase undefined on some rows at every snapshot")
     fl_series = [(t, phase.flatness(g)) for t, g in traj if g.all_defined]
@@ -392,8 +394,7 @@ def run_thm22(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Experime
 def run_thm23(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> ExperimentReport:
     """Curvature-flow tracking: hand the extracted phase at ``tau`` to the
     discrete curvature flow and bound the gap up to ``t_end``."""
-    w, traj, _ = _trajectory(spec, w, need_d=True)
-    k0 = _handoff(spec, traj)
+    w, traj, _, k0 = _trajectory(spec, w)
     handoff_tol = spec.tolerances["flatness_handoff"]
     t0, g0 = traj[k0]
     fl0 = phase.flatness(g0)
@@ -427,8 +428,7 @@ def run_thm24(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Experime
     """Limiting offset of a periodically modulated front: fit ``mu`` from
     late snapshots, check stability, the final profile fit, and the
     averaging prediction."""
-    w, traj, u_end = _trajectory(spec, w, need_d=True)
-    k0 = _handoff(spec, traj)
+    w, traj, u_end, k0 = _trajectory(spec, w)
     mu_series = [(t, float(np.mean(g.gamma.values)) - w.c * t)
                  for t, g in traj if g.all_defined]
     n = len(mu_series)
@@ -463,8 +463,7 @@ def run_step_kappa(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Exp
     hi = float(kappa.values[-1])
     if lo == hi:
         raise ValueError(f"step_kappa needs two distinct plateaus, got both at {lo:g}")
-    w, traj, _ = _trajectory(spec, w, need_d=True)
-    k0 = _handoff(spec, traj)
+    w, traj, _, k0 = _trajectory(spec, w)
     t_end, g_end = traj[-1]
     if not g_end.all_defined:
         raise PreAsymptotic("phase undefined on some rows at t_end")
@@ -511,7 +510,8 @@ _EXPERIMENTS = {
                                     "kappa": {"kind": "step", **_GENERATORS["kappa"]["step"]}}),
 }
 _ALIASES = {"step": "step_kappa"}
-# the experiments that hand the phase at tau on, so need tau <= t_end
+# the experiments that hand the phase at tau on (so need tau <= t_end):
+# ``_trajectory`` solves their ``d`` and finds the hand-off
 _HANDOFF = ("thm23", "thm24", "step_kappa")
 
 
@@ -546,9 +546,6 @@ def parse_config(text: str) -> dict:
 
 
 def _coerce(value: str):
-    low = value.lower()
-    if low in ("true", "false"):
-        return low == "true"
     for kind in (int, float):
         try:
             return kind(value)

@@ -112,8 +112,6 @@ class SimConfig:
                 f"(dt/6)*(4+sup|g'|) <= 1 (sup|g'|={sup:g})")
         if self.record_every is None:
             self.record_every = max(1, int(round(1.0 / self.dt)))
-        if isinstance(self.record_every, numbers.Integral) and self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
         _check_window(record_every=self.record_every)
 
     @property
@@ -191,8 +189,9 @@ def _can_fork() -> bool:
 
 
 class _Halves:
-    """The buffers of a run, and the forked worker that steps the far half
-    of each step split in two (see :func:`snapshots`).
+    """The buffers of a run, the forked worker that steps the far half of
+    each step split in two (see :func:`snapshots`), and the one choice of
+    how each step is made (see :meth:`step`).
 
     One anonymous shared ``mmap`` holds the two padded state buffers, this
     process's stage buffer and ``E(y5)`` buffer, and the worker's three
@@ -213,18 +212,31 @@ class _Halves:
         self.states[0][...] = p0
         self._euler, self._boundary_j = euler, boundary_j
         self._pid = self._task = self._done = None
-        self._live = True
+        self._live = _can_fork()
 
-    def step(self, which: int, e: int) -> bool:
+    def step(self, which: int, e: int) -> None:
         """Step the prefix of ``e`` columns of ``states[which]`` into
-        ``states[1 - which]``, this process taking padded rows ``[0, m + R
-        + 2)`` and the worker ``[m - R, e + 2)``, ``m = e // 2``, and keep
-        rows ``1 .. m`` of the first and ``m + 1 .. e`` of the second.
-        Returns False, with the output buffers in any state, if the step
-        must be made serially instead: the fork failed, the worker died, or
-        either half failed (a non-finite value, an overflow, a division by
-        zero), so that the serial step raises and warns as it would have."""
-        if not self._live or (self._pid is None and not self._fork()):
+        ``states[1 - which]``.  The split lives from ``_can_fork()`` until
+        the first step too narrow to split (``e < 2 R`` or ``e (H + 2) <
+        _SPLIT_MIN_SITES``), a failed fork or a dead worker.  A step is split
+        while it lives; any other step, and a split step whose half failed,
+        runs serially through ``_advance`` in the run's own buffers, from the
+        state, which no step writes, so every error and warning is its own."""
+        sites = self.states[which].shape[1]  # H + 2
+        if self._live and (e < 2 * _SSPRK104_REACH or e * sites < _SPLIT_MIN_SITES):
+            self.close()
+        if not (self._live and self._split(which, e)):
+            cur, new = self.states[which], self.states[1 - which]
+            _advance(cur[:e + 2], self._euler, self._boundary_j,
+                     (new[:e + 2], self.stage[:e + 2], self.e5[:e]))
+
+    def _split(self, which: int, e: int) -> bool:
+        """The split step: this process takes padded rows ``[0, m + R + 2)``
+        and the worker ``[m - R, e + 2)``, ``m = e // 2``, keeping rows ``1 ..
+        m`` of the first and ``m + 1 .. e`` of the second.  False, with the
+        output in any state, if the fork failed, the worker died, or either
+        half failed (a non-finite value, an overflow, a division by zero)."""
+        if self._pid is None and not self._fork():
             return False
         reach, m = _SSPRK104_REACH, e // 2
         cur, new = self.states[which], self.states[1 - which]
@@ -318,8 +330,8 @@ def snapshots(u0: LatticeField, cfg: SimConfig) -> Iterator[tuple[float, Lattice
     and ``boundary_j`` of ``cfg`` (else ``ValueError`` before any step); its
     ``i_offset`` is free.
 
-    Each step passes to ``_advance`` only the live columns, with the same
-    bits as a full-width step.  The rule rests on the step's reach,
+    Each step makes only the live columns, with the same bits as a
+    full-width step.  The rule rests on the step's reach,
     ``R = core._SSPRK104_REACH``: output column ``c`` reads input columns
     ``c - R .. c + R`` only, and the right i-ghost is pinned to 1.  So if the
     last step left every column ``>= s - R`` unchanged bit for bit, the next
@@ -337,41 +349,28 @@ def snapshots(u0: LatticeField, cfg: SimConfig) -> Iterator[tuple[float, Lattice
     ``[0, m + R)``, whose ghost row holds column ``m + R`` fixed, and keeps
     ``[0, m)``; a forked worker steps columns ``[m - R, e)``, whose ghost row
     holds column ``m - R - 1`` fixed, and this process copies its ``[m, e)``.
-    Both halves run at once on two CPUs, with the same bits as one step.  A
-    step splits only if ``os.fork`` exists, at least two CPUs are in this
-    process's affinity set, no other Python thread runs (see ``_can_fork``),
-    ``e >= 2 R`` and ``e (H + 2) >= _SPLIT_MIN_SITES``; else, and whenever a
-    half fails or the worker dies, it is made serially from the state,
-    which no step writes, so every error and warning is the serial step's.
-    The worker is forked at the first split step.  It ends at the first
-    step too narrow to split, after which the run stays serial, so a run
-    whose prefix narrows early (the 256x128 step_kappa default) keeps no
-    worker, nor its copy-on-write faults, for its serial steps.  Else it
-    ends with the generator: exhausted, closed or left by an exception, it
-    closes its pipe ends, the worker leaves at their EOF, and it is
-    reaped."""
+    Both halves run at once on two CPUs, with the same bits as one step.
+    :class:`_Halves` alone decides how each step is made: split, while the
+    host can fork and the prefix is wide enough, else serially.  The worker
+    is forked at the first split step.  It ends at the first step too narrow
+    to split, after which the run stays serial, so a run whose prefix
+    narrows early (the 256x128 step_kappa default) keeps no worker, nor its
+    copy-on-write faults, for its serial steps.  Else it ends with the
+    generator: exhausted, closed or left by an exception, it closes its pipe
+    ends, the worker leaves at their EOF, and it is reaped."""
     if u0.values.shape != (cfg.width, cfg.height) or u0.boundary_j != cfg.boundary_j:
         raise ValueError(
             f"initial field is {u0.width}x{u0.height} {u0.boundary_j}, config is "
             f"{cfg.width}x{cfg.height} {cfg.boundary_j}")
     n_steps = int(math.ceil(cfg.t_end / cfg.dt - 1e-9))
     width, i_offset, boundary_j = cfg.width, u0.i_offset, u0.boundary_j
-    sites, reach, euler = cfg.height + 2, _SSPRK104_REACH, _euler(cfg)
-    halves = _Halves(u0.padded(), euler, boundary_j)
-    states, stage, e5 = halves.states, halves.stage, halves.e5
-    split = _can_fork()
-    which, settled = 0, width
+    reach, halves = _SSPRK104_REACH, _Halves(u0.padded(), _euler(cfg), boundary_j)
+    states, which, settled = halves.states, 0, width
     try:
         for k in range(n_steps + 1):
             if k:
+                halves.step(which, min(width, settled + reach))
                 cur, new = states[which], states[1 - which]
-                e = min(width, settled + reach)
-                if split and not (e >= 2 * reach and e * sites >= _SPLIT_MIN_SITES):
-                    split = False  # the first narrow step ends the worker
-                    halves.close()
-                if not (split and halves.step(which, e)):
-                    _advance(cur[:e + 2], euler, boundary_j,
-                             (new[:e + 2], stage[:e + 2], e5[:e]))
                 moved = np.flatnonzero(np.any(new[1:settled + 1].view(np.int64)
                                               != cur[1:settled + 1].view(np.int64), axis=1))
                 new[settled + 1:] = cur[settled + 1:]

@@ -184,10 +184,10 @@ def _tail_rate(f: BistableNonlinearity, c: float, shifts: Sequence[float],
 
     ``lambda`` is the smallest positive root of the linearized characteristic
     equation ``chi(lambda) = 0`` at the approached equilibrium (0 on the
-    left, 1 on the right).  Falls back to a hard clamp (``rho = 0``) when
-    ``chi(1e-8) >= 0`` or no sign change is bracketed below 64.  Otherwise
-    Newton with the analytic ``chi'`` runs inside the bracket ``[lo, hi]``
-    with ``chi(lo) < 0 <= chi(hi)``: a step that leaves it, or a slope that
+    left, 1 on the right).  No decaying tail mode, ``chi(1e-8) >= 0`` or no
+    sign change bracketed below 64, raises :class:`SolveFailed`.  Else Newton
+    with the analytic ``chi'`` runs inside the bracket ``[lo, hi]`` with
+    ``chi(lo) < 0 <= chi(hi)``: a step that leaves it, or a slope that
     is not positive, bisects it instead.  It stops once a step moves
     ``lambda`` by at most 4 ulp or the bracket is that narrow.
     """
@@ -209,12 +209,14 @@ def _tail_rate(f: BistableNonlinearity, c: float, shifts: Sequence[float],
 
     lo = 1e-8
     if chi(lo)[0] >= 0.0:
-        return 0.0
+        raise SolveFailed(f"no decaying tail mode on the {side} at c={c:g} "
+                          "with a rate above 1e-8")
     hi = 0.25
     while chi(hi)[0] < 0.0:
         lo, hi = hi, 2.0 * hi
         if hi > 64.0:
-            return 0.0
+            raise SolveFailed(f"no decaying tail mode on the {side} at c={c:g} "
+                              "with a rate below 64")
     lam = hi
     for _ in range(100):
         val, slope = chi(lam)
@@ -483,7 +485,6 @@ class WaveProfile:
         past each edge the tail ``eq + amp * exp(-lam * distance)`` of ``tails``
         (left then right, ``sign = -d distance/dx``, so the exponent is
         ``sign * lam * (x - edge)``); zero when ``tails`` is None.
-        ``lam = inf`` is a hard clamp: the value is ``eq`` and the derivative 0.
         The spline call, made for every ``x``, refuses any other ``nu``."""
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape)
@@ -492,10 +493,8 @@ class WaveProfile:
         for side, edge, tail in zip((left, right), (self.xi[0], self.xi[-1]), tails or ()):
             if side.any():
                 eq, amp, lam, sign = tail
-                tail_val = 0.0
-                if math.isfinite(lam):
-                    rate = sign * lam
-                    tail_val = rate ** nu * amp * np.exp(rate * (x[side] - edge))
+                rate = sign * lam  # lam > 0 and finite
+                tail_val = rate ** nu * amp * np.exp(rate * (x[side] - edge))
                 out[side] = tail_val + eq if nu == 0 else tail_val
         mid = ~(left | right)
         out[mid] = spline(x[mid], nu)
@@ -505,11 +504,10 @@ class WaveProfile:
         """Profile ``Phi`` (``nu=0``) or ``Phi'`` (``nu=1``) at arbitrary points.
 
         Inside the grid this is the cubic-spline interpolant; outside it
-        follows the exponential tail model continuously into the equilibria.
-        A tail with ``rho = 0`` is a hard clamp to its equilibrium.
+        follows the exponential tail model continuously into the equilibria,
+        at the rate ``-log(rho) / h`` of each tail's decay ratio in (0, 1).
         """
-        lam_l, lam_r = (-math.log(rho) / self.h if rho > 0.0 else math.inf
-                        for rho in self.rho)
+        lam_l, lam_r = (-math.log(rho) / self.h for rho in self.rho)
         return self._evaluate(self._phi_spline, x, nu,
                               ((0.0, self.phi[0], lam_l, 1.0),
                                (1.0, self.phi[-1] - 1.0, lam_r, -1.0)))
@@ -749,8 +747,9 @@ def load_wave(path: str) -> WaveProfile:
 
     Raises ``ValueError`` naming the file for any defect of its content, such
     as a grid array (``phi``, ``psi``, ``r``) without ``2 L / h + 1`` entries,
-    a ``kind`` other than ``"cubic"`` (files of the retired tabulated
-    nonlinearity) or a decay ratio ``rho_l``/``rho_r`` outside [0, 1).
+    a ``phi`` that is not strictly increasing, a ``kind`` other than
+    ``"cubic"`` (files of the retired tabulated nonlinearity) or a decay
+    ratio ``rho_l``/``rho_r`` outside (0, 1).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -783,8 +782,8 @@ def _parse_wave(lines) -> WaveProfile:
     f = BistableNonlinearity(number("a"))
     rho = (number("rho_l"), number("rho_r"))
     for key, value in zip(("rho_l", "rho_r"), rho):
-        if not 0.0 <= value < 1.0:
-            raise ValueError(f"wave field {key!r} must lie in [0, 1), got {value!r}")
+        if not 0.0 < value < 1.0:
+            raise ValueError(f"wave field {key!r} must lie in (0, 1), got {value!r}")
     L = number("L")
     h = number("h")
     n_half = _check_grid(L, h)
@@ -793,6 +792,8 @@ def _parse_wave(lines) -> WaveProfile:
         if name in arrays and arrays[name].shape != (n,):
             raise ValueError(f"wave array {name!r} has shape {arrays[name].shape}, "
                              f"not ({n},) = 2 L / h + 1 entries")
+    if not np.all(np.diff(arrays["phi"]) > 0.0):
+        raise ValueError("wave array 'phi' is not strictly increasing")
     return WaveProfile(f=f, L=L, h=h, xi=(np.arange(n) - n_half) * h, phi=arrays["phi"],
                        c=number("c"), rho=rho,
                        psi=arrays.get("psi"), d=number("d") if "d" in meta else None,

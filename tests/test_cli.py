@@ -154,6 +154,18 @@ def test_mcf_with_wave_file(tmp_path, wave_file):
                  "--t-end", "5", "--samples", "6", "--out", str(out)]) == 0
 
 
+def test_mcf_with_a_wave_file_without_d_is_usage_error(tmp_path, wave_file, capsys):
+    lines = open(wave_file, encoding="utf-8").read().splitlines()
+    meta = json.loads(lines[0])
+    del meta["d"]
+    wave = tmp_path / "wave_without_d.ndjson"
+    wave.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n", encoding="utf-8")
+    init = tmp_path / "gamma0.csv"
+    _write_gamma(init, np.zeros(8))
+    assert main(["mcf", "--init", str(init), "--wave", str(wave)]) == 2
+    assert "wave file lacks d" in capsys.readouterr().err
+
+
 def test_mcf_without_parameters_is_usage_error(tmp_path, capsys):
     init = tmp_path / "gamma0.csv"
     _write_gamma(init, np.zeros(8))
@@ -380,7 +392,7 @@ def test_experiment_bad_tolerance_or_period_fails_before_the_wave_solve(
 @pytest.mark.parametrize("line, message", [
     ("dt = -0.01", "dt must be positive and finite, got -0.01"),
     ("t_end = -1", "t_end must be finite and >= 0, got -1"),
-    ("record_every = 0", "record_every must be >= 1, got 0"),
+    ("record_every = 0", "record_every must be an integer >= 1, got 0"),
     ("tau = nan", "tau must be finite and >= 0, got nan"),
     ("h = 0.3", "1/h must be an integer, got h=0.3"),
     ("L = 20.03", "L must be a multiple of h, got L=20.03, h=0.0625"),
@@ -396,7 +408,7 @@ def test_experiment_bad_tolerance_or_period_fails_before_the_wave_solve(
     ("kappa_kind = random\nkappa_seed = 1.5", "kappa seed must be an integer, got 1.5"),
     ("v0_kind = random_l1\nv0_decay = 0", "v0 decay must be a positive finite real, got 0"),
     ("v0_kind = gaussian_bump\nv0_width = -2", "v0 width must be a positive finite real, got -2"),
-    ("v0_kind = random_l1\nv0_seed = true", "v0 seed must be an integer, got True"),
+    ("v0_kind = random_l1\nv0_seed = true", "v0 seed must be an integer, got 'true'"),
     ("v0_center_i = nan", "v0 center_i must be a finite real, got nan"),
 ])
 def test_experiment_bad_setting_fails_before_the_wave_solve(
@@ -500,6 +512,12 @@ def test_wave_window_too_short_is_numerical_failure(capsys):
     assert "does not reach the equilibria" in capsys.readouterr().err
 
 
+def test_wave_without_a_decaying_tail_is_numerical_failure(capsys):
+    # at a = 1e-9 the left tail decays at a rate below 1e-8
+    assert main(["wave", "--a", "1e-9"]) == 3
+    assert "no decaying tail mode on the left" in capsys.readouterr().err
+
+
 def test_wave_window_too_short_for_d_is_numerical_failure(capsys):
     # Newton converges at L = 10, but the adjoint residual ratio is 3.1e-9
     # and d is off by 1.7e-4
@@ -509,9 +527,10 @@ def test_wave_window_too_short_for_d_is_numerical_failure(capsys):
 
 MALFORMED_WAVE_CASES = {"meta_without_c": "'c'", "null_c": "'c'", "text_c": "'c'",
                         "kind_table": "'kind'", "rho_above_one": "'rho_l'",
-                        "nan_rho": "'rho_r'",
+                        "nan_rho": "'rho_r'", "rho_zero": "'rho_r'",
                         "list_record": "not a JSON object", "text_in_phi": "'phi'",
-                        "short_phi": "'phi'", "short_psi": "'psi'", "short_r": "'r'"}
+                        "short_phi": "'phi'", "short_psi": "'psi'", "short_r": "'r'",
+                        "phi_reversed": "'phi'"}
 
 
 def _malformed_wave(wave_file, tmp_path, case):
@@ -533,8 +552,14 @@ def _malformed_wave(wave_file, tmp_path, case):
         meta["rho_l"] = "1.5"
     elif case == "nan_rho":
         meta["rho_r"] = "nan"
+    elif case == "rho_zero":
+        meta["rho_r"] = "0"
     elif case == "list_record":
         lines.append("[1, 2, 3]")
+    elif case == "phi_reversed":
+        rec = json.loads(lines[arrays["phi"]])
+        rec["values"].reverse()
+        lines[arrays["phi"]] = json.dumps(rec)
     else:
         name = case.split("_", 2)[-1]
         rec = json.loads(lines[arrays[name]])
@@ -557,7 +582,8 @@ def test_malformed_wave_file_is_usage_error(snapshot_dir, wave_file, tmp_path, c
     assert str(bad) in err and MALFORMED_WAVE_CASES[case] in err
 
 
-@pytest.mark.parametrize("case", ["kind_table", "rho_above_one", "nan_rho"])
+@pytest.mark.parametrize("case", ["kind_table", "rho_above_one", "nan_rho", "rho_zero",
+                                  "phi_reversed"])
 def test_mcf_refuses_a_malformed_wave_file(wave_file, tmp_path, capsys, case):
     init = tmp_path / "gamma0.csv"
     _write_gamma(init, np.zeros(8))

@@ -258,6 +258,12 @@ def test_v_solve_cole_hopf_matches_euler():
     assert np.max(np.abs(exact.values - euler.values)) < 1e-4
 
 
+def test_v_solve_refuses_an_unknown_method():
+    V0 = PhaseSequence(np.zeros(8))
+    with pytest.raises(ValueError, match="^unknown method 'rk4'$"):
+        v_solve(V0, FlowParams(c=C_REF, d=D_REF), t_grid=[1.0], method="rk4")
+
+
 @settings(max_examples=100)
 @given(ks=st.lists(st.integers(-2048, 2048), min_size=2, max_size=64),
        shift=st.integers(-2 ** 20, 2 ** 20),

@@ -212,7 +212,7 @@ def test_spec_rejects_unknown_or_non_numeric_tolerances_and_fractional_period():
     ("boundary_j", "reflct", "boundary_j must be one of ('periodic', 'reflect')"),
     ("dt", -0.01, "dt must be positive and finite, got -0.01"),
     ("t_end", -1.0, "t_end must be finite and >= 0, got -1.0"),
-    ("record_every", 0, "record_every must be >= 1, got 0"),
+    ("record_every", 0, "record_every must be an integer >= 1, got 0"),
     ("tau", math.nan, "tau must be finite and >= 0, got nan"),
     ("h", 0.3, "1/h must be an integer, got h=0.3"),
     ("L", 20.03, "L must be a multiple of h, got L=20.03, h=0.0625"),
@@ -515,12 +515,30 @@ def test_handoff_after_t_end_fails_at_spec_time(monkeypatch, name):
     assert dataclasses.replace(default_spec(name), t_end=20.0, tau=20.0).tau == 20.0
 
 
-def test_handoff_names_the_pipelines_that_hand_off():
-    """``_HANDOFF``, which the spec reads to refuse ``tau > t_end``, names
-    exactly the pipelines whose bodies call ``_handoff``."""
-    calls = {name for name, (run, _) in harness._EXPERIMENTS.items()
-             if "_handoff" in run.__wrapped__.__code__.co_names}
-    assert calls and set(harness._HANDOFF) == calls
+def test_exactly_the_pipelines_that_hand_off_solve_d(wave03):
+    """Each pipeline run on a wave without ``d``: the wave comes back with
+    ``d`` (and ``psi`` and ``r``) exactly for the names in ``_HANDOFF``,
+    which the spec reads to refuse ``tau > t_end``."""
+    bare = dataclasses.replace(wave03, psi=None, d=None, r=None)
+    step = {"boundary_j": "reflect", "kappa": {"kind": "step", "lo": 0.0, "hi": 2.0}}
+    solved = set()
+    for name in harness._EXPERIMENTS:
+        w = dataclasses.replace(bare)
+        run_experiment(fast_spec(name, **(step if name == "step_kappa" else {})), w)
+        if w.d is not None:
+            assert w.d == wave03.d and np.array_equal(w.r, wave03.r)
+            solved.add(name)
+    assert solved == set(harness._HANDOFF) == {"thm23", "thm24", "step_kappa"}
+
+
+def test_thm22_undefined_phase_at_every_snapshot_is_preasymptotic(wave03):
+    """A bump that leaves the phase undefined on some rows at t = 0, in a run
+    that ends there, leaves thm22 no front error to judge."""
+    spec = fast_spec("thm22", width=256, t_end=0.0,
+                     v0={"kind": "gaussian_bump", "amp": 0.9, "center_i": -40.0})
+    with pytest.raises(PreAsymptotic, match="^phase undefined on some rows at every "
+                                            "snapshot$"):
+        run_thm22(spec, wave03)
 
 
 def test_front_near_window_edge_is_out_of_range(wave03):

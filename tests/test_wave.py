@@ -94,6 +94,14 @@ def test_balanced_detuning_detects_pinning():
         solve_wave(BistableNonlinearity(a=0.5))
 
 
+def test_near_balanced_detuning_converges_below_the_pinning_threshold():
+    """Newton converges at a = 0.49995, but to a speed below the pinning
+    threshold, which is refused as pinning too."""
+    with pytest.raises(PinningDetected, match=r"^converged speed \|c\|=6.98e-05 below "
+                                              "threshold 0.0001"):
+        solve_wave(BistableNonlinearity(a=0.49995))
+
+
 def test_short_window_does_not_reach_equilibria():
     with pytest.raises(NewtonDiverged, match="does not reach the equilibria"):
         solve_wave(BistableNonlinearity(a=0.3), L=2.0)
@@ -368,16 +376,20 @@ def test_tail_rate_matches_brentq(shifts):
             assert abs(lam - tail_rate_brentq(f, c, shifts, h, side)) <= 1e-14
 
 
-def test_tail_rate_falls_back_to_a_hard_clamp():
+def test_tail_rate_refuses_a_tail_with_no_decaying_mode():
     h = 1.0 / 16.0
     # chi(1e-8) >= 0: the equilibrium is not linearly stable
     unstable = types.SimpleNamespace(dg=lambda u: 0.1)
     for side in ("left", "right"):
-        assert _tail_rate(unstable, 0.5, (1.0, -1.0), h, side) == 0.0
+        with pytest.raises(SolveFailed, match=f"^no decaying tail mode on the {side} "
+                                              "at c=0.5 with a rate above 1e-8$"):
+            _tail_rate(unstable, 0.5, (1.0, -1.0), h, side)
     # without shifts, a speed against the tail keeps chi < 0 past 64
     f = BistableNonlinearity(a=0.3)
-    assert _tail_rate(f, -1.0, (), h, "left") == 0.0
-    assert _tail_rate(f, 1.0, (), h, "right") == 0.0
+    for c, side in ((-1.0, "left"), (1.0, "right")):
+        with pytest.raises(SolveFailed, match=f"^no decaying tail mode on the {side} at "
+                                              f"c={c:g} with a rate below 64$"):
+            _tail_rate(f, c, (), h, side)
     assert _tail_rate(f, 1.0, (), h, "left") > 0.0
 
 
@@ -391,20 +403,6 @@ def test_profile_tails_exponential_and_bounded(wave03):
     lam = -np.log(w.rho[0]) / w.h
     ratio = w.phi_at(-26.0) / w.phi_at(-25.0)
     assert ratio == pytest.approx(np.exp(-lam), rel=1e-12)
-
-
-def test_zero_tail_rate_is_a_hard_clamp(wave03):
-    w = wave03
-    clamped = WaveProfile(f=w.f, L=w.L, h=w.h, xi=w.xi, phi=w.phi, c=w.c,
-                          rho=(0.0, 0.0))
-    outside = np.array([-25.0, 25.0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert clamped.phi_at(outside).tolist() == [0.0, 1.0]
-        assert clamped.phi_at(outside, 1).tolist() == [0.0, 0.0]
-    inside = np.linspace(-w.L, w.L, 9)
-    for nu in (0, 1):
-        assert np.array_equal(clamped.phi_at(inside, nu), w.phi_at(inside, nu))
 
 
 def stencil_affine_loop(n, pieces, rho_l, rho_r, right_target):
@@ -472,6 +470,15 @@ def test_save_load_round_trip(tmp_path, wave03):
     assert np.array_equal(back.psi, wave03.psi)
     assert np.array_equal(back.r, wave03.r)
     assert np.array_equal(back.xi, wave03.xi)
+
+
+def test_load_refuses_a_file_of_array_records_only(tmp_path, wave03):
+    path = tmp_path / "wave.json"
+    save_wave(wave03, str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines[1:]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="file does not contain a wave profile$"):
+        load_wave(str(path))
 
 
 def test_load_accepts_a_file_that_names_the_cubic_kind(tmp_path, wave03):
