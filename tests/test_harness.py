@@ -212,7 +212,9 @@ def test_spec_rejects_unknown_or_non_numeric_tolerances_and_fractional_period():
     ("boundary_j", "reflct", "boundary_j must be one of ('periodic', 'reflect')"),
     ("dt", -0.01, "dt must be positive and finite, got -0.01"),
     ("t_end", -1.0, "t_end must be finite and >= 0, got -1.0"),
-    ("record_every", 0, "record_every must be an integer >= 1, got 0"),
+    # The id keeps this case's name from before the message named "an integer".
+    pytest.param("record_every", 0, "record_every must be an integer >= 1, got 0",
+                 id="record_every-0-record_every must be >= 1, got 0"),
     ("tau", math.nan, "tau must be finite and >= 0, got nan"),
     ("h", 0.3, "1/h must be an integer, got h=0.3"),
     ("L", 20.03, "L must be a multiple of h, got L=20.03, h=0.0625"),
