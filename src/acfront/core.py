@@ -327,17 +327,20 @@ def _ssprk104(p0: np.ndarray, euler, boundary_j: str,
     and from ``y6 = (3/5) u + (2/5) E(y5)`` for ``k = 6..9``; the result is
     ``(3/5) E(y10) + (9/25) E(y5) + u / 25``.  The weights are nonnegative,
     so the step is monotone wherever ``E`` is (Gottlieb, Shu and Tadmor 2001).
-    Two padded buffers take turns as the stages, with ``p0[[0, -1]]`` (a
-    lattice array's i-ghost rows) pinned in both and the j-ghosts filled by
-    ``_fill_ghosts``; the combinations run in place in dead stage buffers.
-    ``work``, if given, lends the two stage buffers and the buffer of
-    ``E(y5)``, none of them overlapping ``p0``; the result is the first.
-    Else they are made afresh.  Invalid operations (``inf - inf``) on
-    non-finite stage values do not warn.
+    Two padded buffers take turns as the stages, with ``p0[0]`` and
+    ``p0[-1]`` (a lattice array's i-ghost rows, a sequence's j-ghosts)
+    pinned in both and the j-ghosts filled by ``_fill_ghosts``; the
+    combinations run in place in dead stage buffers.  ``work``, if given,
+    lends the two stage buffers and the buffer of ``E(y5)``, none of them
+    overlapping ``p0``; the result is the first.  Else they are made
+    afresh.  So a caller that lends ``work`` and keeps one spare buffer for
+    the next step's ``p0`` steps without allocating.  Invalid operations
+    (``inf - inf``) on non-finite stage values do not warn.
     """
     u = p0[1:-1]
     pa, pb, e5 = (np.empty_like(p0), np.empty_like(p0), np.empty_like(u)) if work is None else work
-    pa[[0, -1]] = pb[[0, -1]] = p0[[0, -1]]
+    pa[0] = pb[0] = p0[0]
+    pa[-1] = pb[-1] = p0[-1]
     with np.errstate(invalid="ignore"):
         p = p0
         for q in (pa, pb, pa, pb):  # y2 .. y5

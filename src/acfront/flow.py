@@ -269,65 +269,112 @@ class FlowTrajectory:
         return self.times.size
 
 
+def _substep(rhs, h: float):
+    """The forward-Euler substep ``E(q) = q[1:-1] + h rhs(q)`` of the
+    in-place kernel ``rhs(q, out)``, as ``euler(q, out)`` for
+    ``core._ssprk104``: ``rhs`` writes into ``out``, the interior of the next
+    stage buffer, which is then scaled by ``h`` and gains ``q[1:-1]``."""
+
+    def euler(q: np.ndarray, out: np.ndarray) -> None:
+        rhs(q, out)
+        out *= h
+        out += q[1:-1]
+
+    return euler
+
+
+def _slope(q: np.ndarray) -> float:
+    """``sup|∂⁺|`` of the padded sequence ``q``, its ghost pair included."""
+    return float(np.max(np.abs(q[2:] - q[1:-1])))
+
+
 def _march(y0: PhaseSequence, rhs, t_grid: Sequence[float], p: FlowParams,
            what: str, delta: float = math.inf) -> FlowTrajectory:
-    """SSPRK(10,4) steps (``core._ssprk104``) from ``y0``, with ``rhs(q)``
-    the right-hand side at the padded sequence ``q``: forward-Euler
-    substeps ``q[1:-1] + h rhs(q)`` of ``h = step / 6 <= p.dt``, so steps at
-    most ``6 p.dt`` long, the last before each time in ``t_grid`` cut short
-    to land on it.
+    """SSPRK(10,4) steps (``core._ssprk104``) from ``y0``, with ``rhs(q,
+    out)`` the in-place kernel that writes the right-hand side at the padded
+    sequence ``q`` into ``out``: forward-Euler substeps (:func:`_substep`)
+    ``q[1:-1] + h rhs(q)`` of ``h = step / 6 <= p.dt``, so steps at most
+    ``6 p.dt`` long, the last before each time in ``t_grid`` cut short to
+    land on it.  The stage buffers, lent to ``_ssprk104``, and a spare that
+    takes the next step's result are made once, so no substep allocates.
 
     Raises :class:`FlatnessViolated` once ``sup|∂⁺y|`` exceeds ``delta``,
-    initially or after any step.  Raises :class:`NonFinite`, naming
-    ``what``, as soon as a step is not finite, and :class:`OutOfRange` for a
-    non-finite, negative or decreasing ``t_grid``.
+    initially or after any step; an infinite ``delta`` skips the check.
+    Raises :class:`NonFinite`, naming ``what``, as soon as a step is not
+    finite, and :class:`OutOfRange` for a non-finite, negative or decreasing
+    ``t_grid``.
     """
     ts = np.asarray(list(t_grid), dtype=float)
     if not (np.all(np.isfinite(ts)) and np.all(np.diff(ts, prepend=0.0) >= 0.0)):
         raise OutOfRange(f"{what} output times must be finite, >= 0 and nondecreasing")
-
-    def slope(q: np.ndarray) -> float:
-        return float(np.max(np.abs(q[2:] - q[1:-1])))
-
-    def euler(q: np.ndarray, out: np.ndarray) -> None:
-        np.multiply(rhs(q), h, out=out)
-        out += q[1:-1]
-
+    guard = delta < math.inf
     q = y0.padded()
-    if slope(q) > delta:
-        raise FlatnessViolated(f"initial gradient {slope(q):.3g} exceeds delta={delta:g}")
+    if guard and _slope(q) > delta:
+        raise FlatnessViolated(f"initial gradient {_slope(q):.3g} exceeds delta={delta:g}")
+    spare, stage, e5 = np.empty_like(q), np.empty_like(q), np.empty(len(y0))
     rows = np.empty((ts.size, len(y0)))
     t = 0.0
     for idx, target in enumerate(ts):
         while t < target - 1e-12:
             step = min(6.0 * p.dt, target - t)
-            h = step / 6.0
-            q = _ssprk104(q, euler, y0.boundary_j)
+            # the result lands in ``spare``; the old state is the next spare
+            q, spare = _ssprk104(q, _substep(rhs, step / 6.0), y0.boundary_j,
+                                 (spare, stage, e5)), q
             t += step
-            if not np.all(np.isfinite(q)):
+            if not np.isfinite(q).all():
                 raise NonFinite(f"{what} blew up at t={t:g}")
-            if slope(q) > delta:
+            if guard and _slope(q) > delta:
                 raise FlatnessViolated(
-                    f"gradient {slope(q):.3g} exceeded delta={delta:g} at t={t:g}")
+                    f"gradient {_slope(q):.3g} exceeded delta={delta:g} at t={t:g}")
         rows[idx] = q[1:-1]
     return FlowTrajectory(ts, rows, boundary_j=y0.boundary_j)
 
 
-def _v_rhs(q: np.ndarray, p: FlowParams) -> np.ndarray:
-    """Right-hand side of the phase LDE at the padded sequence ``q``."""
+def _fresh(kernel, s: PhaseSequence, p: FlowParams) -> np.ndarray:
+    """The right-hand side of the in-place ``kernel(p, n)`` at ``s``, in a
+    fresh array; ``s`` is left untouched."""
+    out = np.empty(len(s))
+    kernel(p, len(s))(s.padded(), out)
+    return out
+
+
+def _v_rhs(p: FlowParams, n: int):
+    """The right-hand side of the phase LDE as an in-place kernel ``rhs(q,
+    out)`` for padded sequences ``q`` of ``n + 2`` entries; the exponential
+    variant keeps its two scratch arrays, made here, across calls."""
     if p.variant == "linear_heat":
-        return q[2:] - 2.0 * q[1:-1] + q[:-2] + p.c
-    # one exponential per neighbour difference: e^{-d dV_j^-} = 1 / e^{d dV_{j-1}^+};
-    # an underflowed e is raised to the least subnormal, so 1/e overflows
-    # where e^{-d dV^-} did, instead of dividing by zero
-    e = np.exp(p.d * (q[1:] - q[:-1]))
-    np.maximum(e, 5e-324, out=e)
-    return (e[1:] - 2.0 + 1.0 / e[:-1]) / p.d + p.c
+        def rhs(q: np.ndarray, out: np.ndarray) -> None:
+            # q[2:] - 2 q[1:-1] + q[:-2] + c
+            np.multiply(q[1:-1], 2.0, out=out)
+            np.subtract(q[2:], out, out=out)
+            out += q[:-2]
+            out += p.c
+
+        return rhs
+    e, r = np.empty(n + 1), np.empty(n)
+
+    def rhs(q: np.ndarray, out: np.ndarray) -> None:
+        # one exponential per neighbour difference: e^{-d dV_j^-} = 1 / e^{d dV_{j-1}^+};
+        # an underflowed e is raised to the least subnormal, so 1/e overflows
+        # where e^{-d dV^-} did, instead of dividing by zero
+        np.subtract(q[1:], q[:-1], out=e)
+        np.multiply(e, p.d, out=e)
+        np.exp(e, out=e)
+        np.maximum(e, 5e-324, out=e)
+        # (e_j - 2 + 1 / e_{j-1}) / d + c
+        np.subtract(e[1:], 2.0, out=out)
+        out += np.divide(1.0, e[:-1], out=r)
+        out /= p.d
+        out += p.c
+
+    return rhs
 
 
 def v_rhs(V: PhaseSequence, p: FlowParams) -> np.ndarray:
-    """Right-hand side of the phase LDE for ``V`` (exact, no time stepping)."""
-    return _v_rhs(V.padded(), p)
+    """Right-hand side of the phase LDE for ``V`` (exact, no time stepping),
+    in a fresh array.  It is the in-place kernel the explicit marcher
+    steps with, called once."""
+    return _fresh(_v_rhs, V, p)
 
 
 def v_solve(V0: PhaseSequence, p: FlowParams, t_grid: Sequence[float],
@@ -342,7 +389,7 @@ def v_solve(V0: PhaseSequence, p: FlowParams, t_grid: Sequence[float],
     """
     ts = np.asarray(list(t_grid), dtype=float)
     if method == "euler":
-        return _march(V0, lambda q: _v_rhs(q, p), ts, p, "explicit integration")
+        return _march(V0, _v_rhs(p, len(V0)), ts, p, "explicit integration")
     if method != "cole_hopf":
         raise ValueError(f"unknown method {method!r}")
     rows = np.empty((ts.size, len(V0)))
@@ -374,18 +421,36 @@ def v_gradient_report(traj: FlowTrajectory) -> dict:
             **_decay_stats(traj.times, d1, d2n, d1[0], d2n[0], 1e-12)}
 
 
-def _mcf_rhs(q: np.ndarray, p: FlowParams) -> np.ndarray:
-    """:func:`mcf_rhs` at the padded sequence ``q``."""
-    dp, dm = q[2:] - q[1:-1], q[1:-1] - q[:-2]
-    b2 = 1.0 + 0.5 * (dp * dp + dm * dm)
-    return (dp - dm) / b2 + 2.0 * p.d * np.sqrt(b2) + (p.c - 2.0 * p.d)
+def _mcf_rhs(p: FlowParams, n: int):
+    """:func:`mcf_rhs` as an in-place kernel ``rhs(q, out)`` for padded
+    sequences ``q`` of ``n + 2`` entries, on two scratch arrays made here.
+    One difference ``dq = q[1:] - q[:-1]`` gives both ``∂⁺ = dq[1:]`` and
+    ``∂⁻ = dq[:-1]``, and one square of it both squared gradients."""
+    dq, b = np.empty(n + 1), np.empty(n)
+    drift, offset = 2.0 * p.d, p.c - 2.0 * p.d
+
+    def rhs(q: np.ndarray, out: np.ndarray) -> None:
+        np.subtract(q[1:], q[:-1], out=dq)
+        np.subtract(dq[1:], dq[:-1], out=out)  # ∂⁽²⁾Γ
+        np.multiply(dq, dq, out=dq)
+        np.add(dq[1:], dq[:-1], out=b)
+        np.multiply(b, 0.5, out=b)
+        np.add(b, 1.0, out=b)  # β²
+        out /= b
+        np.sqrt(b, out=b)
+        np.multiply(b, drift, out=b)
+        out += b
+        out += offset
+
+    return rhs
 
 
 def mcf_rhs(G: PhaseSequence, p: FlowParams) -> np.ndarray:
     """Right-hand side ``∂⁽²⁾Γ/β² + 2dβ + c - 2d`` of the discrete mean
     curvature flow, with ``β = sqrt(1 + (|∂⁺Γ|² + |∂⁻Γ|²)/2)``: curvature
-    plus the direction-dependent drift ``c + 2d(β - 1)``."""
-    return _mcf_rhs(G.padded(), p)
+    plus the direction-dependent drift ``c + 2d(β - 1)``.  A fresh array,
+    from the in-place kernel that :func:`mcf_solve` steps with."""
+    return _fresh(_mcf_rhs, G, p)
 
 
 def mcf_solve(G0: PhaseSequence, p: FlowParams, t_grid: Sequence[float], *,
@@ -400,7 +465,7 @@ def mcf_solve(G0: PhaseSequence, p: FlowParams, t_grid: Sequence[float], *,
     """
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    return _march(G0, lambda q: _mcf_rhs(q, p), t_grid, p, "curvature flow", delta)
+    return _march(G0, _mcf_rhs(p, len(G0)), t_grid, p, "curvature flow", delta)
 
 
 def trajectory_to_csv(traj: FlowTrajectory, path: str) -> None:

@@ -166,8 +166,8 @@ def _stencil_affine(n: int, pieces: Sequence[tuple[int, float]],
     cols = np.arange(n) + np.array(offs)[:, None]
     rows = np.broadcast_to(np.arange(n), cols.shape)
     edge = np.clip(cols, 0, n - 1)
-    # the distance past the edge is 0 inside the grid, where rho^0 = 1 (also
-    # for rho = 0); np.bincount sums each entry in piece order
+    # the distance past the edge is 0 inside the grid, where rho^0 = 1;
+    # np.bincount sums each entry in piece order
     decay = np.where(cols < 0, rho_l, rho_r) ** np.abs(cols - edge)
     slot = (edge - rows + width) * n + rows
     data = np.bincount(slot.ravel(), weights=(wgt * decay).ravel(),

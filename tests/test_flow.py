@@ -1,6 +1,7 @@
 """Bessel/heat machinery and the reduced phase flows."""
 
 import csv
+import hashlib
 import json
 import warnings
 
@@ -15,8 +16,9 @@ from mpmath import mp
 
 from acfront.core import PhaseSequence, alpha, d2, d_minus, d_plus
 from acfront.errors import FlatnessViolated, NonFinite, OutOfRange, OverflowGuard
-from acfront.flow import (FlowParams, _decay_norms, bessel_bounds_report, decay_report,
-                          heat_kernel, heat_solve, mcf_rhs, mcf_solve,
+from acfront.flow import (FlowParams, _decay_norms, _mcf_rhs, _substep, _v_rhs,
+                          bessel_bounds_report, decay_report, heat_kernel, heat_solve,
+                          mcf_rhs, mcf_solve,
                           report_to_ndjson, trajectory_to_csv, v_gradient_report,
                           v_rhs, v_solve)
 from acfront.harness import splitmix64_uniform
@@ -387,6 +389,89 @@ def test_mcf_matches_gradient_lde():
                 + 2.0 * p.d * (pi - pi_m))
         got = d_plus(PhaseSequence(mcf_rhs(G, p)))
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+def mcf_rhs_oracle(q: np.ndarray, p: FlowParams) -> np.ndarray:
+    """The allocating curvature-flow right-hand side at the padded ``q``,
+    one fresh temporary per operation, as the in-place kernel's oracle."""
+    dp, dm = q[2:] - q[1:-1], q[1:-1] - q[:-2]
+    b2 = 1.0 + 0.5 * (dp * dp + dm * dm)
+    return (dp - dm) / b2 + 2.0 * p.d * np.sqrt(b2) + (p.c - 2.0 * p.d)
+
+
+def v_rhs_oracle(q: np.ndarray, p: FlowParams) -> np.ndarray:
+    """The allocating phase-LDE right-hand side at the padded ``q``, both
+    variants, as the in-place kernel's oracle."""
+    if p.variant == "linear_heat":
+        return q[2:] - 2.0 * q[1:-1] + q[:-2] + p.c
+    e = np.exp(p.d * (q[1:] - q[:-1]))
+    np.maximum(e, 5e-324, out=e)
+    return (e[1:] - 2.0 + 1.0 / e[:-1]) / p.d + p.c
+
+
+@settings(max_examples=150)
+@given(vals=st.integers(1, 40).flatmap(
+           lambda n: hnp.arrays(np.float64, n, elements=st.floats(-400.0, 400.0))),
+       c=st.floats(-1.0, 1.0),
+       d=st.one_of(st.floats(-1e-8, 1e-8, exclude_min=True, exclude_max=True),
+                   st.floats(-3.0, 3.0)),
+       h=st.floats(1e-6, 1.0),
+       boundary_j=st.sampled_from(["periodic", "reflect"]))
+def test_inplace_substeps_equal_the_allocating_formulas_bitwise(vals, c, d, h, boundary_j):
+    """One in-place substep of each kernel, twice in a row on the same
+    scratch, is ``q[1:-1] + h rhs(q)`` of the allocating formula byte for
+    byte, both phase-LDE variants included (|d| < 1e-8 is the linear heat
+    LDE); and the public right-hand sides, a fresh array each call, leave
+    their input untouched.  Differences up to 800 at |d| up to 3 overflow
+    ``e^{d ∂⁺V}`` or clamp its underflow, the same in both."""
+    p = FlowParams(c=c, d=d)
+    V = PhaseSequence(vals, boundary_j=boundary_j)
+    q = V.padded()
+    for kernel, oracle, public in ((_mcf_rhs, mcf_rhs_oracle, mcf_rhs),
+                                   (_v_rhs, v_rhs_oracle, v_rhs)):
+        with np.errstate(over="ignore"):
+            want = q[1:-1] + h * oracle(q, p)
+            euler = _substep(kernel(p, len(V)), h)
+            for _ in range(2):
+                out = np.full(len(V), np.nan)
+                euler(q, out)
+                assert out.tobytes() == want.tobytes()
+            got = public(V, p)
+            again = public(V, p)
+            assert got.tobytes() == oracle(q, p).tobytes()
+        assert V.values.tobytes() == vals.tobytes() and q[1:-1].tobytes() == vals.tobytes()
+        assert not (np.shares_memory(got, again) or np.shares_memory(got, V.values))
+
+
+# SHA-256 of ``values.tobytes()`` of each explicit flow from a seeded flat
+# 512-row phase to t = 20, as the allocating right-hand sides gave them: the
+# in-place kernels keep every bit
+FLOW_DIGESTS = {
+    ("mcf_solve", D_REF, "periodic"):
+        "254a949c30f9c71b32a13715c53ac74744ef00661d333b8095c3df13bdbb9cd0",
+    ("mcf_solve", D_REF, "reflect"):
+        "b0393192308c723b38470014cb6cabe5678e229ab334435bbc699ef3999282b3",
+    ("v_solve_euler", D_REF, "periodic"):
+        "de35e5df1568b1f8d6ef66a63f3e780d0ae13ed6db8fb5ec366a595241be8ecf",
+    ("v_solve_euler", D_REF, "reflect"):
+        "8f977df75c07e8df804ba0b0fe6c8d32c517dfd0d5dc902ea424a0830676e333",
+    ("v_solve_euler", 0.0, "periodic"):
+        "a6d18f4c177afd31dc2b3c12bac60f63255fa466f5cab7b430244608e48430a4",
+    ("v_solve_euler", 0.0, "reflect"):
+        "6699e3b337eb7729b40cb6ed2b59210e3872a0b72a1b9149c04f959d23186b12",
+}
+
+
+@pytest.mark.parametrize("solver, d, boundary_j", list(FLOW_DIGESTS),
+                         ids=[f"{s}-d={d:g}-{bc}" for s, d, bc in FLOW_DIGESTS])
+def test_flow_trajectory_bytes_pinned(solver, d, boundary_j):
+    V0 = PhaseSequence(0.02 * (2.0 * splitmix64_uniform(5, 512) - 1.0), boundary_j=boundary_j)
+    p = FlowParams(c=C_REF, d=d)
+    grid = np.linspace(0.0, 20.0, 5)
+    traj = (mcf_solve(V0, p, grid) if solver == "mcf_solve"
+            else v_solve(V0, p, grid, method="euler"))
+    digest = hashlib.sha256(traj.values.tobytes()).hexdigest()
+    assert digest == FLOW_DIGESTS[solver, d, boundary_j]
 
 
 @pytest.mark.parametrize("boundary_j", ["periodic", "reflect"])

@@ -484,6 +484,45 @@ def test_report_bytes_pinned(tmp_path, wave03, spec, digest):
     assert hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest() == digest
 
 
+# The kind of each default verdict when dt halves from 1/3 to 1/6.  A floor
+# verdict sits at the time error of the lattice step, so it falls by at
+# least 6x (measured: 7.9x for thm24's final_profile_error, up to 28x for
+# thm22's front_error_final), or at round-off, below 1e-10 at both dt
+# (thm23's handoff_flatness and mcf_vs_v).  A model verdict measures the
+# reduced model and moves by less than a quarter of its value (measured: at
+# most 1.2e-4 of it on step_kappa, 0.18 on thm24's mu_vs_prediction).
+DEFAULT_VERDICT_KINDS = {
+    "thm22": {"front_error_final": "floor"},
+    "thm23": {"tracking_sup": "floor", "handoff_flatness": "floor", "mcf_vs_v": "floor"},
+    "thm24": {"mu_stable": "floor", "final_profile_error": "floor",
+              "mu_vs_prediction": "model"},
+    "step_kappa": {"edge_phases": "model", "tracking_sup": "model", "width_slope": "model"},
+}
+
+
+def verdict_kind(coarse: float, fine: float) -> str:
+    """``floor``, ``model`` or neither, from one verdict's values at dt and dt/2."""
+    if max(coarse, fine) < 1e-10 or coarse >= 6.0 * fine:
+        return "floor"
+    if abs(coarse - fine) < 0.25 * coarse:
+        return "model"
+    return f"neither: {coarse:.3g} at dt, {fine:.3g} at dt/2"
+
+
+@pytest.mark.parametrize("name", list(DEFAULT_VERDICT_KINDS))
+def test_default_verdict_kinds_under_halved_dt(wave03, name):
+    """Each default pipeline at dt = 1/3 (the default) and 1/6, with
+    ``record_every`` 3 and 6 so the snapshot times match: every verdict keeps
+    its kind, so a change that turns a model verdict into one at the
+    integrator's floor, which no tolerance can fail, fails here."""
+    spec = default_spec(name)
+    coarse, fine = ({key: v["value"] for key, v in run_experiment(
+        dataclasses.replace(spec, dt=1.0 / n, record_every=n), wave03).verdicts.items()}
+        for n in (3, 6))
+    assert {key: verdict_kind(coarse[key], fine[key]) for key in coarse} \
+        == DEFAULT_VERDICT_KINDS[name]
+
+
 def test_step_kappa_with_equal_plateaus_fails_before_the_lattice_runs(wave03, monkeypatch):
     def no_run(*args, **kw):
         raise AssertionError("the lattice ran")

@@ -424,7 +424,7 @@ def stencil_affine_loop(n, pieces, rho_l, rho_r, right_target):
 
 
 @pytest.mark.parametrize("rho_l, rho_r, right_target",
-                         [(0.7, 0.4, 1.0), (0.0, 0.9, 1.0), (0.3, 0.0, 0.0)])
+                         [(0.7, 0.4, 1.0), (0.01, 0.99, 1.0), (0.99, 0.01, 0.0)])
 def test_stencil_affine_matches_loop_bitwise(rho_l, rho_r, right_target):
     h = 1.0 / 4.0
     pieces = (_deriv_pieces(h) + _second_deriv_pieces(h) + _interp_pieces(0.3, h)
