@@ -124,6 +124,8 @@ def _read_gamma_csv(path: str) -> tuple[np.ndarray, Optional[str]]:
 def _cmd_mcf(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if not 0.0 <= args.t_end < np.inf:
+        raise ValueError(f"--t-end must be finite and >= 0, got {args.t_end}")
     gamma, recorded = _read_gamma_csv(args.init)
     if args.boundary and recorded and args.boundary != recorded:
         raise ValueError(f"--boundary {args.boundary} contradicts the boundary_j "
@@ -141,8 +143,7 @@ def _cmd_mcf(args) -> int:
         print("mcf needs either --wave or both --c and --d", file=sys.stderr)
         return 2
     params = flow.FlowParams(c=c, d=d)
-    with np.errstate(invalid="ignore"):  # mcf_solve rejects a non-finite --t-end
-        t_grid = np.linspace(0.0, args.t_end, args.samples)
+    t_grid = np.linspace(0.0, args.t_end, args.samples)
     traj = flow.mcf_solve(gamma0, params, t_grid=t_grid, delta=args.delta)
     flow.trajectory_to_csv(traj, args.out)
     print(f"trajectory ({len(traj)} times) written to {args.out}")

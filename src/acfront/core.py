@@ -25,10 +25,12 @@ e^{-500}-scale Cole-Hopf values.
 ``BistableNonlinearity`` is the cubic ``g(u) = u (1 - u) (u - a)``, the
 package's one reaction term.  ``CubicSpline`` is the package's one
 interpolating spline, clamped at both ends: the profile and corrector of
-``wave`` use it.  It reproduces the clamped ``scipy.interpolate.CubicSpline``
-bit for bit on numpy alone: its tridiagonal solve ``_gtsv`` transcribes
-reference LAPACK ``dgtsv``, the routine behind
-``scipy.linalg.solve_banded((1, 1), ...)``.  Importing scipy costs more than
+``wave`` use it.  It solves its slope system by elimination without row
+interchanges, which the system's diagonal dominance makes stable, in the
+order of LAPACK ``dgtsv``, scipy's solver.  So wherever ``dgtsv`` takes no
+interchange (every uniform spacing up to 1, the wave grids among them) it
+equals the clamped ``scipy.interpolate.CubicSpline`` byte for byte, and
+elsewhere to round-off, on numpy alone.  Importing scipy costs more than
 the whole travelling-wave set-up.
 """
 
@@ -59,10 +61,12 @@ class CubicSpline:
     slopes), on at least 4 strictly increasing, finite knots.
 
     It is ``scipy.interpolate.CubicSpline`` restricted to 1-d data and
-    clamped ends, bit for bit: the knot slopes solve scipy's tridiagonal
-    system with ``_gtsv``, as scipy does with LAPACK, ``c`` holds its piecewise
-    coefficients (``c[m, k]`` multiplies ``(x - x[k])**(3 - m)``), and a call
-    sums the terms in scipy's order.  Points outside ``[x[0], x[-1]]``
+    clamped ends: the knot slopes solve scipy's tridiagonal system, ``c``
+    holds its piecewise coefficients (``c[m, k]`` multiplies
+    ``(x - x[k])**(3 - m)``), and a call sums the terms in scipy's order.
+    The bytes equal scipy's wherever its ``dgtsv`` solve takes no row
+    interchange, which needs ``x[2] - x[1] <= 1`` and holds on every
+    uniform grid of spacing at most 1.  Points outside ``[x[0], x[-1]]``
     extrapolate the end pieces.
     """
 
@@ -77,15 +81,25 @@ class CubicSpline:
         if np.any(dx <= 0.0):
             raise ValueError("x must be strictly increasing")
         slope = np.diff(y) / dx
-        # the tridiagonal system for the knot slopes s, scipy's rows:
-        # sub-, main and superdiagonal; the end rows clamp s to 0
-        dl = np.append(dx[1:], 0.0)
-        d = np.ones(x.size)
-        du = np.insert(dx[:-1], 0, 0.0)
-        b = np.zeros(x.size)
-        d[1:-1] = 2 * (dx[:-1] + dx[1:])
-        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        s = _gtsv(dl, d, du, b)
+        # scipy's system for the knot slopes s: s[0] = s[-1] = 0, and row
+        # i = 1 .. n-2 reads dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i]
+        # + dx[i-1] s[i+1] = b[i-1]; d[k], b[k] and sup[k] belong to row
+        # k + 1, sub[k] to row k + 2, whose first entry row k + 1 eliminates
+        d = (2 * (dx[:-1] + dx[1:])).tolist()
+        b = (3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist()
+        sub, sup = dx[2:].tolist(), dx[:-2].tolist()
+        # Thomas elimination, in dgtsv's order without its interchanges: each
+        # diagonal is twice the sum of its row's off-diagonals, so this is stable
+        for k in range(len(d) - 1):
+            fact = sub[k] / d[k]
+            d[k + 1] = d[k + 1] - fact * sup[k]
+            b[k + 1] = b[k + 1] - fact * b[k]
+        s = [0.0] * x.size
+        s[-2] = b[-1] / d[-1]
+        for k in range(len(d) - 2, -1, -1):
+            # dgtsv's eliminated entry, a zero whose product can turn -0 to +0
+            s[k + 1] = (b[k] - sup[k] * s[k + 2] - 0.0 * s[k + 3]) / d[k]
+        s = np.array(s)
         # Hermite data (y, s) to power-basis coefficients per interval
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         self.x = x
@@ -126,52 +140,6 @@ class CubicSpline:
             out += s
         out += 0.0
         return out
-
-
-def _gtsv(dl, d, du, b) -> np.ndarray:
-    """Solution of the n x n tridiagonal system with main diagonal ``d``,
-    subdiagonal ``dl`` and superdiagonal ``du`` (``n - 1`` entries each;
-    ``dl[i]`` lies in row ``i + 1``, ``du[i]`` in row ``i``) and right-hand
-    side ``b``.
-
-    A transcription of reference LAPACK ``dgtsv`` for one right-hand side,
-    operation for operation, so the result equals
-    ``scipy.linalg.solve_banded((1, 1), ...)`` byte for byte: Gaussian
-    elimination that swaps rows ``i`` and ``i + 1`` when ``|d[i]| < |dl[i]|``
-    (the swapped row's fill-in is a second superdiagonal, kept in ``dl``),
-    then back substitution.  Raises ``numpy.linalg.LinAlgError`` at an
-    exactly zero pivot.  The inputs are left untouched.
-    """
-    dl, d, du, b = (np.asarray(v, dtype=float).tolist() for v in (dl, d, du, b))
-    n = len(d)
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            if d[i] == 0.0:
-                raise np.linalg.LinAlgError("singular matrix")
-            fact = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - fact * du[i]
-            b[i + 1] = b[i + 1] - fact * b[i]
-            dl[i] = 0.0
-        else:
-            fact = d[i] / dl[i]
-            d[i] = dl[i]
-            temp = d[i + 1]
-            d[i + 1] = du[i] - fact * temp
-            if i < n - 2:
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            du[i] = temp
-            temp = b[i]
-            b[i] = b[i + 1]
-            b[i + 1] = temp - fact * b[i + 1]
-    if d[n - 1] == 0.0:
-        raise np.linalg.LinAlgError("singular matrix")
-    b[n - 1] = b[n - 1] / d[n - 1]
-    if n > 1:
-        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
-    for i in range(n - 3, -1, -1):
-        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
-    return np.array(b)
 
 
 @dataclass(frozen=True)
@@ -264,13 +232,15 @@ class LatticeField:
 
 def _fill_ghosts(p: np.ndarray, boundary_j: str) -> np.ndarray:
     """Fill ``p[..., 0]`` and ``p[..., -1]`` of the padded array ``p`` in place
-    from its interior by ``boundary_j`` and return ``p``."""
+    from its interior by ``boundary_j`` and return ``p``.  The writes go
+    through the transpose, whose first axis is ``j``, by basic indexing."""
+    q = p.T
     if boundary_j == "periodic":
-        p[..., 0] = p[..., -2]
-        p[..., -1] = p[..., 1]
+        q[0] = q[-2]
+        q[-1] = q[1]
     else:
-        p[..., 0] = p[..., 1]
-        p[..., -1] = p[..., -2]
+        q[0] = q[1]
+        q[-1] = q[-2]
     return p
 
 

@@ -162,10 +162,11 @@ class ExperimentSpec:
         if not 0.0 <= self.tau < math.inf:
             raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
         _check_grid(self.L, self.h)
-        self.sim_config(BistableNonlinearity(a=self.a))  # checks a and the lattice run
-        if self.name in _HANDOFF and self.tau > self.t_end:
-            raise PreAsymptotic(f"no snapshot at or after tau={self.tau:g}: the run ends "
-                                f"at t_end={self.t_end:g}")
+        cfg = self.sim_config(BistableNonlinearity(a=self.a))  # checks a and the lattice run
+        t_last = cfg.n_steps * cfg.dt
+        if self.name in _HANDOFF and self.tau > t_last:
+            raise PreAsymptotic(f"no snapshot at or after tau={self.tau}: the last step "
+                                f"ends at t={t_last}")
 
     def config_dict(self) -> dict:
         return asdict(self)
@@ -348,8 +349,8 @@ def _trajectory(spec: ExperimentSpec, w: Optional[WaveProfile],
 def _handoff(spec: ExperimentSpec, traj) -> int:
     """Index of the hand-off snapshot, the first at ``t >= tau``; its phase
     must be defined on every row, else :class:`PreAsymptotic`.  The spec
-    has refused ``tau > t_end``, so only a ``tau`` within rounding of the
-    last step can find none."""
+    has refused a ``tau`` after its last step, so only a spec changed after
+    it was built can find none."""
     k0 = next((k for k, (t, _) in enumerate(traj) if t >= spec.tau), None)
     if k0 is None:
         raise PreAsymptotic(f"no snapshot at or after tau={spec.tau:g}")
@@ -510,7 +511,8 @@ _EXPERIMENTS = {
                                     "kappa": {"kind": "step", **_GENERATORS["kappa"]["step"]}}),
 }
 _ALIASES = {"step": "step_kappa"}
-# the experiments that hand the phase at tau on (so need tau <= t_end):
+# the experiments that hand the phase at tau on (so need a snapshot at or
+# after tau):
 # ``_trajectory`` solves their ``d`` and finds the hand-off
 _HANDOFF = ("thm23", "thm24", "step_kappa")
 

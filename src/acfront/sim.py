@@ -115,6 +115,13 @@ class SimConfig:
         _check_window(record_every=self.record_every)
 
     @property
+    def n_steps(self) -> int:
+        """The fewest steps that reach ``t_end``, to within 1e-9 of a step,
+        so a ``t_end`` on the step grid is hit exactly; the run ends at
+        ``n_steps * dt``."""
+        return int(math.ceil(self.t_end / self.dt - 1e-9))
+
+    @property
     def i_offset(self) -> int:
         """Lattice index of the first window column (see ``_window_origin``)."""
         return _window_origin(self.width)
@@ -318,10 +325,9 @@ class _Halves:
 
 
 def snapshots(u0: LatticeField, cfg: SimConfig) -> Iterator[tuple[float, LatticeField]]:
-    """Integrate from ``u0`` in the fewest steps that reach ``t_end`` (to
-    within 1e-9 of a step, so a ``t_end`` on the step grid is hit exactly),
-    yielding ``(t, u)`` every ``record_every`` steps (the initial and the
-    final state are always included).
+    """Integrate from ``u0`` over ``cfg.n_steps`` steps, yielding ``(t, u)``
+    every ``record_every`` steps (the initial and the final state are always
+    included).
 
     The one stepping loop.  Its state is one padded array, and a second one
     takes each step's result before the two swap, so a run allocates per
@@ -362,7 +368,7 @@ def snapshots(u0: LatticeField, cfg: SimConfig) -> Iterator[tuple[float, Lattice
         raise ValueError(
             f"initial field is {u0.width}x{u0.height} {u0.boundary_j}, config is "
             f"{cfg.width}x{cfg.height} {cfg.boundary_j}")
-    n_steps = int(math.ceil(cfg.t_end / cfg.dt - 1e-9))
+    n_steps = cfg.n_steps
     width, i_offset, boundary_j = cfg.width, u0.i_offset, u0.boundary_j
     reach, halves = _SSPRK104_REACH, _Halves(u0.padded(), _euler(cfg), boundary_j)
     states, which, settled = halves.states, 0, width

@@ -136,14 +136,14 @@ class _Band:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """The product with the vector ``x``; each row sums its slots in
-        column order."""
+        column order.  The sum over the first axis adds whole rows in turn,
+        from ``-0.0``, the one start that keeps a sum of ``-0.0`` terms
+        ``-0.0``."""
         n, w = self.data.shape[1], self.width
         xp = np.zeros(n + 2 * w)
         xp[w:w + n] = x
-        out = self.data[0] * xp[:n]
-        for k in range(1, 2 * w + 1):
-            out += self.data[k] * xp[k:k + n]
-        return out
+        terms = self.data * np.lib.stride_tricks.sliding_window_view(xp, n)
+        return terms.sum(axis=0, initial=-0.0)
 
 
 def _stencil_affine(n: int, pieces: Sequence[tuple[int, float]],

@@ -182,13 +182,17 @@ def test_mcf_steep_data_fails_flatness_guard(tmp_path, capsys):
 
 
 def test_mcf_negative_end_time_is_out_of_range(tmp_path, capsys):
+    """A negative or non-finite --t-end is an input error (exit 2), refused
+    before the solve, as --delta and --samples are."""
     init = tmp_path / "gamma0.csv"
     _write_gamma(init, np.zeros(8))
     for t_end in ("-5", "inf", "nan"):
         assert main(["mcf", "--init", str(init), "--c", "-0.2796", "--d", "-0.1466",
                      "--t-end", t_end, "--samples", "3",
-                     "--out", str(tmp_path / "traj.csv")]) == 1
-        assert "nondecreasing" in capsys.readouterr().err
+                     "--out", str(tmp_path / "traj.csv")]) == 2
+        assert capsys.readouterr().err == (f"error: --t-end must be finite and >= 0, "
+                                           f"got {float(t_end)}\n")
+    assert not (tmp_path / "traj.csv").exists()
 
 
 @pytest.mark.parametrize("delta", ["nan", "0", "-1"])

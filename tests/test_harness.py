@@ -544,15 +544,21 @@ def test_thm22_runs_without_a_handoff(wave03):
 
 @pytest.mark.parametrize("name", ["thm23", "thm24", "step_kappa"])
 def test_handoff_after_t_end_fails_at_spec_time(monkeypatch, name):
-    """A pipeline that hands the phase at tau on refuses tau > t_end when the
-    spec is built, before any solve or lattice step; tau = t_end is taken."""
+    """A pipeline that hands the phase at tau on refuses a tau after its last
+    step time ``n_steps * dt`` when the spec is built, before any solve or
+    lattice step: past t_end, or past a t_end within 1e-9 of a step, where
+    the run stops at that step.  tau = t_end is taken."""
     def no_run(*args, **kw):
         raise AssertionError("the lattice ran")
 
     monkeypatch.setattr(harness.sim, "snapshots", no_run)
-    with pytest.raises(PreAsymptotic, match="^no snapshot at or after tau=20: the run ends "
-                                            "at t_end=6$"):
+    with pytest.raises(PreAsymptotic, match=r"^no snapshot at or after tau=20\.0: the last "
+                                            r"step ends at t=6\.0$"):
         dataclasses.replace(default_spec(name), t_end=6.0, tau=20.0)
+    with pytest.raises(PreAsymptotic, match=r"^no snapshot at or after tau=10\.0000000001: "
+                                            r"the last step ends at t=10\.0$"):
+        dataclasses.replace(default_spec(name), t_end=10.0000000001, tau=10.0000000001,
+                            width=96, height=8)
     assert dataclasses.replace(default_spec(name), t_end=20.0, tau=20.0).tau == 20.0
 
 
