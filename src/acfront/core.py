@@ -1,9 +1,9 @@
 """Lattice containers, the bistable cubic and discrete difference operators.
 
 Everything here is binary64, and the public operators are side-effect free:
-they return fresh arrays and never mutate their inputs (the private
-``_centre_into`` writes into a buffer its caller owns).  Two boundary
-policies appear throughout the package and are fixed at this level:
+they return fresh arrays and never mutate their inputs (the private kernels
+write into buffers their callers own).  Two boundary policies appear
+throughout the package and are fixed at this level:
 
 * in the horizontal (``i``) direction fields always use ``dirichlet_equilibria``
   ghosts: reads left of the window give the equilibrium 0, reads right of it
@@ -14,13 +14,14 @@ policies appear throughout the package and are fixed at this level:
 The j-policy is a field of each container, and one ghost rule applies it:
 ``_fill_ghosts``, on the last axis of ``LatticeField.padded``,
 ``PhaseSequence.padded`` and the stage buffers of ``_ssprk104``, the one
-time step of the lattice and of the phase flows; the difference operators
-read those arrays.  Outside this module only ``flow.heat_solve`` reads the
-policy: it pads the sequence by the kernel's nonzero half-width K, wrapped
-(``periodic``) or mirrored (``reflect``, the even extension this ghost rule
-implies), and forms the P outputs as direct sums, P·min(2K + 1, period)
-products with period P or 2P; no FFT, whose round-off would swamp the
-e^{-500}-scale Cole-Hopf values.
+time step of the lattice and of the phase flows, made of the forward-Euler
+substeps ``_substep`` builds; the difference operators read those arrays.
+Outside this module only ``flow.heat_solve`` reads the policy: it pads the
+sequence by the kernel's nonzero half-width K, wrapped (``periodic``) or
+mirrored (``reflect``, the even extension this ghost rule implies), and
+forms the P outputs as direct sums, P·min(2K + 1, period) products with
+period P or 2P; no FFT, whose round-off would swamp the e^{-500}-scale
+Cole-Hopf values.
 
 ``BistableNonlinearity`` is the cubic ``g(u) = u (1 - u) (u - a)``, the
 package's one reaction term.  ``CubicSpline`` is the package's one
@@ -256,27 +257,14 @@ def _flat_runs(p: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     streams faster than the strided ``(W, H)`` sub-blocks of the padded
     array.  The entries at the ghost columns (``j = -1`` and ``j = H``) mix
     neighbouring rows and the padding corners; they mean nothing, and every
-    caller drops them through ``[:, 1:-1]``.  Returns the centre run and the
-    ``(i + 1, i - 1, j + 1, j - 1)`` runs, all flat views into ``p``.
+    caller drops them (``[:, 1:-1]``) or overwrites them (``_fill_ghosts``).
+    Returns the centre run and the ``(i + 1, i - 1, j + 1, j - 1)`` runs,
+    all flat views into ``p``.
     """
     s = p.shape[1]
     n = (p.shape[0] - 2) * s
     f = p.reshape(-1)
     return f[s:s + n], (f[2 * s:2 * s + n], f[:n], f[s + 1:s + 1 + n], f[s - 1:s - 1 + n])
-
-
-def _flat_laplacian(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Five-point Laplacian and centre values of the padded array ``p`` on
-    the flat layout of ``_flat_runs``: ``(lap, c)``, both shaped ``(W, S)``,
-    ``lap`` a fresh array and ``c`` a view into ``p``."""
-    c, (east, west, north, south) = _flat_runs(p)
-    # same summation order as the pointwise stencil: ((E + W) + N) + S - 4c
-    lap = east + west
-    lap += north
-    lap += south
-    lap -= 4.0 * c
-    shape = (p.shape[0] - 2, p.shape[1])
-    return lap.reshape(shape), c.reshape(shape)
 
 
 # How far one ``_ssprk104`` step of a nearest-neighbour ``euler`` reaches along
@@ -286,17 +274,32 @@ def _flat_laplacian(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _SSPRK104_REACH = 10
 
 
+def _substep(rhs, h: float):
+    """The forward-Euler substep ``E(p) = p[1:-1] + h rhs(p)`` of the in-place
+    right-hand side ``rhs(p, out)``, as ``euler(p, out)`` for ``_ssprk104``,
+    of the lattice and of both phase flows: ``rhs`` writes into ``out``, the
+    next stage's interior, which is scaled by ``h`` and gains ``p[1:-1]``."""
+
+    def euler(p: np.ndarray, out: np.ndarray) -> None:
+        rhs(p, out)
+        out *= h
+        out += p[1:-1]
+
+    return euler
+
+
 def _ssprk104(p0: np.ndarray, euler, boundary_j: str,
               work: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None) -> np.ndarray:
     """One SSPRK(10,4) step (Ketcheson, SIAM J. Sci. Comput. 30, 2008) from
     the padded array ``p0``, last axis ``j``; returns the padded result.
 
-    ``euler(p, out)`` writes the forward-Euler substep ``E(p)`` into
-    ``out``, shaped like ``p[1:-1]``.  In Shu-Osher form, with
-    ``u = p0[1:-1]``: ``y_{k+1} = E(y_k)`` from ``y1 = u`` for ``k = 1..4``
-    and from ``y6 = (3/5) u + (2/5) E(y5)`` for ``k = 6..9``; the result is
-    ``(3/5) E(y10) + (9/25) E(y5) + u / 25``.  The weights are nonnegative,
-    so the step is monotone wherever ``E`` is (Gottlieb, Shu and Tadmor 2001).
+    ``euler(p, out)``, made by :func:`_substep`, writes the forward-Euler
+    substep ``E(p)`` into ``out``, shaped like ``p[1:-1]``.  In Shu-Osher
+    form, with ``u = p0[1:-1]``: ``y_{k+1} = E(y_k)`` from ``y1 = u`` for
+    ``k = 1..4`` and from ``y6 = (3/5) u + (2/5) E(y5)`` for ``k = 6..9``;
+    the result is ``(3/5) E(y10) + (9/25) E(y5) + u / 25``.  The weights are
+    nonnegative, so the step is monotone wherever ``E`` is (Gottlieb, Shu
+    and Tadmor 2001).
     Two padded buffers take turns as the stages, with ``p0[0]`` and
     ``p0[-1]`` (a lattice array's i-ghost rows, a sequence's j-ghosts)
     pinned in both and the j-ghosts filled by ``_fill_ghosts``; the

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import PhaseSequence, _fill_ghosts, _ssprk104, deviation_seminorm
+from .core import PhaseSequence, _fill_ghosts, _ssprk104, _substep, deviation_seminorm
 from .errors import FlatnessViolated, NonFinite, OutOfRange, OverflowGuard
 
 __all__ = [
@@ -269,20 +269,6 @@ class FlowTrajectory:
         return self.times.size
 
 
-def _substep(rhs, h: float):
-    """The forward-Euler substep ``E(q) = q[1:-1] + h rhs(q)`` of the
-    in-place kernel ``rhs(q, out)``, as ``euler(q, out)`` for
-    ``core._ssprk104``: ``rhs`` writes into ``out``, the interior of the next
-    stage buffer, which is then scaled by ``h`` and gains ``q[1:-1]``."""
-
-    def euler(q: np.ndarray, out: np.ndarray) -> None:
-        rhs(q, out)
-        out *= h
-        out += q[1:-1]
-
-    return euler
-
-
 def _slope(q: np.ndarray) -> float:
     """``sup|∂⁺|`` of the padded sequence ``q``, its ghost pair included."""
     return float(np.max(np.abs(q[2:] - q[1:-1])))
@@ -292,10 +278,10 @@ def _march(y0: PhaseSequence, rhs, t_grid: Sequence[float], p: FlowParams,
            what: str, delta: float = math.inf) -> FlowTrajectory:
     """SSPRK(10,4) steps (``core._ssprk104``) from ``y0``, with ``rhs(q,
     out)`` the in-place kernel that writes the right-hand side at the padded
-    sequence ``q`` into ``out``: forward-Euler substeps (:func:`_substep`)
-    ``q[1:-1] + h rhs(q)`` of ``h = step / 6 <= p.dt``, so steps at most
-    ``6 p.dt`` long, the last before each time in ``t_grid`` cut short to
-    land on it.  The stage buffers, lent to ``_ssprk104``, and a spare that
+    sequence ``q`` into ``out``: forward-Euler substeps ``q[1:-1] + h
+    rhs(q)`` (``core._substep``, the lattice step's too) of ``h = step / 6
+    <= p.dt``, so steps at most ``6 p.dt`` long, the last before each time
+    in ``t_grid`` cut short to land on it.  The stage buffers, lent to ``_ssprk104``, and a spare that
     takes the next step's result are made once, so no substep allocates.
 
     Raises :class:`FlatnessViolated` once ``sup|∂⁺y|`` exceeds ``delta``,

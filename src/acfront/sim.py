@@ -41,8 +41,8 @@ import numpy as np
 
 from . import flow
 from .core import (BOUNDARY_J, BistableNonlinearity, LatticeField, PhaseSequence,
-                   _SSPRK104_REACH, _flat_laplacian, _flat_runs, _ssprk104, alpha,
-                   d_minus, d_plus)
+                   _SSPRK104_REACH, _flat_runs, _ssprk104, _substep, alpha, d_minus,
+                   d_plus)
 from .errors import NonFinite, OutOfRange, SolveFailed, VerificationFailed
 from .wave import WaveProfile
 
@@ -127,26 +127,27 @@ class SimConfig:
         return _window_origin(self.width)
 
 
-def _euler(cfg: SimConfig):
-    """The forward-Euler substep ``E(v) = v + h (Δ⁺v + g(v))`` at
-    ``h = dt / 6`` as ``euler(p, out)`` for ``core._ssprk104``.
+def _lattice_rhs(f: BistableNonlinearity):
+    """The lattice operator ``Δ⁺v + g(v)`` of the step and of the curved
+    residual, as the in-place kernel ``rhs(p, out)``: ``p`` a contiguous
+    padded array, only read, and ``out`` shaped like ``p[1:-1]``.  On the
+    flat layout (``core._flat_runs``), ghost columns included, it writes the
+    centre term ``g(v) - 4 v`` (``_centre_into``) into ``out`` and adds the
+    four neighbour runs, with no scratch array."""
 
-    It works on the flat contiguous padded layout (see ``core._flat_runs``)
-    and is one polynomial written straight into ``out``, the interior rows of
-    the next stage's padded buffer, ghost columns included: the centre term
-    ``g(v) - 4 v`` (``BistableNonlinearity._centre_into``), plus the four
-    neighbours, times ``h``, plus ``v``.  No scratch array is made."""
-    f, h = cfg.f, cfg.dt / 6.0
-
-    def euler(p: np.ndarray, out: np.ndarray) -> None:
+    def rhs(p: np.ndarray, out: np.ndarray) -> None:
         c, neighbours = _flat_runs(p)
         o = f._centre_into(c, out.reshape(-1))
         for q in neighbours:
             o += q
-        o *= h
-        o += c
 
-    return euler
+    return rhs
+
+
+def _euler(cfg: SimConfig):
+    """The forward-Euler substep ``v + h (Δ⁺v + g(v))`` at ``h = dt / 6``:
+    ``core._substep`` of :func:`_lattice_rhs`."""
+    return _substep(_lattice_rhs(cfg.f), cfg.dt / 6.0)
 
 
 def _advance(p0: np.ndarray, euler, boundary_j: str,
@@ -478,8 +479,10 @@ def _window_grid(width: int, i_offset: int) -> np.ndarray:
 
 def _planar_pair(w: WaveProfile, spec: SuperSubSpec, t: Sequence[float], width: int):
     """Planar pair at the times ``t`` on the window of ``width`` columns
-    centred on ``i = 0`` (see ``_window_origin``): ``(i_offset, u+, u-, J[u+], J[u-])``, each array
-    of shape ``(len(t), width, 1)``, with the residuals analytic in time."""
+    centred on ``i = 0`` (see ``_window_origin``): ``(i_offset, u+, u-,
+    J[u+], J[u-])``, each of shape ``(len(t), width, 1)``, with the residuals
+    analytic in time.  The field is j-free, so for all times in one pass its
+    ``Δ⁺`` is the closed form ``Φ(ξ+1) + Φ(ξ-1) - 2Φ(ξ)``, not the kernel."""
     if spec.mu is None or spec.C is None:
         raise ValueError("planar spec needs mu and C (see search_planar_constants)")
     spec.check_offsets(w.a)
@@ -506,25 +509,27 @@ def _curved_pair(w: WaveProfile, spec: SuperSubSpec, V: PhaseSequence, t: float,
                  width: int):
     """Curved pair at time ``t`` with phase ``V`` on the window of ``width``
     columns centred on the mean of ``V``: ``(i_offset, u+, u-, J[u+],
-    J[u-])``, with the residuals analytic in time."""
+    J[u-])``, with the residuals analytic in time and ``Δ⁺u + g(u)`` from
+    the step's kernel (``_lattice_rhs``)."""
     i_offset = _window_origin(width) + int(round(float(np.mean(V.values))))
     vdot = V.replace(flow.v_rhs(V, flow.FlowParams(c=w.c, d=w.d)))
     av = V.replace(alpha(V)).padded()
     avdot = d_plus(V) * d_plus(vdot) + d_minus(V) * d_minus(vdot)
     p, pdot, q, qdot = spec.p_of(t), spec.p_dot(t), spec.q_of(t), spec.q_dot(t)
-    # Φ + rα with profile-valued ghosts (not the pinned 0/1), for the lattice's Δ
+    # u± with profile-valued ghosts (not the pinned 0/1), for the lattice's Δ⁺
     xi = _window_grid(width + 2, i_offset - 1) - V.padded()[None, :]
+    rhs, lattice = _lattice_rhs(w.f), np.empty((width, xi.shape[1]))
     out = []
     for sign in (+1.0, -1.0):
         arg = xi + sign * q
         r = w.r_at(arg)
-        lap, base = (x[:, 1:-1] for x in _flat_laplacian(w.phi_at(arg) + r * av[None, :]))
-        arg, r = arg[1:-1, 1:-1], r[1:-1, 1:-1]
-        u = base + sign * p
+        u = w.phi_at(arg) + r * av[None, :] + sign * p
+        rhs(u, lattice)
+        arg, r, u = arg[1:-1, 1:-1], r[1:-1, 1:-1], u[1:-1, 1:-1]
         udot = (w.phi_at(arg, 1) + w.r_at(arg, 1) * av[None, 1:-1]) \
             * (sign * qdot - vdot.values[None, :]) \
             + r * avdot[None, :] + sign * pdot
-        out.append((u, udot - lap - w.f(u)))
+        out.append((u, udot - lattice[:, 1:-1]))
     (up, Jp), (um, Jm) = out
     return i_offset, up, um, Jp, Jm
 
@@ -537,8 +542,9 @@ def verify_supersub(spec: SuperSubSpec, w: WaveProfile, cfg: SimConfig,
     The residuals are evaluated with analytic time derivatives, so ``tol``
     only absorbs the interpolation floor of the profile splines.  Returns a
     report with the extremal residuals, their sites and the verdict.  An
-    empty ``t_grid`` would check nothing and raises :class:`OutOfRange`; a
-    ``width`` that is not an integer >= 1 raises ``ValueError``.
+    empty ``t_grid`` would check nothing and raises :class:`OutOfRange`, a
+    ``width`` that is not an integer >= 1 ``ValueError``, and a curved spec
+    on a wave without ``r`` or ``d`` :class:`SolveFailed`.
     """
     if len(t_grid) == 0:
         raise OutOfRange("super/sub verification needs at least one time")
@@ -549,8 +555,8 @@ def verify_supersub(spec: SuperSubSpec, w: WaveProfile, cfg: SimConfig,
         i0, _, _, Jp, Jm = _planar_pair(w, spec, ts, cfg.width if width is None else width)
         offsets = np.full(ts.size, i0)
     else:
-        if w.r is None:
-            raise SolveFailed("curved verification needs the corrector r")
+        if w.r is None or w.d is None:
+            raise SolveFailed("curved verification needs the corrector r and the drift d")
         grad0 = float(np.max(np.abs(d_plus(spec.V0))))
         p0 = spec.p_of(0.0)
         slack = p0 - float(np.max(np.abs(w.r))) * grad0 * grad0

@@ -328,13 +328,11 @@ class _BorderedBand:
         data = np.zeros((2 * w + 1, K * m))
         data[:, :n] = A.data
         data[w, n:] = 1.0
-        # the rows of block k over the columns of blocks k - 1 .. k + 1:
-        # entry (k, i, i + j + m - w) of ``strips`` is entry (k, i, j) of ``skew``
+        # the rows of block k over the columns of blocks k - 1 .. k + 1: entry
+        # (k, i, i + j + m - w) of ``strips`` is diagonal j of row k m + i
         strips = np.zeros((K, m, 3 * m))
-        st = strips.strides
-        skew = np.lib.stride_tricks.as_strided(strips[:, :, m - w:], shape=(K, m, 2 * w + 1),
-                                               strides=(st[0], st[1] + st[2], st[2]))
-        skew[...] = data.T.reshape(K, m, 2 * w + 1)
+        i = np.arange(m)[:, None]
+        strips[:, i, i + np.arange(2 * w + 1) + m - w] = data.T.reshape(K, m, 2 * w + 1)
         col, row = (np.append(v, np.zeros(K * m - n)).reshape(K, m) for v in (col, row))
         self.n, self.low = n, strips[1:, :, :m]
         self.inv, self.up, self.col, self.row = [], [], [], []
@@ -618,7 +616,7 @@ def solve_r(w: WaveProfile) -> np.ndarray:
     border multiplier vanishes up to the residual check (sup-norm < 1e-7).
     Solves ``psi`` and ``d`` first when they are missing.
     """
-    if w.d is None:
+    if w.psi is None or w.d is None:
         compute_d(w)
     rhs = -w.phi_second_grid() - w.d * w.phi_prime_grid()
     A = w.linearization()
@@ -748,8 +746,8 @@ def load_wave(path: str) -> WaveProfile:
     Raises ``ValueError`` naming the file for any defect of its content, such
     as a grid array (``phi``, ``psi``, ``r``) without ``2 L / h + 1`` entries,
     a ``phi`` that is not strictly increasing, a ``kind`` other than
-    ``"cubic"`` (files of the retired tabulated nonlinearity) or a decay
-    ratio ``rho_l``/``rho_r`` outside (0, 1).
+    ``"cubic"`` (files of the retired tabulated nonlinearity), a decay
+    ratio ``rho_l``/``rho_r`` outside (0, 1) or a non-finite ``c`` or ``d``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -784,6 +782,9 @@ def _parse_wave(lines) -> WaveProfile:
     for key, value in zip(("rho_l", "rho_r"), rho):
         if not 0.0 < value < 1.0:
             raise ValueError(f"wave field {key!r} must lie in (0, 1), got {value!r}")
+    for key in ("c", "d"):
+        if key in meta and not math.isfinite(number(key)):
+            raise ValueError(f"wave field {key!r} must be finite, got {meta[key]!r}")
     L = number("L")
     h = number("h")
     n_half = _check_grid(L, h)

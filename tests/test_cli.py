@@ -532,6 +532,7 @@ def test_wave_window_too_short_for_d_is_numerical_failure(capsys):
 MALFORMED_WAVE_CASES = {"meta_without_c": "'c'", "null_c": "'c'", "text_c": "'c'",
                         "kind_table": "'kind'", "rho_above_one": "'rho_l'",
                         "nan_rho": "'rho_r'", "rho_zero": "'rho_r'",
+                        "nan_c": "'c'", "inf_d": "'d'",
                         "list_record": "not a JSON object", "text_in_phi": "'phi'",
                         "short_phi": "'phi'", "short_psi": "'psi'", "short_r": "'r'",
                         "phi_reversed": "'phi'"}
@@ -558,6 +559,10 @@ def _malformed_wave(wave_file, tmp_path, case):
         meta["rho_r"] = "nan"
     elif case == "rho_zero":
         meta["rho_r"] = "0"
+    elif case == "nan_c":
+        meta["c"] = "nan"
+    elif case == "inf_d":
+        meta["d"] = "inf"
     elif case == "list_record":
         lines.append("[1, 2, 3]")
     elif case == "phi_reversed":

@@ -32,8 +32,8 @@ def test_sim_exports_no_test_only_builders():
 
 def test_test_only_api_stays_deleted():
     """The Laplacian, the single-site read, the slope factor and the last
-    trajectory row have no caller in the package; tests read
-    ``core._flat_laplacian``, ``LatticeField.padded``, ``core.alpha`` and
+    trajectory row have no caller in the package; tests slice the Laplacian
+    out of ``LatticeField.padded`` and read ``core.alpha`` and
     ``FlowTrajectory.values`` instead."""
     core = importlib.import_module("acfront.core")
     flow = importlib.import_module("acfront.flow")

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from mpmath import mp
 
-from acfront.core import PhaseSequence, alpha, d2, d_minus, d_plus
+from acfront.core import PhaseSequence, _substep, alpha, d2, d_minus, d_plus
 from acfront.errors import FlatnessViolated, NonFinite, OutOfRange, OverflowGuard
-from acfront.flow import (FlowParams, _decay_norms, _mcf_rhs, _substep, _v_rhs,
+from acfront.flow import (FlowParams, _decay_norms, _mcf_rhs, _v_rhs,
                           bessel_bounds_report, decay_report, heat_kernel, heat_solve,
                           mcf_rhs, mcf_solve,
                           report_to_ndjson, trajectory_to_csv, v_gradient_report,

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from acfront.core import (BistableNonlinearity, LatticeField, PhaseSequence, _SSPRK104_REACH,
-                          _flat_laplacian)
+                          _substep)
 from acfront.errors import NonFinite, OutOfRange, VerificationFailed
 from acfront.flow import FlowParams, v_solve
 from acfront.harness import splitmix64_uniform
@@ -48,9 +48,10 @@ class SteepCubic:
 
 
 def discrete_laplacian(u: LatticeField) -> np.ndarray:
-    """The whole-window five-point Laplacian: the flat stencil on the padded
-    field with its ghost columns dropped."""
-    return _flat_laplacian(u.padded())[0][:, 1:-1]
+    """The whole-window five-point Laplacian, sliced out of the padded field:
+    ``((E + W) + N) + S - 4 c``."""
+    p = u.padded()
+    return p[2:, 1:-1] + p[:-2, 1:-1] + p[1:-1, 2:] + p[1:-1, :-2] - 4.0 * p[1:-1, 1:-1]
 
 
 def test_config_defaults_satisfy_monotonicity_bound():
@@ -123,11 +124,22 @@ def test_config_rejects_bad_step_settings(kw, match):
 _FUSED_VS_TEXTBOOK = 1e-15
 
 
+def ssprk104(euler, vals):
+    """SSPRK(10,4) in Shu-Osher form over the allocating substep ``euler``."""
+    y = vals
+    for _ in range(4):
+        y = euler(y)
+    e5 = euler(y)
+    y = (2 / 5) * e5 + (3 / 5) * vals
+    for _ in range(4):
+        y = euler(y)
+    return (3 / 5) * euler(y) + (9 / 25) * e5 + (1 / 25) * vals
+
+
 def test_step_is_ssprk104_update():
     """Bitwise oracle for the flat-stencil indexing, the stage buffers and the
     fused Euler substep: on every window of width 1-12 and height 1-8, under
-    both ``boundary_j`` policies, ``discrete_laplacian`` equals the strided
-    whole-array stencil, and ``step`` equals the SSPRK(10,4) composition, in
+    both ``boundary_j`` policies, ``step`` equals the SSPRK(10,4) composition, in
     Shu-Osher form, of forward-Euler updates at ``h = dt / 6`` written as
     ``v + h ((((centre + E) + W) + N) + S)``, with the centre term
     ``v (v ((1 + a) - v) - (a + 4))``.  ``step`` also agrees with the
@@ -136,9 +148,7 @@ def test_step_is_ssprk104_update():
     rng = np.random.default_rng(0)
 
     def laplacian(vals, boundary_j):
-        p = LatticeField(vals, boundary_j=boundary_j).padded()
-        return (p[2:, 1:-1] + p[:-2, 1:-1] + p[1:-1, 2:] + p[1:-1, :-2]
-                - 4.0 * p[1:-1, 1:-1])
+        return discrete_laplacian(LatticeField(vals, boundary_j=boundary_j))
 
     def fused(f, h, boundary_j):
         def euler(v):
@@ -148,22 +158,11 @@ def test_step_is_ssprk104_update():
                             + p[1:-1, :-2])
         return euler
 
-    def ssprk104(euler, vals):
-        y = vals
-        for _ in range(4):
-            y = euler(y)
-        e5 = euler(y)
-        y = (2 / 5) * e5 + (3 / 5) * vals
-        for _ in range(4):
-            y = euler(y)
-        return (3 / 5) * euler(y) + (9 / 25) * e5 + (1 / 25) * vals
-
     for boundary_j in ("periodic", "reflect"):
         for width in range(1, 13):
             for height in range(1, 9):
                 vals = rng.uniform(-0.5, 1.5, size=(width, height))
                 u = LatticeField(vals, i_offset=-(width // 2), boundary_j=boundary_j)
-                assert np.array_equal(discrete_laplacian(u), laplacian(vals, boundary_j))
                 cfg = SimConfig(F03, width=width, height=height, boundary_j=boundary_j)
                 h = cfg.dt / 6.0
                 out = step(u, cfg)
@@ -172,6 +171,42 @@ def test_step_is_ssprk104_update():
                     lambda v: v + h * (laplacian(v, boundary_j) + F03(v)), vals)
                 assert np.max(np.abs(out.values - textbook)) <= _FUSED_VS_TEXTBOOK
                 assert (out.i_offset, out.boundary_j) == (u.i_offset, boundary_j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), width=st.integers(1, 12), height=st.integers(1, 8),
+       boundary_j=st.sampled_from(["periodic", "reflect"]))
+def test_lattice_kernel_is_the_textbook_rhs(data, width, height, boundary_j):
+    """The one lattice kernel ``sim._lattice_rhs`` writes ``Δ⁺v + g(v)``:
+    the sliced Laplacian plus ``g`` to four ulps of the terms' magnitude.
+    It only reads its padded input, and ``core._substep`` over it, composed
+    by the SSPRK(10,4) oracle, gives ``step``'s bytes."""
+    vals = data.draw(hnp.arrays(float, (width, height), elements=st.floats(-0.5, 1.5)))
+    u = LatticeField(vals, boundary_j=boundary_j)
+    p = u.padded()
+    before = p.tobytes()
+    out = np.full((width, height + 2), np.nan)
+    rhs = sim._lattice_rhs(F03)
+    rhs(p, out)
+    assert p.tobytes() == before
+    got = out[:, 1:-1]
+    textbook = discrete_laplacian(u) + F03(vals)
+    a, v = F03.a, np.abs(vals)
+    scale = (np.abs(p[2:, 1:-1]) + np.abs(p[:-2, 1:-1]) + np.abs(p[1:-1, 2:])
+             + np.abs(p[1:-1, :-2]) + v * (v * (1.0 + a + v) + a + 4.0))
+    # plus the least normal, for subnormal draws whose eps-scaled bound underflows
+    info = np.finfo(float)
+    assert np.all(np.abs(got - textbook) <= 4.0 * info.eps * scale + info.tiny)
+
+    cfg = SimConfig(F03, width=width, height=height, boundary_j=boundary_j)
+    euler = _substep(rhs, cfg.dt / 6.0)
+
+    def substep(v):
+        y = np.empty((width, height + 2))
+        euler(LatticeField(v, boundary_j=boundary_j).padded(), y)
+        return y[:, 1:-1]
+
+    assert ssprk104(substep, vals).tobytes() == step(u, cfg).values.tobytes()
 
 
 @pytest.mark.parametrize("boundary_j", ["periodic", "reflect"])

@@ -124,6 +124,24 @@ def test_missing_corrector_is_solve_failed():
         verify_supersub(spec, w, SimConfig(w.f), [1.0])
 
 
+def test_curved_verification_without_d_is_solve_failed(wave03):
+    """A wave with its corrector but no drift ``d`` is refused by name, not
+    with the ``TypeError`` of a ``FlowParams`` built from ``d=None``."""
+    w = dataclasses.replace(wave03, d=None)
+    spec = SuperSubSpec(kind="curved", V0=PhaseSequence(np.zeros(8)))
+    with pytest.raises(SolveFailed, match="needs the corrector r and the drift d"):
+        verify_supersub(spec, w, SimConfig(w.f), [1.0])
+
+
+def test_solve_r_solves_a_missing_psi(wave03):
+    """A wave with ``d`` but no ``psi`` (a file without its psi record) has
+    both solved again before the corrector, which is the session wave's."""
+    w = dataclasses.replace(wave03, psi=None, r=None)
+    r = solve_r(w)
+    assert w.psi.tobytes() == wave03.psi.tobytes() and w.d == wave03.d
+    assert r.tobytes() == wave03.r.tobytes()
+
+
 def test_adjoint_rejects_degenerate_kernel(wave03, monkeypatch):
     # a ramp is no wave: its adjoint is nonsingular, so the bordered solve
     # returns a vector that is not a kernel element
