@@ -135,13 +135,11 @@ def _cmd_mcf(args) -> int:
         w = load_wave(args.wave)
         c, d = w.c, w.d
         if d is None:
-            print("wave file lacks d; pass --c/--d explicitly", file=sys.stderr)
-            return 2
+            raise ValueError("wave file lacks d; pass --c/--d explicitly")
     elif args.c is not None and args.d is not None:
         c, d = args.c, args.d
     else:
-        print("mcf needs either --wave or both --c and --d", file=sys.stderr)
-        return 2
+        raise ValueError("mcf needs either --wave or both --c and --d")
     params = flow.FlowParams(c=c, d=d)
     t_grid = np.linspace(0.0, args.t_end, args.samples)
     traj = flow.mcf_solve(gamma0, params, t_grid=t_grid, delta=args.delta)
@@ -151,16 +149,22 @@ def _cmd_mcf(args) -> int:
 
 
 def _cmd_verify_subsuper(args) -> int:
+    # every input is checked before the wave solve
     if args.t_samples < 1:
         raise ValueError(f"--t-samples must be >= 1, got {args.t_samples}")
-    w = _solved_wave(args.a, 20.0, 0.0625)
-    cfg = sim.SimConfig(w.f, t_end=args.t_end, height=64)
+    cfg = sim.SimConfig(BistableNonlinearity(a=args.a), t_end=args.t_end)
     t_grid = np.linspace(0.0, args.t_end, args.t_samples)
     if args.kind == "planar":
-        seed_spec = sim.SuperSubSpec(kind="planar", q0=args.q0, q1=args.q1,
-                                     mu=1.0, C=1.0)
+        spec = sim.SuperSubSpec(kind="planar", q0=args.q0, q1=args.q1, mu=1.0, C=1.0)
+        spec.check_offsets(args.a)
+    else:
+        with np.errstate(invalid="ignore"):  # inf * sin(0): PhaseSequence refuses it
+            V0 = PhaseSequence(args.v_amplitude * np.sin(2.0 * np.pi * np.arange(64) / 64))
+        spec = sim.SuperSubSpec(kind="curved", V0=V0)
+    w = _solved_wave(args.a, 20.0, 0.0625)
+    if args.kind == "planar":
         try:
-            mu, C, report = sim.search_planar_constants(w, seed_spec, cfg, t_grid)
+            mu, C, report = sim.search_planar_constants(w, spec, cfg, t_grid)
         except VerificationFailed as exc:
             print(f"verdict=fail ({exc})")
             return 1
@@ -168,10 +172,6 @@ def _cmd_verify_subsuper(args) -> int:
               f"min_super={report['min_residual_super']:.3e} "
               f"max_sub={report['max_residual_sub']:.3e}")
         return 0
-    P = 64
-    j = np.arange(P)
-    V0 = PhaseSequence(args.v_amplitude * np.sin(2.0 * np.pi * j / P))
-    spec = sim.SuperSubSpec(kind="curved", V0=V0)
     report = sim.verify_supersub(spec, w, cfg, t_grid, width=128)
     print(f"verdict={report['verdict']} "
           f"min_super={report['min_residual_super']:.3e} "

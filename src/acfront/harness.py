@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__ as _pkg_version
 from . import flow, phase, sim
 from .core import BistableNonlinearity, LatticeField, PhaseSequence
-from .errors import FlatnessViolated, H0Violated, OutOfRange, PreAsymptotic
+from .errors import H0Violated, OutOfRange, PreAsymptotic
 from .wave import WaveProfile, _check_grid, solve_r, solve_wave
 
 __all__ = [
@@ -360,13 +360,14 @@ def _handoff(spec: ExperimentSpec, traj) -> int:
     return k0
 
 
-def _track_mcf(w: WaveProfile, traj, k0: int, **kw):
-    """Curvature flow from the phase at ``traj[k0]`` over the later
-    snapshot times (``kw`` goes to :func:`flow.mcf_solve`), its parameters,
-    and its sup gap to every later phase defined on every row."""
+def _track_mcf(w: WaveProfile, traj, k0: int, delta: float):
+    """Curvature flow from the phase at ``traj[k0]`` over the later snapshot
+    times, guarded at flatness ``delta``, its parameters, and its sup gap to
+    every later phase defined on every row."""
     t0, g0 = traj[k0]
     params = flow.FlowParams(c=w.c, d=w.d)
-    mcf = flow.mcf_solve(g0.gamma, params, t_grid=[t - t0 for t, _ in traj[k0:]], **kw)
+    mcf = flow.mcf_solve(g0.gamma, params, t_grid=[t - t0 for t, _ in traj[k0:]],
+                         delta=delta)
     gap_series = [(t, float(np.max(np.abs(g.gamma.values - mcf.values[k]))))
                   for k, (t, g) in enumerate(traj[k0:]) if g.all_defined]
     return mcf, params, gap_series
@@ -394,15 +395,13 @@ def run_thm22(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Experime
 @_pipeline
 def run_thm23(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> ExperimentReport:
     """Curvature-flow tracking: hand the extracted phase at ``tau`` to the
-    discrete curvature flow and bound the gap up to ``t_end``."""
+    discrete curvature flow, whose guard at ``flatness_handoff`` is the one
+    hand-off gate (:class:`FlatnessViolated`), and bound the gap up to ``t_end``."""
     w, traj, _, k0 = _trajectory(spec, w)
     handoff_tol = spec.tolerances["flatness_handoff"]
+    mcf, params, gap_series = _track_mcf(w, traj, k0, handoff_tol)
     t0, g0 = traj[k0]
     fl0 = phase.flatness(g0)
-    if fl0 > handoff_tol:
-        raise FlatnessViolated(
-            f"flatness {fl0:.4f} at hand-off t={t0:g} exceeds {handoff_tol:g}")
-    mcf, params, gap_series = _track_mcf(w, traj, k0)
     vtr = flow.v_solve(g0.gamma, params, t_grid=mcf.times)
     v_gap_series = [(t, float(np.max(np.abs(mcf.values[k] - vtr.values[k]))))
                     for k, (t, g) in enumerate(traj[k0:]) if g.all_defined]
@@ -477,7 +476,7 @@ def run_step_kappa(spec: ExperimentSpec, w: Optional[WaveProfile] = None) -> Exp
     # curvature-flow tracking of the transition zone from the hand-off time
     # the step transition hands off with a mild but not tiny slope, so the
     # curvature-flow flatness guard gets the wider experiment-level bound
-    _, params, gap_series = _track_mcf(w, traj, k0, delta=spec.tolerances["mcf_delta"])
+    _, params, gap_series = _track_mcf(w, traj, k0, spec.tolerances["mcf_delta"])
     sup_gap = max(v for _, v in gap_series)
 
     # diffusive spreading of the transition zone, measured on the phase LDE

@@ -205,7 +205,8 @@ class _Halves:
     process's stage buffer and ``E(y5)`` buffer, and the worker's three
     buffers of a far half, so both processes see every write.  The worker is
     forked at the first split step and serves ``_TASK`` messages on one pipe,
-    answering each with one status byte on another, until it reads EOF."""
+    answering each with one byte on another, until it reads EOF or its half
+    fails; either way it exits."""
 
     def __init__(self, p0: np.ndarray, euler, boundary_j: str):
         rows, s = p0.shape
@@ -226,7 +227,7 @@ class _Halves:
         """Step the prefix of ``e`` columns of ``states[which]`` into
         ``states[1 - which]``.  The split lives from ``_can_fork()`` until
         the first step too narrow to split (``e < 2 R`` or ``e (H + 2) <
-        _SPLIT_MIN_SITES``), a failed fork or a dead worker.  A step is split
+        _SPLIT_MIN_SITES``), a failed fork or the worker's exit.  A step is split
         while it lives; any other step, and a split step whose half failed,
         runs serially through ``_advance`` in the run's own buffers, from the
         state, which no step writes, so every error and warning is its own."""
@@ -242,8 +243,9 @@ class _Halves:
         """The split step: this process takes padded rows ``[0, m + R + 2)``
         and the worker ``[m - R, e + 2)``, ``m = e // 2``, keeping rows ``1 ..
         m`` of the first and ``m + 1 .. e`` of the second.  False, with the
-        output in any state, if the fork failed, the worker died, or either
-        half failed (a non-finite value, an overflow, a division by zero)."""
+        output in any state, if the fork failed, the near half failed (a
+        non-finite value, an overflow, a division by zero) or the worker is
+        gone: it exits when its half fails, so EOF is the far half's signal."""
         if self._pid is None and not self._fork():
             return False
         reach, m = _SSPRK104_REACH, e // 2
@@ -261,13 +263,12 @@ class _Halves:
             ok = True
         except (NonFinite, FloatingPointError):
             ok = False
-        status = os.read(self._done, 1)
-        if not status:  # the worker is gone
+        if not os.read(self._done, 1):  # the worker is gone
             self.close()
-        if not (ok and status == b"\1"):
-            return False
-        new[m + 1:e + 1] = self._far[0][reach + 1:e - m + reach + 1]
-        return True
+        elif ok:
+            new[m + 1:e + 1] = self._far[0][reach + 1:e - m + reach + 1]
+            return True
+        return False
 
     def _fork(self) -> bool:
         task_r, task_w = os.pipe()
@@ -293,7 +294,7 @@ class _Halves:
         """The worker's loop.  It first closes every descriptor it inherited
         but the standard three and its two pipe ends, the parent's ends of
         these pipes and of any other run's among them, so that closing them
-        in the parent is an EOF here."""
+        in the parent is an EOF here.  Any failure of a half ends it."""
         low, high = sorted((task_r, done_w))
         os.closerange(3, low)
         os.closerange(low + 1, high)
@@ -302,14 +303,10 @@ class _Halves:
             lo, e, which = _TASK.unpack(task)
             p0 = self.states[which][lo:e + 2]
             n = p0.shape[0]
-            try:
-                with np.errstate(over="raise", divide="raise"):
-                    _advance(p0, self._euler, self._boundary_j,
-                             (self._far[0][:n], self._far[1][:n], self._far[2][:n - 2]))
-                status = b"\1"
-            except Exception:
-                status = b"\0"
-            os.write(done_w, status)
+            with np.errstate(over="raise", divide="raise"):
+                _advance(p0, self._euler, self._boundary_j,
+                         (self._far[0][:n], self._far[1][:n], self._far[2][:n - 2]))
+            os.write(done_w, b"\1")
 
     def close(self) -> None:
         """Close this process's pipe ends, which the worker reads as EOF and
@@ -541,17 +538,19 @@ def verify_supersub(spec: SuperSubSpec, w: WaveProfile, cfg: SimConfig,
 
     The residuals are evaluated with analytic time derivatives, so ``tol``
     only absorbs the interpolation floor of the profile splines.  Returns a
-    report with the extremal residuals, their sites and the verdict.  An
-    empty ``t_grid`` would check nothing and raises :class:`OutOfRange`, a
-    ``width`` that is not an integer >= 1 ``ValueError``, and a curved spec
-    on a wave without ``r`` or ``d`` :class:`SolveFailed`.
+    report with the extremal residuals, their sites and the verdict.  For
+    either kind, a ``t_grid`` that is empty (it would check nothing), or
+    holds a non-finite or negative time, raises :class:`OutOfRange` before
+    anything else; a ``width`` that is not an integer >= 1 ``ValueError``,
+    and a curved spec on a wave without ``r`` or ``d`` :class:`SolveFailed`.
     """
-    if len(t_grid) == 0:
-        raise OutOfRange("super/sub verification needs at least one time")
+    ts = np.asarray(t_grid, dtype=float)
+    if not (ts.size and np.isfinite(ts).all() and (ts >= 0.0).all()):
+        raise OutOfRange("super/sub verification needs at least one time, "
+                         "each finite and >= 0")
     if width is not None:
         _check_window(width=width)
     if spec.kind == "planar":
-        ts = np.asarray(t_grid, dtype=float)
         i0, _, _, Jp, Jm = _planar_pair(w, spec, ts, cfg.width if width is None else width)
         offsets = np.full(ts.size, i0)
     else:
@@ -565,7 +564,7 @@ def verify_supersub(spec: SuperSubSpec, w: WaveProfile, cfg: SimConfig,
                 f"initial offset margin {slack:.3e} does not clear p(0)/2={0.5 * p0:.3e}",
                 value=slack)
         wd = width if width is not None else 128
-        traj = flow.v_solve(spec.V0, flow.FlowParams(c=w.c, d=w.d), t_grid=list(t_grid))
+        traj = flow.v_solve(spec.V0, flow.FlowParams(c=w.c, d=w.d), t_grid=ts)
         ts, offsets = traj.times, np.empty(len(traj), dtype=int)
         Jp = np.empty((len(traj), wd, len(spec.V0)))
         Jm = np.empty_like(Jp)

@@ -163,14 +163,14 @@ def test_mcf_with_a_wave_file_without_d_is_usage_error(tmp_path, wave_file, caps
     init = tmp_path / "gamma0.csv"
     _write_gamma(init, np.zeros(8))
     assert main(["mcf", "--init", str(init), "--wave", str(wave)]) == 2
-    assert "wave file lacks d" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: wave file lacks d; pass --c/--d explicitly\n"
 
 
 def test_mcf_without_parameters_is_usage_error(tmp_path, capsys):
     init = tmp_path / "gamma0.csv"
     _write_gamma(init, np.zeros(8))
     assert main(["mcf", "--init", str(init)]) == 2
-    assert "needs either" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: mcf needs either --wave or both --c and --d\n"
 
 
 def test_mcf_steep_data_fails_flatness_guard(tmp_path, capsys):
@@ -324,6 +324,26 @@ def test_verify_subsuper_without_t_samples_is_usage_error(kind, capsys, monkeypa
         captured = capsys.readouterr()
         assert "verdict=" not in captured.out
         assert "--t-samples must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("kind, args, message", [
+    (kind, ["--t-end", t_end], f"t_end must be finite and >= 0, got {float(t_end)}")
+    for kind in ("planar", "curved") for t_end in ("nan", "inf", "-5")] + [
+    ("planar", ["--q0", "0.3"], "q0 must lie in (0, a) = (0, 0.3)"),
+    ("planar", ["--q0", "0"], "q0 must lie in (0, a) = (0, 0.3)"),
+    ("planar", ["--q1", "0.7"], "q1 must lie in (0, 1-a) = (0, 0.7)"),
+    ("curved", ["--v-amplitude", "nan"], "sequence values must be finite"),
+    ("curved", ["--v-amplitude", "inf"], "sequence values must be finite"),
+])
+def test_verify_subsuper_refuses_bad_inputs_before_the_wave_solve(kind, args, message,
+                                                                  capsys, monkeypatch):
+    def no_wave(*args):
+        raise AssertionError("the wave was solved before the usage check")
+
+    monkeypatch.setattr(cli, "_solved_wave", no_wave)
+    assert main(["verify-subsuper", "--kind", kind, *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_experiment_step_with_equal_plateaus_is_usage_error(tmp_path, capsys):

@@ -341,6 +341,21 @@ def test_thm23_steep_handoff_rejected(wave03):
         run_thm23(spec, wave03)
 
 
+def test_thm23_handoff_gate_is_the_flows_guard_at_its_tolerance(wave03):
+    """The one hand-off gate is the curvature flow's guard at
+    ``flatness_handoff``: a hand-off of flatness 0.1131 runs to its report
+    at tolerance 0.15 and is refused at the default 0.1."""
+    kappa = {"kind": "periodic", "P": 8, "amplitude": 0.16, "offset": 0.0}
+    report = run_thm23(fast_spec("thm23", tau=0.0, kappa=kappa,
+                                 tolerances={"flatness_handoff": 0.15}), wave03)
+    (t0, fl0), = report.series["flatness_handoff"]
+    assert t0 == 0.0 and 0.1 < fl0 < 0.15
+    assert report.verdicts["handoff_flatness"] == {"value": fl0, "tolerance": 0.15,
+                                                   "pass": True}
+    with pytest.raises(FlatnessViolated, match="initial gradient 0.113 exceeds delta=0.1$"):
+        run_thm23(fast_spec("thm23", tau=0.0, kappa=kappa), wave03)
+
+
 def test_thm23_undefined_phase_at_handoff_rejected(wave03):
     spec = fast_spec("thm23", tau=0.0,
                      v0={"kind": "gaussian_bump", "amp": 0.6, "width": 2.0,

@@ -605,6 +605,37 @@ def test_split_worker_ends_at_the_first_narrow_step(monkeypatch):
     assert len(pids) == 1 and got == want
 
 
+@needs_fork
+def test_split_worker_exits_when_its_half_fails(monkeypatch):
+    """A far half that raises ends the worker, whose EOF is the one failure
+    signal: it is reaped right after the first step, which then runs
+    serially, and so does the rest of the run, with the records of a plain
+    ``step`` loop."""
+    cfg = SimConfig(F03, t_end=5.0, record_every=1, width=48, height=4)
+    u = u0 = LatticeField(splitmix64_uniform(9, 48 * 4).reshape(48, 4))
+    want = [u.values.tobytes()]
+    for _ in range(cfg.n_steps):
+        u = step(u, cfg)
+        want.append(u.values.tobytes())
+    advance = sim._advance
+
+    def far_half_failing_advance(p0, euler, bj, work=None):
+        state = p0 if p0.base is None else p0.base
+        if p0.__array_interface__["data"][0] > state.__array_interface__["data"][0]:
+            raise RuntimeError("far half")  # a far half starts past its state's row 0
+        return advance(p0, euler, bj, work)
+
+    monkeypatch.setattr(sim, "_SPLIT_MIN_SITES", 0)
+    monkeypatch.setattr(sim, "_advance", far_half_failing_advance)
+    pids = _recorded_forks(monkeypatch)
+    gen = snapshots(u0, cfg)
+    got = [next(gen)[1].values.tobytes(), next(gen)[1].values.tobytes()]
+    assert len(pids) == 1
+    _assert_reaped(pids)
+    got.extend(v.values.tobytes() for _, v in gen)
+    assert len(pids) == 1 and got == want
+
+
 @pytest.mark.parametrize("host", ["no_fork", "one_cpu", "other_thread"])
 def test_split_steps_serially_where_it_cannot_fork(monkeypatch, host):
     """No worker is forked where ``os.fork`` is absent, where one CPU is in
@@ -1138,6 +1169,15 @@ def test_verify_supersub_rejects_empty_time_grid(wave03, kind):
     for t_grid in ([], np.linspace(0.0, 50.0, 0)):
         with pytest.raises(OutOfRange, match="at least one time"):
             verify_supersub(spec, wave03, SimConfig(wave03.f), t_grid)
+
+
+@pytest.mark.parametrize("kind", ["planar", "curved"])
+@pytest.mark.parametrize("t_grid", [[math.inf], [math.nan], [-1.0, 0.0]])
+def test_verify_supersub_rejects_nonfinite_or_negative_times(wave03, kind, t_grid):
+    spec = (SuperSubSpec(kind="planar", mu=MU_REF, C=C_BIG) if kind == "planar"
+            else curved_spec())
+    with pytest.raises(OutOfRange, match="at least one time, each finite and >= 0"):
+        verify_supersub(spec, wave03, SimConfig(wave03.f), t_grid)
 
 
 @pytest.mark.parametrize("kind", ["planar", "curved"])
