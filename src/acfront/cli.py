@@ -155,7 +155,12 @@ def _cmd_verify_subsuper(args) -> int:
     cfg = sim.SimConfig(BistableNonlinearity(a=args.a), t_end=args.t_end)
     t_grid = np.linspace(0.0, args.t_end, args.t_samples)
     if args.kind == "planar":
-        spec = sim.SuperSubSpec(kind="planar", q0=args.q0, q1=args.q1, mu=1.0, C=1.0)
+        # the defaults min(0.1, a/2) and min(0.1, (1 - a)/2) lie inside (0, a)
+        # and (0, 1 - a) for every a; they compare a itself, as 1 - 0.8 rounds
+        # below 0.2, so every a in [0.2, 0.8] keeps 0.1 and 0.1
+        q0 = args.q0 if args.q0 is not None else 0.1 if args.a >= 0.2 else args.a / 2
+        q1 = args.q1 if args.q1 is not None else 0.1 if args.a <= 0.8 else (1.0 - args.a) / 2
+        spec = sim.SuperSubSpec(kind="planar", q0=q0, q1=q1, mu=1.0, C=1.0)
         spec.check_offsets(args.a)
     else:
         with np.errstate(invalid="ignore"):  # inf * sin(0): PhaseSequence refuses it
@@ -245,8 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-subsuper", help="verify a super/sub-solution pair")
     p.add_argument("--kind", choices=["planar", "curved"], required=True)
     p.add_argument("--a", type=float, default=0.3)
-    p.add_argument("--q0", type=float, default=0.1)
-    p.add_argument("--q1", type=float, default=0.1)
+    p.add_argument("--q0", type=float, default=None,
+                   help="planar initial offset below, in (0, a); default min(0.1, a/2)")
+    p.add_argument("--q1", type=float, default=None,
+                   help="planar initial offset above, in (0, 1-a); default min(0.1, (1-a)/2)")
     p.add_argument("--t-end", type=float, default=50.0)
     p.add_argument("--t-samples", type=int, default=26)
     p.add_argument("--v-amplitude", type=float, default=1.0)

@@ -275,15 +275,28 @@ _SSPRK104_REACH = 10
 
 
 def _substep(rhs, h: float):
-    """The forward-Euler substep ``E(p) = p[1:-1] + h rhs(p)`` of the in-place
-    right-hand side ``rhs(p, out)``, as ``euler(p, out)`` for ``_ssprk104``,
-    of the lattice and of both phase flows: ``rhs`` writes into ``out``, the
-    next stage's interior, which is scaled by ``h`` and gains ``p[1:-1]``."""
+    """The forward-Euler substep ``E(p) = p[1:-1] + h rhs(p)`` of the lattice
+    and of both phase flows, as the binder ``_ssprk104`` takes.
 
-    def euler(p: np.ndarray, out: np.ndarray) -> None:
-        rhs(p, out)
-        out *= h
-        out += p[1:-1]
+    ``rhs`` is a right-hand side binder: ``rhs(p)`` slices the padded array
+    ``p`` once and returns ``f(out)``, which writes the right-hand side at
+    ``p`` into ``out``, the next stage's interior.  ``_substep(rhs, h)(p)``
+    binds ``p`` the same way and returns ``E_p(out)``: ``f(out)``, then
+    ``out`` scaled by ``h`` and plus ``p[1:-1]``.  So a stepper that binds
+    each stage buffer once makes no view and no closure per substep.  ``h``
+    is kept as a 0-d array, which numpy broadcasts without converting a
+    Python float each call."""
+    h = np.array(h)
+
+    def euler(p: np.ndarray):
+        f, u = rhs(p), p[1:-1]
+
+        def substep(out: np.ndarray) -> None:
+            f(out)
+            out *= h
+            out += u
+
+        return substep
 
     return euler
 
@@ -293,45 +306,53 @@ def _ssprk104(p0: np.ndarray, euler, boundary_j: str,
     """One SSPRK(10,4) step (Ketcheson, SIAM J. Sci. Comput. 30, 2008) from
     the padded array ``p0``, last axis ``j``; returns the padded result.
 
-    ``euler(p, out)``, made by :func:`_substep`, writes the forward-Euler
-    substep ``E(p)`` into ``out``, shaped like ``p[1:-1]``.  In Shu-Osher
-    form, with ``u = p0[1:-1]``: ``y_{k+1} = E(y_k)`` from ``y1 = u`` for
-    ``k = 1..4`` and from ``y6 = (3/5) u + (2/5) E(y5)`` for ``k = 6..9``;
-    the result is ``(3/5) E(y10) + (9/25) E(y5) + u / 25``.  The weights are
+    ``euler``, made by :func:`_substep`, binds a padded stage: ``euler(p)``
+    is ``E_p(out)``, which writes the forward-Euler substep ``E(p)`` into
+    ``out``, shaped like ``p[1:-1]``.  In Shu-Osher form, with ``u =
+    p0[1:-1]``: ``y_{k+1} = E(y_k)`` from ``y1 = u`` for ``k = 1..4`` and
+    from ``y6 = (3/5) u + (2/5) E(y5)`` for ``k = 6..9``; the result is
+    ``(3/5) E(y10) + (9/25) E(y5) + u / 25``.  The weights are
     nonnegative, so the step is monotone wherever ``E`` is (Gottlieb, Shu
     and Tadmor 2001).
     Two padded buffers take turns as the stages, with ``p0[0]`` and
     ``p0[-1]`` (a lattice array's i-ghost rows, a sequence's j-ghosts)
     pinned in both and the j-ghosts filled by ``_fill_ghosts``; the
-    combinations run in place in dead stage buffers.  ``work``, if given,
-    lends the two stage buffers and the buffer of ``E(y5)``, none of them
-    overlapping ``p0``; the result is the first.  Else they are made
-    afresh.  So a caller that lends ``work`` and keeps one spare buffer for
-    the next step's ``p0`` steps without allocating.  Invalid operations
-    (``inf - inf``) on non-finite stage values do not warn.
+    combinations run in place in dead stage buffers.  Each of the three
+    padded arrays is bound once per step, so the ten substeps slice
+    nothing.  ``work``, if given, lends the two stage buffers and the
+    buffer of ``E(y5)``, none of them overlapping ``p0``; the result is the
+    first.  Else they are made afresh.  So a caller that lends ``work`` and
+    keeps one spare buffer for the next step's ``p0`` steps without
+    allocating.  Invalid operations (``inf - inf``) on non-finite stage
+    values do not warn.
     """
     u = p0[1:-1]
     pa, pb, e5 = (np.empty_like(p0), np.empty_like(p0), np.empty_like(u)) if work is None else work
+    ya, yb = pa[1:-1], pb[1:-1]
     pa[0] = pb[0] = p0[0]
     pa[-1] = pb[-1] = p0[-1]
+    # each stage: the interior it is written to, its buffer, and the bound
+    # substep that reads it
+    stages = ((ya, pa, euler(pa)), (yb, pb, euler(pb))) * 2
     with np.errstate(invalid="ignore"):
-        p = p0
-        for q in (pa, pb, pa, pb):  # y2 .. y5
-            euler(p, q[1:-1])
-            p = _fill_ghosts(q, boundary_j)
-        euler(p, e5)
-        y6 = np.multiply(e5, 0.4, out=pb[1:-1])  # y5 is dead
-        y6 += np.multiply(u, 0.6, out=pa[1:-1])
-        p = _fill_ghosts(pb, boundary_j)
-        for q in (pa, pb, pa, pb):  # y7 .. y10
-            euler(p, q[1:-1])
-            p = _fill_ghosts(q, boundary_j)
-        out = pa[1:-1]
-        euler(p, out)
-        out *= 0.6
+        e = euler(p0)
+        for y, q, e_next in stages:  # y2 .. y5
+            e(y)
+            _fill_ghosts(q, boundary_j)
+            e = e_next
+        e(e5)
+        np.multiply(e5, 0.4, out=yb)  # y6; y5 is dead
+        yb += np.multiply(u, 0.6, out=ya)
+        _fill_ghosts(pb, boundary_j)
+        for y, q, e_next in stages:  # y7 .. y10
+            e(y)
+            _fill_ghosts(q, boundary_j)
+            e = e_next
+        e(ya)
+        ya *= 0.6
         e5 *= 0.36
-        out += e5
-        out += np.multiply(u, 0.04, out=pb[1:-1])  # y10 is dead
+        ya += e5
+        ya += np.multiply(u, 0.04, out=yb)  # y10 is dead
     return _fill_ghosts(pa, boundary_j)
 
 

@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 _MILLER_MARGIN = 16  # the Bessel ratios start this far past kmax: the last taps are exact
+_TINY = np.finfo(float).tiny  # the smallest normal; heat_solve zeroes taps below it
 
 
 @dataclass(frozen=True)
@@ -110,6 +111,18 @@ def heat_solve(h0: PhaseSequence, t: float) -> PhaseSequence:
     it first.  So a call costs P·min(2K + 1, period) products.  There is no
     FFT: its round-off, relative to the largest value, would swamp the
     e^{-500}-scale Cole-Hopf values.
+
+    Taps below the smallest normal, ``tiny`` (the far tails, from t ≈ 147
+    on), are set to exact zeros in place, so the tap count and positions,
+    and with them the summation order, stay those of the nonzero taps, and
+    no product runs in subnormal arithmetic.  Each zeroed product is below
+    ``tiny·max|h0|``, so the output equals the unzeroed sum byte for byte
+    wherever no output lies within 2^53 of the smallest normal on the
+    data's scale (``|out_j| >= 2^53·tiny·max|h0|``): there rounding loses
+    those products.  Elsewhere, as where the taps underflow to zero, an
+    output far from the largest values misses their share: Cole-Hopf data
+    spanning e^{±500} at t = 200 read e^{-500} from 830 cells off the e^{500}
+    block on, where the exact value at 850 cells is e^{-238}.
     """
     vals = h0.values
     period, mode = ((2 * vals.size, "symmetric") if h0.boundary_j == "reflect"
@@ -121,6 +134,7 @@ def heat_solve(h0: PhaseSequence, t: float) -> PhaseSequence:
         pad = (period - 1, 0)
     else:
         pad = (g.size // 2, g.size // 2)
+    g[g < _TINY] = 0.0
     return h0.replace(np.convolve(np.pad(vals, pad, mode=mode), g, "valid"))
 
 
@@ -276,13 +290,17 @@ def _slope(q: np.ndarray) -> float:
 
 def _march(y0: PhaseSequence, rhs, t_grid: Sequence[float], p: FlowParams,
            what: str, delta: float = math.inf) -> FlowTrajectory:
-    """SSPRK(10,4) steps (``core._ssprk104``) from ``y0``, with ``rhs(q,
-    out)`` the in-place kernel that writes the right-hand side at the padded
-    sequence ``q`` into ``out``: forward-Euler substeps ``q[1:-1] + h
+    """SSPRK(10,4) steps (``core._ssprk104``) from ``y0``, with ``rhs`` the
+    right-hand side binder: ``rhs(q)`` binds a padded sequence ``q`` and
+    returns ``f(out)``, which writes the right-hand side at ``q`` into
+    ``out``.  The steps are made of forward-Euler substeps ``q[1:-1] + h
     rhs(q)`` (``core._substep``, the lattice step's too) of ``h = step / 6
     <= p.dt``, so steps at most ``6 p.dt`` long, the last before each time
-    in ``t_grid`` cut short to land on it.  The stage buffers, lent to ``_ssprk104``, and a spare that
-    takes the next step's result are made once, so no substep allocates.
+    in ``t_grid`` cut short to land on it.  The stage buffers, lent to
+    ``_ssprk104``, and a spare that takes the next step's result are made
+    once, and so is one binding of each of the three padded buffers for the
+    full-length steps, so no substep allocates and no full-length step
+    binds.
 
     Raises :class:`FlatnessViolated` once ``sup|∂⁺y|`` exceeds ``delta``,
     initially or after any step; an infinite ``delta`` skips the check.
@@ -298,14 +316,21 @@ def _march(y0: PhaseSequence, rhs, t_grid: Sequence[float], p: FlowParams,
     if guard and _slope(q) > delta:
         raise FlatnessViolated(f"initial gradient {_slope(q):.3g} exceeds delta={delta:g}")
     spare, stage, e5 = np.empty_like(q), np.empty_like(q), np.empty(len(y0))
+    full = 6.0 * p.dt
+    full_euler = _substep(rhs, full / 6.0)
+    bound = {id(b): full_euler(b) for b in (q, spare, stage)}
+
+    def full_step(b: np.ndarray):
+        return bound[id(b)]  # the full-length substep, bound once per buffer
+
     rows = np.empty((ts.size, len(y0)))
     t = 0.0
     for idx, target in enumerate(ts):
         while t < target - 1e-12:
-            step = min(6.0 * p.dt, target - t)
+            step = min(full, target - t)
+            euler = full_step if step == full else _substep(rhs, step / 6.0)
             # the result lands in ``spare``; the old state is the next spare
-            q, spare = _ssprk104(q, _substep(rhs, step / 6.0), y0.boundary_j,
-                                 (spare, stage, e5)), q
+            q, spare = _ssprk104(q, euler, y0.boundary_j, (spare, stage, e5)), q
             t += step
             if not np.isfinite(q).all():
                 raise NonFinite(f"{what} blew up at t={t:g}")
@@ -317,49 +342,65 @@ def _march(y0: PhaseSequence, rhs, t_grid: Sequence[float], p: FlowParams,
 
 
 def _fresh(kernel, s: PhaseSequence, p: FlowParams) -> np.ndarray:
-    """The right-hand side of the in-place ``kernel(p, n)`` at ``s``, in a
+    """The right-hand side of the binder ``kernel(p, n)`` at ``s``, in a
     fresh array; ``s`` is left untouched."""
     out = np.empty(len(s))
-    kernel(p, len(s))(s.padded(), out)
+    kernel(p, len(s))(s.padded())(out)
     return out
 
 
 def _v_rhs(p: FlowParams, n: int):
-    """The right-hand side of the phase LDE as an in-place kernel ``rhs(q,
-    out)`` for padded sequences ``q`` of ``n + 2`` entries; the exponential
-    variant keeps its two scratch arrays, made here, across calls."""
+    """The right-hand side of the phase LDE as a binder ``rhs(q) -> f(out)``
+    for padded sequences ``q`` of ``n + 2`` entries (see
+    ``core._substep``): binding slices ``q``, and ``f`` writes into
+    ``out``.  The exponential variant keeps its two scratch arrays, and
+    their views, made here, across calls.  The constants are 0-d arrays,
+    which numpy broadcasts without converting a Python float each call."""
+    c, d, two = np.array(p.c), np.array(p.d), np.array(2.0)
     if p.variant == "linear_heat":
-        def rhs(q: np.ndarray, out: np.ndarray) -> None:
-            # q[2:] - 2 q[1:-1] + q[:-2] + c
-            np.multiply(q[1:-1], 2.0, out=out)
-            np.subtract(q[2:], out, out=out)
-            out += q[:-2]
-            out += p.c
+        def bind(q: np.ndarray):
+            hi, mid, lo = q[2:], q[1:-1], q[:-2]
+
+            def rhs(out: np.ndarray) -> None:
+                # q[2:] - 2 q[1:-1] + q[:-2] + c
+                np.multiply(mid, two, out=out)
+                np.subtract(hi, out, out=out)
+                out += lo
+                out += c
+
+            return rhs
+
+        return bind
+    e, r = np.empty(n + 1), np.empty(n)
+    e_hi, e_lo = e[1:], e[:-1]
+    least, one = np.array(5e-324), np.array(1.0)
+
+    def bind(q: np.ndarray):
+        hi, lo = q[1:], q[:-1]
+
+        def rhs(out: np.ndarray) -> None:
+            # one exponential per neighbour difference: e^{-d dV_j^-} = 1 / e^{d dV_{j-1}^+};
+            # an underflowed e is raised to the least subnormal, so 1/e overflows
+            # where e^{-d dV^-} did, instead of dividing by zero
+            np.subtract(hi, lo, out=e)
+            np.multiply(e, d, out=e)
+            np.exp(e, out=e)
+            np.maximum(e, least, out=e)
+            # (e_j - 2 + 1 / e_{j-1}) / d + c
+            np.subtract(e_hi, two, out=out)
+            out += np.divide(one, e_lo, out=r)
+            out /= d
+            out += c
 
         return rhs
-    e, r = np.empty(n + 1), np.empty(n)
 
-    def rhs(q: np.ndarray, out: np.ndarray) -> None:
-        # one exponential per neighbour difference: e^{-d dV_j^-} = 1 / e^{d dV_{j-1}^+};
-        # an underflowed e is raised to the least subnormal, so 1/e overflows
-        # where e^{-d dV^-} did, instead of dividing by zero
-        np.subtract(q[1:], q[:-1], out=e)
-        np.multiply(e, p.d, out=e)
-        np.exp(e, out=e)
-        np.maximum(e, 5e-324, out=e)
-        # (e_j - 2 + 1 / e_{j-1}) / d + c
-        np.subtract(e[1:], 2.0, out=out)
-        out += np.divide(1.0, e[:-1], out=r)
-        out /= p.d
-        out += p.c
-
-    return rhs
+    return bind
 
 
 def v_rhs(V: PhaseSequence, p: FlowParams) -> np.ndarray:
     """Right-hand side of the phase LDE for ``V`` (exact, no time stepping),
-    in a fresh array.  It is the in-place kernel the explicit marcher
-    steps with, called once."""
+    in a fresh array.  It is the binder the explicit marcher steps with,
+    bound and called once."""
     return _fresh(_v_rhs, V, p)
 
 
@@ -408,34 +449,43 @@ def v_gradient_report(traj: FlowTrajectory) -> dict:
 
 
 def _mcf_rhs(p: FlowParams, n: int):
-    """:func:`mcf_rhs` as an in-place kernel ``rhs(q, out)`` for padded
-    sequences ``q`` of ``n + 2`` entries, on two scratch arrays made here.
-    One difference ``dq = q[1:] - q[:-1]`` gives both ``∂⁺ = dq[1:]`` and
-    ``∂⁻ = dq[:-1]``, and one square of it both squared gradients."""
+    """:func:`mcf_rhs` as a binder ``rhs(q) -> f(out)`` for padded
+    sequences ``q`` of ``n + 2`` entries (see ``core._substep``), on two
+    scratch arrays, and their views, made here.  One difference ``dq = q[1:]
+    - q[:-1]`` gives both ``∂⁺ = dq[1:]`` and ``∂⁻ = dq[:-1]``, and one
+    square of it both squared gradients.  The constants are 0-d arrays, as
+    in :func:`_v_rhs`."""
     dq, b = np.empty(n + 1), np.empty(n)
-    drift, offset = 2.0 * p.d, p.c - 2.0 * p.d
+    dq_hi, dq_lo = dq[1:], dq[:-1]
+    half, one = np.array(0.5), np.array(1.0)
+    drift, offset = np.array(2.0 * p.d), np.array(p.c - 2.0 * p.d)
 
-    def rhs(q: np.ndarray, out: np.ndarray) -> None:
-        np.subtract(q[1:], q[:-1], out=dq)
-        np.subtract(dq[1:], dq[:-1], out=out)  # ∂⁽²⁾Γ
-        np.multiply(dq, dq, out=dq)
-        np.add(dq[1:], dq[:-1], out=b)
-        np.multiply(b, 0.5, out=b)
-        np.add(b, 1.0, out=b)  # β²
-        out /= b
-        np.sqrt(b, out=b)
-        np.multiply(b, drift, out=b)
-        out += b
-        out += offset
+    def bind(q: np.ndarray):
+        hi, lo = q[1:], q[:-1]
 
-    return rhs
+        def rhs(out: np.ndarray) -> None:
+            np.subtract(hi, lo, out=dq)
+            np.subtract(dq_hi, dq_lo, out=out)  # ∂⁽²⁾Γ
+            np.multiply(dq, dq, out=dq)
+            np.add(dq_hi, dq_lo, out=b)
+            np.multiply(b, half, out=b)
+            np.add(b, one, out=b)  # β²
+            out /= b
+            np.sqrt(b, out=b)
+            np.multiply(b, drift, out=b)
+            out += b
+            out += offset
+
+        return rhs
+
+    return bind
 
 
 def mcf_rhs(G: PhaseSequence, p: FlowParams) -> np.ndarray:
     """Right-hand side ``∂⁽²⁾Γ/β² + 2dβ + c - 2d`` of the discrete mean
     curvature flow, with ``β = sqrt(1 + (|∂⁺Γ|² + |∂⁻Γ|²)/2)``: curvature
     plus the direction-dependent drift ``c + 2d(β - 1)``.  A fresh array,
-    from the in-place kernel that :func:`mcf_solve` steps with."""
+    from the binder that :func:`mcf_solve` steps with."""
     return _fresh(_mcf_rhs, G, p)
 
 

@@ -129,19 +129,24 @@ class SimConfig:
 
 def _lattice_rhs(f: BistableNonlinearity):
     """The lattice operator ``Δ⁺v + g(v)`` of the step and of the curved
-    residual, as the in-place kernel ``rhs(p, out)``: ``p`` a contiguous
-    padded array, only read, and ``out`` shaped like ``p[1:-1]``.  On the
-    flat layout (``core._flat_runs``), ghost columns included, it writes the
-    centre term ``g(v) - 4 v`` (``_centre_into``) into ``out`` and adds the
-    four neighbour runs, with no scratch array."""
+    residual, as the binder ``rhs(p) -> f(out)`` (see ``core._substep``):
+    ``p`` a contiguous padded array, only read, and ``out`` shaped like
+    ``p[1:-1]``.  Binding takes the flat layout's runs (``core._flat_runs``)
+    once; ``f`` writes the centre term ``g(v) - 4 v`` (``_centre_into``),
+    ghost columns included, into ``out`` and adds the four neighbour runs,
+    with no scratch array."""
 
-    def rhs(p: np.ndarray, out: np.ndarray) -> None:
+    def bind(p: np.ndarray):
         c, neighbours = _flat_runs(p)
-        o = f._centre_into(c, out.reshape(-1))
-        for q in neighbours:
-            o += q
 
-    return rhs
+        def rhs(out: np.ndarray) -> None:
+            o = f._centre_into(c, out.reshape(-1))
+            for q in neighbours:
+                o += q
+
+        return rhs
+
+    return bind
 
 
 def _euler(cfg: SimConfig):
@@ -204,9 +209,9 @@ class _Halves:
     One anonymous shared ``mmap`` holds the two padded state buffers, this
     process's stage buffer and ``E(y5)`` buffer, and the worker's three
     buffers of a far half, so both processes see every write.  The worker is
-    forked at the first split step and serves ``_TASK`` messages on one pipe,
-    answering each with one byte on another, until it reads EOF or its half
-    fails; either way it exits."""
+    forked at the first split step, the second wide step in a row, and
+    serves ``_TASK`` messages on one pipe, answering each with one byte on
+    another, until it reads EOF or its half fails; either way it exits."""
 
     def __init__(self, p0: np.ndarray, euler, boundary_j: str):
         rows, s = p0.shape
@@ -222,22 +227,27 @@ class _Halves:
         self._euler, self._boundary_j = euler, boundary_j
         self._pid = self._task = self._done = None
         self._live = _can_fork()
+        self._armed = False  # a wide step ran while the split lived: the next one splits
 
     def step(self, which: int, e: int) -> None:
         """Step the prefix of ``e`` columns of ``states[which]`` into
         ``states[1 - which]``.  The split lives from ``_can_fork()`` until
         the first step too narrow to split (``e < 2 R`` or ``e (H + 2) <
-        _SPLIT_MIN_SITES``), a failed fork or the worker's exit.  A step is split
-        while it lives; any other step, and a split step whose half failed,
-        runs serially through ``_advance`` in the run's own buffers, from the
-        state, which no step writes, so every error and warning is its own."""
+        _SPLIT_MIN_SITES``), a failed fork or the worker's exit.  While it
+        lives, every wide step but the first is split: a run whose first
+        wide step is followed by a narrow one (the 256x128 step_kappa
+        default) forks no worker.  Any other step, and a split step whose
+        half failed, runs serially through ``_advance`` in the run's own
+        buffers, from the state, which no step writes, so every error and
+        warning is its own."""
         sites = self.states[which].shape[1]  # H + 2
         if self._live and (e < 2 * _SSPRK104_REACH or e * sites < _SPLIT_MIN_SITES):
             self.close()
-        if not (self._live and self._split(which, e)):
+        if not (self._armed and self._live and self._split(which, e)):
             cur, new = self.states[which], self.states[1 - which]
             _advance(cur[:e + 2], self._euler, self._boundary_j,
                      (new[:e + 2], self.stage[:e + 2], self.e5[:e]))
+        self._armed = self._live
 
     def _split(self, which: int, e: int) -> bool:
         """The split step: this process takes padded rows ``[0, m + R + 2)``
@@ -355,11 +365,12 @@ def snapshots(u0: LatticeField, cfg: SimConfig) -> Iterator[tuple[float, Lattice
     holds column ``m - R - 1`` fixed, and this process copies its ``[m, e)``.
     Both halves run at once on two CPUs, with the same bits as one step.
     :class:`_Halves` alone decides how each step is made: split, while the
-    host can fork and the prefix is wide enough, else serially.  The worker
-    is forked at the first split step.  It ends at the first step too narrow
-    to split, after which the run stays serial, so a run whose prefix
-    narrows early (the 256x128 step_kappa default) keeps no worker, nor its
-    copy-on-write faults, for its serial steps.  Else it ends with the
+    host can fork and the prefix is wide enough, from the second such step
+    in a row, else serially.  The worker is forked at the first split step.
+    It ends at the first step too narrow to split, after which the run stays
+    serial, so a run whose prefix narrows after one wide step (the 256x128
+    step_kappa default) forks no worker, and one that narrows later keeps
+    none, nor its copy-on-write faults, for its serial steps.  Else it ends with the
     generator: exhausted, closed or left by an exception, it closes its pipe
     ends, the worker leaves at their EOF, and it is reaped."""
     if u0.values.shape != (cfg.width, cfg.height) or u0.boundary_j != cfg.boundary_j:
@@ -521,7 +532,7 @@ def _curved_pair(w: WaveProfile, spec: SuperSubSpec, V: PhaseSequence, t: float,
         arg = xi + sign * q
         r = w.r_at(arg)
         u = w.phi_at(arg) + r * av[None, :] + sign * p
-        rhs(u, lattice)
+        rhs(u)(lattice)
         arg, r, u = arg[1:-1, 1:-1], r[1:-1, 1:-1], u[1:-1, 1:-1]
         udot = (w.phi_at(arg, 1) + w.r_at(arg, 1) * av[None, 1:-1]) \
             * (sign * qdot - vdot.values[None, :]) \

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from acfront import cli, harness
+from acfront import cli, harness, sim
 from acfront.cli import main
 from acfront.flow import FlowParams, mcf_solve
 from acfront.phase import extract, flatness
@@ -303,14 +303,40 @@ def test_verify_subsuper_curved(capsys):
 
 def test_verify_subsuper_offsets_only_bind_planar(capsys):
     # q0 = 0.1 lies outside (0, a) at a = 0.05; only the planar pair reads it
-    code = main(["verify-subsuper", "--kind", "curved", "--a", "0.05",
+    code = main(["verify-subsuper", "--kind", "curved", "--a", "0.05", "--q0", "0.1",
                  "--t-end", "2", "--t-samples", "2"])
     assert code == 0
     assert "verdict=pass" in capsys.readouterr().out
-    code = main(["verify-subsuper", "--kind", "planar", "--a", "0.05",
+    code = main(["verify-subsuper", "--kind", "planar", "--a", "0.05", "--q0", "0.1",
                  "--t-end", "2", "--t-samples", "2"])
     assert code == 2
     assert "q0 must lie in (0, a) = (0, 0.05)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("a", ["0.05", "0.95"])
+def test_verify_subsuper_planar_defaults_fit_every_detuning(a, capsys):
+    """The default offsets, min(0.1, a/2) and min(0.1, (1-a)/2), lie in
+    their intervals, so near either end of the bistable range the planar
+    certificate runs to a verdict and is never a usage error."""
+    code = main(["verify-subsuper", "--kind", "planar", "--a", a,
+                 "--t-end", "2", "--t-samples", "2"])
+    captured = capsys.readouterr()
+    assert code in (0, 1), captured.err
+    assert "verdict=" in captured.out
+
+
+def test_verify_subsuper_planar_defaults_keep_the_mid_range_output(capsys, monkeypatch):
+    """For a in [0.2, 0.8] the default offsets are 0.1 and 0.1, as before."""
+    seen = []
+
+    def spy(spec, a):
+        seen.append((spec.q0, spec.q1))
+        raise ValueError("stop before the wave solve")
+
+    monkeypatch.setattr(sim.SuperSubSpec, "check_offsets", spy)
+    for a in ("0.2", "0.3", "0.5", "0.8"):
+        assert main(["verify-subsuper", "--kind", "planar", "--a", a]) == 2
+    assert seen == [(0.1, 0.1)] * 4
 
 
 @pytest.mark.parametrize("kind", ["planar", "curved"])

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import warnings
 
 import numpy as np
@@ -197,6 +198,68 @@ def test_heat_solve_relative_accuracy_over_450_e_folds(P, t, boundary_j):
     want = heat_solve_oracle(vals, t, boundary_j)
     assert np.all(want > 0.0)
     assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
+def unzeroed_heat_solve(vals: np.ndarray, t: float, boundary_j: str) -> np.ndarray:
+    """``heat_solve`` with its subnormal taps kept: the same padding, fold
+    and ``np.convolve`` over the kernel's nonzero taps."""
+    period, mode = ((2 * vals.size, "symmetric") if boundary_j == "reflect"
+                    else (vals.size, "wrap"))
+    table = heat_kernel(t)
+    g = table.values[table.values > 0.0]
+    if g.size > period:
+        g = np.bincount(np.mod(table.k, period), weights=table.values, minlength=period)
+        pad = (period - 1, 0)
+    else:
+        pad = (g.size // 2, g.size // 2)
+    return np.convolve(np.pad(vals, pad, mode=mode), g, "valid")
+
+
+# positive data, so that no output comes within 2^53 of the smallest normal:
+# values of unit scale, values on the e^{-500} scale of Cole-Hopf data, and
+# values spread over all of e^{-500} .. 1
+_HEAT_DATA = {
+    "unit": st.floats(1.0, 10.0),
+    "e-500": st.floats(1.0, 2.0).map(lambda x: x * math.exp(-500.0)),
+    "spread": st.floats(0.0, 500.0).map(lambda x: math.exp(-x)),
+}
+
+
+@settings(max_examples=80)
+@given(data=st.data(), P=st.integers(1, 4500), t=st.floats(0.0, 1500.0),
+       boundary_j=st.sampled_from(["periodic", "reflect"]),
+       scale=st.sampled_from(sorted(_HEAT_DATA)))
+def test_heat_solve_equals_the_unzeroed_sum_bitwise(data, P, t, boundary_j, scale):
+    """Zeroing the subnormal taps (from t ≈ 147 on) moves no output by a
+    bit: up to t = 1500, at periods both shorter (folded) and longer than
+    the kernel, under both ``boundary_j``."""
+    vals = data.draw(hnp.arrays(np.float64, P, elements=_HEAT_DATA[scale]), label="vals")
+    got = heat_solve(PhaseSequence(vals, boundary_j=boundary_j), t).values
+    assert got.tobytes() == unzeroed_heat_solve(vals, t, boundary_j).tobytes()
+
+
+@pytest.mark.parametrize("boundary_j", ["periodic", "reflect"])
+def test_heat_solve_convolves_no_subnormal_tap(monkeypatch, boundary_j):
+    """At t = 1000 the kernel's far nonzero taps are subnormal; the taps
+    ``heat_solve`` convolves keep the nonzero taps' count and positions,
+    with the subnormal ones exact zeros, and none in (0, tiny)."""
+    tiny = np.finfo(float).tiny
+    table = heat_kernel(1000.0)
+    nonzero = table.values[table.values > 0.0]
+    assert np.any(nonzero < tiny)
+    seen, convolve = [], np.convolve
+
+    def spy(a, v, mode):
+        seen.append(v.copy())
+        return convolve(a, v, mode)
+
+    monkeypatch.setattr(np, "convolve", spy)
+    P = nonzero.size if boundary_j == "periodic" else nonzero.size // 2 + 1  # no fold
+    heat_solve(PhaseSequence(np.ones(P), boundary_j=boundary_j), 1000.0)
+    (g,) = seen
+    assert g.size == nonzero.size
+    assert not np.any((g > 0.0) & (g < tiny))
+    assert np.array_equal(g, np.where(nonzero < tiny, 0.0, nonzero))
 
 
 @pytest.mark.parametrize("boundary_j", ["periodic", "reflect"])
@@ -418,24 +481,31 @@ def v_rhs_oracle(q: np.ndarray, p: FlowParams) -> np.ndarray:
        h=st.floats(1e-6, 1.0),
        boundary_j=st.sampled_from(["periodic", "reflect"]))
 def test_inplace_substeps_equal_the_allocating_formulas_bitwise(vals, c, d, h, boundary_j):
-    """One in-place substep of each kernel, twice in a row on the same
-    scratch, is ``q[1:-1] + h rhs(q)`` of the allocating formula byte for
-    byte, both phase-LDE variants included (|d| < 1e-8 is the linear heat
-    LDE); and the public right-hand sides, a fresh array each call, leave
-    their input untouched.  Differences up to 800 at |d| up to 3 overflow
-    ``e^{d ∂⁺V}`` or clamp its underflow, the same in both."""
+    """One bound in-place substep of each kernel, twice in a row on the same
+    scratch and interleaved with a binding of a second sequence (as the
+    stepper binds its three buffers at once), is ``q[1:-1] + h rhs(q)`` of
+    the allocating formula byte for byte, both phase-LDE variants included
+    (|d| < 1e-8 is the linear heat LDE); and the public right-hand sides, a
+    fresh array each call, leave their input untouched.  Differences up to
+    800 at |d| up to 3 overflow ``e^{d ∂⁺V}`` or clamp its underflow, the
+    same in both."""
     p = FlowParams(c=c, d=d)
     V = PhaseSequence(vals, boundary_j=boundary_j)
     q = V.padded()
+    q2 = V.replace(vals[::-1] + 1.0).padded()
     for kernel, oracle, public in ((_mcf_rhs, mcf_rhs_oracle, mcf_rhs),
                                    (_v_rhs, v_rhs_oracle, v_rhs)):
         with np.errstate(over="ignore"):
             want = q[1:-1] + h * oracle(q, p)
+            want2 = q2[1:-1] + h * oracle(q2, p)
             euler = _substep(kernel(p, len(V)), h)
+            step, step2 = euler(q), euler(q2)
             for _ in range(2):
-                out = np.full(len(V), np.nan)
-                euler(q, out)
+                out, out2 = np.full(len(V), np.nan), np.full(len(V), np.nan)
+                step(out)
+                step2(out2)
                 assert out.tobytes() == want.tobytes()
+                assert out2.tobytes() == want2.tobytes()
             got = public(V, p)
             again = public(V, p)
             assert got.tobytes() == oracle(q, p).tobytes()

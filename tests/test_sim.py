@@ -6,6 +6,7 @@ import os
 import re
 import struct
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from acfront.core import (BistableNonlinearity, LatticeField, PhaseSequence, _SS
                           _substep)
 from acfront.errors import NonFinite, OutOfRange, VerificationFailed
 from acfront.flow import FlowParams, v_solve
-from acfront.harness import splitmix64_uniform
+from acfront.harness import default_spec, make_initial, splitmix64_uniform
 from acfront import sim
 from acfront.sim import (SimConfig, SuperSubSpec, _curved_pair, _planar_pair, load_snapshot,
                          read_snapshots, run, save_snapshot, search_planar_constants,
@@ -177,17 +178,18 @@ def test_step_is_ssprk104_update():
 @given(data=st.data(), width=st.integers(1, 12), height=st.integers(1, 8),
        boundary_j=st.sampled_from(["periodic", "reflect"]))
 def test_lattice_kernel_is_the_textbook_rhs(data, width, height, boundary_j):
-    """The one lattice kernel ``sim._lattice_rhs`` writes ``Δ⁺v + g(v)``:
-    the sliced Laplacian plus ``g`` to four ulps of the terms' magnitude.
-    It only reads its padded input, and ``core._substep`` over it, composed
-    by the SSPRK(10,4) oracle, gives ``step``'s bytes."""
+    """The one lattice kernel ``sim._lattice_rhs``, bound to a padded
+    array, writes ``Δ⁺v + g(v)``: the sliced Laplacian plus ``g`` to four
+    ulps of the terms' magnitude, the same bytes on a second call.  It only
+    reads its padded input, and ``core._substep`` over it, composed by the
+    SSPRK(10,4) oracle, gives ``step``'s bytes."""
     vals = data.draw(hnp.arrays(float, (width, height), elements=st.floats(-0.5, 1.5)))
     u = LatticeField(vals, boundary_j=boundary_j)
     p = u.padded()
     before = p.tobytes()
     out = np.full((width, height + 2), np.nan)
-    rhs = sim._lattice_rhs(F03)
-    rhs(p, out)
+    rhs = sim._lattice_rhs(F03)(p)
+    rhs(out)
     assert p.tobytes() == before
     got = out[:, 1:-1]
     textbook = discrete_laplacian(u) + F03(vals)
@@ -197,13 +199,16 @@ def test_lattice_kernel_is_the_textbook_rhs(data, width, height, boundary_j):
     # plus the least normal, for subnormal draws whose eps-scaled bound underflows
     info = np.finfo(float)
     assert np.all(np.abs(got - textbook) <= 4.0 * info.eps * scale + info.tiny)
+    again = np.full_like(out, np.nan)
+    rhs(again)
+    assert again.tobytes() == out.tobytes()
 
     cfg = SimConfig(F03, width=width, height=height, boundary_j=boundary_j)
-    euler = _substep(rhs, cfg.dt / 6.0)
+    euler = _substep(sim._lattice_rhs(F03), cfg.dt / 6.0)
 
     def substep(v):
         y = np.empty((width, height + 2))
-        euler(LatticeField(v, boundary_j=boundary_j).padded(), y)
+        euler(LatticeField(v, boundary_j=boundary_j).padded())(y)
         return y[:, 1:-1]
 
     assert ssprk104(substep, vals).tobytes() == step(u, cfg).values.tobytes()
@@ -499,11 +504,11 @@ def _assert_reaped(pids) -> None:
        record_every=st.integers(1, 4), data=st.data())
 def test_split_steps_equal_a_plain_step_loop(width, height, boundary_j, a, steps,
                                              record_every, data):
-    """With every step of ``e >= 2R`` columns split with a forked worker, and
-    the discarded halo of each half poisoned (the near half's last ``R``
-    columns, the far half's first ``R``, in the worker too), ``snapshots``
-    yields byte for byte what a plain ``step`` loop makes, and reaps its one
-    worker."""
+    """With every step of ``e >= 2R`` columns but the first split with a
+    forked worker, and the discarded halo of each half poisoned (the near
+    half's last ``R`` columns, the far half's first ``R``, in the worker
+    too), ``snapshots`` yields byte for byte what a plain ``step`` loop
+    makes, and reaps its one worker; a one-step run forks none."""
     front = data.draw(st.integers(0, width // 2), label="front")
     cfg = SimConfig(BistableNonlinearity(a=a), width=width, height=height,
                     boundary_j=boundary_j, record_every=record_every)
@@ -520,7 +525,7 @@ def test_split_steps_equal_a_plain_step_loop(width, height, boundary_j, a, steps
         mp.setattr(sim, "_advance", _halo_poisoning_advance([]))
         pids = _recorded_forks(mp)
         records = list(snapshots(u, cfg))
-    assert len(pids) == 1
+    assert len(pids) == (steps > 1)
     _assert_reaped(pids)
     kept = [k for k in range(steps + 1) if k % record_every == 0 or k == steps]
     assert [t for t, _ in records] == [k * cfg.dt for k in kept]
@@ -537,15 +542,19 @@ def test_split_steps_equal_a_plain_step_loop(width, height, boundary_j, a, steps
 def test_split_blowup_in_the_far_half_raises_as_the_serial_step(monkeypatch):
     """An overflow in the worker's half only makes the step run serially, so
     it raises the serial step's :class:`NonFinite` with its overflow
-    warnings, and no more of them; the worker is reaped."""
+    warnings, and no more of them; the worker is reaped.  Columns of 6.375
+    stay finite through the first step, which is serial, and overflow in
+    the second, the first split one."""
     width, height = 60, 2
     cfg = SimConfig(F03, width=width, height=height)
+    cfg.t_end = 2 * cfg.dt
     values = np.full((width, height), 0.5)
-    values[-8:] = 1e160  # beyond the near half's columns [0, 40)
+    values[-8:] = 6.375  # beyond the near half's columns [0, 40)
     u = LatticeField(values)
+    first = step(u, cfg)
     with pytest.warns(RuntimeWarning, match="overflow") as serial:
         with pytest.raises(NonFinite):
-            step(u, cfg)
+            step(first, cfg)
     monkeypatch.setattr(sim, "_SPLIT_MIN_SITES", 0)
     pids = _recorded_forks(monkeypatch)
     with pytest.warns(RuntimeWarning, match="overflow") as split:
@@ -559,16 +568,17 @@ def test_split_blowup_in_the_far_half_raises_as_the_serial_step(monkeypatch):
 @needs_fork
 @pytest.mark.parametrize("end", ["exhausted", "closed", "consumer_raised"])
 def test_split_worker_does_not_outlive_the_generator(monkeypatch, end):
-    """The worker is forked at the first split step and reaped when the
-    generator ends: exhausted, closed after two records, or left by an
-    exception in the consumer."""
+    """The worker is forked at the first split step, the second step, and
+    reaped when the generator ends: exhausted, closed after three records,
+    or left by an exception in the consumer."""
     cfg = SimConfig(F03, t_end=5.0, record_every=1, width=48, height=4)
     u0 = LatticeField(splitmix64_uniform(9, 48 * 4).reshape(48, 4))
     monkeypatch.setattr(sim, "_SPLIT_MIN_SITES", 0)
     pids = _recorded_forks(monkeypatch)
     gen = snapshots(u0, cfg)
     next(gen)
-    assert pids == []  # nothing forks before the first step
+    next(gen)
+    assert pids == []  # nothing forks before the second step
     next(gen)
     assert len(pids) == 1 and os.waitpid(pids[0], os.WNOHANG) == (0, 0)
     if end == "exhausted":
@@ -583,34 +593,84 @@ def test_split_worker_does_not_outlive_the_generator(monkeypatch, end):
     _assert_reaped(pids)
 
 
+def _halves_forks(widths, split_min, monkeypatch) -> list:
+    """Drive one run's ``_Halves`` over steps of the given prefix widths on a
+    48x4 field, with ``split_min`` as ``_SPLIT_MIN_SITES``, and return, after
+    each step, the number of workers forked so far and whether one lives.
+    Each step's result must equal the serial ``_advance`` of the same
+    prefix byte for byte."""
+    width, height = 48, 4
+    u0 = LatticeField(splitmix64_uniform(6, width * height).reshape(width, height))
+    euler = sim._euler(SimConfig(F03, width=width, height=height))
+    monkeypatch.setattr(sim, "_SPLIT_MIN_SITES", split_min)
+    pids = _recorded_forks(monkeypatch)
+    halves = sim._Halves(u0.padded(), euler, "periodic")
+    seen, which = [], 0
+    try:
+        for e in widths:
+            cur = halves.states[which]
+            want = sim._advance(cur[:e + 2].copy(), euler, "periodic")[1:-1]
+            halves.step(which, e)
+            which = 1 - which
+            assert halves.states[which][1:e + 1].tobytes() == want.tobytes()
+            seen.append((len(pids), halves._pid is not None))
+    finally:
+        halves.close()
+    _assert_reaped(pids)
+    return seen
+
+
 @needs_fork
 def test_split_worker_ends_at_the_first_narrow_step(monkeypatch):
-    """A run whose live prefix narrows below the threshold reaps its worker
-    at that step, while the generator lives on, and steps serially after,
-    with the records of a serial run."""
-    width, height = 48, 4
-    cfg = SimConfig(F03, t_end=6.0, record_every=1, width=width, height=height)
-    values = np.ones((width, height))
-    values[:12] = splitmix64_uniform(6, 12 * height).reshape(12, height)
-    u0 = LatticeField(values)
-    want = [u.values.tobytes() for _, u in snapshots(u0, cfg)]
-    monkeypatch.setattr(sim, "_SPLIT_MIN_SITES", width * (height + 2))  # the full width
+    """The worker is forked at the second wide step in a row, serves every
+    wide step after, is reaped at the first narrow step, and is never forked
+    again; a run never wide twice in a row forks none.  Each step keeps the
+    serial step's bytes."""
+    wide = 40 * 6  # the sites of a 40-column prefix of the 48x4 field
+    assert _halves_forks([48, 44, 40, 36, 48, 48], wide, monkeypatch) == [
+        (0, False), (1, True), (1, True), (1, False), (1, False), (1, False)]
+    assert _halves_forks([48, 36, 48, 48], wide, monkeypatch) == [(0, False)] * 4
+    assert _halves_forks([36, 48, 48], wide, monkeypatch) == [(0, False)] * 3
+
+
+@needs_fork
+@pytest.mark.parametrize("height, want_forks", [(128, 0), (256, 1)])
+def test_default_runs_fork_at_their_second_wide_step(wave03, monkeypatch, height, want_forks):
+    """Over five steps, the 256x128 step_kappa default, wide for its first
+    step only, forks no worker; a 256x256 run (the thm22 default made
+    square) forks one at its second step and splits every step from there
+    on."""
+    spec = replace(default_spec("step_kappa" if height == 128 else "thm22"), height=height)
+    cfg = spec.sim_config(wave03.f)
+    cfg.t_end = 5 * cfg.dt
+    widths, splits = [], []
+    step, split = sim._Halves.step, sim._Halves._split
+
+    def recording_step(self, which, e):
+        widths.append(e)
+        step(self, which, e)
+
+    def recording_split(self, which, e):
+        splits.append(len(widths))
+        return split(self, which, e)
+
+    monkeypatch.setattr(sim._Halves, "step", recording_step)
+    monkeypatch.setattr(sim._Halves, "_split", recording_split)
     pids = _recorded_forks(monkeypatch)
-    gen = snapshots(u0, cfg)
-    got = [next(gen)[1].values.tobytes(), next(gen)[1].values.tobytes()]
-    assert len(pids) == 1 and os.waitpid(pids[0], os.WNOHANG) == (0, 0)
-    got.append(next(gen)[1].values.tobytes())  # the second step is narrower
+    list(snapshots(make_initial(spec, wave03), cfg))
+    sites = [e * (height + 2) >= sim._SPLIT_MIN_SITES for e in widths]
+    assert sites == [True] + [height == 256] * 4
+    assert len(pids) == want_forks
     _assert_reaped(pids)
-    got.extend(u.values.tobytes() for _, u in gen)
-    assert len(pids) == 1 and got == want
+    assert splits == ([] if height == 128 else [2, 3, 4, 5])
 
 
 @needs_fork
 def test_split_worker_exits_when_its_half_fails(monkeypatch):
     """A far half that raises ends the worker, whose EOF is the one failure
-    signal: it is reaped right after the first step, which then runs
-    serially, and so does the rest of the run, with the records of a plain
-    ``step`` loop."""
+    signal: it is reaped right after the first split step, the second, which
+    then runs serially, and so does the rest of the run, with the records
+    of a plain ``step`` loop."""
     cfg = SimConfig(F03, t_end=5.0, record_every=1, width=48, height=4)
     u = u0 = LatticeField(splitmix64_uniform(9, 48 * 4).reshape(48, 4))
     want = [u.values.tobytes()]
@@ -629,7 +689,7 @@ def test_split_worker_exits_when_its_half_fails(monkeypatch):
     monkeypatch.setattr(sim, "_advance", far_half_failing_advance)
     pids = _recorded_forks(monkeypatch)
     gen = snapshots(u0, cfg)
-    got = [next(gen)[1].values.tobytes(), next(gen)[1].values.tobytes()]
+    got = [next(gen)[1].values.tobytes() for _ in range(3)]
     assert len(pids) == 1
     _assert_reaped(pids)
     got.extend(v.values.tobytes() for _, v in gen)
